@@ -38,7 +38,7 @@ from .roomsim import (
     measure_t60,
     mix_scene,
     sample_scene,
-    simulate_rir,
+    simulate_rirs,
 )
 from .scenarios import intermittent_speech, speech_like, stationary_noise
 from .signal_core import MultichannelAudio, StftConfig, load_wav, save_wav, stft_multichannel
@@ -196,19 +196,19 @@ def _cmd_rir(args: argparse.Namespace) -> int:
     t60 = room.get("t60")
     absorption = room.get("absorption")
 
+    rirs = simulate_rirs(
+        dims,
+        t60,
+        config["source"],
+        config["mics"],
+        fs,
+        absorption=absorption,
+        duration=config.get("duration"),
+    )
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"fs": fs, "room_dims": dims, "t60": t60, "absorption": absorption, "rirs": []}
-    for index, mic in enumerate(config["mics"]):
-        rir = simulate_rir(
-            dims,
-            t60,
-            config["source"],
-            mic,
-            fs,
-            absorption=absorption,
-            duration=config.get("duration"),
-        )
+    for index, (mic, rir) in enumerate(zip(config["mics"], rirs)):
         path = out_dir / f"rir_mic{index}.wav"
         save_wav(path, MultichannelAudio(rir.taps[np.newaxis, :], fs))
         entry = {

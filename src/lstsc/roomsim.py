@@ -15,6 +15,8 @@ simulator's own measurement noise.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +34,7 @@ __all__ = [
     "MixResult",
     "SceneConstraints",
     "simulate_rir",
+    "simulate_rirs",
     "measure_t60",
     "sample_scene",
     "mix_scene",
@@ -40,9 +43,6 @@ __all__ = [
 SPEED_OF_SOUND = 343.0  # m/s
 
 ROLE_ORDER = ("target", "non_target", "interferer")
-
-# (room dims, t60, fs) -> calibrated pressure reflection coefficient
-_BETA_CACHE: dict[tuple, float] = {}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,39 +242,55 @@ def _eyring_absorption(room_dims: np.ndarray, t60: float) -> float:
 def _image_source_taps(
     room_dims: np.ndarray,
     src: np.ndarray,
-    mic: np.ndarray,
+    mics: np.ndarray,
     fs: int,
     beta: float,
-    duration: float,
-) -> np.ndarray:
-    """Vectorized image enumeration; returns the tap vector."""
-    num_taps = int(round(duration * fs))
-    max_dist = duration * SPEED_OF_SOUND
-    counts = np.ceil(max_dist / (2.0 * room_dims)).astype(int)
-    grids = [np.arange(-c, c + 1) for c in counts]
-    nx, ny, nz = np.meshgrid(*grids, indexing="ij")
-    orders = np.stack([nx.ravel(), ny.ravel(), nz.ravel()], axis=1)
+    durations: list[float],
+) -> list[np.ndarray]:
+    """Tap vectors of one source at each microphone, one duration per mic.
 
-    taps = np.zeros(num_taps)
-    for px in (0, 1):
-        for py in (0, 1):
-            for pz in (0, 1):
-                parity = np.array([px, py, pz])
-                pos = (1 - 2 * parity) * src + 2.0 * orders * room_dims
-                dist = np.sqrt(((pos - mic) ** 2).sum(axis=1))
-                reflections = (
-                    np.abs(orders - parity).sum(axis=1) + np.abs(orders).sum(axis=1)
-                )
-                if beta == 0.0:
-                    amplitude = np.where(reflections == 0, 1.0, 0.0)
-                else:
-                    amplitude = beta**reflections
-                amplitude = amplitude / (4.0 * np.pi * np.maximum(dist, 1e-9))
-                delay = np.round(dist / SPEED_OF_SOUND * fs).astype(int)
-                keep = delay < num_taps
-                taps += np.bincount(
-                    delay[keep], weights=amplitude[keep], minlength=num_taps
-                )
+    The enumeration is separable: along each axis an image of order ``n``
+    and parity ``p`` has coordinate ``(1 - 2p) * s + 2 n L`` and
+    ``|n - p| + |n|`` reflections, so coordinates, reflection counts and
+    ``beta**k`` are built once per source on the grid the longest
+    duration needs.  Each microphone broadcasts its squared per-axis
+    offsets over the sub-grid of its own duration, which visits the same
+    images in the same order as a per-pair enumeration, so the taps are
+    bit-identical to it.
+    """
+    num_taps = [int(round(duration * fs)) for duration in durations]
+    counts = [
+        np.ceil(duration * SPEED_OF_SOUND / (2.0 * room_dims)).astype(int)
+        for duration in durations
+    ]
+    top = np.max(counts, axis=0)
+    orders = [np.arange(-c, c + 1) for c in top]
+    # an axis of order range [-c, c] contributes at most 2c + 1 reflections
+    gains = beta ** np.arange(2 * int(top.sum()) + 4)
+
+    taps = [np.zeros(n) for n in num_taps]
+    for parity in itertools.product((0, 1), repeat=3):
+        coords = [
+            (1 - 2 * p) * s + 2.0 * n * length
+            for p, s, n, length in zip(parity, src, orders, room_dims)
+        ]
+        rx, ry, rz = (np.abs(n - p) + np.abs(n) for p, n in zip(parity, orders))
+        weights = gains[(rx[:, None, None] + ry[None, :, None]) + rz]
+        for mic, count, size, out in zip(mics, counts, num_taps, taps):
+            window = tuple(slice(t - c, t + c + 1) for t, c in zip(top, count))
+            dx, dy, dz = (
+                (coord[w] - m) ** 2 for coord, w, m in zip(coords, window, mic)
+            )
+            dist = np.sqrt((dx[:, None, None] + dy[None, :, None]) + dz)
+            delay = np.round(dist / SPEED_OF_SOUND * fs)
+            keep = delay < size
+            dist = dist[keep]
+            amplitude = weights[window][keep] / (
+                4.0 * np.pi * np.maximum(dist, 1e-9)
+            )
+            out += np.bincount(
+                delay[keep].astype(int), weights=amplitude, minlength=size
+            )
     return taps
 
 
@@ -287,16 +303,18 @@ def _calibration_probe(room_dims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _calibrated_beta(room_dims: np.ndarray, t60: float, fs: int) -> float:
     """Reflection coefficient whose simulated decay measures ``t60``.
 
-    Seeds with the Eyring inversion and iterates the effective target:
-    each round simulates a probe response, measures its Schroeder decay
-    time, and rescales the target until the measurement lands within a
-    few percent.  Results are cached per (room, t60, fs).
-    """
-    key = (tuple(np.round(room_dims, 9)), round(float(t60), 9), int(fs))
-    cached = _BETA_CACHE.get(key)
-    if cached is not None:
-        return cached
+    Calibrates on (room, t60) rounded to 1e-9, so nearby requests share
+    one cached result whichever of them came first."""
+    return _calibrate(tuple(np.round(room_dims, 9)), round(float(t60), 9), int(fs))
 
+
+@functools.lru_cache(maxsize=32)
+def _calibrate(dims: tuple, t60: float, fs: int) -> float:
+    """Seed ``beta`` with the Eyring inversion, then iterate the effective
+    target: each round simulates a probe response, measures its Schroeder
+    decay time, and rescales the target until the measurement lands
+    within a few percent."""
+    room_dims = np.array(dims)
     src, mic = _calibration_probe(room_dims)
     dist = float(np.linalg.norm(src - mic))
     t_eff = t60
@@ -305,49 +323,55 @@ def _calibrated_beta(room_dims: np.ndarray, t60: float, fs: int) -> float:
         absorption = min(_eyring_absorption(room_dims, t_eff), 0.9999)
         beta = math.sqrt(1.0 - absorption)
         duration = dist / SPEED_OF_SOUND + 2.2 * max(t60, t_eff) + 0.05
-        probe = _image_source_taps(room_dims, src, mic, fs, beta, duration)
+        (probe,) = _image_source_taps(room_dims, src, mic[None], fs, beta, [duration])
         measured = measure_t60(Rir(fs, probe, dist))
         error = abs(measured - t60) / t60
         if error < 0.04:
             break
         # measured decay is monotone in the effective target; rescale
         t_eff *= float(np.clip(t60 / measured, 0.4, 2.5))
-    _BETA_CACHE[key] = beta
     return beta
 
 
-def simulate_rir(
+def simulate_rirs(
     room_dims,
     t60: float | None,
     src,
-    mic,
+    mics,
     fs: int = 16000,
     *,
     absorption: float | None = None,
     duration: float | None = None,
-) -> Rir:
-    """Image-source RIR for one source/microphone pair.
+) -> list[Rir]:
+    """Image-source RIRs from one source to each of the (M, 3) ``mics``.
 
     By default the uniform wall absorption is calibrated so the Schroeder
     measurement of the output matches ``t60``; pass ``absorption``
     explicitly to bypass calibration (1.0 gives the anechoic direct path
     only).  The direct tap lands at ``round(dist / c * fs)`` samples with
-    ``1 / (4 pi dist)`` amplitude; the default duration keeps every image
-    whose decay is within roughly 72 dB of the direct path, so the
-    truncated tail sits far below the -60 dB point.
+    ``1 / (4 pi dist)`` amplitude; the default duration, set per
+    microphone, keeps every image whose decay is within roughly 72 dB of
+    the direct path, so the truncated tail sits far below the -60 dB
+    point.  Each response equals ``simulate_rir`` for its pair bit for
+    bit; the images are enumerated once for all microphones.
     """
     room_dims = np.asarray(room_dims, dtype=np.float64)
     src = np.asarray(src, dtype=np.float64)
-    mic = np.asarray(mic, dtype=np.float64)
+    mics = np.asarray(mics, dtype=np.float64)
     if room_dims.shape != (3,) or np.any(room_dims <= 0):
         raise ValueError("room_dims must be three positive lengths")
     if not _inside(src, room_dims):
         raise ValueError(f"source {src} outside room {room_dims}")
-    if not _inside(mic, room_dims):
-        raise ValueError(f"microphone {mic} outside room {room_dims}")
-    dist = float(np.linalg.norm(src - mic))
-    if dist < 1e-6:
-        raise ValueError("source and microphone are coincident")
+    if mics.ndim != 2 or mics.shape[0] < 1 or mics.shape[1] != 3:
+        raise ValueError("microphone positions must be a non-empty (M, 3) array")
+    dists = []
+    for mic in mics:
+        if not _inside(mic, room_dims):
+            raise ValueError(f"microphone {mic} outside room {room_dims}")
+        dist = float(np.linalg.norm(src - mic))
+        if dist < 1e-6:
+            raise ValueError("source and microphone are coincident")
+        dists.append(dist)
     if fs <= 0:
         raise ValueError("sample rate must be positive")
 
@@ -362,9 +386,32 @@ def simulate_rir(
 
     if duration is None:
         tail = 1.2 * t60 if t60 else 0.05
-        duration = dist / SPEED_OF_SOUND + tail + 0.01
-    taps = _image_source_taps(room_dims, src, mic, fs, beta, duration)
-    return Rir(sample_rate=int(fs), taps=taps, source_distance=dist)
+        durations = [dist / SPEED_OF_SOUND + tail + 0.01 for dist in dists]
+    else:
+        durations = [duration] * len(dists)
+    taps = _image_source_taps(room_dims, src, mics, fs, beta, durations)
+    return [
+        Rir(sample_rate=int(fs), taps=t, source_distance=dist)
+        for t, dist in zip(taps, dists)
+    ]
+
+
+def simulate_rir(
+    room_dims,
+    t60: float | None,
+    src,
+    mic,
+    fs: int = 16000,
+    *,
+    absorption: float | None = None,
+    duration: float | None = None,
+) -> Rir:
+    """Image-source RIR for one source/microphone pair: the
+    one-microphone case of ``simulate_rirs``."""
+    (rir,) = simulate_rirs(
+        room_dims, t60, src, [mic], fs, absorption=absorption, duration=duration
+    )
+    return rir
 
 
 def measure_t60(rir: Rir) -> float:
@@ -487,7 +534,9 @@ class MixResult:
 
     The mixture equals the images summed in ``images`` iteration order
     plus ``noise``, computed in exactly that order, so re-summing the
-    returned parts reproduces the mixture bit-for-bit.
+    returned parts reproduces the mixture bit-for-bit.  ``rirs`` maps each
+    role to its per-microphone responses; it is empty for a silent stem
+    whose responses would have been simulated.
     """
 
     mixture: MultichannelAudio
@@ -516,7 +565,9 @@ def mix_scene(
     """Render stems through the room and mix at the requested levels.
 
     Every source is convolved with its per-microphone RIR (simulated, or
-    taken verbatim from ``external_rirs``).  The interferer image is
+    taken verbatim from ``external_rirs``).  An all-zero stem is neither
+    simulated nor convolved: its image is zeros and, unless external RIRs
+    were given, its ``rirs`` entry is empty.  The interferer image is
     scaled so the target-to-interferer power ratio at the reference
     microphone equals ``sir_db`` exactly as measured on the returned
     images; the non-target is scaled to equal power with the target; white
@@ -542,6 +593,7 @@ def mix_scene(
             )
         trimmed[role] = stem[:length]
 
+    silent = {role: not trimmed[role].any() for role in roles}
     rirs: dict[str, list[Rir]] = {}
     for src in scene.sources:
         if external_rirs is not None:
@@ -553,15 +605,19 @@ def mix_scene(
                     f"external RIR set for {src.role!r} has {len(role_rirs)} "
                     f"responses for {scene.num_mics} microphones"
                 )
+        elif silent[src.role]:
+            role_rirs = []
         else:
-            role_rirs = [
-                simulate_rir(scene.room_dims, scene.t60, src.position, mic, fs)
-                for mic in scene.mic_positions
-            ]
+            role_rirs = simulate_rirs(
+                scene.room_dims, scene.t60, src.position, scene.mic_positions, fs
+            )
         rirs[src.role] = role_rirs
 
     images = {
-        role: _image(trimmed[role], rirs[role], length) for role in roles
+        role: np.zeros((scene.num_mics, length))
+        if silent[role]
+        else _image(trimmed[role], rirs[role], length)
+        for role in roles
     }
 
     def ref_power(x: np.ndarray) -> float:

@@ -9,6 +9,7 @@ pre-padding, so time-frequency indices are reproducible across modules.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,8 @@ _WOLA_FLOOR = 1e-10
 @dataclasses.dataclass
 class MultichannelAudio:
     """M-channel audio: ``samples`` is an (M, T) float matrix, values
-    nominally in [-1, 1]."""
+    nominally in [-1, 1].  Non-finite samples are rejected, naming the
+    first offending (channel, sample)."""
 
     samples: np.ndarray
     sample_rate: int
@@ -47,6 +49,17 @@ class MultichannelAudio:
             raise ValueError("audio needs at least one channel")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        # the sum is finite for all-finite audio short of overflow; only
+        # then is the allocating scan needed
+        with np.errstate(over="ignore"):
+            total = float(self.samples.sum())
+        if not math.isfinite(total):
+            bad = np.argwhere(~np.isfinite(self.samples))
+            if bad.size:
+                channel, sample = bad[0]
+                raise ValueError(
+                    f"non-finite audio sample at channel {channel}, sample {sample}"
+                )
 
     @property
     def num_channels(self) -> int:

@@ -5,11 +5,18 @@ return codes rather than process exits.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.io import wavfile
 
 from conftest import delayed_array_audio
 
@@ -192,6 +199,32 @@ class TestEnhance:
         assert main(["enhance", "--in", mixture_wav, "--variant", "lstsc-2",
                      "--out", str(out), "--mask-out", str(mask_out)]) == EXIT_OK
         assert mask_out.exists()
+
+
+class TestNonFiniteInput:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(["extract", "enhance"]),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+        st.integers(0, 2),
+        st.integers(0, 15999),
+    )
+    def test_rejected_with_exit_4(self, command, value, channel, sample):
+        rng = np.random.default_rng(channel * 16000 + sample)
+        samples = (0.1 * rng.standard_normal((16000, 3))).astype(np.float32)
+        samples[sample, channel] = value
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.wav"
+            wavfile.write(path, 16000, samples)
+            out = Path(tmp) / "out"
+            with contextlib.redirect_stderr(stderr):
+                code = main([command, "--in", str(path), "--out", str(out)])
+            assert not out.exists()
+        assert code == EXIT_CONSTRAINT
+        assert f"non-finite audio sample at channel {channel}, sample {sample}" in (
+            stderr.getvalue()
+        )
 
 
 class TestEvaluate:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
+import oracle_roomsim
 from lstsc.roomsim import (
     SPEED_OF_SOUND,
     ArrayGeometry,
@@ -17,7 +20,9 @@ from lstsc.roomsim import (
     measure_t60,
     mix_scene,
     sample_scene,
+    _image_source_taps,
     simulate_rir,
+    simulate_rirs,
 )
 
 ROOM = (6.0, 5.0, 3.0)
@@ -155,6 +160,53 @@ class TestImageSource:
         assert np.array_equal(a.taps, b.taps)
 
 
+@st.composite
+def _image_source_cases(draw):
+    """Room, source, 1-8 mics inside it, beta and one duration per mic."""
+    dims = np.array([draw(st.floats(2.0, 9.0)) for _ in range(3)])
+    inside = st.floats(0.01, 0.99)
+    src = np.array([draw(inside) for _ in range(3)]) * dims
+    num_mics = draw(st.integers(1, 8))
+    mics = np.array([[draw(inside) for _ in range(3)] for _ in range(num_mics)])
+    beta = draw(st.one_of(st.just(0.0), st.floats(0.3, 0.97)))
+    durations = [draw(st.floats(0.001, 0.3)) for _ in range(num_mics)]
+    return dims, src, mics * dims, beta, durations
+
+
+class TestImageSourceOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(_image_source_cases())
+    def test_taps_match_per_pair_oracle_bytes(self, case):
+        dims, src, mics, beta, durations = case
+        taps = _image_source_taps(dims, src, mics, 16000, beta, durations)
+        assert len(taps) == len(mics)
+        for mic, duration, got in zip(mics, durations, taps):
+            want = oracle_roomsim._image_source_taps(
+                dims, src, mic, 16000, beta, duration
+            )
+            assert got.tobytes() == want.tobytes()
+
+    def test_simulate_rirs_matches_pairs(self):
+        src = [2.0, 3.2, 1.6]
+        mics = ArrayGeometry.circular(5, 0.1).placed((3.4, 1.8, 1.1))
+        rirs = simulate_rirs(ROOM, 0.3, src, mics)
+        assert len(rirs) == 5
+        for mic, rir in zip(mics, rirs):
+            pair = simulate_rir(ROOM, 0.3, src, mic)
+            assert rir.taps.tobytes() == pair.taps.tobytes()
+            assert rir.source_distance == pair.source_distance
+
+    def test_simulate_rirs_validates_every_mic(self):
+        mics = [[3.0, 2.5, 1.2], [3.0, 9.0, 1.2]]
+        with pytest.raises(ValueError, match="outside room"):
+            simulate_rirs(ROOM, 0.3, [2.0, 2.0, 1.5], mics)
+        mics = [[3.0, 2.5, 1.2], [2.0, 2.0, 1.5]]
+        with pytest.raises(ValueError, match="coincident"):
+            simulate_rirs(ROOM, 0.3, [2.0, 2.0, 1.5], mics)
+        with pytest.raises(ValueError, match=r"\(M, 3\)"):
+            simulate_rirs(ROOM, 0.3, [2.0, 2.0, 1.5], [])
+
+
 class TestMeasureT60:
     def test_synthetic_exponential(self):
         fs = 16000
@@ -262,6 +314,8 @@ class TestMixScene:
         result = mix_scene(scene, stems, self._spec(), noise_seed=3)
         assert result.gains["non_target"] == 1.0
         assert not result.images["non_target"].samples.any()
+        assert result.rirs["non_target"] == []
+        assert len(result.rirs["target"]) == scene.num_mics
         assert np.isfinite(result.mixture.samples).all()
 
     def test_short_stem_rejected(self, scene, stems):

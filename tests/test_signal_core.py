@@ -20,6 +20,31 @@ from lstsc.signal_core import (
 CFG = StftConfig()
 
 
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+class TestNonFiniteAudio:
+    @settings(max_examples=50, deadline=None)
+    @given(NON_FINITE, st.integers(0, 2), st.integers(0, 999))
+    def test_rejected_naming_position(self, value, channel, sample):
+        samples = np.full((3, 1000), 0.25)
+        samples[channel, sample] = value
+        with pytest.raises(ValueError, match=rf"channel {channel}, sample {sample}$"):
+            MultichannelAudio(samples, 16000)
+
+    def test_first_bad_sample_named(self):
+        samples = np.zeros((3, 100))
+        samples[2, 5] = np.nan
+        samples[1, 70] = -np.inf
+        samples[1, 90] = np.inf
+        with pytest.raises(ValueError, match="channel 1, sample 70$"):
+            MultichannelAudio(samples, 16000)
+
+    def test_overflowing_sum_of_finite_samples_accepted(self):
+        audio = MultichannelAudio(np.full((2, 10), 1e308), 16000)
+        assert np.isfinite(audio.samples).all()
+
+
 class TestWavIo:
     def test_header_readback(self, tmp_path, rng):
         audio = MultichannelAudio(0.1 * rng.standard_normal((4, 16000)), 16000)
