@@ -17,7 +17,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lstsc.coherence import CoherenceConfig, compute_lstsc
+from lstsc.coherence import VARIANT_SETTINGS, CoherenceConfig, compute_lstsc
 from lstsc.scenarios import build_sifting_scenario, mean_global_warped
 from lstsc.signal_core import stft_multichannel
 
@@ -32,7 +32,7 @@ def parse_args(argv=None):
     parser.add_argument(
         "--variant",
         default="lstsc-3",
-        choices=["lstsc-1", "lstsc-2", "lstsc-3", "lstsc-4"],
+        choices=sorted(VARIANT_SETTINGS),
         help="feature variant used for scoring",
     )
     parser.add_argument("--json", type=Path, default=None, help="write a JSON report here")

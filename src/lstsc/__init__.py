@@ -7,13 +7,11 @@ __version__ = "0.1.0"
 from .coherence import (
     CoherenceConfig,
     LstscFeatures,
-    TrackerState,
     arcsine_warp,
     coherence,
     compute_lstsc,
     lambda_schedule,
     read_features,
-    recursive_update,
     short_term_whitened_rtf,
     stream_frames,
     whiten,
@@ -52,13 +50,11 @@ __all__ = [
     "__version__",
     "CoherenceConfig",
     "LstscFeatures",
-    "TrackerState",
     "arcsine_warp",
     "coherence",
     "compute_lstsc",
     "lambda_schedule",
     "read_features",
-    "recursive_update",
     "short_term_whitened_rtf",
     "stream_frames",
     "whiten",

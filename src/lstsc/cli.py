@@ -3,8 +3,9 @@
 Subcommands: ``rir`` (impulse-response synthesis), ``simulate`` (scene
 rendering), ``extract`` (feature extraction to the binary + CSV formats),
 ``enhance`` (masking-based enhancement), ``evaluate`` (scale-invariant
-SDR reporting as JSON lines).  Configs are JSON with unknown keys
-rejected; every run is deterministic given config + seed.
+SDR reporting as JSON lines).  Configs are JSON with unknown keys and
+values of the wrong JSON type rejected; every run is deterministic given
+config + seed.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 missing input
 file, 4 domain-constraint violation, 1 unexpected failure.  The
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .coherence import (
+    VARIANT_SETTINGS,
     CoherenceConfig,
     compute_lstsc,
     export_features_csv,
@@ -80,64 +82,98 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
+# Expected JSON types of config values; bool is never taken for a number.
+_INT = (int,)
+_NUM = (int, float)
+_BOOL = (bool,)
+_STR = (str,)
+_VEC = (list,)  # numbers, or lists of numbers
+_OR_NULL = (type(None),)
+
+_JSON_NAMES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "an array of numbers",
+    type(None): "null",
+}
+
+
+def _has_type(value, types: tuple) -> bool:
+    if isinstance(value, bool):
+        return bool in types
+    if isinstance(value, list):
+        return list in types and all(_has_type(v, _NUM + _VEC) for v in value)
+    return isinstance(value, types)
+
+
 def _check_keys(mapping: dict, allowed: dict, context: str) -> None:
-    """Reject unknown keys; recurse into nested sections."""
+    """Reject unknown keys and values of the wrong JSON type; recurse into
+    nested sections."""
     for key, value in mapping.items():
         if key not in allowed:
             raise ConfigError(
-                f"unknown config key {context}{key!r}; allowed: {sorted(allowed)}"
+                f"unknown config key '{context}{key}'; allowed: {sorted(allowed)}"
             )
-        sub = allowed[key]
-        if isinstance(sub, dict):
+        expected = allowed[key]
+        if isinstance(expected, dict):
             if not isinstance(value, dict):
-                raise ConfigError(f"config section {context}{key!r} must be an object")
-            _check_keys(value, sub, context=f"{context}{key}.")
+                raise ConfigError(f"config section '{context}{key}' must be an object")
+            _check_keys(value, expected, context=f"{context}{key}.")
+        elif not _has_type(value, expected):
+            # a number may be written as an integer, so float names both
+            names = [_JSON_NAMES[t] for t in expected if not (t is int and float in expected)]
+            raise ConfigError(
+                f"config key '{context}{key}' must be {' or '.join(names)}, "
+                f"got {json.dumps(value)}"
+            )
 
 
 _COHERENCE_KEYS = {
-    "R": None,
-    "lambda_local": None,
-    "lambda_global": None,
-    "time_varying": None,
-    "beta": None,
-    "epsilon": None,
-    "apply_arcsine": None,
-    "erb_bands": None,
+    "R": _INT,
+    "lambda_local": _NUM,
+    "lambda_global": _NUM,
+    "time_varying": _BOOL,
+    "beta": _NUM,
+    "epsilon": _NUM,
+    "apply_arcsine": _BOOL,
+    "erb_bands": _INT + _OR_NULL,
 }
 
 _ARRAY_KEYS = {
-    "kind": None,
-    "num_mics": None,
-    "spacing": None,
-    "diameter": None,
-    "positions": None,
+    "kind": _STR,
+    "num_mics": _INT,
+    "spacing": _NUM,
+    "diameter": _NUM,
+    "positions": _VEC,
 }
 
 _SCENE_KEYS = {
-    "room_dims": None,
-    "array_center": None,
-    "range_bounds": None,
-    "min_angle_deg": None,
-    "azimuth_deg": None,
-    "wall_margin": None,
-    "max_attempts": None,
+    "room_dims": _VEC,
+    "array_center": _VEC,
+    "range_bounds": _VEC,
+    "min_angle_deg": _NUM,
+    "azimuth_deg": _VEC,
+    "wall_margin": _NUM,
+    "max_attempts": _INT,
 }
 
-_STEM_KEYS = {"kind": None, "rms": None}
+_STEM_KEYS = {"kind": _STR, "rms": _NUM}
 
 _RIR_CONFIG_KEYS = {
-    "room": {"dims": None, "t60": None, "absorption": None},
-    "source": None,
-    "mics": None,
-    "fs": None,
-    "duration": None,
+    "room": {"dims": _VEC, "t60": _NUM + _OR_NULL, "absorption": _NUM + _OR_NULL},
+    "source": _VEC,
+    "mics": _VEC,
+    "fs": _INT,
+    "duration": _NUM + _OR_NULL,
 }
 
 _SIMULATE_CONFIG_KEYS = {
-    "t60": None,
+    "t60": _NUM,
     "array": _ARRAY_KEYS,
     "scene": _SCENE_KEYS,
-    "mix": {"sir_db": None, "snr_db": None, "clip_seconds": None, "allow_off_grid": None},
+    "mix": {"sir_db": _NUM, "snr_db": _NUM, "clip_seconds": _NUM, "allow_off_grid": _BOOL},
     "stems": {"target": _STEM_KEYS, "non_target": _STEM_KEYS, "interferer": _STEM_KEYS},
 }
 
@@ -146,12 +182,12 @@ def _array_from_config(section: dict) -> ArrayGeometry:
     kind = section.get("kind", "ula")
     if kind == "ula":
         return ArrayGeometry.ula(
-            num_mics=int(section.get("num_mics", 4)),
+            num_mics=section.get("num_mics", 4),
             spacing=float(section.get("spacing", 0.08)),
         )
     if kind == "circular":
         return ArrayGeometry.circular(
-            num_mics=int(section.get("num_mics", 7)),
+            num_mics=section.get("num_mics", 7),
             diameter=float(section.get("diameter", 0.08)),
         )
     if kind == "positions":
@@ -159,13 +195,6 @@ def _array_from_config(section: dict) -> ArrayGeometry:
             raise ConfigError("array kind 'positions' needs a positions list")
         return ArrayGeometry.arbitrary(section["positions"])
     raise ConfigError(f"unknown array kind {kind!r}")
-
-
-def _coherence_from_args(variant: str, config: dict) -> CoherenceConfig:
-    overrides = {k: v for k, v in config.items()}
-    if "erb_bands" in overrides and overrides["erb_bands"] is not None:
-        overrides["erb_bands"] = int(overrides["erb_bands"])
-    return CoherenceConfig.for_variant(variant, **overrides)
 
 
 def _make_stem(kind: str, rng: np.random.Generator, num_samples: int, fs: int, rms: float):
@@ -192,7 +221,7 @@ def _cmd_rir(args: argparse.Namespace) -> int:
         raise ConfigError("config needs room.dims")
     if "source" not in config or "mics" not in config:
         raise ConfigError("config needs source and mics")
-    fs = int(config.get("fs", 16000))
+    fs = config.get("fs", 16000)
     t60 = room.get("t60")
     absorption = room.get("absorption")
 
@@ -249,7 +278,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sir_db=float(mix_section.get("sir_db", 0.0)),
         snr_db=float(mix_section.get("snr_db", 30.0)),
         clip_seconds=float(mix_section.get("clip_seconds", 8.0)),
-        allow_off_grid=bool(mix_section.get("allow_off_grid", False)),
+        allow_off_grid=mix_section.get("allow_off_grid", False),
     )
 
     entropy = np.random.SeedSequence(args.seed)
@@ -330,7 +359,7 @@ def _load_pipeline_audio(path: str) -> MultichannelAudio:
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     _check_keys(config, _COHERENCE_KEYS, context="")
-    cfg = _coherence_from_args(args.variant, config)
+    cfg = CoherenceConfig.for_variant(args.variant, **config)
     audio = _load_pipeline_audio(args.infile)
     if audio.num_channels < 2:
         raise ValueError("feature extraction requires at least 2 microphones")
@@ -351,7 +380,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_enhance(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     _check_keys(config, _COHERENCE_KEYS, context="")
-    cfg = _coherence_from_args(args.variant, config)
+    cfg = CoherenceConfig.for_variant(args.variant, **config)
     audio = _load_pipeline_audio(args.infile)
     result = enhance_stream(audio, cfg, HeuristicMaskEstimator())
     out_path = _resolve_out(args.out)
@@ -411,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument(
         "--variant",
         default="lstsc-3",
-        choices=["lstsc-1", "lstsc-2", "lstsc-3", "lstsc-4"],
+        choices=sorted(VARIANT_SETTINGS),
     )
     p_ext.add_argument("--config", help="JSON coherence overrides")
     p_ext.add_argument("--out", required=True, help="binary feature file path")
@@ -425,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enh.add_argument(
         "--variant",
         default="lstsc-3",
-        choices=["lstsc-1", "lstsc-2", "lstsc-3", "lstsc-4"],
+        choices=sorted(VARIANT_SETTINGS),
     )
     p_enh.add_argument("--config", help="JSON coherence overrides")
     p_enh.add_argument("--out", required=True, help="enhanced WAV path")

@@ -27,6 +27,7 @@ features open at 1.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import struct
 from pathlib import Path
 from typing import Callable, Iterator
@@ -37,14 +38,12 @@ from .erb import ErbFilterbank, design_filterbank, pool_feature
 
 __all__ = [
     "CoherenceConfig",
-    "TrackerState",
     "FrameOutput",
     "LstscFeatures",
     "VARIANT_SETTINGS",
     "short_term_whitened_rtf",
     "whiten",
     "coherence",
-    "recursive_update",
     "lambda_schedule",
     "arcsine_warp",
     "stream_frames",
@@ -64,6 +63,11 @@ VARIANT_SETTINGS: dict[str, dict] = {
 
 _LSTS_MAGIC = b"LSTS"
 _LSTS_VERSION = 1
+_LSTS_HEADER_BYTES = 20
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,6 +93,10 @@ class CoherenceConfig:
     variant: str | None = None
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.R):
+            raise ValueError(f"R must be an integer, got {self.R!r}")
+        if self.erb_bands is not None and not _is_integer(self.erb_bands):
+            raise ValueError(f"erb_bands must be an integer, got {self.erb_bands!r}")
         if self.R < 0:
             raise ValueError("R must be >= 0")
         if not (0.0 <= self.lambda_local <= 1.0):
@@ -136,19 +144,6 @@ class CoherenceConfig:
         return 2 * self.R + 1
 
 
-@dataclasses.dataclass
-class TrackerState:
-    """Recursive average of whitened RTF vectors, one row per bin.
-
-    ``rbar`` is (F, M-1) complex, kept pre-whitening; entry moduli stay
-    <= 1 because every update is a convex combination of unit-modulus
-    inputs.  ``frame_index`` is the last absorbed frame.
-    """
-
-    rbar: np.ndarray
-    frame_index: int
-
-
 def _as_spec_tensor(specs) -> np.ndarray:
     tensor = np.asarray(specs)
     if tensor.ndim != 3:
@@ -192,17 +187,14 @@ def short_term_whitened_rtf(
 
     low_ref = auto <= cfg.epsilon
     safe_auto = np.where(low_ref, 1.0, auto)
-    ratio_re = cross_re / safe_auto
-    ratio_im = cross_im / safe_auto
-    modulus = np.hypot(ratio_re, ratio_im)
-    degenerate = modulus <= cfg.epsilon
-    safe_mod = np.where(degenerate, 1.0, modulus)
-    bad = low_ref[np.newaxis, :] | degenerate
-    entries = np.empty(ratio_re.shape, dtype=np.complex128)
-    entries.real = np.where(bad, 1.0, ratio_re / safe_mod)
-    entries.imag = np.where(bad, 0.0, ratio_im / safe_mod)
-    low_energy = low_ref | degenerate.any(axis=0)
-    return entries.T.copy(), low_energy
+    # whitened as a transposed view of (M-1, F) memory, so the per-bin flag
+    # reduces over contiguous bins; the entries come back C-ordered (F, M-1)
+    ratio = np.empty(cross_re.shape, dtype=np.complex128)
+    ratio.real = cross_re / safe_auto
+    ratio.imag = cross_im / safe_auto
+    entries, flagged = whiten(ratio.T, cfg.epsilon)
+    entries[low_ref] = 1.0
+    return np.ascontiguousarray(entries), low_ref | flagged
 
 
 def whiten(vectors: np.ndarray, epsilon: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -214,41 +206,32 @@ def whiten(vectors: np.ndarray, epsilon: float = 1e-12) -> tuple[np.ndarray, np.
     vectors = np.asarray(vectors, dtype=np.complex128)
     modulus = np.hypot(vectors.real, vectors.imag)
     degenerate = modulus <= epsilon
-    safe = np.where(degenerate, 1.0, modulus)
-    whitened = np.empty_like(vectors)
-    whitened.real = np.where(degenerate, 1.0, vectors.real / safe)
-    whitened.imag = np.where(degenerate, 0.0, vectors.imag / safe)
+    live = ~degenerate
+    whitened = np.ones_like(vectors)
+    np.divide(vectors.real, modulus, out=whitened.real, where=live)
+    np.divide(vectors.imag, modulus, out=whitened.imag, where=live)
     flagged = degenerate.any(axis=-1) if vectors.ndim > 1 else bool(degenerate.any())
     return whitened, flagged
 
 
-def coherence(r: np.ndarray, rbar: np.ndarray) -> np.ndarray:
-    """Sign-sensitive cosine similarity between complex vectors.
+def coherence(r: np.ndarray, rbar: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:
+    """Sign-sensitive coherence of a whitened RTF with a tracker state.
 
-    ``gamma = Re{r^H rbar} / (||r|| * ||rbar||)`` along the last axis;
-    zero-norm operands yield 0 (low-energy convention).  When both inputs
-    are whitened this equals ``Re{r^H rbar} / (M - 1)``.
+    ``r`` is a whitened (unit-modulus) vector along the last axis and
+    ``rbar`` the tracker's recursive average, which is whitened here
+    (``whiten(rbar, epsilon)``).  Returns
+    ``clip(Re{r^H whiten(rbar)} / (M - 1), -1, 1)`` per row.
     """
     r = np.asarray(r, dtype=np.complex128)
-    rbar = np.asarray(rbar, dtype=np.complex128)
-    num = (r.real * rbar.real + r.imag * rbar.imag).sum(axis=-1)
-    norms = np.sqrt((r.real * r.real + r.imag * r.imag).sum(axis=-1)) * np.sqrt(
-        (rbar.real * rbar.real + rbar.imag * rbar.imag).sum(axis=-1)
-    )
-    zero = norms <= 0.0
-    gamma = np.where(zero, 0.0, num / np.where(zero, 1.0, norms))
-    return np.clip(gamma, -1.0, 1.0)
-
-
-def _coherence_whitened(r: np.ndarray, rbar_whitened: np.ndarray) -> np.ndarray:
-    """Fast path for unit-modulus inputs: normalized real inner product."""
-    num = (r.real * rbar_whitened.real + r.imag * rbar_whitened.imag).sum(axis=-1)
+    rbar_white, _ = whiten(rbar, epsilon)
+    num = (r.real * rbar_white.real + r.imag * rbar_white.imag).sum(axis=-1)
     return np.clip(num / r.shape[-1], -1.0, 1.0)
 
 
 def _blend(rbar: np.ndarray, r: np.ndarray, lam) -> np.ndarray:
-    """Convex recursion ``lam * rbar + (1 - lam) * r`` with the endpoints
-    ``lam == 1`` (state kept) and ``lam == 0`` (state replaced) exact."""
+    """One tracker update: the convex recursion ``lam * rbar + (1 - lam) * r``
+    with the endpoints ``lam == 1`` (state kept) and ``lam == 0`` (state
+    replaced) exact.  ``lam`` is a scalar or one value per row."""
     lam = np.asarray(lam, dtype=np.float64)
     if lam.size and (lam.min() < 0.0 or lam.max() > 1.0):
         raise ValueError("forgetting factor must lie in [0, 1]")
@@ -257,13 +240,6 @@ def _blend(rbar: np.ndarray, r: np.ndarray, lam) -> np.ndarray:
     return np.where(
         lam == 1.0, rbar, np.where(lam == 0.0, r, lam * rbar + (1.0 - lam) * r)
     )
-
-
-def recursive_update(state: TrackerState, r: np.ndarray, lam) -> TrackerState:
-    """One tracker step: blend the new whitened vector into the average."""
-    if np.asarray(r).shape != state.rbar.shape:
-        raise ValueError("vector shape does not match tracker state")
-    return TrackerState(rbar=_blend(state.rbar, r, lam), frame_index=state.frame_index + 1)
 
 
 def _mask_is_energetic(prev_mask_row: np.ndarray | None, beta: float) -> bool:
@@ -366,34 +342,21 @@ def stream_frames(
 
     for frame in range(num_frames):
         rtf, low_energy = short_term_whitened_rtf(tensor, frame, cfg)
-        opening = local_rbar is None
-        if opening:
+        if local_rbar is None:
             # Trackers open on the first observation, so coherence is 1 by
             # definition there (the vector is compared with itself).
-            local_rbar = rtf.copy()
-            global_rbar = rtf.copy()
-
-        if opening:
-            gamma_local = np.ones(num_bins)
+            local_rbar = global_rbar = rtf
+            gamma_local, gamma_global = np.ones(num_bins), np.ones(num_bins)
         else:
-            local_white, _ = whiten(local_rbar, cfg.epsilon)
-            gamma_local = _coherence_whitened(rtf, local_white)
+            gamma_local = coherence(rtf, local_rbar, cfg.epsilon)
+            gamma_global = coherence(rtf, global_rbar, cfg.epsilon)
 
         if cfg.time_varying:
             mask_halted = _mask_is_energetic(prev_mask, cfg.beta)
-            if mask_halted:
-                lam = np.ones(num_bins)
-            else:
-                lam = np.clip(1.0 - gamma_local / 20.0, 0.95, 1.0)
+            lam = lambda_schedule(prev_mask, gamma_local, cfg)
         else:
             mask_halted = False
             lam = np.full(num_bins, cfg.lambda_global)
-
-        if opening:
-            gamma_global = np.ones(num_bins)
-        else:
-            global_white, _ = whiten(global_rbar, cfg.epsilon)
-            gamma_global = _coherence_whitened(rtf, global_white)
 
         local_rbar = _blend(local_rbar, rtf, cfg.lambda_local)
         if not mask_halted:
@@ -463,7 +426,6 @@ class LstscFeatures:
     mask: np.ndarray | None
     banded_gamma_local: np.ndarray | None
     banded_gamma_global: np.ndarray | None
-    banded_gamma_local_warped: np.ndarray | None
     banded_gamma_global_warped: np.ndarray | None
     banded_lambda_trace: np.ndarray | None
     warmup_frames: int
@@ -517,15 +479,13 @@ def compute_lstsc(
     gamma_local_w = np.vstack(glw) if glw else None
     gamma_global_w = np.vstack(ggw) if ggw else None
 
-    banded_local = banded_global = banded_lambda = None
-    banded_local_w = banded_global_w = None
+    banded_local = banded_global = banded_lambda = banded_global_w = None
     if filterbank is not None:
         banded_local = pool_feature(gamma_local, filterbank)
         banded_global = pool_feature(gamma_global, filterbank)
         banded_lambda = pool_feature(lambda_trace, filterbank)
-        if gamma_local_w is not None:
+        if gamma_global_w is not None:
             # warp first, pool second
-            banded_local_w = pool_feature(gamma_local_w, filterbank)
             banded_global_w = pool_feature(gamma_global_w, filterbank)
 
     return LstscFeatures(
@@ -539,7 +499,6 @@ def compute_lstsc(
         mask=np.vstack(masks) if masks else None,
         banded_gamma_local=banded_local,
         banded_gamma_global=banded_global,
-        banded_gamma_local_warped=banded_local_w,
         banded_gamma_global_warped=banded_global_w,
         banded_lambda_trace=banded_lambda,
         warmup_frames=cfg.warmup_frames,
@@ -547,33 +506,27 @@ def compute_lstsc(
     )
 
 
-def _export_planes(features: LstscFeatures) -> tuple[list[str], list[np.ndarray]]:
-    """Plane selection for export, in documented order.
+# (exported name, LstscFeatures attribute), in file order; a plane that
+# is None (the warped one when warping is off) is skipped.
+_EXPORT_PLANES = (
+    ("gamma_local", "gamma_local"),
+    ("gamma_global", "gamma_global"),
+    ("gamma_global_warped", "gamma_global_warped"),
+    ("lambda", "lambda_trace"),
+)
+
+
+def _export_planes(features: LstscFeatures) -> list[tuple[str, np.ndarray]]:
+    """Named planes for export, in documented order.
 
     ``gamma_local, gamma_global[, gamma_global_warped], lambda`` — 3 planes
     without warping, 4 with.  When the filterbank is enabled every plane is
     its banded counterpart (B-wide), with the warped plane pooled after
     warping.
     """
-    banded = features.banded_gamma_local is not None
-    if banded:
-        names = ["gamma_local", "gamma_global"]
-        planes = [features.banded_gamma_local, features.banded_gamma_global]
-        if features.banded_gamma_global_warped is not None:
-            names.append("gamma_global_warped")
-            planes.append(features.banded_gamma_global_warped)
-        names.append("lambda")
-        planes.append(features.banded_lambda_trace)
-        return names, planes
-
-    names = ["gamma_local", "gamma_global"]
-    planes = [features.gamma_local, features.gamma_global]
-    if features.gamma_global_warped is not None:
-        names.append("gamma_global_warped")
-        planes.append(features.gamma_global_warped)
-    names.append("lambda")
-    planes.append(features.lambda_trace)
-    return names, planes
+    prefix = "banded_" if features.banded_gamma_local is not None else ""
+    planes = [(name, getattr(features, prefix + attr)) for name, attr in _EXPORT_PLANES]
+    return [(name, plane) for name, plane in planes if plane is not None]
 
 
 def write_features(path: str | Path, features: LstscFeatures) -> None:
@@ -584,9 +537,8 @@ def write_features(path: str | Path, features: LstscFeatures) -> None:
     float32.  Plane order: gamma_local, gamma_global, gamma_global_warped
     (when warping is enabled), lambda trace.
     """
-    names, planes = _export_planes(features)
-    frames = planes[0].shape[0]
-    width = planes[0].shape[1]
+    planes = [plane for _, plane in _export_planes(features)]
+    frames, width = planes[0].shape
     with open(Path(path), "wb") as fh:
         fh.write(_LSTS_MAGIC)
         fh.write(struct.pack("<IIII", _LSTS_VERSION, frames, width, len(planes)))
@@ -601,14 +553,18 @@ def read_features(path: str | Path) -> dict:
     raw = Path(path).read_bytes()
     if raw[:4] != _LSTS_MAGIC:
         raise ValueError("not a feature file (bad magic)")
+    if len(raw) < _LSTS_HEADER_BYTES:
+        raise ValueError(
+            f"feature file truncated: {len(raw)} bytes, header needs {_LSTS_HEADER_BYTES}"
+        )
     version, frames, width, count = struct.unpack_from("<IIII", raw, 4)
     if version != _LSTS_VERSION:
         raise ValueError(f"unsupported feature file version {version}")
-    expected = 20 + 4 * frames * width * count
+    expected = _LSTS_HEADER_BYTES + 4 * frames * width * count
     if len(raw) != expected:
         raise ValueError("feature file truncated or oversized")
     planes = []
-    offset = 20
+    offset = _LSTS_HEADER_BYTES
     for _ in range(count):
         plane = np.frombuffer(raw, dtype="<f4", count=frames * width, offset=offset)
         planes.append(plane.reshape(frames, width).astype(np.float64))
@@ -630,9 +586,8 @@ def export_features_csv(base_path: str | Path, features: LstscFeatures) -> list[
     """
     base = Path(base_path)
     stem = base.stem if base.suffix else base.name
-    names, planes = _export_planes(features)
     written = []
-    for name, plane in zip(names, planes):
+    for name, plane in _export_planes(features):
         out = base.with_name(f"{stem}.{name}.csv")
         np.savetxt(out, plane, delimiter=",", fmt="%.9e")
         written.append(out)

@@ -10,6 +10,7 @@ coherence features measure is spatial structure, not phonetic content.
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
 import numpy as np
 from scipy.signal import lfilter
@@ -125,6 +126,36 @@ def _dilate_right(active: np.ndarray, num_samples_right: int) -> np.ndarray:
     return recent > 0
 
 
+def _seeded_mix(
+    seed: int,
+    make_target: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]],
+    t60: float,
+    spec: MixSpec,
+    fs: int,
+) -> tuple[RoomScene, dict[str, np.ndarray], MixResult, np.ndarray]:
+    """Scene, stems and mix shared by both setups.
+
+    The seed spawns three streams: scene geometry, stems and sensor noise.
+    ``make_target(stem_rng, num_samples)`` returns ``(target, active)`` and
+    draws from the stem stream before the stationary interferer does.
+    Returns ``(scene, stems, mix, active)``.
+    """
+    geo_seed, stem_seed, noise_seed = np.random.SeedSequence(seed).spawn(3)
+    scene = sample_scene(np.random.default_rng(geo_seed), t60=t60)
+    num_samples = int(spec.clip_seconds * fs)
+    stem_rng = np.random.default_rng(stem_seed)
+    target, active = make_target(stem_rng, num_samples)
+    stems = {
+        "target": target,
+        "non_target": np.zeros(num_samples),
+        "interferer": stationary_noise(stem_rng, num_samples),
+    }
+    mix = mix_scene(
+        scene, stems, spec, noise_seed=int(noise_seed.generate_state(1)[0]), fs=fs
+    )
+    return scene, stems, mix, active
+
+
 @dataclasses.dataclass
 class SiftingScenario:
     """Stationary interferer plus intermittent target.
@@ -154,28 +185,14 @@ def build_sifting_scenario(
     fs: int = 16000,
 ) -> SiftingScenario:
     """Seeded scene for the interferer-sifting check."""
-    entropy = np.random.SeedSequence(seed)
-    geo_seed, stem_seed, noise_seed = entropy.spawn(3)
-    scene = sample_scene(np.random.default_rng(geo_seed), t60=t60)
-
-    num_samples = int(clip_seconds * fs)
-    stem_rng = np.random.default_rng(stem_seed)
-    target, active = intermittent_speech(stem_rng, num_samples, fs)
-    interferer = stationary_noise(stem_rng, num_samples)
-    stems = {
-        "target": target,
-        "non_target": np.zeros(num_samples),
-        "interferer": interferer,
-    }
-    mix = mix_scene(
-        scene,
-        stems,
+    scene, stems, mix, active = _seeded_mix(
+        seed,
+        lambda rng, num_samples: intermittent_speech(rng, num_samples, fs),
+        t60,
         MixSpec(sir_db=sir_db, snr_db=snr_db, clip_seconds=clip_seconds),
-        noise_seed=int(noise_seed.generate_state(1)[0]),
-        fs=fs,
+        fs,
     )
-
-    num_frames = stft_cfg.num_frames(num_samples)
+    num_frames = stft_cfg.num_frames(active.shape[0])
     cover = frame_coverage(active, stft_cfg, num_frames)
     smeared = _dilate_right(active, int(t60 * fs))
     smeared_cover = frame_coverage(smeared, stft_cfg, num_frames)
@@ -219,35 +236,24 @@ def build_misconvergence_scenario(
     fs: int = 16000,
 ) -> MisconvergenceScenario:
     """Seeded scene for the fixed-vs-adaptive forgetting-factor A/B."""
-    entropy = np.random.SeedSequence(seed)
-    geo_seed, stem_seed, noise_seed = entropy.spawn(3)
-    scene = sample_scene(np.random.default_rng(geo_seed), t60=t60)
 
-    num_samples = int(clip_seconds * fs)
-    stem_rng = np.random.default_rng(stem_seed)
-    start = int(utterance[0] * fs)
-    stop = min(int(utterance[1] * fs), num_samples)
-    target = np.zeros(num_samples)
-    target[start:stop] = speech_like(
-        stem_rng, stop - start, fs, envelope_floor=0.35
-    )
-    active = np.zeros(num_samples, dtype=bool)
-    active[start:stop] = True
-    interferer = stationary_noise(stem_rng, num_samples)
-    stems = {
-        "target": target,
-        "non_target": np.zeros(num_samples),
-        "interferer": interferer,
-    }
-    mix = mix_scene(
-        scene,
-        stems,
+    def utterance_target(rng, num_samples):
+        start = int(utterance[0] * fs)
+        stop = min(int(utterance[1] * fs), num_samples)
+        target = np.zeros(num_samples)
+        target[start:stop] = speech_like(rng, stop - start, fs, envelope_floor=0.35)
+        active = np.zeros(num_samples, dtype=bool)
+        active[start:stop] = True
+        return target, active
+
+    scene, stems, mix, active = _seeded_mix(
+        seed,
+        utterance_target,
+        t60,
         MixSpec(sir_db=sir_db, snr_db=snr_db, clip_seconds=clip_seconds),
-        noise_seed=int(noise_seed.generate_state(1)[0]),
-        fs=fs,
+        fs,
     )
-
-    num_frames = stft_cfg.num_frames(num_samples)
+    num_frames = stft_cfg.num_frames(active.shape[0])
     cover = frame_coverage(active, stft_cfg, num_frames)
     target_active = cover > 0.9
     warmup = (coherence_cfg or CoherenceConfig()).warmup_frames

@@ -68,6 +68,18 @@ def _report(name: str, passed: bool, detail: str = "") -> None:
     assert passed, line
 
 
+@pytest.fixture(scope="module")
+def sifting_scenes():
+    """The 50 default sifting scenes (T60 0.3) that C2 and C4 both use, as
+    (mixture, target_active, interferer_only); built once, freed after this
+    module."""
+    scenes = []
+    for seed in range(50):
+        scn = build_sifting_scenario(seed)
+        scenes.append((scn.mixture, scn.target_active, scn.interferer_only))
+    return scenes
+
+
 class _PlaybackEstimator:
     def __init__(self, rows):
         self.rows = rows
@@ -132,13 +144,12 @@ def test_c01_equation_oracle_equivalence():
     )
 
 
-def test_c02_bounds_and_whitening():
+def test_c02_bounds_and_whitening(sifting_scenes):
     cfg = CoherenceConfig.for_variant("lstsc-3")
     worst_modulus = 0.0
     lo, hi = np.inf, -np.inf
-    for seed in range(50):
-        scn = build_sifting_scenario(seed)
-        specs = stft_multichannel(scn.mixture)
+    for mixture, _, _ in sifting_scenes:
+        specs = stft_multichannel(mixture)
         for out in stream_frames(specs, cfg):
             live = ~out.low_energy
             if live.any():
@@ -198,15 +209,14 @@ def test_c03_array_agnosticism():
     )
 
 
-def test_c04_interferer_sifting():
+def test_c04_interferer_sifting(sifting_scenes):
     cfg = CoherenceConfig.for_variant("lstsc-3")
     wins = 0
     margins = []
-    for seed in range(50):
-        scn = build_sifting_scenario(seed, t60=0.3)
-        feats = compute_lstsc(stft_multichannel(scn.mixture), cfg)
-        hi = mean_global_warped(feats, scn.interferer_only)
-        lo = mean_global_warped(feats, scn.target_active)
+    for mixture, target_active, interferer_only in sifting_scenes:
+        feats = compute_lstsc(stft_multichannel(mixture), cfg)
+        hi = mean_global_warped(feats, interferer_only)
+        lo = mean_global_warped(feats, target_active)
         margins.append(hi - lo)
         wins += hi > lo
     _report(

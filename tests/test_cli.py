@@ -14,12 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from conftest import delayed_array_audio
 
+from lstsc import cli
 from lstsc.cli import EXIT_CONFIG, EXIT_CONSTRAINT, EXIT_MISSING, EXIT_OK, main
 from lstsc.coherence import read_features
 from lstsc.signal_core import load_wav, save_wav
@@ -225,6 +226,76 @@ class TestNonFiniteInput:
         assert f"non-finite audio sample at channel {channel}, sample {sample}" in (
             stderr.getvalue()
         )
+
+
+def _schema_keys(schema, prefix=()):
+    """(dotted path, expected types) of every key, sections included."""
+    for key, expected in schema.items():
+        path = prefix + (key,)
+        if isinstance(expected, dict):
+            yield path, (dict,)
+            yield from _schema_keys(expected, path)
+        else:
+            yield path, expected
+
+
+_CONFIG_SCHEMAS = {
+    "rir": cli._RIR_CONFIG_KEYS,
+    "simulate": cli._SIMULATE_CONFIG_KEYS,
+    "extract": cli._COHERENCE_KEYS,
+}
+_EXPECTED_TYPES = {
+    (command, path): expected
+    for command, schema in _CONFIG_SCHEMAS.items()
+    for path, expected in _schema_keys(schema)
+}
+
+
+def _json_kinds(expected):
+    """JSON kinds a schema entry admits; a number may be written as an integer."""
+    kinds = {int: {"integer"}, float: {"integer", "number"}, bool: {"boolean"},
+             str: {"string"}, list: {"vector"}, type(None): {"null"}, dict: {"object"}}
+    return set().union(*(kinds[t] for t in expected))
+
+
+def _json_kind(value):
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, list):
+        return "vector" if all(_json_kind(v) in ("integer", "number", "vector") for v in value) else "list"
+    return {int: "integer", float: "number", str: "string", type(None): "null", dict: "object"}[type(value)]
+
+
+class TestConfigTypes:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(_EXPECTED_TYPES)),
+        st.sampled_from(["x", "0.1", True, 1.5, 3, None, [1.0, 2], [[0.5, "x"]], {"a": 1}]),
+    )
+    @example(("rir", ("duration",)), "0.1")
+    @example(("simulate", ("array", "num_mics")), "four")
+    @example(("extract", ("R",)), 1.5)
+    def test_wrong_type_exits_2_naming_the_key(self, case, value):
+        command, path = case
+        assume(_json_kind(value) not in _json_kinds(_EXPECTED_TYPES[case]))
+        config = value
+        for key in reversed(path):
+            config = {key: config}
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            out = Path(tmp) / "out"
+            argv = [command, "--config", str(cfg_path), "--out", str(out)]
+            if command == "simulate":
+                argv += ["--seed", "1"]
+            if command == "extract":
+                argv += ["--in", str(Path(tmp) / "unread.wav")]
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert not out.exists()
+        assert code == EXIT_CONFIG
+        assert f"'{'.'.join(path)}'" in stderr.getvalue()
 
 
 class TestEvaluate:

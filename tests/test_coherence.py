@@ -12,14 +12,13 @@ from oracle_lstsc import oracle_lstsc, oracle_short_term_rtf
 
 from lstsc.coherence import (
     CoherenceConfig,
-    TrackerState,
+    _blend,
     arcsine_warp,
     coherence,
     compute_lstsc,
     export_features_csv,
     lambda_schedule,
     read_features,
-    recursive_update,
     short_term_whitened_rtf,
     stream_frames,
     whiten,
@@ -57,6 +56,13 @@ class TestConfig:
             CoherenceConfig(R=-1)
         with pytest.raises(ValueError):
             CoherenceConfig(beta=0.0)
+        for bad in (1.5, 1.0, "x", True):
+            with pytest.raises(ValueError, match="R must be an integer"):
+                CoherenceConfig(R=bad)
+        for bad in (48.0, "48", False):
+            with pytest.raises(ValueError, match="erb_bands must be an integer"):
+                CoherenceConfig(erb_bands=bad)
+        assert CoherenceConfig(R=np.int64(2), erb_bands=np.int32(48)).warmup_frames == 5
 
     def test_warmup(self):
         assert CoherenceConfig(R=1).warmup_frames == 3
@@ -135,33 +141,32 @@ class TestWhiten:
 
 
 class TestRecursiveUpdate:
+    """The tracker update ``_blend``, which both trackers use."""
+
     def test_lambda_one_keeps_state_exactly(self, rng):
         rbar = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         r = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        state = TrackerState(rbar=rbar.copy(), frame_index=7)
-        out = recursive_update(state, r, np.ones(5))
-        assert np.array_equal(out.rbar, rbar)
-        assert out.frame_index == 8
+        out = _blend(rbar.copy(), r, np.ones(5))
+        assert np.array_equal(out, rbar)
 
     def test_lambda_zero_replaces_state_exactly(self, rng):
         rbar = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         r = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        out = recursive_update(TrackerState(rbar, 0), r, np.zeros(5))
-        assert np.array_equal(out.rbar, r)
+        out = _blend(rbar, r, np.zeros(5))
+        assert np.array_equal(out, r)
 
     def test_geometric_recursion(self):
         c = np.full((2, 2), 0.3 - 0.4j)
-        state = TrackerState(rbar=np.full((2, 2), 1.0 + 1.0j), frame_index=0)
-        initial = state.rbar.copy()
+        initial = np.full((2, 2), 1.0 + 1.0j)
+        rbar = initial.copy()
         for _ in range(20):
-            state = recursive_update(state, c, 0.99)
+            rbar = _blend(rbar, c, 0.99)
         expected = c + 0.99**20 * (initial - c)
-        assert np.allclose(state.rbar, expected, atol=1e-12)
+        assert np.allclose(rbar, expected, atol=1e-12)
 
     def test_out_of_range_lambda_rejected(self, rng):
-        state = TrackerState(np.ones((2, 2), dtype=complex), 0)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            recursive_update(state, np.ones((2, 2), dtype=complex), 1.2)
+            _blend(np.ones((2, 2), dtype=complex), np.ones((2, 2), dtype=complex), 1.2)
 
 
 class TestCoherenceOp:
@@ -191,6 +196,8 @@ class TestCoherenceOp:
         full = coherence(r, rbar)
         short = np.real(np.sum(np.conj(r) * rbar)) / (m - 1)
         assert abs(full - short) <= 1e-9
+        # the tracker state is whitened first, so its scale does not matter
+        assert abs(coherence(r, 0.3 * rbar) - full) <= 1e-12
 
 
 class TestLambdaSchedule:
@@ -419,6 +426,9 @@ class TestExport:
         path = tmp_path / "junk.lsts"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="bad magic"):
+            read_features(path)
+        path.write_bytes(b"LSTS" + b"\x01\x00\x00\x00")  # shorter than the header
+        with pytest.raises(ValueError, match="truncated"):
             read_features(path)
 
     def test_csv_export(self, tmp_path, rng):
