@@ -15,6 +15,7 @@ paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,16 +34,15 @@ from .coherence import (
 from .enhance import HeuristicMaskEstimator, enhance_stream
 from .metrics import si_sdr
 from .roomsim import (
+    ROLE_ORDER,
+    SPEED_OF_SOUND,
     ArrayGeometry,
     MixSpec,
-    Rir,
     SceneConstraints,
     measure_t60,
-    mix_scene,
-    sample_scene,
     simulate_rirs,
 )
-from .scenarios import intermittent_speech, speech_like, stationary_noise
+from .scenarios import STEM_KINDS, render_scene
 from .signal_core import MultichannelAudio, StftConfig, load_wav, save_wav, stft_multichannel
 
 EXIT_OK = 0
@@ -161,6 +161,12 @@ _SCENE_KEYS = {
 
 _STEM_KEYS = {"kind": _STR, "rms": _NUM}
 
+_DEFAULT_STEM_KINDS = {
+    "target": "intermittent",
+    "non_target": "silence",
+    "interferer": "stationary_noise",
+}
+
 _RIR_CONFIG_KEYS = {
     "room": {"dims": _VEC, "t60": _NUM + _OR_NULL, "absorption": _NUM + _OR_NULL},
     "source": _VEC,
@@ -197,19 +203,6 @@ def _array_from_config(section: dict) -> ArrayGeometry:
     raise ConfigError(f"unknown array kind {kind!r}")
 
 
-def _make_stem(kind: str, rng: np.random.Generator, num_samples: int, fs: int, rms: float):
-    if kind == "intermittent":
-        samples, _ = intermittent_speech(rng, num_samples, fs, rms=rms)
-        return samples
-    if kind == "speech_like":
-        return speech_like(rng, num_samples, fs, envelope_floor=0.35, rms=rms)
-    if kind == "stationary_noise":
-        return stationary_noise(rng, num_samples, rms=rms)
-    if kind == "silence":
-        return np.zeros(num_samples)
-    raise ConfigError(f"unknown stem kind {kind!r}")
-
-
 def _cmd_rir(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if not config:
@@ -244,7 +237,7 @@ def _cmd_rir(args: argparse.Namespace) -> int:
             "mic": list(map(float, mic)),
             "file": path.name,
             "distance_m": rir.source_distance,
-            "direct_delay_samples": int(round(rir.source_distance / 343.0 * fs)),
+            "direct_delay_samples": int(round(rir.source_distance / SPEED_OF_SOUND * fs)),
         }
         try:
             entry["measured_t60_s"] = measure_t60(rir)
@@ -263,15 +256,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     fs = 16000
     t60 = float(config.get("t60", 0.3))
     array = _array_from_config(config.get("array", {}))
-    scene_section = dict(config.get("scene", {}))
-    constraint_kwargs = {}
-    for key in _SCENE_KEYS:
-        if key in scene_section:
-            value = scene_section[key]
-            constraint_kwargs[key] = (
-                tuple(value) if isinstance(value, list) else value
-            )
-    constraints = SceneConstraints(**constraint_kwargs)
+    constraints = SceneConstraints(**{
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in config.get("scene", {}).items()
+    })
 
     mix_section = config.get("mix", {})
     spec = MixSpec(
@@ -281,29 +269,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         allow_off_grid=mix_section.get("allow_off_grid", False),
     )
 
-    entropy = np.random.SeedSequence(args.seed)
-    geo_seed, stem_seed, noise_seed = entropy.spawn(3)
-    scene = sample_scene(np.random.default_rng(geo_seed), array=array, t60=t60, constraints=constraints)
+    makers, stem_kinds = {}, {}
+    for role in ROLE_ORDER:
+        role_cfg = config.get("stems", {}).get(role, {})
+        kind = stem_kinds[role] = role_cfg.get("kind", _DEFAULT_STEM_KINDS[role])
+        if kind not in STEM_KINDS:
+            raise ConfigError(
+                f"unknown stem kind {kind!r} for 'stems.{role}.kind'; "
+                f"allowed: {sorted(STEM_KINDS)}"
+            )
+        makers[role] = functools.partial(STEM_KINDS[kind], rms=float(role_cfg.get("rms", 0.05)))
 
-    num_samples = int(round(spec.clip_seconds * fs))
-    stem_rng = np.random.default_rng(stem_seed)
-    stem_section = config.get("stems", {})
-    default_kinds = {
-        "target": "intermittent",
-        "non_target": "silence",
-        "interferer": "stationary_noise",
-    }
-    stems = {}
-    stem_kinds = {}
-    for role in ("target", "non_target", "interferer"):
-        role_cfg = stem_section.get(role, {})
-        kind = role_cfg.get("kind", default_kinds[role])
-        rms = float(role_cfg.get("rms", 0.05))
-        stems[role] = _make_stem(kind, stem_rng, num_samples, fs, rms)
-        stem_kinds[role] = kind
-
-    noise_seed_int = int(noise_seed.generate_state(1)[0])
-    result = mix_scene(scene, stems, spec, noise_seed=noise_seed_int, fs=fs)
+    rendered = render_scene(
+        args.seed, makers, t60=t60, spec=spec, array=array, constraints=constraints, fs=fs
+    )
+    scene, result = rendered.scene, rendered.mix
 
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -314,7 +294,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     manifest = {
         "seed": args.seed,
-        "noise_seed": noise_seed_int,
+        "noise_seed": result.noise_seed,
         "fs": fs,
         "t60": t60,
         "room_dims": scene.room_dims.tolist(),

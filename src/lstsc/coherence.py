@@ -203,6 +203,13 @@ def whiten(vectors: np.ndarray, epsilon: float = 1e-12) -> tuple[np.ndarray, np.
     Entries with modulus at or below ``epsilon`` become ``1 + 0j`` and the
     owning row is flagged.  Returns ``(whitened, flagged_rows)``.
     """
+    whitened, degenerate = _unit_modulus(vectors, epsilon)
+    flagged = degenerate.any(axis=-1) if whitened.ndim > 1 else bool(degenerate.any())
+    return whitened, flagged
+
+
+def _unit_modulus(vectors: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """``whiten`` without the row flags; returns the per-entry degenerate mask."""
     vectors = np.asarray(vectors, dtype=np.complex128)
     modulus = np.hypot(vectors.real, vectors.imag)
     degenerate = modulus <= epsilon
@@ -210,8 +217,7 @@ def whiten(vectors: np.ndarray, epsilon: float = 1e-12) -> tuple[np.ndarray, np.
     whitened = np.ones_like(vectors)
     np.divide(vectors.real, modulus, out=whitened.real, where=live)
     np.divide(vectors.imag, modulus, out=whitened.imag, where=live)
-    flagged = degenerate.any(axis=-1) if vectors.ndim > 1 else bool(degenerate.any())
-    return whitened, flagged
+    return whitened, degenerate
 
 
 def coherence(r: np.ndarray, rbar: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:
@@ -219,11 +225,11 @@ def coherence(r: np.ndarray, rbar: np.ndarray, epsilon: float = 1e-12) -> np.nda
 
     ``r`` is a whitened (unit-modulus) vector along the last axis and
     ``rbar`` the tracker's recursive average, which is whitened here
-    (``whiten(rbar, epsilon)``).  Returns
-    ``clip(Re{r^H whiten(rbar)} / (M - 1), -1, 1)`` per row.
+    (``whiten(rbar, epsilon)``, minus the row flags it has no use for).
+    Returns ``clip(Re{r^H whiten(rbar)} / (M - 1), -1, 1)`` per row.
     """
     r = np.asarray(r, dtype=np.complex128)
-    rbar_white, _ = whiten(rbar, epsilon)
+    rbar_white, _ = _unit_modulus(rbar, epsilon)
     num = (r.real * rbar_white.real + r.imag * rbar_white.imag).sum(axis=-1)
     return np.clip(num / r.shape[-1], -1.0, 1.0)
 

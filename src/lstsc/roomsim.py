@@ -231,6 +231,11 @@ class MixSpec:
                     "set allow_off_grid to override"
                 )
 
+    def num_samples(self, fs: int) -> int:
+        """Clip length in samples: the length of every image and of the
+        mixture, and the least length of a stem."""
+        return int(round(self.clip_seconds * fs))
+
 
 def _eyring_absorption(room_dims: np.ndarray, t60: float) -> float:
     volume = float(np.prod(room_dims))
@@ -575,7 +580,7 @@ def mix_scene(
     against the summed directional signal is exact.  Silent stems (or a
     silent target) skip the affected gain calibrations with unit gain.
     """
-    length = int(round(spec.clip_seconds * fs))
+    length = spec.num_samples(fs)
     roles = [src.role for src in scene.sources]
     for role in roles:
         if role not in stems:
@@ -625,26 +630,22 @@ def mix_scene(
 
     gains = {role: 1.0 for role in roles}
     target_power = ref_power(images["target"]) if "target" in images else 0.0
-
-    if "non_target" in images and target_power > 0.0:
-        power = ref_power(images["non_target"])
-        if power > 0.0:
-            gains["non_target"] = math.sqrt(target_power / power)
-    if "interferer" in images and target_power > 0.0:
-        power = ref_power(images["interferer"])
-        if power > 0.0:
-            gains["interferer"] = math.sqrt(
-                target_power / (power * 10.0 ** (spec.sir_db / 10.0))
-            )
+    if target_power > 0.0:
+        # target-to-role power ratio: equal power, and the SIR
+        ratios = {"non_target": 1.0, "interferer": 10.0 ** (spec.sir_db / 10.0)}
+        for role, ratio in ratios.items():
+            power = ref_power(images[role]) if role in images else 0.0
+            if power > 0.0:
+                gains[role] = math.sqrt(target_power / (power * ratio))
 
     for role in roles:
         if gains[role] != 1.0:
             images[role] = images[role] * gains[role]
 
     ordered = sorted(roles, key=ROLE_ORDER.index)
-    directional = None
-    for role in ordered:
-        directional = images[role] if directional is None else directional + images[role]
+    directional = images[ordered[0]]
+    for role in ordered[1:]:
+        directional = directional + images[role]
 
     directional_power = ref_power(directional)
     rng = np.random.default_rng(noise_seed)
@@ -657,12 +658,7 @@ def mix_scene(
     else:
         noise *= 0.0
 
-    mixture = None
-    images_ordered = {role: MultichannelAudio(images[role], fs) for role in ordered}
-    for role in ordered:
-        part = images_ordered[role].samples
-        mixture = part if mixture is None else mixture + part
-    mixture = mixture + noise
+    mixture = directional + noise
 
     interferer_power = (
         ref_power(images["interferer"]) if "interferer" in images else 0.0
@@ -679,7 +675,7 @@ def mix_scene(
 
     return MixResult(
         mixture=MultichannelAudio(mixture, fs),
-        images=images_ordered,
+        images={role: MultichannelAudio(images[role], fs) for role in ordered},
         noise=MultichannelAudio(noise, fs),
         gains=gains,
         realized_sir_db=realized_sir,

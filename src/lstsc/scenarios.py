@@ -1,6 +1,7 @@
-"""Reusable synthetic test scenarios: stem generators, frame labeling,
-and the two behavioral setups used by the validation suite and the
-experiment scripts (interferer sifting, tracker mis-convergence A/B).
+"""Reusable synthetic test scenarios: stem generators and their named
+kinds, the one seeded scene renderer behind ``lstsc simulate``, frame
+labeling, and the two behavioral setups used by the validation suite and
+the experiment scripts (interferer sifting, tracker mis-convergence A/B).
 
 Stems are deliberately simple: amplitude-modulated filtered noise stands
 in for speech (directional and non-stationary), and fixed-filter noise
@@ -16,7 +17,16 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .coherence import CoherenceConfig, LstscFeatures, arcsine_warp
-from .roomsim import MixResult, MixSpec, RoomScene, mix_scene, sample_scene
+from .roomsim import (
+    ROLE_ORDER,
+    ArrayGeometry,
+    MixResult,
+    MixSpec,
+    RoomScene,
+    SceneConstraints,
+    mix_scene,
+    sample_scene,
+)
 from .signal_core import MultichannelAudio, StftConfig
 
 __all__ = [
@@ -24,8 +34,9 @@ __all__ = [
     "stationary_noise",
     "intermittent_speech",
     "frame_coverage",
-    "SiftingScenario",
-    "MisconvergenceScenario",
+    "STEM_KINDS",
+    "Scenario",
+    "render_scene",
     "build_sifting_scenario",
     "build_misconvergence_scenario",
     "mean_global_warped",
@@ -126,51 +137,80 @@ def _dilate_right(active: np.ndarray, num_samples_right: int) -> np.ndarray:
     return recent > 0
 
 
-def _seeded_mix(
-    seed: int,
-    make_target: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]],
-    t60: float,
-    spec: MixSpec,
-    fs: int,
-) -> tuple[RoomScene, dict[str, np.ndarray], MixResult, np.ndarray]:
-    """Scene, stems and mix shared by both setups.
+def _silence(rng, num_samples, fs, rms=0.0):
+    """The silent stem; it draws nothing from ``rng``."""
+    return np.zeros(num_samples), np.zeros(num_samples, dtype=bool)
 
-    The seed spawns three streams: scene geometry, stems and sensor noise.
-    ``make_target(stem_rng, num_samples)`` returns ``(target, active)`` and
-    draws from the stem stream before the stationary interferer does.
-    Returns ``(scene, stems, mix, active)``.
-    """
-    geo_seed, stem_seed, noise_seed = np.random.SeedSequence(seed).spawn(3)
-    scene = sample_scene(np.random.default_rng(geo_seed), t60=t60)
-    num_samples = int(spec.clip_seconds * fs)
-    stem_rng = np.random.default_rng(stem_seed)
-    target, active = make_target(stem_rng, num_samples)
-    stems = {
-        "target": target,
-        "non_target": np.zeros(num_samples),
-        "interferer": stationary_noise(stem_rng, num_samples),
-    }
-    mix = mix_scene(
-        scene, stems, spec, noise_seed=int(noise_seed.generate_state(1)[0]), fs=fs
-    )
-    return scene, stems, mix, active
+
+# The named stem kinds of ``lstsc simulate`` configs, as stem makers (see
+# ``render_scene``) that also take the stem level ``rms``.
+STEM_KINDS: dict[str, Callable[..., tuple[np.ndarray, np.ndarray]]] = {
+    "intermittent": lambda rng, n, fs, rms=0.05: intermittent_speech(rng, n, fs, rms=rms),
+    "speech_like": lambda rng, n, fs, rms=0.05: (
+        speech_like(rng, n, fs, envelope_floor=0.35, rms=rms), np.ones(n, dtype=bool)
+    ),
+    "stationary_noise": lambda rng, n, fs, rms=0.05: (
+        stationary_noise(rng, n, rms=rms), np.ones(n, dtype=bool)
+    ),
+    "silence": _silence,
+}
 
 
 @dataclasses.dataclass
-class SiftingScenario:
-    """Stationary interferer plus intermittent target.
+class Scenario:
+    """A rendered scene: geometry, dry stems, the mix and each stem's
+    sample activity, plus the builders' frame labels (warm-up frames
+    excluded): ``target_active`` marks frames mostly covered by target
+    activity, ``interferer_only`` (sifting only) frames with no target
+    energy, direct or within one reverberation time after."""
 
-    ``target_active`` marks frames mostly covered by target bursts;
-    ``interferer_only`` marks frames with no target energy, direct or
-    reverberant (burst supports are dilated by one reverberation time
-    before labeling).  Warm-up frames are excluded from both."""
-
-    mixture: MultichannelAudio
     scene: RoomScene
-    mix: MixResult
-    target_active: np.ndarray
-    interferer_only: np.ndarray
     stems: dict[str, np.ndarray]
+    mix: MixResult
+    active: dict[str, np.ndarray]
+    target_active: np.ndarray | None = None
+    interferer_only: np.ndarray | None = None
+
+    @property
+    def mixture(self) -> MultichannelAudio:
+        return self.mix.mixture
+
+
+def render_scene(
+    seed: int,
+    makers: dict[str, Callable[..., tuple[np.ndarray, np.ndarray]]],
+    *,
+    t60: float = 0.3,
+    spec: MixSpec = MixSpec(),
+    array: ArrayGeometry | None = None,
+    constraints: SceneConstraints = SceneConstraints(),
+    fs: int = 16000,
+) -> Scenario:
+    """The one seeded scene recipe, shared by ``lstsc simulate`` and the
+    scenario builders.
+
+    The seed spawns three streams: scene geometry, stems and sensor noise.
+    Stems are drawn from the stem stream in ``ROLE_ORDER``, each
+    ``spec.num_samples(fs)`` long, by ``makers[role](rng, num_samples, fs)``,
+    which returns ``(samples, active)`` with ``active`` marking where the
+    source sounds; a role without a maker is silent and draws nothing.
+    ``array`` defaults to the 4-mic ULA.
+    """
+    if not set(makers) <= set(ROLE_ORDER):
+        raise ValueError(f"stem roles {sorted(makers)} are not all in {ROLE_ORDER}")
+    geo_seed, stem_seed, noise_seed = np.random.SeedSequence(seed).spawn(3)
+    scene = sample_scene(
+        np.random.default_rng(geo_seed), array=array, t60=t60, constraints=constraints
+    )
+    num_samples = spec.num_samples(fs)
+    stem_rng = np.random.default_rng(stem_seed)
+    stems, active = {}, {}
+    for role in ROLE_ORDER:
+        stems[role], active[role] = makers.get(role, _silence)(stem_rng, num_samples, fs)
+    mix = mix_scene(
+        scene, stems, spec, noise_seed=int(noise_seed.generate_state(1)[0]), fs=fs
+    )
+    return Scenario(scene=scene, stems=stems, mix=mix, active=active)
 
 
 def build_sifting_scenario(
@@ -183,44 +223,27 @@ def build_sifting_scenario(
     stft_cfg: StftConfig = StftConfig(),
     coherence_cfg: CoherenceConfig | None = None,
     fs: int = 16000,
-) -> SiftingScenario:
-    """Seeded scene for the interferer-sifting check."""
-    scene, stems, mix, active = _seeded_mix(
+) -> Scenario:
+    """Stationary interferer plus intermittent target: the default
+    ``lstsc simulate`` scene, labeled for the interferer-sifting check."""
+    out = render_scene(
         seed,
-        lambda rng, num_samples: intermittent_speech(rng, num_samples, fs),
-        t60,
-        MixSpec(sir_db=sir_db, snr_db=snr_db, clip_seconds=clip_seconds),
-        fs,
+        {
+            "target": STEM_KINDS["intermittent"],
+            "interferer": STEM_KINDS["stationary_noise"],
+        },
+        t60=t60,
+        spec=MixSpec(sir_db=sir_db, snr_db=snr_db, clip_seconds=clip_seconds),
+        fs=fs,
     )
-    num_frames = stft_cfg.num_frames(active.shape[0])
-    cover = frame_coverage(active, stft_cfg, num_frames)
+    active = out.active["target"]
     smeared = _dilate_right(active, int(t60 * fs))
-    smeared_cover = frame_coverage(smeared, stft_cfg, num_frames)
-    target_active = cover > 0.5
-    interferer_only = smeared_cover == 0.0
-
+    num_frames = stft_cfg.num_frames(active.shape[0])
+    out.target_active = frame_coverage(active, stft_cfg, num_frames) > 0.5
+    out.interferer_only = frame_coverage(smeared, stft_cfg, num_frames) == 0.0
     warmup = (coherence_cfg or CoherenceConfig()).warmup_frames
-    target_active[:warmup] = False
-    interferer_only[:warmup] = False
-    return SiftingScenario(
-        mixture=mix.mixture,
-        scene=scene,
-        mix=mix,
-        target_active=target_active,
-        interferer_only=interferer_only,
-        stems=stems,
-    )
-
-
-@dataclasses.dataclass
-class MisconvergenceScenario:
-    """Stationary interferer plus one long continuous target utterance."""
-
-    mixture: MultichannelAudio
-    scene: RoomScene
-    mix: MixResult
-    target_active: np.ndarray
-    stems: dict[str, np.ndarray]
+    out.target_active[:warmup] = out.interferer_only[:warmup] = False
+    return out
 
 
 def build_misconvergence_scenario(
@@ -234,37 +257,29 @@ def build_misconvergence_scenario(
     stft_cfg: StftConfig = StftConfig(),
     coherence_cfg: CoherenceConfig | None = None,
     fs: int = 16000,
-) -> MisconvergenceScenario:
-    """Seeded scene for the fixed-vs-adaptive forgetting-factor A/B."""
+) -> Scenario:
+    """Stationary interferer plus one long continuous target utterance,
+    labeled for the fixed-vs-adaptive forgetting-factor A/B."""
 
-    def utterance_target(rng, num_samples):
-        start = int(utterance[0] * fs)
-        stop = min(int(utterance[1] * fs), num_samples)
-        target = np.zeros(num_samples)
-        target[start:stop] = speech_like(rng, stop - start, fs, envelope_floor=0.35)
+    def utterance_target(rng, num_samples, fs):
         active = np.zeros(num_samples, dtype=bool)
-        active[start:stop] = True
+        active[int(utterance[0] * fs) : int(utterance[1] * fs)] = True
+        target = np.zeros(num_samples)
+        target[active] = speech_like(rng, np.count_nonzero(active), fs, envelope_floor=0.35)
         return target, active
 
-    scene, stems, mix, active = _seeded_mix(
+    out = render_scene(
         seed,
-        utterance_target,
-        t60,
-        MixSpec(sir_db=sir_db, snr_db=snr_db, clip_seconds=clip_seconds),
-        fs,
+        {"target": utterance_target, "interferer": STEM_KINDS["stationary_noise"]},
+        t60=t60,
+        spec=MixSpec(sir_db=sir_db, snr_db=snr_db, clip_seconds=clip_seconds),
+        fs=fs,
     )
+    active = out.active["target"]
     num_frames = stft_cfg.num_frames(active.shape[0])
-    cover = frame_coverage(active, stft_cfg, num_frames)
-    target_active = cover > 0.9
-    warmup = (coherence_cfg or CoherenceConfig()).warmup_frames
-    target_active[:warmup] = False
-    return MisconvergenceScenario(
-        mixture=mix.mixture,
-        scene=scene,
-        mix=mix,
-        target_active=target_active,
-        stems=stems,
-    )
+    out.target_active = frame_coverage(active, stft_cfg, num_frames) > 0.9
+    out.target_active[: (coherence_cfg or CoherenceConfig()).warmup_frames] = False
+    return out
 
 
 def mean_global_warped(features: LstscFeatures, frame_mask: np.ndarray) -> float:

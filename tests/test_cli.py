@@ -23,6 +23,8 @@ from conftest import delayed_array_audio
 from lstsc import cli
 from lstsc.cli import EXIT_CONFIG, EXIT_CONSTRAINT, EXIT_MISSING, EXIT_OK, main
 from lstsc.coherence import read_features
+from lstsc.roomsim import ROLE_ORDER
+from lstsc.scenarios import STEM_KINDS, build_sifting_scenario
 from lstsc.signal_core import load_wav, save_wav
 
 
@@ -94,6 +96,58 @@ class TestSimulate:
         )
         assert main(["simulate", "--seed", "1", "--config", config,
                      "--out", str(tmp_path / "x")]) == EXIT_CONSTRAINT
+
+
+class TestSceneRecipe:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_default_scene_is_the_sifting_scenario(self, tmp_path, seed):
+        # `simulate` without a config and the sifting builder render
+        # through the same seeded recipe
+        assert main(["simulate", "--seed", str(seed), "--out", str(tmp_path)]) == EXIT_OK
+        _, written = wavfile.read(tmp_path / "mixture.wav")
+        expected = build_sifting_scenario(seed).mixture.samples.astype(np.float32)
+        assert np.array_equal(written.T, expected)
+
+    @staticmethod
+    def _render(tmp_path, name, stems):
+        config = _write_config(
+            tmp_path / f"{name}.json", {"mix": {"clip_seconds": 2.0}, "stems": stems}
+        )
+        out = tmp_path / name
+        assert main(["simulate", "--seed", "5", "--config", config,
+                     "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "scene.json").read_text())
+        images = {role: load_wav(out / f"{role}.wav").samples for role in ROLE_ORDER}
+        return manifest, images
+
+    @pytest.mark.parametrize("role", ROLE_ORDER)
+    @pytest.mark.parametrize("kind", sorted(STEM_KINDS))
+    def test_stem_kind_and_rms_in_each_role(self, tmp_path, kind, role):
+        low, low_images = self._render(tmp_path, "low", {role: {"kind": kind, "rms": 0.02}})
+        high, high_images = self._render(tmp_path, "high", {role: {"kind": kind, "rms": 0.04}})
+        assert low["stem_kinds"][role] == kind
+        if kind == "silence":
+            assert not low_images[role].any() and not high_images[role].any()
+            return
+        assert low_images[role].any()
+        if role == "target":
+            # the target keeps unit gain, so its image follows the level
+            assert low["gains"]["target"] == 1.0
+            np.testing.assert_allclose(high_images[role], 2.0 * low_images[role], rtol=1e-6)
+        else:
+            # other roles are levelled against the target: the gain undoes rms
+            assert high["gains"][role] == pytest.approx(low["gains"][role] / 2.0, rel=1e-9)
+            np.testing.assert_allclose(high_images[role], low_images[role], rtol=1e-5, atol=1e-9)
+
+    def test_unknown_stem_kind_exits_2_naming_it(self, tmp_path, capsys):
+        config = _write_config(
+            tmp_path / "cfg.json", {"stems": {"interferer": {"kind": "babble"}}}
+        )
+        assert main(["simulate", "--seed", "1", "--config", config,
+                     "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'babble'" in err and "stems.interferer.kind" in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestRir:

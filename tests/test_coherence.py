@@ -199,6 +199,17 @@ class TestCoherenceOp:
         # the tracker state is whitened first, so its scale does not matter
         assert abs(coherence(r, 0.3 * rbar) - full) <= 1e-12
 
+    def test_whitens_state_as_whiten_does(self, rng):
+        # (F, M-1) rows with degenerate state entries: coherence skips
+        # whiten's row flags but must use the very same whitened entries
+        r = np.exp(1j * rng.uniform(-np.pi, np.pi, (257, 3)))
+        rbar = rng.standard_normal((257, 3)) + 1j * rng.standard_normal((257, 3))
+        rbar[5, 1] = 0.0
+        rbar[9] = 1e-13
+        white, _ = whiten(rbar)
+        num = (r.real * white.real + r.imag * white.imag).sum(axis=-1)
+        assert np.array_equal(coherence(r, rbar), np.clip(num / 3, -1.0, 1.0))
+
 
 class TestLambdaSchedule:
     def test_energetic_mask_halts(self):

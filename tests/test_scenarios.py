@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from lstsc.coherence import CoherenceConfig, arcsine_warp, compute_lstsc
+from lstsc.roomsim import ROLE_ORDER, MixSpec
 from lstsc.scenarios import (
+    STEM_KINDS,
     build_misconvergence_scenario,
     build_sifting_scenario,
     frame_coverage,
     intermittent_speech,
     mean_global_warped,
+    render_scene,
     speech_like,
     stationary_noise,
 )
@@ -96,6 +99,78 @@ class TestMisconvergenceScenario:
         onset_frame = int(1.0 * 16000 / StftConfig().hop)
         assert not scn.target_active[: onset_frame - 1].any()
         assert np.abs(scn.stems["target"][: int(0.99 * 16000)]).max() == 0.0
+
+
+class TestStemKinds:
+    def test_makers_call_the_generators(self):
+        n, fs = 4000, 16000
+        calls = {
+            "intermittent": lambda rng: intermittent_speech(rng, n, fs, rms=0.07),
+            "speech_like": lambda rng: speech_like(rng, n, fs, envelope_floor=0.35, rms=0.07),
+            "stationary_noise": lambda rng: stationary_noise(rng, n, rms=0.07),
+        }
+        for kind, call in calls.items():
+            samples, active = STEM_KINDS[kind](np.random.default_rng(9), n, fs, rms=0.07)
+            want = call(np.random.default_rng(9))
+            want_samples, want_active = want if kind == "intermittent" else (want, np.ones(n, bool))
+            assert np.array_equal(samples, want_samples)
+            assert np.array_equal(active, want_active)
+
+    def test_silence_draws_nothing(self):
+        rng = np.random.default_rng(9)
+        samples, active = STEM_KINDS["silence"](rng, 100, 16000, rms=0.07)
+        assert not samples.any() and not active.any() and samples.shape == (100,)
+        assert rng.random() == np.random.default_rng(9).random()
+
+
+class TestRenderScene:
+    def test_silent_roles_draw_nothing(self):
+        # a silent role, named or left out, leaves the stem stream alone,
+        # so the interferer is the same draw either way
+        spec = MixSpec(clip_seconds=0.5)
+        target = STEM_KINDS["stationary_noise"]
+        a = render_scene(4, {"target": target}, spec=spec)
+        b = render_scene(
+            4, {"target": target, "non_target": STEM_KINDS["silence"]}, spec=spec
+        )
+        assert np.array_equal(a.mixture.samples, b.mixture.samples)
+        assert not a.stems["non_target"].any() and not a.active["non_target"].any()
+        assert not a.stems["interferer"].any()
+        c = render_scene(
+            4, {"non_target": STEM_KINDS["silence"], "interferer": target}, spec=spec
+        )
+        assert np.array_equal(c.stems["interferer"], a.stems["target"])
+
+    def test_stems_and_activity_cover_the_clip(self):
+        spec = MixSpec(clip_seconds=0.5)
+        makers = {role: STEM_KINDS["speech_like"] for role in ROLE_ORDER}
+        out = render_scene(1, makers, spec=spec)
+        assert list(out.stems) == list(ROLE_ORDER)
+        for role in ROLE_ORDER:
+            assert out.stems[role].shape == out.active[role].shape == (8000,)
+            assert out.active[role].all()
+        assert out.mixture is out.mix.mixture
+
+    def test_unknown_role_rejected(self):
+        with pytest.raises(ValueError, match="stem roles"):
+            render_scene(0, {"talker": STEM_KINDS["speech_like"]})
+
+
+class TestClipLength:
+    """Stems follow the mixer's clip-length rule, ``round(clip_seconds * fs)``;
+    2.01 s is one of the lengths where truncation is one sample short."""
+
+    def test_sifting_at_2_01_s(self):
+        scn = build_sifting_scenario(0, clip_seconds=2.01)
+        assert scn.mixture.num_samples == 32160
+        assert scn.stems["target"].shape == (32160,)
+        assert scn.target_active.shape == scn.interferer_only.shape
+
+    def test_misconvergence_at_2_01_s(self):
+        scn = build_misconvergence_scenario(0, clip_seconds=2.01, utterance=(0.5, 1.8))
+        assert scn.mixture.num_samples == 32160
+        assert scn.target_active.shape == (StftConfig().num_frames(32160),)
+        assert scn.target_active.any()
 
 
 class TestMeanGlobalWarped:
