@@ -18,7 +18,7 @@ from .coherence import (
     write_features,
 )
 from .enhance import EnhanceResult, HeuristicMaskEstimator, enhance_stream, heuristic_mask
-from .erb import ErbFilterbank, design_filterbank, pool_feature, pool_spectrum
+from .erb import ErbFilterbank, design_filterbank, pool_feature
 from .metrics import SiSdrReport, si_sdr
 from .roomsim import (
     ArrayGeometry,
@@ -66,7 +66,6 @@ __all__ = [
     "ErbFilterbank",
     "design_filterbank",
     "pool_feature",
-    "pool_spectrum",
     "SiSdrReport",
     "si_sdr",
     "ArrayGeometry",

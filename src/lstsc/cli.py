@@ -134,11 +134,8 @@ _COHERENCE_KEYS = {
     "R": _INT,
     "lambda_local": _NUM,
     "lambda_global": _NUM,
-    "time_varying": _BOOL,
     "beta": _NUM,
     "epsilon": _NUM,
-    "apply_arcsine": _BOOL,
-    "erb_bands": _INT + _OR_NULL,
 }
 
 _ARRAY_KEYS = {
@@ -199,7 +196,7 @@ def _array_from_config(section: dict) -> ArrayGeometry:
     if kind == "positions":
         if "positions" not in section:
             raise ConfigError("array kind 'positions' needs a positions list")
-        return ArrayGeometry.arbitrary(section["positions"])
+        return ArrayGeometry(section["positions"])
     raise ConfigError(f"unknown array kind {kind!r}")
 
 

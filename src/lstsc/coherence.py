@@ -90,7 +90,6 @@ class CoherenceConfig:
     epsilon: float = 1e-12
     apply_arcsine: bool = False
     erb_bands: int | None = None
-    variant: str | None = None
 
     def __post_init__(self) -> None:
         if not _is_integer(self.R):
@@ -109,34 +108,18 @@ class CoherenceConfig:
             raise ValueError("epsilon must be positive")
         if self.erb_bands is not None and self.erb_bands < 2:
             raise ValueError("erb_bands must be >= 2 when set")
-        if self.variant is not None:
-            expected = VARIANT_SETTINGS.get(self.variant)
-            if expected is None:
-                raise ValueError(
-                    f"unknown variant {self.variant!r}; choose from "
-                    f"{sorted(VARIANT_SETTINGS)}"
-                )
-            actual = {
-                "time_varying": self.time_varying,
-                "apply_arcsine": self.apply_arcsine,
-                "erb_bands": self.erb_bands,
-            }
-            if actual != expected:
-                raise ValueError(
-                    f"settings {actual} are inconsistent with variant "
-                    f"{self.variant!r} ({expected})"
-                )
 
     @classmethod
     def for_variant(cls, name: str, **overrides) -> "CoherenceConfig":
+        """The named variant's settings plus ``overrides`` of the other
+        fields; overriding one of the variant's own settings raises
+        ``TypeError``."""
         key = name.lower()
         if key not in VARIANT_SETTINGS:
             raise ValueError(
                 f"unknown variant {name!r}; choose from {sorted(VARIANT_SETTINGS)}"
             )
-        settings = dict(VARIANT_SETTINGS[key])
-        settings.update(overrides)
-        return cls(variant=key, **settings)
+        return cls(**VARIANT_SETTINGS[key], **overrides)
 
     @property
     def warmup_frames(self) -> int:
@@ -418,8 +401,8 @@ class LstscFeatures:
     (warp first, pool second).  ``lambda_trace`` records the applied
     global forgetting factor, ``mask_halted`` which frames were frozen by
     feedback, and ``low_energy`` which bins carried placeholder RTFs.
-    The first ``warmup_frames`` frames use truncated averaging windows
-    and freshly initialized trackers.
+    The first ``CoherenceConfig.warmup_frames`` frames use truncated
+    averaging windows and freshly initialized trackers.
     """
 
     gamma_local: np.ndarray
@@ -434,8 +417,6 @@ class LstscFeatures:
     banded_gamma_global: np.ndarray | None
     banded_gamma_global_warped: np.ndarray | None
     banded_lambda_trace: np.ndarray | None
-    warmup_frames: int
-    variant: str | None
 
     @property
     def num_frames(self) -> int:
@@ -452,63 +433,56 @@ def compute_lstsc(
     mask_feedback: MaskFeedback | None = None,
     sample_rate: int = 16000,
 ) -> LstscFeatures:
-    """Run the streaming engine over a whole clip and stack the outputs.
+    """Run the streaming engine over a whole clip and collect the outputs.
 
-    The feature tensors are (L, F) regardless of the channel count; with
-    ``cfg.erb_bands`` set, banded (L, B) planes are added alongside.
+    Each (L, F) plane is allocated once and row ``l`` is filled from frame
+    ``l``; the warped planes exist only with ``cfg.apply_arcsine`` and the
+    mask only with ``mask_feedback``.  With ``cfg.erb_bands`` set, banded
+    (L, B) planes are added alongside.
     """
     tensor = _as_spec_tensor(specs)
+    _, num_frames, num_bins = tensor.shape
     filterbank = None
     if cfg.erb_bands is not None:
-        fft_size = 2 * (tensor.shape[2] - 1)
-        filterbank = design_filterbank(sample_rate, fft_size, cfg.erb_bands)
+        filterbank = design_filterbank(sample_rate, 2 * (num_bins - 1), cfg.erb_bands)
 
-    gl, gg, lam_rows, low_rows, halted, masks = [], [], [], [], [], []
-    glw, ggw = [], []
+    rows = ["gamma_local", "gamma_global", "lam", "low_energy"]
+    if cfg.apply_arcsine:
+        rows += ["gamma_local_warped", "gamma_global_warped"]
+    if mask_feedback is not None:
+        rows.append("mask_row")
+    planes = {
+        row: np.empty((num_frames, num_bins), bool if row == "low_energy" else np.float64)
+        for row in rows
+    }
+    halted = np.empty(num_frames, dtype=bool)
     for out in stream_frames(
         tensor, cfg, mask_feedback, sample_rate=sample_rate, filterbank=filterbank
     ):
-        gl.append(out.gamma_local)
-        gg.append(out.gamma_global)
-        lam_rows.append(out.lam)
-        low_rows.append(out.low_energy)
-        halted.append(out.mask_halted)
-        if cfg.apply_arcsine:
-            glw.append(out.gamma_local_warped)
-            ggw.append(out.gamma_global_warped)
-        if out.mask_row is not None:
-            masks.append(out.mask_row)
+        for row, plane in planes.items():
+            plane[out.frame] = getattr(out, row)
+        halted[out.frame] = out.mask_halted
 
-    gamma_local = np.vstack(gl)
-    gamma_global = np.vstack(gg)
-    lambda_trace = np.vstack(lam_rows)
-    gamma_local_w = np.vstack(glw) if glw else None
-    gamma_global_w = np.vstack(ggw) if ggw else None
-
-    banded_local = banded_global = banded_lambda = banded_global_w = None
+    banded = dict.fromkeys(("gamma_local", "gamma_global", "gamma_global_warped", "lam"))
     if filterbank is not None:
-        banded_local = pool_feature(gamma_local, filterbank)
-        banded_global = pool_feature(gamma_global, filterbank)
-        banded_lambda = pool_feature(lambda_trace, filterbank)
-        if gamma_global_w is not None:
-            # warp first, pool second
-            banded_global_w = pool_feature(gamma_global_w, filterbank)
+        # warp first, pool second
+        for row in banded:
+            if row in planes:
+                banded[row] = pool_feature(planes[row], filterbank)
 
     return LstscFeatures(
-        gamma_local=gamma_local,
-        gamma_global=gamma_global,
-        gamma_local_warped=gamma_local_w,
-        gamma_global_warped=gamma_global_w,
-        lambda_trace=lambda_trace,
-        low_energy=np.vstack(low_rows),
-        mask_halted=np.asarray(halted, dtype=bool),
-        mask=np.vstack(masks) if masks else None,
-        banded_gamma_local=banded_local,
-        banded_gamma_global=banded_global,
-        banded_gamma_global_warped=banded_global_w,
-        banded_lambda_trace=banded_lambda,
-        warmup_frames=cfg.warmup_frames,
-        variant=cfg.variant,
+        gamma_local=planes["gamma_local"],
+        gamma_global=planes["gamma_global"],
+        gamma_local_warped=planes.get("gamma_local_warped"),
+        gamma_global_warped=planes.get("gamma_global_warped"),
+        lambda_trace=planes["lam"],
+        low_energy=planes["low_energy"],
+        mask_halted=halted,
+        mask=planes.get("mask_row"),
+        banded_gamma_local=banded["gamma_local"],
+        banded_gamma_global=banded["gamma_global"],
+        banded_gamma_global_warped=banded["gamma_global_warped"],
+        banded_lambda_trace=banded["lam"],
     )
 
 

@@ -2,15 +2,13 @@
 
 Band centers are uniformly spaced on the equivalent-rectangular-bandwidth
 rate scale (``21.4 * log10(1 + 0.00437 f)``) between 0 Hz and Nyquist,
-with triangular weights between adjacent centers.  Spectra are pooled as
-plain weighted sums; bounded features (coherences, gains) are pooled as
-weighted means so a constant field stays constant.
+with triangular weights between adjacent centers.  Features
+(coherences, forgetting factors) are pooled as weighted means, so a
+constant field stays constant.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 
@@ -18,9 +16,7 @@ __all__ = [
     "ErbFilterbank",
     "erb_rate",
     "design_filterbank",
-    "pool_spectrum",
     "pool_feature",
-    "dump_filterbank_csv",
 ]
 
 
@@ -34,14 +30,12 @@ class ErbFilterbank:
     """Immutable pooling weights.
 
     ``weights`` is (B, F) nonnegative; ``pi`` holds the per-band weight
-    sums used to normalize feature pooling; ``support`` gives the
-    (first, last) bin index with positive weight for each band.
+    sums used to normalize feature pooling.
     """
 
     weights: np.ndarray
     centers_hz: np.ndarray
     pi: np.ndarray
-    support: tuple[tuple[int, int], ...]
 
     @property
     def num_bands(self) -> int:
@@ -87,30 +81,7 @@ def design_filterbank(sample_rate: int, fft_size: int, bands: int = 48) -> ErbFi
         if weights[b].sum() <= 0.0:
             weights[b, int(np.argmin(np.abs(bin_rate - center_rate[b])))] = 1.0
 
-    pi = weights.sum(axis=1)
-    support = []
-    for b in range(bands):
-        positive = np.nonzero(weights[b] > 0.0)[0]
-        support.append((int(positive[0]), int(positive[-1])))
-    return ErbFilterbank(
-        weights=weights,
-        centers_hz=centers_hz,
-        pi=pi,
-        support=tuple(support),
-    )
-
-
-def pool_spectrum(power: np.ndarray, fb: ErbFilterbank) -> np.ndarray:
-    """Banded power: plain weighted sum of nonnegative per-bin power.
-
-    Accepts a single F-vector or an (L, F) matrix.
-    """
-    power = np.asarray(power, dtype=np.float64)
-    if power.shape[-1] != fb.num_bins:
-        raise ValueError("power frame length does not match filterbank bins")
-    if power.size and power.min() < 0.0:
-        raise ValueError("power values must be nonnegative")
-    return power @ fb.weights.T
+    return ErbFilterbank(weights=weights, centers_hz=centers_hz, pi=weights.sum(axis=1))
 
 
 def pool_feature(values: np.ndarray, fb: ErbFilterbank) -> np.ndarray:
@@ -123,19 +94,3 @@ def pool_feature(values: np.ndarray, fb: ErbFilterbank) -> np.ndarray:
     if values.shape[-1] != fb.num_bins:
         raise ValueError("feature frame length does not match filterbank bins")
     return (values @ fb.weights.T) / fb.pi
-
-
-def dump_filterbank_csv(fb: ErbFilterbank, path: str | Path) -> None:
-    """Write centers, supports, and the full weight rows for inspection."""
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["band", "center_hz", "support_lo_bin", "support_hi_bin"]
-            + [f"w{k}" for k in range(fb.num_bins)]
-        )
-        for b in range(fb.num_bands):
-            lo, hi = fb.support[b]
-            writer.writerow(
-                [b, f"{fb.centers_hz[b]:.6f}", lo, hi]
-                + [f"{w:.9e}" for w in fb.weights[b]]
-            )

@@ -87,10 +87,6 @@ class ArrayGeometry:
         positions[:, 1] = 0.5 * diameter * np.sin(angles)
         return cls(positions)
 
-    @classmethod
-    def arbitrary(cls, positions) -> "ArrayGeometry":
-        return cls(np.asarray(positions, dtype=np.float64))
-
 
 @dataclasses.dataclass(frozen=True)
 class Source:
@@ -184,12 +180,6 @@ class RoomScene:
     @property
     def num_mics(self) -> int:
         return self.mic_positions.shape[0]
-
-    def source_by_role(self, role: str) -> Source:
-        for src in self.sources:
-            if src.role == role:
-                return src
-        raise KeyError(f"scene has no source with role {role!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -120,11 +120,10 @@ def intermittent_speech(
 
 def frame_coverage(active: np.ndarray, cfg: StftConfig, num_frames: int) -> np.ndarray:
     """Fraction of each analysis frame covered by ``active`` samples."""
-    coverage = np.empty(num_frames)
-    for l in range(num_frames):
-        start = l * cfg.hop
-        coverage[l] = float(np.mean(active[start : start + cfg.frame_len]))
-    return coverage
+    counts = np.concatenate(([0], np.cumsum(active, dtype=np.int64)))
+    start = np.minimum(np.arange(num_frames) * cfg.hop, active.shape[0])
+    stop = np.minimum(start + cfg.frame_len, active.shape[0])
+    return (counts[stop] - counts[start]) / (stop - start)
 
 
 def _dilate_right(active: np.ndarray, num_samples_right: int) -> np.ndarray:

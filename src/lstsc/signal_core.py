@@ -69,10 +69,6 @@ class MultichannelAudio:
     def num_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.num_samples / self.sample_rate
-
     def channel(self, index: int) -> np.ndarray:
         return self.samples[index]
 
@@ -90,13 +86,10 @@ class StftConfig:
     frame_len: int = 400
     hop: int = 160
     fft_size: int = 512
-    window: str = "sqrt_hann"
 
     def __post_init__(self) -> None:
         if not (0 < self.hop <= self.frame_len <= self.fft_size):
             raise ValueError("require 0 < hop <= frame_len <= fft_size")
-        if self.window != "sqrt_hann":
-            raise ValueError(f"unknown window family: {self.window!r}")
 
     @property
     def num_bins(self) -> int:

@@ -282,6 +282,45 @@ class TestNonFiniteInput:
         )
 
 
+
+class TestShortInput:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["extract", "enhance"]), st.integers(0, 399), st.integers(2, 4))
+    @example("extract", 0, 2)
+    @example("enhance", 0, 3)
+    @example("enhance", 399, 2)
+    def test_shorter_than_one_frame_exits_4(self, command, num_samples, channels):
+        rng = np.random.default_rng(num_samples)
+        samples = (0.1 * rng.standard_normal((num_samples, channels))).astype(np.float32)
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "short.wav"
+            wavfile.write(path, 16000, samples)
+            with contextlib.redirect_stderr(stderr):
+                code = main([command, "--in", str(path), "--out", str(Path(tmp) / "out")])
+            assert list(Path(tmp).iterdir()) == [path]
+        assert code == EXIT_CONSTRAINT
+        assert "shorter than one frame" in stderr.getvalue()
+
+
+class TestVariantSettingKeys:
+    """``--variant`` alone sets the time-varying schedule, the warp and the
+    bands; a config naming one of them is rejected, agreeing or not."""
+
+    @pytest.mark.parametrize("command", ["extract", "enhance"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [("time_varying", True), ("time_varying", False), ("apply_arcsine", True),
+         ("apply_arcsine", False), ("erb_bands", None), ("erb_bands", 48)],
+    )
+    def test_exits_2_naming_the_key(self, tmp_path, mixture_wav, capsys, command, key, value):
+        config = _write_config(tmp_path / "cfg.json", {key: value})
+        out = tmp_path / "out"
+        assert main([command, "--in", mixture_wav, "--variant", "lstsc-3",
+                     "--config", config, "--out", str(out)]) == EXIT_CONFIG
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
 def _schema_keys(schema, prefix=()):
     """(dotted path, expected types) of every key, sections included."""
     for key, expected in schema.items():

@@ -11,6 +11,7 @@ from conftest import delayed_array_audio, random_small_specs
 from oracle_lstsc import oracle_lstsc, oracle_short_term_rtf
 
 from lstsc.coherence import (
+    VARIANT_SETTINGS,
     CoherenceConfig,
     _blend,
     arcsine_warp,
@@ -24,6 +25,7 @@ from lstsc.coherence import (
     whiten,
     write_features,
 )
+from lstsc.enhance import HeuristicMaskEstimator
 from lstsc.signal_core import StftConfig, stft_multichannel
 
 
@@ -44,8 +46,11 @@ class TestConfig:
             CoherenceConfig.for_variant("lstsc-9")
 
     def test_inconsistent_variant_settings(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            CoherenceConfig(variant="lstsc-1", time_varying=True)
+        # a variant's own settings cannot be overridden, only the others
+        for key, value in (("time_varying", True), ("apply_arcsine", True), ("erb_bands", 24)):
+            with pytest.raises(TypeError, match=key):
+                CoherenceConfig.for_variant("lstsc-1", **{key: value})
+        assert CoherenceConfig.for_variant("lstsc-1", R=2).R == 2
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -273,7 +278,7 @@ class TestComputeLstsc:
         assert final_second.mean() >= 0.9
 
     def test_variant_plane_presence(self, rng):
-        audio = delayed_array_audio(rng, 3, 8000)
+        audio = delayed_array_audio(rng, 3, 8000, noise_rms=0.1)
         specs = stft_multichannel(audio)
         f1 = compute_lstsc(specs, CoherenceConfig.for_variant("lstsc-1"))
         assert f1.gamma_global_warped is None and f1.banded_gamma_local is None
@@ -281,6 +286,40 @@ class TestComputeLstsc:
         assert f3.gamma_global_warped is not None
         f4 = compute_lstsc(specs, CoherenceConfig.for_variant("lstsc-4"))
         assert f4.banded_gamma_global_warped.shape == (f4.num_frames, 48)
+
+        # every plane is the stacked engine rows, byte for byte and dtype
+        # for dtype; an optional plane exists exactly when its setting is on
+        rows = {"gamma_local": "gamma_local", "gamma_global": "gamma_global",
+                "lambda_trace": "lam", "low_energy": "low_energy",
+                "gamma_local_warped": "gamma_local_warped",
+                "gamma_global_warped": "gamma_global_warped", "mask": "mask_row"}
+        for variant in sorted(VARIANT_SETTINGS):
+            cfg = CoherenceConfig.for_variant(variant)
+            for feedback in (None, HeuristicMaskEstimator()):
+                feats = compute_lstsc(specs, cfg, feedback)
+                outs = list(stream_frames(specs, cfg, feedback))
+                warped, banded = cfg.apply_arcsine, cfg.erb_bands is not None
+                present = {
+                    "gamma_local_warped": warped,
+                    "gamma_global_warped": warped,
+                    "mask": feedback is not None,
+                    "banded_gamma_local": banded,
+                    "banded_gamma_global": banded,
+                    "banded_gamma_global_warped": banded and warped,
+                    "banded_lambda_trace": banded,
+                }
+                for name, on in present.items():
+                    assert (getattr(feats, name) is not None) == on, (variant, name)
+                for name, row in rows.items():
+                    if not present.get(name, True):
+                        continue
+                    want = np.stack([getattr(out, row) for out in outs])
+                    got = getattr(feats, name)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (variant, name)
+                halted = np.array([out.mask_halted for out in outs])
+                assert feats.mask_halted.dtype == halted.dtype
+                assert feats.mask_halted.tobytes() == halted.tobytes()
 
     def test_permutation_invariance(self, rng):
         audio = delayed_array_audio(rng, 4, 8000, noise_rms=0.1)

@@ -44,7 +44,7 @@ class TestArrayGeometry:
 
     def test_duplicate_positions_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            ArrayGeometry.arbitrary([[0, 0, 0], [0, 0, 0]])
+            ArrayGeometry([[0, 0, 0], [0, 0, 0]])
 
     def test_placed(self):
         arr = ArrayGeometry.ula(2, 0.1)
@@ -69,7 +69,7 @@ class TestSceneValidation:
             Source(np.array([2.0, 2.6, 1.2]), "interferer"),
         ])
         assert np.allclose(scene.array_center, [3.0, 1.5, 1.2])
-        assert scene.source_by_role("target").role == "target"
+        assert [src.role for src in scene.sources] == ["target", "non_target", "interferer"]
 
     def test_source_outside_ring_rejected(self):
         with pytest.raises(ValueError, match="range"):
@@ -250,9 +250,7 @@ class TestSampleScene:
             cos = np.clip(unit @ unit.T, -1.0, 1.0)
             angles = np.degrees(np.arccos(cos[np.triu_indices(3, k=1)]))
             assert np.all(angles >= constraints.min_angle_deg - 1e-9)
-            target_radius = np.linalg.norm(
-                scene.source_by_role("target").position - center
-            )
+            target_radius = radii[[src.role for src in scene.sources].index("target")]
             assert target_radius <= radii.min() + 1e-12
 
     def test_impossible_constraints_exhaust_budget(self):

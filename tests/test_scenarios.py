@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lstsc.coherence import CoherenceConfig, arcsine_warp, compute_lstsc
 from lstsc.roomsim import ROLE_ORDER, MixSpec
@@ -64,6 +66,23 @@ class TestFrameCoverage:
         active[:200] = True  # half of the first 400-sample frame
         cover = frame_coverage(active, cfg, 3)
         assert cover[0] == pytest.approx(0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 500), st.integers(1, 500))
+    def test_equals_per_frame_mean(self, seed, frame_len, hop):
+        # the per-frame loop is the reference; both divide a count by the
+        # frame length, so the bytes agree
+        cfg = StftConfig(frame_len=frame_len, hop=min(hop, frame_len), fft_size=512)
+        rng = np.random.default_rng(seed)
+        num_samples = int(rng.integers(frame_len, 6000))
+        runs = rng.random(num_samples // 37 + 1) < rng.random()
+        active = np.repeat(runs, 37)[:num_samples] ^ (rng.random(num_samples) < 0.05)
+        num_frames = cfg.num_frames(num_samples)
+        want = np.array([
+            np.mean(active[l * cfg.hop : l * cfg.hop + cfg.frame_len])
+            for l in range(num_frames)
+        ])
+        assert frame_coverage(active, cfg, num_frames).tobytes() == want.tobytes()
 
 
 class TestSiftingScenario:
