@@ -154,30 +154,62 @@ def short_term_whitened_rtf(
     num_frames = tensor.shape[1]
     if not (0 <= frame < num_frames):
         raise ValueError(f"frame {frame} outside [0, {num_frames})")
-    lo = max(0, frame - cfg.R)
-    hi = min(num_frames - 1, frame + cfg.R)
-    block = tensor[:, lo : hi + 1, :]
-    ref_re = block[0].real
-    ref_im = block[0].imag
-    oth_re = block[1:].real
-    oth_im = block[1:].imag
-    # z_m * conj(z_0) accumulated over the window, kept as separate real
-    # and imaginary planes: plain float ufuncs round each product once,
-    # whereas fused complex kernels may contract and drift by an ulp.
-    cross_re = (oth_re * ref_re + oth_im * ref_im).sum(axis=1)  # (M-1, F)
-    cross_im = (oth_im * ref_re - oth_re * ref_im).sum(axis=1)
-    auto = (ref_re * ref_re + ref_im * ref_im).sum(axis=0)  # (F,)
+    entries, low_energy = _block_whitened_rtf(tensor, frame, frame + 1, cfg)
+    return entries[0], low_energy[0]
 
+
+def _block_whitened_rtf(
+    tensor: np.ndarray, start: int, stop: int, cfg: CoherenceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``short_term_whitened_rtf`` of frames ``[start, stop)`` at once:
+    entries (n, F, M-1) and low-energy flags (n, F)."""
+    num_mics, num_frames, num_bins = tensor.shape
+    count = stop - start
+    lo = max(0, start - cfg.R)
+    span = tensor[:, lo : min(num_frames, stop + cfg.R), :]
+    # (destination frames, source frames) per window offset, in window
+    # order; a window truncated at a clip edge skips its missing offsets
+    windows = []
+    for offset in range(-cfg.R, cfg.R + 1):
+        first, last = max(start, -offset), min(stop, num_frames - offset)
+        if first < last:
+            windows.append(
+                (slice(first - start, last - start), slice(first + offset - lo, last + offset - lo))
+            )
+
+    def window_sums(per_frame: np.ndarray) -> np.ndarray:
+        # shifted adds from zeros, as numpy's sum over a window axis
+        # accumulates, so even the signs of zero agree
+        sums = np.zeros(per_frame.shape[:-2] + (count, num_bins))
+        for dst, src in windows:
+            sums[..., dst, :] += per_frame[..., src, :]
+        return sums
+
+    ref_re = span[0].real
+    ref_im = span[0].imag
+    oth_re = span[1:].real
+    oth_im = span[1:].imag
+    auto = window_sums(ref_re * ref_re + ref_im * ref_im)  # (n, F)
     low_ref = auto <= cfg.epsilon
     safe_auto = np.where(low_ref, 1.0, auto)
-    # whitened as a transposed view of (M-1, F) memory, so the per-bin flag
-    # reduces over contiguous bins; the entries come back C-ordered (F, M-1)
-    ratio = np.empty(cross_re.shape, dtype=np.complex128)
-    ratio.real = cross_re / safe_auto
-    ratio.imag = cross_im / safe_auto
-    entries, flagged = whiten(ratio.T, cfg.epsilon)
+    # z_m * conj(z_0) as separate real and imaginary planes: plain float
+    # ufuncs round each product once, whereas fused complex kernels may
+    # contract and drift by an ulp.  The ratio is laid out (n, F, M-1)
+    # and filled through (M-1, n, F) views of its parts.
+    ratio = np.empty((count, num_bins, num_mics - 1), dtype=np.complex128)
+    np.divide(
+        window_sums(oth_re * ref_re + oth_im * ref_im),
+        safe_auto,
+        out=ratio.real.transpose(2, 0, 1),
+    )
+    np.divide(
+        window_sums(oth_im * ref_re - oth_re * ref_im),
+        safe_auto,
+        out=ratio.imag.transpose(2, 0, 1),
+    )
+    entries, flagged = whiten(ratio, cfg.epsilon)
     entries[low_ref] = 1.0
-    return np.ascontiguousarray(entries), low_ref | flagged
+    return entries, low_ref | flagged
 
 
 def whiten(vectors: np.ndarray, epsilon: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -222,6 +254,8 @@ def _blend(rbar: np.ndarray, r: np.ndarray, lam) -> np.ndarray:
     with the endpoints ``lam == 1`` (state kept) and ``lam == 0`` (state
     replaced) exact.  ``lam`` is a scalar or one value per row."""
     lam = np.asarray(lam, dtype=np.float64)
+    if lam.ndim == 0 and 0.0 < lam < 1.0:
+        return lam * rbar + (1.0 - lam) * r
     if lam.size and (lam.min() < 0.0 or lam.max() > 1.0):
         raise ValueError("forgetting factor must lie in [0, 1]")
     if lam.ndim == 1:
@@ -271,10 +305,13 @@ def arcsine_warp(gamma: np.ndarray | float) -> np.ndarray | float:
 class FrameOutput:
     """Everything the streaming engine produced for one frame.
 
-    ``global_rbar``/``local_rbar`` reference the live post-update tracker
-    arrays (copy before storing).  ``mask_halted`` is True when the
-    previous frame's feedback mask froze the global tracker for the whole
-    frame, in which case ``global_rbar`` is the untouched previous array.
+    The row arrays may be views into buffers shared with the other frames
+    of the same block; each block gets fresh buffers, so stored rows stay
+    valid.  ``global_rbar`` references the live post-update global
+    tracker array (copy before storing).  ``mask_halted`` is True when
+    the previous frame's feedback mask froze the global tracker for the
+    whole frame, in which case ``global_rbar`` is the untouched previous
+    array.
     """
 
     frame: int
@@ -287,7 +324,6 @@ class FrameOutput:
     lam: np.ndarray
     mask_halted: bool
     mask_row: np.ndarray | None
-    local_rbar: np.ndarray
     global_rbar: np.ndarray
 
 
@@ -295,6 +331,34 @@ MaskFeedback = Callable[
     [np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None],
     np.ndarray,
 ]
+
+# Frames per feed-forward block: enough to amortize numpy's per-call
+# overhead, few enough that the block buffers stay a few MB at 8 mics.
+_BLOCK_FRAMES = 64
+
+
+def _local_tracker(
+    rtfs: np.ndarray, rbar: np.ndarray | None, cfg: CoherenceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local coherence of a block of frames and the tracker state after it.
+
+    Each frame is scored against the state before it, all in one
+    ``coherence`` call over the stacked states.  ``rbar`` is None before
+    the first frame: the tracker opens on that frame's vector, which is
+    then blended in like any other, and its coherence is 1 by definition
+    (the vector is compared with itself), not the rounded dot product.
+    """
+    before = np.empty_like(rtfs)
+    opening = rbar is None
+    for i, rtf in enumerate(rtfs):
+        if rbar is None:
+            rbar = rtf
+        before[i] = rbar
+        rbar = _blend(rbar, rtf, cfg.lambda_local)
+    gamma = coherence(rtfs, before, cfg.epsilon)
+    if opening:
+        gamma[0] = 1.0
+    return gamma, rbar
 
 
 def stream_frames(
@@ -316,6 +380,11 @@ def stream_frames(
     enabled) coherence rows, and its output row becomes the next frame's
     halting input.  Latency is ``R`` frames of lookahead from the
     short-term average.
+
+    Nothing before the global tracker depends on the mask, so the RTFs,
+    the local tracker and its coherence run a block of frames ahead (the
+    feed-forward stage); the global tracker, the schedule and the
+    estimator then run frame by frame over the block.
     """
     tensor = _as_spec_tensor(specs)
     num_frames = tensor.shape[1]
@@ -329,67 +398,72 @@ def stream_frames(
     global_rbar: np.ndarray | None = None
     prev_mask: np.ndarray | None = None
 
-    for frame in range(num_frames):
-        rtf, low_energy = short_term_whitened_rtf(tensor, frame, cfg)
-        if local_rbar is None:
-            # Trackers open on the first observation, so coherence is 1 by
-            # definition there (the vector is compared with itself).
-            local_rbar = global_rbar = rtf
-            gamma_local, gamma_global = np.ones(num_bins), np.ones(num_bins)
-        else:
-            gamma_local = coherence(rtf, local_rbar, cfg.epsilon)
-            gamma_global = coherence(rtf, global_rbar, cfg.epsilon)
+    for start in range(0, num_frames, _BLOCK_FRAMES):
+        stop = min(start + _BLOCK_FRAMES, num_frames)
+        # Feed-forward stage: nothing here reads the mask.
+        rtfs, low_energies = _block_whitened_rtf(tensor, start, stop, cfg)
+        gamma_locals, local_rbar = _local_tracker(rtfs, local_rbar, cfg)
+        gamma_locals_w = arcsine_warp(gamma_locals) if cfg.apply_arcsine else None
 
-        if cfg.time_varying:
-            mask_halted = _mask_is_energetic(prev_mask, cfg.beta)
-            lam = lambda_schedule(prev_mask, gamma_local, cfg)
-        else:
-            mask_halted = False
-            lam = np.full(num_bins, cfg.lambda_global)
+        # Sequential stage: everything downstream of the mask feedback.
+        for i, frame in enumerate(range(start, stop)):
+            rtf = rtfs[i]
+            gamma_local = gamma_locals[i]
+            if global_rbar is None:
+                global_rbar = rtf
+                gamma_global = np.ones(num_bins)
+            else:
+                gamma_global = coherence(rtf, global_rbar, cfg.epsilon)
 
-        local_rbar = _blend(local_rbar, rtf, cfg.lambda_local)
-        if not mask_halted:
-            global_rbar = _blend(global_rbar, rtf, lam)
-        # on mask-halted frames global_rbar is reused untouched (bit-identical)
+            if cfg.time_varying:
+                mask_halted = _mask_is_energetic(prev_mask, cfg.beta)
+                lam = lambda_schedule(prev_mask, gamma_local, cfg)
+                if not mask_halted:
+                    global_rbar = _blend(global_rbar, rtf, lam)
+                # on mask-halted frames global_rbar is reused untouched
+                # (bit-identical)
+            else:
+                mask_halted = False
+                lam = np.full(num_bins, cfg.lambda_global)
+                global_rbar = _blend(global_rbar, rtf, cfg.lambda_global)
 
-        gamma_local_w = arcsine_warp(gamma_local) if cfg.apply_arcsine else None
-        gamma_global_w = arcsine_warp(gamma_global) if cfg.apply_arcsine else None
+            gamma_local_w = gamma_locals_w[i] if cfg.apply_arcsine else None
+            gamma_global_w = arcsine_warp(gamma_global) if cfg.apply_arcsine else None
 
-        mask_row = None
-        if mask_feedback is not None:
-            magnitude = np.abs(tensor[0, frame])
-            local_feat = gamma_local_w if cfg.apply_arcsine else gamma_local
-            global_feat = gamma_global_w if cfg.apply_arcsine else gamma_global
-            banded = None
-            if filterbank is not None:
-                banded = (
-                    pool_feature(local_feat, filterbank),
-                    pool_feature(global_feat, filterbank),
+            mask_row = None
+            if mask_feedback is not None:
+                magnitude = np.abs(tensor[0, frame])
+                local_feat = gamma_local_w if cfg.apply_arcsine else gamma_local
+                global_feat = gamma_global_w if cfg.apply_arcsine else gamma_global
+                banded = None
+                if filterbank is not None:
+                    banded = (
+                        pool_feature(local_feat, filterbank),
+                        pool_feature(global_feat, filterbank),
+                    )
+                mask_row = np.asarray(
+                    mask_feedback(magnitude, local_feat, global_feat, banded),
+                    dtype=np.float64,
                 )
-            mask_row = np.asarray(
-                mask_feedback(magnitude, local_feat, global_feat, banded),
-                dtype=np.float64,
-            )
-            if mask_row.shape != (num_bins,):
-                raise ValueError("mask estimator returned a row of the wrong length")
-            if not np.all(np.isfinite(mask_row)) or mask_row.min() < 0.0 or mask_row.max() > 1.0:
-                raise ValueError("mask estimator returned values outside [0, 1]")
-            prev_mask = mask_row
+                if mask_row.shape != (num_bins,):
+                    raise ValueError("mask estimator returned a row of the wrong length")
+                if not np.all(np.isfinite(mask_row)) or mask_row.min() < 0.0 or mask_row.max() > 1.0:
+                    raise ValueError("mask estimator returned values outside [0, 1]")
+                prev_mask = mask_row
 
-        yield FrameOutput(
-            frame=frame,
-            rtf=rtf,
-            low_energy=low_energy,
-            gamma_local=gamma_local,
-            gamma_global=gamma_global,
-            gamma_local_warped=gamma_local_w,
-            gamma_global_warped=gamma_global_w,
-            lam=lam,
-            mask_halted=mask_halted,
-            mask_row=mask_row,
-            local_rbar=local_rbar,
-            global_rbar=global_rbar,
-        )
+            yield FrameOutput(
+                frame=frame,
+                rtf=rtf,
+                low_energy=low_energies[i],
+                gamma_local=gamma_local,
+                gamma_global=gamma_global,
+                gamma_local_warped=gamma_local_w,
+                gamma_global_warped=gamma_global_w,
+                lam=lam,
+                mask_halted=mask_halted,
+                mask_row=mask_row,
+                global_rbar=global_rbar,
+            )
 
 
 @dataclasses.dataclass

@@ -185,8 +185,17 @@ def stft(x: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
 def stft_multichannel(
     audio: MultichannelAudio, cfg: StftConfig = StftConfig()
 ) -> np.ndarray:
-    """Stack per-channel STFTs into an (M, L, F) tensor."""
-    return np.stack([stft(audio.channel(m), cfg) for m in range(audio.num_channels)])
+    """Per-channel STFTs as one (M, L, F) tensor.
+
+    The tensor is allocated once and each channel's STFT is written into
+    its slice, so the peak is the tensor plus one channel's temporaries
+    rather than two tensors.
+    """
+    num_frames = cfg.num_frames(audio.num_samples)
+    out = np.empty((audio.num_channels, num_frames, cfg.num_bins), dtype=np.complex128)
+    for m in range(audio.num_channels):
+        out[m] = stft(audio.channel(m), cfg)
+    return out
 
 
 def istft(

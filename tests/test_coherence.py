@@ -2,17 +2,21 @@
 oracle equivalence, and the binary/CSV export formats."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import delayed_array_audio, random_small_specs
+import oracle_frame_engine
 from oracle_lstsc import oracle_lstsc, oracle_short_term_rtf
 
 from lstsc.coherence import (
     VARIANT_SETTINGS,
     CoherenceConfig,
+    FrameOutput,
     _blend,
     arcsine_warp,
     coherence,
@@ -441,6 +445,67 @@ class TestHalting:
             float(np.mean(rows[l - 1] ** 2)) > cfg.beta for l in range(1, 10)
         ]
         assert halted == expected
+
+
+@st.composite
+def _engine_inputs(draw):
+    """Spectra with the edge cases of real STFTs: DC and Nyquist carry an
+    exactly zero imaginary part of either sign, and silent frames, silent
+    channels or silent reference bins make the low-energy flags fire."""
+    R = draw(st.integers(0, 3))
+    num_frames = draw(st.one_of(
+        st.sampled_from([1, 2, 2 * R + 1, 63, 64, 65, 128, 129]), st.integers(1, 200)
+    ))
+    num_mics = draw(st.integers(2, 5))
+    num_bins = draw(st.sampled_from([48, 57]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specs = random_small_specs(rng, num_mics, num_frames, num_bins)
+    for edge in (0, -1):
+        specs[:, :, edge] = specs[:, :, edge].real + 1j * np.copysign(
+            0.0, rng.standard_normal((num_mics, num_frames))
+        )
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, num_frames - 1))
+        specs[:, lo : lo + draw(st.integers(1, 8)), :] = 0.0
+    if draw(st.booleans()):
+        specs[draw(st.integers(1, num_mics - 1))] = 0.0
+    if draw(st.booleans()):
+        specs[0, :, draw(st.integers(0, num_bins - 1))] = 0.0
+    return R, specs
+
+
+def _same_bytes(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+class TestBlockEngine:
+    """The block engine against the per-frame reference loop."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_engine_inputs())
+    def test_matches_per_frame_engine(self, inputs):
+        R, specs = inputs
+        cfg = CoherenceConfig(R=R)
+        for frame in range(specs.shape[1]):
+            got = short_term_whitened_rtf(specs, frame, cfg)
+            want = oracle_frame_engine.short_term_whitened_rtf(specs, frame, cfg)
+            assert all(map(_same_bytes, got, want)), frame
+        fields = [f.name for f in dataclasses.fields(FrameOutput)]
+        for variant in sorted(VARIANT_SETTINGS):
+            cfg = CoherenceConfig.for_variant(variant, R=R)
+            for estimator in (None, HeuristicMaskEstimator()):
+                want = oracle_frame_engine.stream_frames(specs, cfg, estimator)
+                count = 0
+                for got, ref in zip(stream_frames(specs, cfg, estimator), want, strict=True):
+                    for name in fields:
+                        assert _same_bytes(getattr(got, name), getattr(ref, name)), (
+                            variant, estimator, got.frame, name
+                        )
+                    count += 1
+                assert count == specs.shape[1]
 
 
 class TestExport:

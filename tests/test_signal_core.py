@@ -1,6 +1,8 @@
 """Framing, transforms, WAV I/O, and masking contracts."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from lstsc.signal_core import (
     load_wav,
     save_wav,
     stft,
+    stft_multichannel,
 )
 
 CFG = StftConfig()
@@ -150,6 +153,24 @@ class TestStft:
         row = spec[l]
         spectral = (np.abs(row[0]) ** 2 + 2 * np.sum(np.abs(row[1:-1]) ** 2) + np.abs(row[-1]) ** 2) / CFG.fft_size
         assert abs(time_energy - spectral) <= 1e-9 * max(time_energy, 1e-30)
+
+    def test_multichannel_stacks_channels(self, rng):
+        audio = MultichannelAudio(rng.standard_normal((3, 2000)), 16000)
+        specs = stft_multichannel(audio, CFG)
+        assert specs.shape == (3, 11, 257) and specs.dtype == np.complex128
+        for m in range(3):
+            assert specs[m].tobytes() == stft(audio.channel(m), CFG).tobytes()
+
+    def test_multichannel_peak_memory(self, rng):
+        # the tensor plus one channel's temporaries, not a second tensor
+        audio = MultichannelAudio(rng.standard_normal((8, 16000)), 16000)
+        tracemalloc.start()
+        try:
+            specs = stft_multichannel(audio, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * specs.nbytes
 
 
 class TestIstft:
