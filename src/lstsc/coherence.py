@@ -243,8 +243,11 @@ def coherence(r: np.ndarray, rbar: np.ndarray, epsilon: float = 1e-12) -> np.nda
     (``whiten(rbar, epsilon)``, minus the row flags it has no use for).
     Returns ``clip(Re{r^H whiten(rbar)} / (M - 1), -1, 1)`` per row.
     """
-    r = np.asarray(r, dtype=np.complex128)
-    rbar_white, _ = _unit_modulus(rbar, epsilon)
+    return _similarity(np.asarray(r, dtype=np.complex128), _unit_modulus(rbar, epsilon)[0])
+
+
+def _similarity(r: np.ndarray, rbar_white: np.ndarray) -> np.ndarray:
+    """``coherence`` against a state that is already whitened."""
     num = (r.real * rbar_white.real + r.imag * rbar_white.imag).sum(axis=-1)
     return np.clip(num / r.shape[-1], -1.0, 1.0)
 
@@ -276,7 +279,8 @@ def lambda_schedule(
     gamma_local_row: np.ndarray,
     cfg: CoherenceConfig = CoherenceConfig(),
 ) -> np.ndarray:
-    """Per-bin global forgetting factor for one frame.
+    """Per-bin global forgetting factor for one frame (or each row of a
+    block of frames that share the previous mask).
 
     If the previous frame's mask is energetic (mean squared value above
     ``beta``) adaptation halts: lambda = 1 everywhere.  Otherwise each bin
@@ -307,11 +311,12 @@ class FrameOutput:
 
     The row arrays may be views into buffers shared with the other frames
     of the same block; each block gets fresh buffers, so stored rows stay
-    valid.  ``global_rbar`` references the live post-update global
-    tracker array (copy before storing).  ``mask_halted`` is True when
-    the previous frame's feedback mask froze the global tracker for the
-    whole frame, in which case ``global_rbar`` is the untouched previous
-    array.
+    valid.  ``global_rbar`` is the post-update global tracker state: a
+    row of the block's state stack when the tracker runs a block ahead,
+    the live tracker array while the mask steers it (copy before
+    storing).  ``mask_halted`` is True when the previous frame's feedback
+    mask froze the global tracker for the whole frame, in which case
+    ``global_rbar`` is the untouched previous array.
     """
 
     frame: int
@@ -337,28 +342,49 @@ MaskFeedback = Callable[
 _BLOCK_FRAMES = 64
 
 
-def _local_tracker(
-    rtfs: np.ndarray, rbar: np.ndarray | None, cfg: CoherenceConfig
+def _tracker(
+    rtfs: np.ndarray, rbar: np.ndarray | None, lam, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Local coherence of a block of frames and the tracker state after it.
+    """Coherence of a block of frames with a tracker, and its states.
 
-    Each frame is scored against the state before it, all in one
-    ``coherence`` call over the stacked states.  ``rbar`` is None before
-    the first frame: the tracker opens on that frame's vector, which is
-    then blended in like any other, and its coherence is 1 by definition
-    (the vector is compared with itself), not the rounded dot product.
+    ``lam`` is a scalar or one row per frame.  ``states[0]`` is the state
+    before the block and ``states[i + 1]`` the state after frame ``i``;
+    each frame is scored against the state before it, all in one
+    ``coherence`` call.  ``rbar`` is None before the first frame: the
+    tracker opens on that frame's vector, which is then blended in like
+    any other, and its coherence is 1 by definition (the vector is
+    compared with itself), not the rounded dot product.
     """
-    before = np.empty_like(rtfs)
-    opening = rbar is None
+    states = np.empty((len(rtfs) + 1,) + rtfs.shape[1:], dtype=rtfs.dtype)
+    states[0] = rtfs[0] if rbar is None else rbar
+    rows = np.ndim(lam) > 0
     for i, rtf in enumerate(rtfs):
-        if rbar is None:
-            rbar = rtf
-        before[i] = rbar
-        rbar = _blend(rbar, rtf, cfg.lambda_local)
-    gamma = coherence(rtfs, before, cfg.epsilon)
-    if opening:
+        states[i + 1] = _blend(states[i], rtf, lam[i] if rows else lam)
+    gamma = coherence(rtfs, states[:-1], epsilon)
+    if rbar is None:
         gamma[0] = 1.0
-    return gamma, rbar
+    return gamma, states
+
+
+def _estimate_mask(
+    mask_feedback: MaskFeedback,
+    magnitude: np.ndarray,
+    local_feat: np.ndarray,
+    global_feat: np.ndarray,
+    filterbank: ErbFilterbank | None,
+) -> np.ndarray:
+    """One estimator call, its row checked for length and range."""
+    banded = None
+    if filterbank is not None:
+        banded = (pool_feature(local_feat, filterbank), pool_feature(global_feat, filterbank))
+    mask_row = np.asarray(
+        mask_feedback(magnitude, local_feat, global_feat, banded), dtype=np.float64
+    )
+    if mask_row.shape != magnitude.shape:
+        raise ValueError("mask estimator returned a row of the wrong length")
+    if not np.all(np.isfinite(mask_row)) or mask_row.min() < 0.0 or mask_row.max() > 1.0:
+        raise ValueError("mask estimator returned values outside [0, 1]")
+    return mask_row
 
 
 def stream_frames(
@@ -381,89 +407,99 @@ def stream_frames(
     halting input.  Latency is ``R`` frames of lookahead from the
     short-term average.
 
-    Nothing before the global tracker depends on the mask, so the RTFs,
-    the local tracker and its coherence run a block of frames ahead (the
-    feed-forward stage); the global tracker, the schedule and the
-    estimator then run frame by frame over the block.
+    Only the time-varying schedule reads the mask, so everything else runs
+    a block of frames ahead (the feed-forward stage): the RTFs, the local
+    tracker and its coherence, the mask-free lambda rows and, unless an
+    estimator steers it, the global tracker and its coherence.  The
+    estimator, and the global tracker it steers, then run frame by frame
+    over the block.
     """
     tensor = _as_spec_tensor(specs)
     num_frames = tensor.shape[1]
-    num_bins = tensor.shape[2]
 
     if filterbank is None and cfg.erb_bands is not None:
-        fft_size = 2 * (num_bins - 1)
+        fft_size = 2 * (tensor.shape[2] - 1)
         filterbank = design_filterbank(sample_rate, fft_size, cfg.erb_bands)
 
+    steered = cfg.time_varying and mask_feedback is not None
     local_rbar: np.ndarray | None = None
     global_rbar: np.ndarray | None = None
+    # whiten(global_rbar), kept while halted frames leave the state as is
+    global_white: np.ndarray | None = None
     prev_mask: np.ndarray | None = None
 
     for start in range(0, num_frames, _BLOCK_FRAMES):
         stop = min(start + _BLOCK_FRAMES, num_frames)
         # Feed-forward stage: nothing here reads the mask.
         rtfs, low_energies = _block_whitened_rtf(tensor, start, stop, cfg)
-        gamma_locals, local_rbar = _local_tracker(rtfs, local_rbar, cfg)
-        gamma_locals_w = arcsine_warp(gamma_locals) if cfg.apply_arcsine else None
+        gamma_locals, local_states = _tracker(rtfs, local_rbar, cfg.lambda_local, cfg.epsilon)
+        local_rbar = local_states[-1].copy()
+        del local_states
+        # lambda of every frame that no mask halts
+        if cfg.time_varying:
+            lams = lambda_schedule(None, gamma_locals, cfg)
+        else:
+            lams = np.full(gamma_locals.shape, cfg.lambda_global)
+        global_states = None
+        if steered:
+            gamma_globals = np.empty_like(gamma_locals)
+        else:
+            # lstsc-1's scalar keeps _blend's fast path
+            global_lam = lams if cfg.time_varying else cfg.lambda_global
+            gamma_globals, global_states = _tracker(rtfs, global_rbar, global_lam, cfg.epsilon)
+            global_rbar = global_states[-1].copy()
+        gamma_locals_w = gamma_globals_w = None
+        if cfg.apply_arcsine:
+            gamma_locals_w = arcsine_warp(gamma_locals)
+            gamma_globals_w = np.empty_like(gamma_globals) if steered else arcsine_warp(gamma_globals)
+        local_feats, global_feats = (
+            (gamma_locals_w, gamma_globals_w) if cfg.apply_arcsine else (gamma_locals, gamma_globals)
+        )
+        magnitudes = np.abs(tensor[0, start:stop]) if mask_feedback is not None else None
 
         # Sequential stage: everything downstream of the mask feedback.
         for i, frame in enumerate(range(start, stop)):
-            rtf = rtfs[i]
-            gamma_local = gamma_locals[i]
-            if global_rbar is None:
-                global_rbar = rtf
-                gamma_global = np.ones(num_bins)
-            else:
-                gamma_global = coherence(rtf, global_rbar, cfg.epsilon)
-
-            if cfg.time_varying:
+            mask_halted = False
+            if steered:
                 mask_halted = _mask_is_energetic(prev_mask, cfg.beta)
-                lam = lambda_schedule(prev_mask, gamma_local, cfg)
-                if not mask_halted:
-                    global_rbar = _blend(global_rbar, rtf, lam)
-                # on mask-halted frames global_rbar is reused untouched
-                # (bit-identical)
-            else:
-                mask_halted = False
-                lam = np.full(num_bins, cfg.lambda_global)
-                global_rbar = _blend(global_rbar, rtf, cfg.lambda_global)
-
-            gamma_local_w = gamma_locals_w[i] if cfg.apply_arcsine else None
-            gamma_global_w = arcsine_warp(gamma_global) if cfg.apply_arcsine else None
+                if global_rbar is None:
+                    global_rbar = rtfs[i]
+                    gamma_globals[i] = 1.0
+                else:
+                    if global_white is None:
+                        global_white = _unit_modulus(global_rbar, cfg.epsilon)[0]
+                    gamma_globals[i] = _similarity(rtfs[i], global_white)
+                if mask_halted:
+                    # global_rbar is reused untouched (bit-identical)
+                    lams[i] = 1.0
+                else:
+                    global_rbar = _blend(global_rbar, rtfs[i], lams[i])
+                    global_white = None
+                if cfg.apply_arcsine:
+                    gamma_globals_w[i] = arcsine_warp(gamma_globals[i])
 
             mask_row = None
             if mask_feedback is not None:
-                magnitude = np.abs(tensor[0, frame])
-                local_feat = gamma_local_w if cfg.apply_arcsine else gamma_local
-                global_feat = gamma_global_w if cfg.apply_arcsine else gamma_global
-                banded = None
-                if filterbank is not None:
-                    banded = (
-                        pool_feature(local_feat, filterbank),
-                        pool_feature(global_feat, filterbank),
-                    )
-                mask_row = np.asarray(
-                    mask_feedback(magnitude, local_feat, global_feat, banded),
-                    dtype=np.float64,
+                mask_row = prev_mask = _estimate_mask(
+                    mask_feedback, magnitudes[i], local_feats[i], global_feats[i], filterbank
                 )
-                if mask_row.shape != (num_bins,):
-                    raise ValueError("mask estimator returned a row of the wrong length")
-                if not np.all(np.isfinite(mask_row)) or mask_row.min() < 0.0 or mask_row.max() > 1.0:
-                    raise ValueError("mask estimator returned values outside [0, 1]")
-                prev_mask = mask_row
 
             yield FrameOutput(
                 frame=frame,
-                rtf=rtf,
+                rtf=rtfs[i],
                 low_energy=low_energies[i],
-                gamma_local=gamma_local,
-                gamma_global=gamma_global,
-                gamma_local_warped=gamma_local_w,
-                gamma_global_warped=gamma_global_w,
-                lam=lam,
+                gamma_local=gamma_locals[i],
+                gamma_global=gamma_globals[i],
+                gamma_local_warped=None if gamma_locals_w is None else gamma_locals_w[i],
+                gamma_global_warped=None if gamma_globals_w is None else gamma_globals_w[i],
+                lam=lams[i],
                 mask_halted=mask_halted,
                 mask_row=mask_row,
-                global_rbar=global_rbar,
+                global_rbar=global_rbar if steered else global_states[i + 1],
             )
+        # free this block's buffers before the next block allocates its own
+        del rtfs, low_energies, gamma_locals, gamma_globals, gamma_locals_w, gamma_globals_w
+        del local_feats, global_feats, lams, global_states, magnitudes
 
 
 @dataclasses.dataclass
@@ -536,6 +572,9 @@ def compute_lstsc(
         for row, plane in planes.items():
             plane[out.frame] = getattr(out, row)
         halted[out.frame] = out.mask_halted
+        # its rows are views that would pin the block's buffers while the
+        # engine computes the next block
+        del out
 
     banded = dict.fromkeys(("gamma_local", "gamma_global", "gamma_global_warped", "lam"))
     if filterbank is not None:

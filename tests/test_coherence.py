@@ -3,6 +3,7 @@ oracle equivalence, and the binary/CSV export formats."""
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import oracle_frame_engine
 from oracle_lstsc import oracle_lstsc, oracle_short_term_rtf
 
 from lstsc.coherence import (
+    _BLOCK_FRAMES,
     VARIANT_SETTINGS,
     CoherenceConfig,
     FrameOutput,
@@ -266,6 +268,23 @@ class TestArcsineWarp:
 
 
 class TestComputeLstsc:
+    @pytest.mark.parametrize("variant", ["lstsc-1", "lstsc-3"])
+    def test_peak_memory_holds_one_block(self, rng, variant):
+        # the planes plus one block's working set (its RTFs, one tracker's
+        # state stack and the coherence temporaries: about 4.2 RTF blocks);
+        # a previous block kept alive adds at least one more
+        num_mics, num_bins = 8, 257
+        specs = random_small_specs(rng, num_mics, 4 * _BLOCK_FRAMES, num_bins)
+        tracemalloc.start()
+        try:
+            feats = compute_lstsc(specs, CoherenceConfig.for_variant(variant))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        planes = sum(plane.nbytes for plane in vars(feats).values() if plane is not None)
+        rtf_block = _BLOCK_FRAMES * num_bins * (num_mics - 1) * specs.itemsize
+        assert peak - planes < 4.7 * rtf_block
+
     def test_shapes_independent_of_channel_count(self, rng):
         cfg = CoherenceConfig.for_variant("lstsc-1")
         for m in (2, 6):
@@ -368,16 +387,16 @@ class TestComputeLstsc:
 
 
 class _PrerecordedEstimator:
-    """Plays back fixed mask rows (for oracle comparisons and halting tests)."""
+    """Plays back fixed mask rows (for oracle comparisons and halting
+    tests) and keeps a copy of each magnitude row it is given."""
 
     def __init__(self, rows):
         self.rows = rows
-        self.calls = 0
+        self.magnitudes = []
 
     def __call__(self, magnitude, gamma_local, gamma_global, banded=None):
-        row = self.rows[self.calls]
-        self.calls += 1
-        return row
+        self.magnitudes.append(magnitude.copy())
+        return self.rows[len(self.magnitudes) - 1]
 
 
 class TestOracleAgreement:
@@ -474,6 +493,23 @@ def _engine_inputs(draw):
     return R, specs
 
 
+@st.composite
+def _mask_runs(draw, num_frames: int, num_bins: int) -> np.ndarray:
+    """Mask rows in runs of energetic rows (mean square above the default
+    beta, 0.01) and quiet ones (mean square at most 0.01), so the global
+    tracker halts, releases and halts again.  No run starts at a block
+    edge: the runs through frames 63 and 64 cross it."""
+    starts = draw(st.sets(st.integers(1, max(1, num_frames - 1)), max_size=8))
+    energetic = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.empty((num_frames, num_bins))
+    for frame in range(num_frames):
+        if frame in starts and frame % _BLOCK_FRAMES:
+            energetic = not energetic
+        rows[frame] = rng.uniform(0.2, 1.0, num_bins) if energetic else rng.uniform(0.0, 0.1, num_bins)
+    return rows
+
+
 def _same_bytes(got, want) -> bool:
     if got is None or want is None:
         return got is want
@@ -485,9 +521,11 @@ class TestBlockEngine:
     """The block engine against the per-frame reference loop."""
 
     @settings(max_examples=25, deadline=None)
-    @given(_engine_inputs())
-    def test_matches_per_frame_engine(self, inputs):
+    @given(_engine_inputs(), st.data())
+    def test_matches_per_frame_engine(self, inputs, data):
         R, specs = inputs
+        rows = data.draw(_mask_runs(*specs.shape[1:]))
+        estimators = (lambda: None, HeuristicMaskEstimator, lambda: _PrerecordedEstimator(rows))
         cfg = CoherenceConfig(R=R)
         for frame in range(specs.shape[1]):
             got = short_term_whitened_rtf(specs, frame, cfg)
@@ -496,8 +534,9 @@ class TestBlockEngine:
         fields = [f.name for f in dataclasses.fields(FrameOutput)]
         for variant in sorted(VARIANT_SETTINGS):
             cfg = CoherenceConfig.for_variant(variant, R=R)
-            for estimator in (None, HeuristicMaskEstimator()):
-                want = oracle_frame_engine.stream_frames(specs, cfg, estimator)
+            for make in estimators:
+                estimator, reference = make(), make()
+                want = oracle_frame_engine.stream_frames(specs, cfg, reference)
                 count = 0
                 for got, ref in zip(stream_frames(specs, cfg, estimator), want, strict=True):
                     for name in fields:
@@ -506,6 +545,9 @@ class TestBlockEngine:
                         )
                     count += 1
                 assert count == specs.shape[1]
+                if isinstance(estimator, _PrerecordedEstimator):
+                    got_mags, want_mags = (np.stack(e.magnitudes) for e in (estimator, reference))
+                    assert _same_bytes(got_mags, want_mags)
 
 
 class TestExport:
