@@ -9,15 +9,13 @@ energetic, which should hold that average down.  A scene counts as a win
 when the adaptive arm scores lower than the fixed arm over target-active
 frames.  Prints a per-scene table and writes an optional JSON report.
 """
-import argparse
-import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import experiment
 from lstsc.coherence import CoherenceConfig, compute_lstsc
 from lstsc.enhance import enhance_stream
 from lstsc.scenarios import build_misconvergence_scenario, mean_global_warped
@@ -25,12 +23,7 @@ from lstsc.signal_core import stft_multichannel
 
 
 def parse_args(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scenes", type=int, default=20, help="number of seeded scenes")
-    parser.add_argument("--seed0", type=int, default=0, help="first scene seed")
-    parser.add_argument("--t60", type=float, default=0.3, help="reverberation time [s]")
-    parser.add_argument("--sir", type=float, default=0.0, help="signal-to-interference ratio [dB]")
-    parser.add_argument("--snr", type=float, default=30.0, help="signal-to-noise ratio [dB]")
+    parser = experiment.parser(__doc__, scenes=20)
     parser.add_argument(
         "--utterance",
         type=float,
@@ -39,7 +32,6 @@ def parse_args(argv=None):
         metavar=("START", "STOP"),
         help="continuous target utterance span [s]",
     )
-    parser.add_argument("--json", type=Path, default=None, help="write a JSON report here")
     return parser.parse_args(argv)
 
 
@@ -72,48 +64,14 @@ def run_scene(seed, args):
 
 def main(argv=None):
     args = parse_args(argv)
-    rows = []
-    print(f"{'seed':>5} {'fixed':>9} {'adaptive':>9} {'delta':>8}  win")
-    for seed in range(args.seed0, args.seed0 + args.scenes):
-        row = run_scene(seed, args)
-        rows.append(row)
-        print(
-            f"{row['seed']:>5} {row['mean_fixed']:>9.4f} "
-            f"{row['mean_adaptive']:>9.4f} {row['delta']:>+8.4f}  "
-            f"{'yes' if row['win'] else 'NO'}"
-        )
-
-    deltas = np.array([row["delta"] for row in rows])
-    wins = sum(row["win"] for row in rows)
-    print(
-        f"\n{wins}/{len(rows)} wins | delta min {deltas.min():+.4f} "
-        f"median {np.median(deltas):+.4f} max {deltas.max():+.4f}"
+    return experiment.run(
+        args,
+        "misconvergence_ab",
+        {"utterance": list(args.utterance)},
+        run_scene,
+        columns=(("fixed", "mean_fixed"), ("adaptive", "mean_adaptive")),
+        stat="delta",
     )
-
-    if args.json is not None:
-        report = {
-            "experiment": "misconvergence_ab",
-            "config": {
-                "scenes": args.scenes,
-                "seed0": args.seed0,
-                "t60": args.t60,
-                "sir_db": args.sir,
-                "snr_db": args.snr,
-                "utterance": list(args.utterance),
-            },
-            "scenes": rows,
-            "summary": {
-                "wins": int(wins),
-                "delta_min": float(deltas.min()),
-                "delta_median": float(np.median(deltas)),
-                "delta_max": float(deltas.max()),
-            },
-        }
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"report written to {args.json}")
-
-    return 0 if wins else 1
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from .erb import ErbFilterbank, design_filterbank, pool_feature
 
 __all__ = [
     "CoherenceConfig",
-    "FrameOutput",
+    "FrameBlock",
     "LstscFeatures",
     "VARIANT_SETTINGS",
     "short_term_whitened_rtf",
@@ -127,12 +127,26 @@ class CoherenceConfig:
         return 2 * self.R + 1
 
 
-def _as_spec_tensor(specs) -> np.ndarray:
+def _as_spec_tensor(specs, scan: bool = True) -> np.ndarray:
+    """``specs`` as an (M, L, F) array with M >= 2 and, when ``scan`` is
+    set, finite entries; ``compute_lstsc`` leaves the scan to the engine."""
     tensor = np.asarray(specs)
     if tensor.ndim != 3:
         raise ValueError("expected per-channel spectrograms stacked as (M, L, F)")
     if tensor.shape[0] < 2:
         raise ValueError("spatial coherence requires at least 2 microphones")
+    if scan:
+        # the sum is finite for all-finite spectra short of overflow; only
+        # then is the allocating scan needed
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = tensor.sum()
+        if not np.isfinite(total):
+            bad = np.argwhere(~np.isfinite(tensor))
+            if bad.size:
+                channel, frame, bin_ = bad[0]
+                raise ValueError(
+                    f"non-finite spectrum entry at channel {channel}, frame {frame}, bin {bin_}"
+                )
     return tensor
 
 
@@ -306,30 +320,34 @@ def arcsine_warp(gamma: np.ndarray | float) -> np.ndarray | float:
 
 
 @dataclasses.dataclass
-class FrameOutput:
-    """Everything the streaming engine produced for one frame.
+class FrameBlock:
+    """Everything the streaming engine produced for a block of frames.
 
-    The row arrays may be views into buffers shared with the other frames
-    of the same block; each block gets fresh buffers, so stored rows stay
-    valid.  ``global_rbar`` is the post-update global tracker state: a
-    row of the block's state stack when the tracker runs a block ahead,
-    the live tracker array while the mask steers it (copy before
-    storing).  ``mask_halted`` is True when the previous frame's feedback
-    mask froze the global tracker for the whole frame, in which case
-    ``global_rbar`` is the untouched previous array.
+    The block holds clip frames ``start`` onward, one row per frame on the
+    leading axis of every field; the field names are those of
+    ``LstscFeatures``.  ``rtf`` and ``global_rbar`` are (n, F, M-1): the
+    whitened RTFs and the global tracker state after each frame.
+    ``mask_halted`` flags the frames whose previous feedback mask froze
+    the global tracker; such a frame's state row equals the one before it
+    bit for bit and its ``lambda_trace`` row is all ones.
     """
 
-    frame: int
+    start: int
     rtf: np.ndarray
     low_energy: np.ndarray
     gamma_local: np.ndarray
     gamma_global: np.ndarray
     gamma_local_warped: np.ndarray | None
     gamma_global_warped: np.ndarray | None
-    lam: np.ndarray
-    mask_halted: bool
-    mask_row: np.ndarray | None
+    lambda_trace: np.ndarray
+    mask_halted: np.ndarray
+    mask: np.ndarray | None
     global_rbar: np.ndarray
+
+    @property
+    def frames(self) -> slice:
+        """The clip frames of this block."""
+        return slice(self.start, self.start + len(self.mask_halted))
 
 
 MaskFeedback = Callable[
@@ -355,8 +373,7 @@ def _tracker(
     any other, and its coherence is 1 by definition (the vector is
     compared with itself), not the rounded dot product.
     """
-    states = np.empty((len(rtfs) + 1,) + rtfs.shape[1:], dtype=rtfs.dtype)
-    states[0] = rtfs[0] if rbar is None else rbar
+    states = _open_states(rtfs, rbar)
     rows = np.ndim(lam) > 0
     for i, rtf in enumerate(rtfs):
         states[i + 1] = _blend(states[i], rtf, lam[i] if rows else lam)
@@ -364,6 +381,13 @@ def _tracker(
     if rbar is None:
         gamma[0] = 1.0
     return gamma, states
+
+
+def _open_states(rtfs: np.ndarray, rbar: np.ndarray | None) -> np.ndarray:
+    """A tracker's state stack for a block, ``states[0]`` filled in."""
+    states = np.empty((len(rtfs) + 1,) + rtfs.shape[1:], dtype=rtfs.dtype)
+    states[0] = rtfs[0] if rbar is None else rbar
+    return states
 
 
 def _estimate_mask(
@@ -393,8 +417,9 @@ def stream_frames(
     mask_feedback: MaskFeedback | None = None,
     sample_rate: int = 16000,
     filterbank: ErbFilterbank | None = None,
-) -> Iterator[FrameOutput]:
-    """Sequential frame-by-frame feature engine.
+) -> Iterator[FrameBlock]:
+    """Block-by-block feature engine: one ``FrameBlock`` per
+    ``_BLOCK_FRAMES`` frames, in clip order.
 
     Per frame: estimate the whitened short-term RTF; score it against the
     local tracker, then update the local tracker; derive the global
@@ -405,14 +430,14 @@ def stream_frames(
     with the reference-channel magnitude frame and the (warped, when
     enabled) coherence rows, and its output row becomes the next frame's
     halting input.  Latency is ``R`` frames of lookahead from the
-    short-term average.
+    short-term average.  Non-finite spectra are rejected.
 
     Only the time-varying schedule reads the mask, so everything else runs
-    a block of frames ahead (the feed-forward stage): the RTFs, the local
-    tracker and its coherence, the mask-free lambda rows and, unless an
-    estimator steers it, the global tracker and its coherence.  The
-    estimator, and the global tracker it steers, then run frame by frame
-    over the block.
+    once per block (the feed-forward stage): the RTFs, the local tracker
+    and its coherence, the mask-free lambda rows and, unless an estimator
+    steers it, the global tracker and its coherence.  With an estimator,
+    a loop over the block's frames then calls it and runs the global
+    tracker it steers.
     """
     tensor = _as_spec_tensor(specs)
     num_frames = tensor.shape[1]
@@ -431,75 +456,74 @@ def stream_frames(
     for start in range(0, num_frames, _BLOCK_FRAMES):
         stop = min(start + _BLOCK_FRAMES, num_frames)
         # Feed-forward stage: nothing here reads the mask.
-        rtfs, low_energies = _block_whitened_rtf(tensor, start, stop, cfg)
-        gamma_locals, local_states = _tracker(rtfs, local_rbar, cfg.lambda_local, cfg.epsilon)
+        rtf, low_energy = _block_whitened_rtf(tensor, start, stop, cfg)
+        gamma_local, local_states = _tracker(rtf, local_rbar, cfg.lambda_local, cfg.epsilon)
         local_rbar = local_states[-1].copy()
         del local_states
         # lambda of every frame that no mask halts
         if cfg.time_varying:
-            lams = lambda_schedule(None, gamma_locals, cfg)
+            lam = lambda_schedule(None, gamma_local, cfg)
         else:
-            lams = np.full(gamma_locals.shape, cfg.lambda_global)
-        global_states = None
+            lam = np.full(gamma_local.shape, cfg.lambda_global)
         if steered:
-            gamma_globals = np.empty_like(gamma_locals)
+            gamma_global, states = np.empty_like(gamma_local), _open_states(rtf, global_rbar)
         else:
             # lstsc-1's scalar keeps _blend's fast path
-            global_lam = lams if cfg.time_varying else cfg.lambda_global
-            gamma_globals, global_states = _tracker(rtfs, global_rbar, global_lam, cfg.epsilon)
-            global_rbar = global_states[-1].copy()
-        gamma_locals_w = gamma_globals_w = None
+            global_lam = lam if cfg.time_varying else cfg.lambda_global
+            gamma_global, states = _tracker(rtf, global_rbar, global_lam, cfg.epsilon)
+        gamma_local_w = gamma_global_w = None
         if cfg.apply_arcsine:
-            gamma_locals_w = arcsine_warp(gamma_locals)
-            gamma_globals_w = np.empty_like(gamma_globals) if steered else arcsine_warp(gamma_globals)
-        local_feats, global_feats = (
-            (gamma_locals_w, gamma_globals_w) if cfg.apply_arcsine else (gamma_locals, gamma_globals)
+            gamma_local_w = arcsine_warp(gamma_local)
+            gamma_global_w = np.empty_like(gamma_global) if steered else arcsine_warp(gamma_global)
+        halted = np.zeros(stop - start, dtype=bool)
+        mask = magnitudes = None
+        local_feat, global_feat = (
+            (gamma_local_w, gamma_global_w) if cfg.apply_arcsine else (gamma_local, gamma_global)
         )
-        magnitudes = np.abs(tensor[0, start:stop]) if mask_feedback is not None else None
 
-        # Sequential stage: everything downstream of the mask feedback.
-        for i, frame in enumerate(range(start, stop)):
-            mask_halted = False
-            if steered:
-                mask_halted = _mask_is_energetic(prev_mask, cfg.beta)
-                if global_rbar is None:
-                    global_rbar = rtfs[i]
-                    gamma_globals[i] = 1.0
-                else:
-                    if global_white is None:
-                        global_white = _unit_modulus(global_rbar, cfg.epsilon)[0]
-                    gamma_globals[i] = _similarity(rtfs[i], global_white)
-                if mask_halted:
-                    # global_rbar is reused untouched (bit-identical)
-                    lams[i] = 1.0
-                else:
-                    global_rbar = _blend(global_rbar, rtfs[i], lams[i])
-                    global_white = None
-                if cfg.apply_arcsine:
-                    gamma_globals_w[i] = arcsine_warp(gamma_globals[i])
-
-            mask_row = None
-            if mask_feedback is not None:
-                mask_row = prev_mask = _estimate_mask(
-                    mask_feedback, magnitudes[i], local_feats[i], global_feats[i], filterbank
+        if mask_feedback is not None:
+            # Sequential stage: everything downstream of the mask feedback.
+            mask = np.empty_like(gamma_local)
+            magnitudes = np.abs(tensor[0, start:stop])
+            for i in range(stop - start):
+                if steered:
+                    halted[i] = _mask_is_energetic(prev_mask, cfg.beta)
+                    if start + i == 0:
+                        gamma_global[i] = 1.0
+                    else:
+                        if global_white is None:
+                            global_white = _unit_modulus(states[i], cfg.epsilon)[0]
+                        gamma_global[i] = _similarity(rtf[i], global_white)
+                    if halted[i]:
+                        # the state is reused untouched (bit-identical)
+                        states[i + 1] = states[i]
+                        lam[i] = 1.0
+                    else:
+                        states[i + 1] = _blend(states[i], rtf[i], lam[i])
+                        global_white = None
+                    if cfg.apply_arcsine:
+                        gamma_global_w[i] = arcsine_warp(gamma_global[i])
+                mask[i] = prev_mask = _estimate_mask(
+                    mask_feedback, magnitudes[i], local_feat[i], global_feat[i], filterbank
                 )
 
-            yield FrameOutput(
-                frame=frame,
-                rtf=rtfs[i],
-                low_energy=low_energies[i],
-                gamma_local=gamma_locals[i],
-                gamma_global=gamma_globals[i],
-                gamma_local_warped=None if gamma_locals_w is None else gamma_locals_w[i],
-                gamma_global_warped=None if gamma_globals_w is None else gamma_globals_w[i],
-                lam=lams[i],
-                mask_halted=mask_halted,
-                mask_row=mask_row,
-                global_rbar=global_rbar if steered else global_states[i + 1],
-            )
+        global_rbar = states[-1].copy()
+        yield FrameBlock(
+            start=start,
+            rtf=rtf,
+            low_energy=low_energy,
+            gamma_local=gamma_local,
+            gamma_global=gamma_global,
+            gamma_local_warped=gamma_local_w,
+            gamma_global_warped=gamma_global_w,
+            lambda_trace=lam,
+            mask_halted=halted,
+            mask=mask,
+            global_rbar=states[1:],
+        )
         # free this block's buffers before the next block allocates its own
-        del rtfs, low_energies, gamma_locals, gamma_globals, gamma_locals_w, gamma_globals_w
-        del local_feats, global_feats, lams, global_states, magnitudes
+        del rtf, low_energy, gamma_local, gamma_global, gamma_local_w, gamma_global_w
+        del lam, halted, mask, states, magnitudes, local_feat, global_feat
 
 
 @dataclasses.dataclass
@@ -545,58 +569,43 @@ def compute_lstsc(
 ) -> LstscFeatures:
     """Run the streaming engine over a whole clip and collect the outputs.
 
-    Each (L, F) plane is allocated once and row ``l`` is filled from frame
-    ``l``; the warped planes exist only with ``cfg.apply_arcsine`` and the
-    mask only with ``mask_feedback``.  With ``cfg.erb_bands`` set, banded
+    Each plane is allocated once and filled a block of rows at a time;
+    the warped planes exist only with ``cfg.apply_arcsine`` and the mask
+    only with ``mask_feedback``.  With ``cfg.erb_bands`` set, banded
     (L, B) planes are added alongside.
     """
-    tensor = _as_spec_tensor(specs)
+    tensor = _as_spec_tensor(specs, scan=False)  # stream_frames scans it
     _, num_frames, num_bins = tensor.shape
     filterbank = None
     if cfg.erb_bands is not None:
         filterbank = design_filterbank(sample_rate, 2 * (num_bins - 1), cfg.erb_bands)
 
-    rows = ["gamma_local", "gamma_global", "lam", "low_energy"]
+    names = ["gamma_local", "gamma_global", "lambda_trace", "low_energy"]
     if cfg.apply_arcsine:
-        rows += ["gamma_local_warped", "gamma_global_warped"]
+        names += ["gamma_local_warped", "gamma_global_warped"]
     if mask_feedback is not None:
-        rows.append("mask_row")
+        names.append("mask")
     planes = {
-        row: np.empty((num_frames, num_bins), bool if row == "low_energy" else np.float64)
-        for row in rows
+        name: np.empty((num_frames, num_bins), bool if name == "low_energy" else np.float64)
+        for name in names
     }
-    halted = np.empty(num_frames, dtype=bool)
-    for out in stream_frames(
+    planes["mask_halted"] = np.empty(num_frames, dtype=bool)
+    for block in stream_frames(
         tensor, cfg, mask_feedback, sample_rate=sample_rate, filterbank=filterbank
     ):
-        for row, plane in planes.items():
-            plane[out.frame] = getattr(out, row)
-        halted[out.frame] = out.mask_halted
-        # its rows are views that would pin the block's buffers while the
-        # engine computes the next block
-        del out
+        for name, plane in planes.items():
+            plane[block.frames] = getattr(block, name)
+        # it would pin the block's buffers while the engine computes the next
+        del block
 
-    banded = dict.fromkeys(("gamma_local", "gamma_global", "gamma_global_warped", "lam"))
     if filterbank is not None:
         # warp first, pool second
-        for row in banded:
-            if row in planes:
-                banded[row] = pool_feature(planes[row], filterbank)
-
-    return LstscFeatures(
-        gamma_local=planes["gamma_local"],
-        gamma_global=planes["gamma_global"],
-        gamma_local_warped=planes.get("gamma_local_warped"),
-        gamma_global_warped=planes.get("gamma_global_warped"),
-        lambda_trace=planes["lam"],
-        low_energy=planes["low_energy"],
-        mask_halted=halted,
-        mask=planes.get("mask_row"),
-        banded_gamma_local=banded["gamma_local"],
-        banded_gamma_global=banded["gamma_global"],
-        banded_gamma_global_warped=banded["gamma_global_warped"],
-        banded_lambda_trace=banded["lam"],
-    )
+        for name in ("gamma_local", "gamma_global", "gamma_global_warped", "lambda_trace"):
+            if name in planes:
+                planes["banded_" + name] = pool_feature(planes[name], filterbank)
+    # the planes a setting turns off stay None
+    absent = dict.fromkeys(field.name for field in dataclasses.fields(LstscFeatures))
+    return LstscFeatures(**{**absent, **planes})
 
 
 # (exported name, LstscFeatures attribute), in file order; a plane that

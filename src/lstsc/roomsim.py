@@ -203,8 +203,6 @@ class MixSpec:
 
     SIR_GRID = (0.0, 5.0, 10.0, 15.0)
     SNR_GRID = (20.0, 25.0, 30.0)
-    T60_TRAIN_GRID = (0.1, 0.3, 0.5, 0.7)
-    T60_TEST_GRID = (0.16, 0.36, 0.61)
 
     def __post_init__(self) -> None:
         if self.clip_seconds <= 0:

@@ -150,15 +150,15 @@ def test_c02_bounds_and_whitening(sifting_scenes):
     lo, hi = np.inf, -np.inf
     for mixture, _, _ in sifting_scenes:
         specs = stft_multichannel(mixture)
-        for out in stream_frames(specs, cfg):
-            live = ~out.low_energy
+        for block in stream_frames(specs, cfg):
+            live = ~block.low_energy
             if live.any():
-                moduli = np.abs(out.rtf[live])
+                moduli = np.abs(block.rtf[live])
                 worst_modulus = max(worst_modulus, float(np.max(np.abs(moduli - 1.0))))
-            for row in (out.gamma_local, out.gamma_global,
-                        out.gamma_local_warped, out.gamma_global_warped):
-                lo = min(lo, float(row.min()))
-                hi = max(hi, float(row.max()))
+            for rows in (block.gamma_local, block.gamma_global,
+                         block.gamma_local_warped, block.gamma_global_warped):
+                lo = min(lo, float(rows.min()))
+                hi = max(hi, float(rows.max()))
     passed = worst_modulus <= 1e-9 and lo >= -1.0 and hi <= 1.0
     _report(
         "C2 bounds and whitening (50 scenes)",
@@ -257,19 +257,21 @@ def test_c06_halting_exactness():
     mismatches = 0
     previous_bytes = None
     previous_mask = None
-    for out in stream_frames(specs, cfg, mask_feedback=estimator):
-        should_halt = (
-            previous_mask is not None
-            and float(np.mean(previous_mask**2)) > cfg.beta
-        )
-        if out.mask_halted != should_halt:
-            mismatches += 1
-        if out.mask_halted:
-            halted_frames += 1
-            if out.global_rbar.tobytes() != previous_bytes or not np.all(out.lam == 1.0):
+    for block in stream_frames(specs, cfg, mask_feedback=estimator):
+        rows = zip(block.mask_halted, block.global_rbar, block.lambda_trace, block.mask)
+        for halted, rbar, lam, mask_row in rows:
+            should_halt = (
+                previous_mask is not None
+                and float(np.mean(previous_mask**2)) > cfg.beta
+            )
+            if halted != should_halt:
                 mismatches += 1
-        previous_bytes = out.global_rbar.tobytes()
-        previous_mask = out.mask_row
+            if halted:
+                halted_frames += 1
+                if rbar.tobytes() != previous_bytes or not np.all(lam == 1.0):
+                    mismatches += 1
+            previous_bytes = rbar.tobytes()
+            previous_mask = mask_row
     passed = mismatches == 0 and halted_frames > 0
     _report(
         "C6 halting exactness (bit-identical frozen tracker)",

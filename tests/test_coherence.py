@@ -18,7 +18,7 @@ from lstsc.coherence import (
     _BLOCK_FRAMES,
     VARIANT_SETTINGS,
     CoherenceConfig,
-    FrameOutput,
+    FrameBlock,
     _blend,
     arcsine_warp,
     coherence,
@@ -268,16 +268,22 @@ class TestArcsineWarp:
 
 
 class TestComputeLstsc:
-    @pytest.mark.parametrize("variant", ["lstsc-1", "lstsc-3"])
-    def test_peak_memory_holds_one_block(self, rng, variant):
+    @pytest.mark.parametrize(
+        "variant, estimator",
+        [("lstsc-1", None), ("lstsc-3", None),
+         ("lstsc-3", HeuristicMaskEstimator), ("lstsc-2", HeuristicMaskEstimator)],
+        ids=["lstsc-1", "lstsc-3", "lstsc-3-steered", "lstsc-2-steered"],
+    )
+    def test_peak_memory_holds_one_block(self, rng, variant, estimator):
         # the planes plus one block's working set (its RTFs, one tracker's
         # state stack and the coherence temporaries: about 4.2 RTF blocks);
         # a previous block kept alive adds at least one more
         num_mics, num_bins = 8, 257
         specs = random_small_specs(rng, num_mics, 4 * _BLOCK_FRAMES, num_bins)
+        feedback = estimator() if estimator is not None else None
         tracemalloc.start()
         try:
-            feats = compute_lstsc(specs, CoherenceConfig.for_variant(variant))
+            feats = compute_lstsc(specs, CoherenceConfig.for_variant(variant), feedback)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -310,17 +316,15 @@ class TestComputeLstsc:
         f4 = compute_lstsc(specs, CoherenceConfig.for_variant("lstsc-4"))
         assert f4.banded_gamma_global_warped.shape == (f4.num_frames, 48)
 
-        # every plane is the stacked engine rows, byte for byte and dtype
+        # every plane is the stacked engine blocks, byte for byte and dtype
         # for dtype; an optional plane exists exactly when its setting is on
-        rows = {"gamma_local": "gamma_local", "gamma_global": "gamma_global",
-                "lambda_trace": "lam", "low_energy": "low_energy",
-                "gamma_local_warped": "gamma_local_warped",
-                "gamma_global_warped": "gamma_global_warped", "mask": "mask_row"}
+        names = [f.name for f in dataclasses.fields(FrameBlock)
+                 if f.name not in ("start", "rtf", "global_rbar")]
         for variant in sorted(VARIANT_SETTINGS):
             cfg = CoherenceConfig.for_variant(variant)
             for feedback in (None, HeuristicMaskEstimator()):
                 feats = compute_lstsc(specs, cfg, feedback)
-                outs = list(stream_frames(specs, cfg, feedback))
+                blocks = list(stream_frames(specs, cfg, feedback))
                 warped, banded = cfg.apply_arcsine, cfg.erb_bands is not None
                 present = {
                     "gamma_local_warped": warped,
@@ -333,16 +337,13 @@ class TestComputeLstsc:
                 }
                 for name, on in present.items():
                     assert (getattr(feats, name) is not None) == on, (variant, name)
-                for name, row in rows.items():
+                for name in names:
                     if not present.get(name, True):
                         continue
-                    want = np.stack([getattr(out, row) for out in outs])
+                    want = np.concatenate([getattr(block, name) for block in blocks])
                     got = getattr(feats, name)
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), (variant, name)
-                halted = np.array([out.mask_halted for out in outs])
-                assert feats.mask_halted.dtype == halted.dtype
-                assert feats.mask_halted.tobytes() == halted.tobytes()
 
     def test_permutation_invariance(self, rng):
         audio = delayed_array_audio(rng, 4, 8000, noise_rms=0.1)
@@ -384,6 +385,29 @@ class TestComputeLstsc:
                       feats.gamma_local_warped, feats.gamma_global_warped):
             assert np.all(plane >= -1.0) and np.all(plane <= 1.0)
         assert np.all(feats.lambda_trace >= 0.95) and np.all(feats.lambda_trace <= 1.0)
+
+
+class TestNonFiniteSpectra:
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans())
+    def test_one_entry_raises_naming_its_position(self, data, value, imaginary):
+        cfg = CoherenceConfig.for_variant(data.draw(st.sampled_from(sorted(VARIANT_SETTINGS))))
+        # lstsc-4's 48 bands need at least 48 bins
+        bins = st.integers(48, 57) if cfg.erb_bands else st.integers(2, 9)
+        shape = (data.draw(st.integers(2, 5)), data.draw(st.integers(1, 9)), data.draw(bins))
+        specs = random_small_specs(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), *shape)
+        channel, frame, bin_ = (data.draw(st.integers(0, n - 1)) for n in shape)
+        specs[channel, frame, bin_] = complex(0.0, value) if imaginary else complex(value, 0.0)
+        calls = (
+            lambda: compute_lstsc(specs, cfg),
+            lambda: compute_lstsc(specs, cfg, HeuristicMaskEstimator()),
+            lambda: next(stream_frames(specs, cfg)),
+            lambda: short_term_whitened_rtf(specs, data.draw(st.integers(0, shape[1] - 1)), cfg),
+        )
+        message = f"non-finite spectrum entry at channel {channel}, frame {frame}, bin {bin_}"
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class _PrerecordedEstimator:
@@ -447,19 +471,21 @@ class TestHalting:
         estimator = _PrerecordedEstimator(rows)
         cfg = CoherenceConfig.for_variant("lstsc-2")
         previous = None
-        for out in stream_frames(specs, cfg, mask_feedback=estimator):
-            if out.mask_halted:
-                assert previous is not None
-                assert out.global_rbar.tobytes() == previous
-                assert np.all(out.lam == 1.0)
-            previous = out.global_rbar.tobytes()
+        for block in stream_frames(specs, cfg, mask_feedback=estimator):
+            for halted, rbar, lam in zip(block.mask_halted, block.global_rbar, block.lambda_trace):
+                if halted:
+                    assert previous is not None
+                    assert rbar.tobytes() == previous
+                    assert np.all(lam == 1.0)
+                previous = rbar.tobytes()
 
     def test_halting_matches_mask_energy(self, rng):
         specs = random_small_specs(rng, 3, 10, 8)
         rows = rng.uniform(0.0, 0.2, (10, 8))
         estimator = _PrerecordedEstimator(rows)
         cfg = CoherenceConfig.for_variant("lstsc-2")
-        halted = [out.mask_halted for out in stream_frames(specs, cfg, mask_feedback=estimator)]
+        blocks = stream_frames(specs, cfg, mask_feedback=estimator)
+        halted = np.concatenate([block.mask_halted for block in blocks]).tolist()
         expected = [False] + [
             float(np.mean(rows[l - 1] ** 2)) > cfg.beta for l in range(1, 10)
         ]
@@ -517,6 +543,10 @@ def _same_bytes(got, want) -> bool:
     return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
+# FrameBlock fields that the per-frame reference names differently
+_ORACLE_NAMES = {"lambda_trace": "lam", "mask": "mask_row"}
+
+
 class TestBlockEngine:
     """The block engine against the per-frame reference loop."""
 
@@ -531,20 +561,29 @@ class TestBlockEngine:
             got = short_term_whitened_rtf(specs, frame, cfg)
             want = oracle_frame_engine.short_term_whitened_rtf(specs, frame, cfg)
             assert all(map(_same_bytes, got, want)), frame
-        fields = [f.name for f in dataclasses.fields(FrameOutput)]
+        fields = [f.name for f in dataclasses.fields(FrameBlock) if f.name != "start"]
+        num_frames = specs.shape[1]
         for variant in sorted(VARIANT_SETTINGS):
             cfg = CoherenceConfig.for_variant(variant, R=R)
             for make in estimators:
                 estimator, reference = make(), make()
                 want = oracle_frame_engine.stream_frames(specs, cfg, reference)
-                count = 0
-                for got, ref in zip(stream_frames(specs, cfg, estimator), want, strict=True):
+                frame = 0
+                for block in stream_frames(specs, cfg, estimator):
+                    assert block.start == frame
+                    n = min(_BLOCK_FRAMES, num_frames - frame)
                     for name in fields:
-                        assert _same_bytes(getattr(got, name), getattr(ref, name)), (
-                            variant, estimator, got.frame, name
-                        )
-                    count += 1
-                assert count == specs.shape[1]
+                        field = getattr(block, name)
+                        assert field is None or len(field) == n, (variant, name)
+                    for i, ref in zip(range(n), want):
+                        assert ref.frame == frame
+                        for name in fields:
+                            field = getattr(block, name)
+                            got = None if field is None else field[i]
+                            ref_value = getattr(ref, _ORACLE_NAMES.get(name, name))
+                            assert _same_bytes(got, ref_value), (variant, estimator, frame, name)
+                        frame += 1
+                assert frame == num_frames and next(want, None) is None
                 if isinstance(estimator, _PrerecordedEstimator):
                     got_mags, want_mags = (np.stack(e.magnitudes) for e in (estimator, reference))
                     assert _same_bytes(got_mags, want_mags)
