@@ -33,9 +33,7 @@ def parse_args(argv=None):
 
 def run_scene(seed, args):
     cfg = CoherenceConfig.for_variant(args.variant)
-    scene = build_sifting_scenario(
-        seed, t60=args.t60, sir_db=args.sir, snr_db=args.snr, coherence_cfg=cfg
-    )
+    scene = build_sifting_scenario(seed, t60=args.t60, sir_db=args.sir, snr_db=args.snr)
     feats = compute_lstsc(stft_multichannel(scene.mixture), cfg)
     interferer_only = mean_global_warped(feats, scene.interferer_only)
     target_active = mean_global_warped(feats, scene.target_active)

@@ -35,6 +35,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .erb import ErbFilterbank, design_filterbank, pool_feature
+from .signal_core import first_non_finite
 
 __all__ = [
     "CoherenceConfig",
@@ -135,18 +136,12 @@ def _as_spec_tensor(specs, scan: bool = True) -> np.ndarray:
         raise ValueError("expected per-channel spectrograms stacked as (M, L, F)")
     if tensor.shape[0] < 2:
         raise ValueError("spatial coherence requires at least 2 microphones")
-    if scan:
-        # the sum is finite for all-finite spectra short of overflow; only
-        # then is the allocating scan needed
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = tensor.sum()
-        if not np.isfinite(total):
-            bad = np.argwhere(~np.isfinite(tensor))
-            if bad.size:
-                channel, frame, bin_ = bad[0]
-                raise ValueError(
-                    f"non-finite spectrum entry at channel {channel}, frame {frame}, bin {bin_}"
-                )
+    bad = first_non_finite(tensor) if scan else None
+    if bad is not None:
+        channel, frame, bin_ = bad
+        raise ValueError(
+            f"non-finite spectrum entry at channel {channel}, frame {frame}, bin {bin_}"
+        )
     return tensor
 
 
@@ -269,17 +264,18 @@ def _similarity(r: np.ndarray, rbar_white: np.ndarray) -> np.ndarray:
 def _blend(rbar: np.ndarray, r: np.ndarray, lam) -> np.ndarray:
     """One tracker update: the convex recursion ``lam * rbar + (1 - lam) * r``
     with the endpoints ``lam == 1`` (state kept) and ``lam == 0`` (state
-    replaced) exact.  ``lam`` is a scalar or one value per row."""
+    replaced) exact.  ``lam`` is a scalar or one value per row, in
+    [0, 1]: ``CoherenceConfig`` validates the fixed factors and
+    ``lambda_schedule`` clips the scheduled ones."""
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim == 0 and 0.0 < lam < 1.0:
         return lam * rbar + (1.0 - lam) * r
-    if lam.size and (lam.min() < 0.0 or lam.max() > 1.0):
-        raise ValueError("forgetting factor must lie in [0, 1]")
     if lam.ndim == 1:
         lam = lam[:, np.newaxis]
-    return np.where(
-        lam == 1.0, rbar, np.where(lam == 0.0, r, lam * rbar + (1.0 - lam) * r)
-    )
+    out = lam * rbar + (1.0 - lam) * r
+    np.copyto(out, rbar, where=lam == 1.0)
+    np.copyto(out, r, where=lam == 0.0)
+    return out
 
 
 def _mask_is_energetic(prev_mask_row: np.ndarray | None, beta: float) -> bool:

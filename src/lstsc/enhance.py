@@ -80,9 +80,9 @@ def enhance_stream(
     mixture: MultichannelAudio,
     cfg: CoherenceConfig,
     estimator: MaskEstimator | None = None,
-    stft_cfg: StftConfig = StftConfig(),
 ) -> EnhanceResult:
-    """Feature extraction, frame-wise masking, and reconstruction.
+    """Feature extraction, frame-wise masking, and reconstruction on the
+    default ``StftConfig`` frames.
 
     Per frame the engine computes the coherence rows, calls the estimator,
     stores the mask row, and feeds it to the next frame's adaptation
@@ -99,6 +99,7 @@ def enhance_stream(
     if estimator is None:
         estimator = HeuristicMaskEstimator()
 
+    stft_cfg = StftConfig()
     specs = stft_multichannel(mixture, stft_cfg)
     features = compute_lstsc(
         specs, cfg, mask_feedback=estimator, sample_rate=mixture.sample_rate

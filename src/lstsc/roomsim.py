@@ -345,8 +345,10 @@ def simulate_rirs(
     ``1 / (4 pi dist)`` amplitude; the default duration, set per
     microphone, keeps every image whose decay is within roughly 72 dB of
     the direct path, so the truncated tail sits far below the -60 dB
-    point.  Each response equals ``simulate_rir`` for its pair bit for
-    bit; the images are enumerated once for all microphones.
+    point; an explicit ``duration`` (seconds, for every microphone) must
+    span at least one sample.  Each response equals ``simulate_rir`` for
+    its pair bit for bit; the images are enumerated once for all
+    microphones.
     """
     room_dims = np.asarray(room_dims, dtype=np.float64)
     src = np.asarray(src, dtype=np.float64)
@@ -367,6 +369,8 @@ def simulate_rirs(
         dists.append(dist)
     if fs <= 0:
         raise ValueError("sample rate must be positive")
+    if duration is not None and not (math.isfinite(duration) and duration * fs >= 1):
+        raise ValueError(f"duration must span at least one sample, got {duration}")
 
     if absorption is not None:
         if not (0.0 < absorption <= 1.0):
@@ -528,8 +532,7 @@ class MixResult:
     The mixture equals the images summed in ``images`` iteration order
     plus ``noise``, computed in exactly that order, so re-summing the
     returned parts reproduces the mixture bit-for-bit.  ``rirs`` maps each
-    role to its per-microphone responses; it is empty for a silent stem
-    whose responses would have been simulated.
+    role to its per-microphone responses; it is empty for a silent stem.
     """
 
     mixture: MultichannelAudio
@@ -551,16 +554,14 @@ def mix_scene(
     scene: RoomScene,
     stems: dict[str, np.ndarray],
     spec: MixSpec = MixSpec(),
-    external_rirs: dict[str, list[Rir]] | None = None,
     noise_seed: int = 0,
     fs: int = 16000,
 ) -> MixResult:
     """Render stems through the room and mix at the requested levels.
 
-    Every source is convolved with its per-microphone RIR (simulated, or
-    taken verbatim from ``external_rirs``).  An all-zero stem is neither
-    simulated nor convolved: its image is zeros and, unless external RIRs
-    were given, its ``rirs`` entry is empty.  The interferer image is
+    Every source is convolved with its simulated per-microphone RIRs.  An
+    all-zero stem is neither simulated nor convolved: its image is zeros
+    and its ``rirs`` entry is empty.  The interferer image is
     scaled so the target-to-interferer power ratio at the reference
     microphone equals ``sir_db`` exactly as measured on the returned
     images; the non-target is scaled to equal power with the target; white
@@ -589,22 +590,12 @@ def mix_scene(
     silent = {role: not trimmed[role].any() for role in roles}
     rirs: dict[str, list[Rir]] = {}
     for src in scene.sources:
-        if external_rirs is not None:
-            if src.role not in external_rirs:
-                raise ValueError(f"missing external RIRs for role {src.role!r}")
-            role_rirs = external_rirs[src.role]
-            if len(role_rirs) != scene.num_mics:
-                raise ValueError(
-                    f"external RIR set for {src.role!r} has {len(role_rirs)} "
-                    f"responses for {scene.num_mics} microphones"
-                )
-        elif silent[src.role]:
-            role_rirs = []
+        if silent[src.role]:
+            rirs[src.role] = []
         else:
-            role_rirs = simulate_rirs(
+            rirs[src.role] = simulate_rirs(
                 scene.room_dims, scene.t60, src.position, scene.mic_positions, fs
             )
-        rirs[src.role] = role_rirs
 
     images = {
         role: np.zeros((scene.num_mics, length))

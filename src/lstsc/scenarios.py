@@ -88,12 +88,10 @@ def intermittent_speech(
     num_samples: int,
     fs: int = 16000,
     *,
-    lead_in: float = 1.5,
-    burst_seconds: tuple[float, float] = (0.4, 0.9),
-    gap_seconds: tuple[float, float] = (0.5, 1.2),
     rms: float = 0.05,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bursty source: speech-like segments separated by silences.
+    """Bursty source: after a 1.5 s silent lead-in, speech-like bursts of
+    0.4-0.9 s separated by silences of 0.5-1.2 s (drawn uniformly).
 
     Returns ``(samples, active)`` where ``active`` marks the burst
     supports (including the 10 ms fade edges).
@@ -101,9 +99,9 @@ def intermittent_speech(
     x = np.zeros(num_samples)
     active = np.zeros(num_samples, dtype=bool)
     ramp = int(0.01 * fs)
-    cursor = int(lead_in * fs)
+    cursor = int(1.5 * fs)
     while cursor < num_samples:
-        burst_len = int(rng.uniform(*burst_seconds) * fs)
+        burst_len = int(rng.uniform(0.4, 0.9) * fs)
         stop = min(cursor + burst_len, num_samples)
         segment = speech_like(rng, stop - cursor, fs, envelope_floor=0.3, rms=rms)
         fade = np.ones(stop - cursor)
@@ -114,7 +112,7 @@ def intermittent_speech(
             fade[-edge:] = shape[::-1]
         x[cursor:stop] = segment * fade
         active[cursor:stop] = True
-        cursor = stop + int(rng.uniform(*gap_seconds) * fs)
+        cursor = stop + int(rng.uniform(0.5, 1.2) * fs)
     return x, active
 
 
@@ -219,12 +217,10 @@ def build_sifting_scenario(
     sir_db: float = 0.0,
     snr_db: float = 30.0,
     clip_seconds: float = 8.0,
-    stft_cfg: StftConfig = StftConfig(),
-    coherence_cfg: CoherenceConfig | None = None,
-    fs: int = 16000,
 ) -> Scenario:
     """Stationary interferer plus intermittent target: the default
-    ``lstsc simulate`` scene, labeled for the interferer-sifting check."""
+    ``lstsc simulate`` scene, labeled for the interferer-sifting check on
+    the default ``StftConfig`` frames past ``CoherenceConfig()``'s warm-up."""
     out = render_scene(
         seed,
         {
@@ -233,14 +229,14 @@ def build_sifting_scenario(
         },
         t60=t60,
         spec=MixSpec(sir_db=sir_db, snr_db=snr_db, clip_seconds=clip_seconds),
-        fs=fs,
     )
     active = out.active["target"]
-    smeared = _dilate_right(active, int(t60 * fs))
+    smeared = _dilate_right(active, int(t60 * out.mixture.sample_rate))
+    stft_cfg = StftConfig()
     num_frames = stft_cfg.num_frames(active.shape[0])
     out.target_active = frame_coverage(active, stft_cfg, num_frames) > 0.5
     out.interferer_only = frame_coverage(smeared, stft_cfg, num_frames) == 0.0
-    warmup = (coherence_cfg or CoherenceConfig()).warmup_frames
+    warmup = CoherenceConfig().warmup_frames
     out.target_active[:warmup] = out.interferer_only[:warmup] = False
     return out
 
@@ -253,9 +249,6 @@ def build_misconvergence_scenario(
     snr_db: float = 30.0,
     clip_seconds: float = 8.0,
     utterance: tuple[float, float] = (2.0, 7.0),
-    stft_cfg: StftConfig = StftConfig(),
-    coherence_cfg: CoherenceConfig | None = None,
-    fs: int = 16000,
 ) -> Scenario:
     """Stationary interferer plus one long continuous target utterance,
     labeled for the fixed-vs-adaptive forgetting-factor A/B."""
@@ -272,12 +265,12 @@ def build_misconvergence_scenario(
         {"target": utterance_target, "interferer": STEM_KINDS["stationary_noise"]},
         t60=t60,
         spec=MixSpec(sir_db=sir_db, snr_db=snr_db, clip_seconds=clip_seconds),
-        fs=fs,
     )
     active = out.active["target"]
+    stft_cfg = StftConfig()
     num_frames = stft_cfg.num_frames(active.shape[0])
     out.target_active = frame_coverage(active, stft_cfg, num_frames) > 0.9
-    out.target_active[: (coherence_cfg or CoherenceConfig()).warmup_frames] = False
+    out.target_active[: CoherenceConfig().warmup_frames] = False
     return out
 
 

@@ -9,7 +9,6 @@ pre-padding, so time-frequency indices are reproducible across modules.
 from __future__ import annotations
 
 import dataclasses
-import math
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,18 @@ __all__ = [
 _WOLA_FLOOR = 1e-10
 
 
+def first_non_finite(array: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first NaN or ±inf entry of ``array`` (row-major), or
+    ``None``.  Only a non-finite sum pays for the allocating scan; the sum
+    warns neither when it overflows nor when it meets +inf and -inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = array.sum()
+    if np.isfinite(total):
+        return None
+    bad = np.argwhere(~np.isfinite(array))
+    return tuple(int(i) for i in bad[0]) if bad.size else None
+
+
 @dataclasses.dataclass
 class MultichannelAudio:
     """M-channel audio: ``samples`` is an (M, T) float matrix, values
@@ -49,17 +60,10 @@ class MultichannelAudio:
             raise ValueError("audio needs at least one channel")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        # the sum is finite for all-finite audio short of overflow; only
-        # then is the allocating scan needed
-        with np.errstate(over="ignore"):
-            total = float(self.samples.sum())
-        if not math.isfinite(total):
-            bad = np.argwhere(~np.isfinite(self.samples))
-            if bad.size:
-                channel, sample = bad[0]
-                raise ValueError(
-                    f"non-finite audio sample at channel {channel}, sample {sample}"
-                )
+        bad = first_non_finite(self.samples)
+        if bad is not None:
+            channel, sample = bad
+            raise ValueError(f"non-finite audio sample at channel {channel}, sample {sample}")
 
     @property
     def num_channels(self) -> int:

@@ -174,6 +174,22 @@ class TestRir:
     def test_requires_config(self, tmp_path):
         assert main(["rir", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("duration", [0, -0.1])
+    def test_non_positive_duration_rejected(self, tmp_path, capsys, duration):
+        config = _write_config(
+            tmp_path / "cfg.json",
+            {
+                "room": {"dims": [6.0, 5.0, 3.0], "absorption": 0.4},
+                "source": [2.0, 2.0, 1.5],
+                "mics": [[3.0, 2.5, 1.2], [3.08, 2.5, 1.2]],
+                "duration": duration,
+            },
+        )
+        out = tmp_path / "rirs"
+        assert main(["rir", "--config", config, "--out", str(out)]) == EXIT_CONSTRAINT
+        assert "duration" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExtract:
     @pytest.mark.parametrize(

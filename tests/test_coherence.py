@@ -3,6 +3,7 @@ oracle equivalence, and the binary/CSV export formats."""
 from __future__ import annotations
 
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -166,6 +167,17 @@ class TestRecursiveUpdate:
         out = _blend(rbar, r, np.zeros(5))
         assert np.array_equal(out, r)
 
+    def test_row_endpoints_exact_in_a_mixed_row(self, rng):
+        lam = np.array([1.0, 0.0, 0.5, 1.0, 0.0])
+        rbar = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        r = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        # the blend's arithmetic would turn these signed zeros into +0.0
+        rbar[0, 0] = r[1, 0] = complex(-0.0, -0.0)
+        r[0, 0] = rbar[1, 0] = 1.0 + 1.0j
+        out = _blend(rbar, r, lam)
+        want = np.stack([rbar[0], r[1], 0.5 * rbar[2] + 0.5 * r[2], rbar[3], r[4]])
+        assert out.tobytes() == want.tobytes()
+
     def test_geometric_recursion(self):
         c = np.full((2, 2), 0.3 - 0.4j)
         initial = np.full((2, 2), 1.0 + 1.0j)
@@ -175,9 +187,14 @@ class TestRecursiveUpdate:
         expected = c + 0.99**20 * (initial - c)
         assert np.allclose(rbar, expected, atol=1e-12)
 
-    def test_out_of_range_lambda_rejected(self, rng):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            _blend(np.ones((2, 2), dtype=complex), np.ones((2, 2), dtype=complex), 1.2)
+
+class TestPackage:
+    def test_submodule_not_shadowed(self):
+        import lstsc
+        import lstsc.coherence as module
+
+        assert module is sys.modules["lstsc.coherence"]
+        assert lstsc.coherence.read_features is read_features
 
 
 class TestCoherenceOp:

@@ -152,6 +152,12 @@ class TestImageSource:
         with pytest.raises(ValueError, match="coincident"):
             simulate_rir(ROOM, 0.3, [3.0, 2.0, 1.0], [3.0, 2.0, 1.0])
 
+    @pytest.mark.parametrize("duration", [0.0, -0.1])
+    def test_non_positive_duration_rejected(self, duration):
+        mics = [[3.0, 2.5, 1.2], [3.08, 2.5, 1.2]]
+        with pytest.raises(ValueError, match="duration"):
+            simulate_rirs(ROOM, 0.3, [2.0, 2.0, 1.5], mics, duration=duration)
+
     def test_deterministic(self):
         src = [2.0, 2.0, 1.5]
         mic = [3.0, 2.5, 1.2]
@@ -328,26 +334,14 @@ class TestMixScene:
         with pytest.raises(ValueError, match="missing stem"):
             mix_scene(scene, stems, self._spec())
 
-    def test_external_rirs_override(self, scene, stems):
-        length = 16000
-        external = {}
-        for src in scene.sources:
-            rirs = []
-            for k in range(scene.num_mics):
-                taps = np.zeros(64)
-                taps[k + 1] = 0.5
-                rirs.append(Rir(sample_rate=16000, taps=taps, source_distance=1.0))
-            external[src.role] = rirs
-        result = mix_scene(scene, stems, self._spec(), external_rirs=external,
-                           noise_seed=3)
-        want = fftconvolve(stems["target"], external["target"][0].taps)[:length]
-        want = want * result.gains["target"]
-        assert np.allclose(result.images["target"].samples[0], want, atol=1e-12)
-
-    def test_incomplete_override_rejected(self, scene, stems):
-        external = {"target": [Rir(16000, np.ones(4), 1.0)] * 2}
-        with pytest.raises(ValueError, match="RIR"):
-            mix_scene(scene, stems, self._spec(), external_rirs=external)
+    def test_images_are_gain_times_convolution(self, scene, stems):
+        result = mix_scene(scene, stems, self._spec(), noise_seed=3)
+        for role, rirs in result.rirs.items():
+            assert len(rirs) == scene.num_mics
+            for m, rir in enumerate(rirs):
+                want = fftconvolve(stems[role], rir.taps)[: len(stems[role])]
+                want = want * result.gains[role]
+                assert np.array_equal(result.images[role].samples[m], want)
 
     def test_noise_seed_determinism(self, scene, stems):
         a = mix_scene(scene, stems, self._spec(), noise_seed=7)

@@ -35,6 +35,18 @@ class TestNonFiniteAudio:
         with pytest.raises(ValueError, match=rf"channel {channel}, sample {sample}$"):
             MultichannelAudio(samples, 16000)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 999)), min_size=2, max_size=2,
+                    unique=True))
+    def test_both_infinities_rejected_naming_first(self, positions):
+        # their sum is NaN, which must not surface as a RuntimeWarning
+        samples = np.full((3, 1000), 0.25)
+        samples[positions[0]] = np.inf
+        samples[positions[1]] = -np.inf
+        channel, sample = min(positions)
+        with pytest.raises(ValueError, match=rf"channel {channel}, sample {sample}$"):
+            MultichannelAudio(samples, 16000)
+
     def test_first_bad_sample_named(self):
         samples = np.zeros((3, 100))
         samples[2, 5] = np.nan
