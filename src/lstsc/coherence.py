@@ -228,19 +228,35 @@ def whiten(vectors: np.ndarray, epsilon: float = 1e-12) -> tuple[np.ndarray, np.
     owning row is flagged.  Returns ``(whitened, flagged_rows)``.
     """
     whitened, degenerate = _unit_modulus(vectors, epsilon)
-    flagged = degenerate.any(axis=-1) if whitened.ndim > 1 else bool(degenerate.any())
+    if whitened.ndim <= 1:
+        return whitened, bool(degenerate.any())
+    # the rows' OR, one plane of the last axis at a time: cheaper than
+    # any(axis=-1) over a short last axis
+    flagged = np.zeros(degenerate.shape[:-1], dtype=bool)
+    for k in range(degenerate.shape[-1]):
+        flagged |= degenerate[..., k]
     return whitened, flagged
 
 
 def _unit_modulus(vectors: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """``whiten`` without the row flags; returns the per-entry degenerate mask."""
+    """``whiten`` without the row flags; returns the per-entry degenerate mask.
+
+    The modulus is ``np.hypot``, which rounds once; ``sqrt(re*re + im*im)``
+    rounds three times and moves some entries by an ulp.  Degenerate
+    entries divide by 1.0 and are then overwritten, so no division is
+    masked and none is 0/0.
+    """
     vectors = np.asarray(vectors, dtype=np.complex128)
     modulus = np.hypot(vectors.real, vectors.imag)
     degenerate = modulus <= epsilon
-    live = ~degenerate
-    whitened = np.ones_like(vectors)
-    np.divide(vectors.real, modulus, out=whitened.real, where=live)
-    np.divide(vectors.imag, modulus, out=whitened.imag, where=live)
+    any_degenerate = degenerate.any()
+    if any_degenerate:
+        modulus[degenerate] = 1.0
+    whitened = np.empty_like(vectors)
+    np.divide(vectors.real, modulus, out=whitened.real)
+    np.divide(vectors.imag, modulus, out=whitened.imag)
+    if any_degenerate:
+        whitened[degenerate] = 1.0
     return whitened, degenerate
 
 
@@ -256,32 +272,70 @@ def coherence(r: np.ndarray, rbar: np.ndarray, epsilon: float = 1e-12) -> np.nda
 
 
 def _similarity(r: np.ndarray, rbar_white: np.ndarray) -> np.ndarray:
-    """``coherence`` against a state that is already whitened."""
-    num = (r.real * rbar_white.real + r.imag * rbar_white.imag).sum(axis=-1)
-    return np.clip(num / r.shape[-1], -1.0, 1.0)
+    """``coherence`` against a state that is already whitened.
+
+    The M - 1 products are summed as plane adds in index order, the order
+    of the scalar definition.  numpy's own last-axis sum agrees up to
+    M - 1 = 7 and switches to pairwise blocks from 8 on.
+    """
+    prod = r.real * rbar_white.real
+    prod += r.imag * rbar_white.imag
+    num = prod[..., 0].copy()
+    for k in range(1, prod.shape[-1]):
+        num += prod[..., k]
+    num /= r.shape[-1]
+    np.clip(num, -1.0, 1.0, out=num)
+    return num[()]  # a scalar for one vector
 
 
-def _blend(rbar: np.ndarray, r: np.ndarray, lam) -> np.ndarray:
-    """One tracker update: the convex recursion ``lam * rbar + (1 - lam) * r``
-    with the endpoints ``lam == 1`` (state kept) and ``lam == 0`` (state
-    replaced) exact.  ``lam`` is a scalar or one value per row, in
-    [0, 1]: ``CoherenceConfig`` validates the fixed factors and
-    ``lambda_schedule`` clips the scheduled ones."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.ndim == 0 and 0.0 < lam < 1.0:
-        return lam * rbar + (1.0 - lam) * r
-    if lam.ndim == 1:
-        lam = lam[:, np.newaxis]
-    out = lam * rbar + (1.0 - lam) * r
-    np.copyto(out, rbar, where=lam == 1.0)
-    np.copyto(out, r, where=lam == 0.0)
-    return out
+class _Blend:
+    """The tracker recursion ``rbar_i = lam_i * rbar_(i-1) + (1 - lam_i) * r_i``
+    over a block, with the endpoints ``lam == 1`` (state kept) and
+    ``lam == 0`` (state replaced) exact.
+
+    ``states`` is the block's state stack, ``states[0]`` filled in;
+    ``states[i + 1]`` becomes the state after frame ``i``.  ``lam`` is a
+    scalar or one row per frame, in [0, 1]: ``CoherenceConfig`` validates
+    the fixed factors and ``lambda_schedule`` clips the scheduled ones.
+    The state-free half ``(1 - lam) * r`` is written into ``states[1:]``
+    for the whole block at once, so ``step`` only adds ``lam * rbar``.
+    """
+
+    def __init__(self, states: np.ndarray, rtfs: np.ndarray, lam) -> None:
+        lam = np.asarray(lam, dtype=np.float64)
+        # (n, 1, 1) for a fixed factor, (n, F, 1) for one row per frame
+        lam = np.broadcast_to(lam, (len(rtfs), 1)) if lam.ndim == 0 else lam
+        self.lam = lam[..., np.newaxis]
+        np.multiply(1.0 - self.lam, rtfs, out=states[1:])
+        self.states, self.rtfs = states, rtfs
+        self.keep, self.take = self.lam == 1.0, self.lam == 0.0
+        self.keeps = self.keep.any(axis=(1, 2)).tolist()
+        self.takes = self.take.any(axis=(1, 2)).tolist()
+        self.scratch = np.empty_like(states[0])
+
+    def step(self, i: int, hold: bool = False) -> None:
+        """Write the state after frame ``i``; ``hold`` keeps the state
+        before it, bit for bit, whatever ``lam`` says."""
+        states = self.states
+        if hold:
+            states[i + 1] = states[i]
+            return
+        # (1 - lam) * r + lam * rbar: the two products of the recursion,
+        # and IEEE addition commutes
+        np.multiply(self.lam[i], states[i], out=self.scratch)
+        states[i + 1] += self.scratch
+        if self.keeps[i]:
+            np.copyto(states[i + 1], states[i], where=self.keep[i])
+        if self.takes[i]:
+            np.copyto(states[i + 1], self.rtfs[i], where=self.take[i])
 
 
 def _mask_is_energetic(prev_mask_row: np.ndarray | None, beta: float) -> bool:
     if prev_mask_row is None:
         return False
-    return float(np.mean(np.square(prev_mask_row))) > beta
+    # np.mean's own pairwise sum and division, without its wrapper
+    squares = np.square(prev_mask_row)
+    return float(np.add.reduce(squares) / squares.size) > beta
 
 
 def lambda_schedule(
@@ -370,9 +424,11 @@ def _tracker(
     compared with itself), not the rounded dot product.
     """
     states = _open_states(rtfs, rbar)
-    rows = np.ndim(lam) > 0
-    for i, rtf in enumerate(rtfs):
-        states[i + 1] = _blend(states[i], rtf, lam[i] if rows else lam)
+    blend = _Blend(states, rtfs, lam)
+    for i in range(len(rtfs)):
+        blend.step(i)
+    # the peak is in coherence: free the endpoint masks and scratch row
+    del blend
     gamma = coherence(rtfs, states[:-1], epsilon)
     if rbar is None:
         gamma[0] = 1.0
@@ -402,7 +458,8 @@ def _estimate_mask(
     )
     if mask_row.shape != magnitude.shape:
         raise ValueError("mask estimator returned a row of the wrong length")
-    if not np.all(np.isfinite(mask_row)) or mask_row.min() < 0.0 or mask_row.max() > 1.0:
+    # min and max propagate NaN, which fails both comparisons
+    if not (mask_row.min() >= 0.0 and mask_row.max() <= 1.0):
         raise ValueError("mask estimator returned values outside [0, 1]")
     return mask_row
 
@@ -463,8 +520,10 @@ def stream_frames(
             lam = np.full(gamma_local.shape, cfg.lambda_global)
         if steered:
             gamma_global, states = np.empty_like(gamma_local), _open_states(rtf, global_rbar)
+            blend = _Blend(states, rtf, lam)
         else:
-            # lstsc-1's scalar keeps _blend's fast path
+            blend = None
+            # lstsc-1's scalar spares _Blend the (n, F) rows
             global_lam = lam if cfg.time_varying else cfg.lambda_global
             gamma_global, states = _tracker(rtf, global_rbar, global_lam, cfg.epsilon)
         gamma_local_w = gamma_global_w = None
@@ -490,12 +549,11 @@ def stream_frames(
                         if global_white is None:
                             global_white = _unit_modulus(states[i], cfg.epsilon)[0]
                         gamma_global[i] = _similarity(rtf[i], global_white)
+                    # a halted frame reuses the state untouched (bit-identical)
+                    blend.step(i, hold=halted[i])
                     if halted[i]:
-                        # the state is reused untouched (bit-identical)
-                        states[i + 1] = states[i]
                         lam[i] = 1.0
                     else:
-                        states[i + 1] = _blend(states[i], rtf[i], lam[i])
                         global_white = None
                     if cfg.apply_arcsine:
                         gamma_global_w[i] = arcsine_warp(gamma_global[i])
@@ -519,7 +577,7 @@ def stream_frames(
         )
         # free this block's buffers before the next block allocates its own
         del rtf, low_energy, gamma_local, gamma_global, gamma_local_w, gamma_global_w
-        del lam, halted, mask, states, magnitudes, local_feat, global_feat
+        del lam, halted, mask, states, magnitudes, local_feat, global_feat, blend
 
 
 @dataclasses.dataclass

@@ -219,17 +219,26 @@ def istft(
             f"spectrogram shape {spec.shape} does not match fft_size {cfg.fft_size}"
         )
     num_frames = spec.shape[0]
+    hop = cfg.hop
     window = cfg.analysis_window()
     frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, : cfg.frame_len]
     frames = frames * window
-    total = cfg.frame_len + (num_frames - 1) * cfg.hop
-    out = np.zeros(total)
-    wsum = np.zeros(total)
     wsq = window * window
-    for l in range(num_frames):
-        start = l * cfg.hop
-        out[start : start + cfg.frame_len] += frames[l]
-        wsum[start : start + cfg.frame_len] += wsq
+    total = cfg.frame_len + (num_frames - 1) * hop
+    # Overlap-add in hop-sized pieces: piece j of frame l lands on row
+    # l + j of a (rows, hop) view.  Adding the pieces from the last to the
+    # first gives every sample its frames in increasing order, starting
+    # from zero, as a loop over frames does, so the sums agree bit for bit.
+    pieces = -(-cfg.frame_len // hop)
+    rows = num_frames + pieces - 1
+    out = np.zeros((rows, hop))
+    wsum = np.zeros((rows, hop))
+    for j in reversed(range(pieces)):
+        width = min(hop, cfg.frame_len - j * hop)
+        out[j : j + num_frames, :width] += frames[:, j * hop : j * hop + width]
+        wsum[j : j + num_frames, :width] += wsq[j * hop : j * hop + width]
+    out = out.reshape(-1)[:total]
+    wsum = wsum.reshape(-1)[:total]
     covered = wsum > _WOLA_FLOOR
     out[covered] /= wsum[covered]
     out[~covered] = 0.0

@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 
 from conftest import delayed_array_audio, random_small_specs
 import oracle_frame_engine
-from oracle_lstsc import oracle_lstsc, oracle_short_term_rtf
+from oracle_lstsc import _coherence_whitened_form, oracle_lstsc, oracle_short_term_rtf
 
 from lstsc.coherence import (
     _BLOCK_FRAMES,
     VARIANT_SETTINGS,
     CoherenceConfig,
     FrameBlock,
-    _blend,
+    _Blend,
     arcsine_warp,
     coherence,
     compute_lstsc,
@@ -137,7 +137,42 @@ class TestShortTermRtf:
             assert np.array_equal(low, low_want)
 
 
+def _whiten_masked(vectors, epsilon):
+    """Whitening in its first form: divisions masked to the live entries
+    of a ``ones_like`` output."""
+    vectors = np.asarray(vectors, dtype=np.complex128)
+    modulus = np.hypot(vectors.real, vectors.imag)
+    degenerate = modulus <= epsilon
+    live = ~degenerate
+    whitened = np.ones_like(vectors)
+    np.divide(vectors.real, modulus, out=whitened.real, where=live)
+    np.divide(vectors.imag, modulus, out=whitened.imag, where=live)
+    return whitened, degenerate.any(axis=-1)
+
+
+# real or imaginary parts: exact and signed zeros, values at and around
+# the default epsilon, and ordinary magnitudes
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 1e-12 * (1 + 2**-52), 1e-12 * (1 - 2**-53), 7e-13]),
+    st.floats(-1e-11, 1e-11),
+    st.floats(-1e3, 1e3),
+)
+
+
 class TestWhiten:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 9), st.data())
+    def test_matches_masked_form(self, rows, width, data):
+        parts = data.draw(st.lists(_PARTS, min_size=2 * rows * width, max_size=2 * rows * width))
+        # set part by part: complex arithmetic would lose signed zeros
+        vectors = np.empty((rows, width), dtype=np.complex128)
+        vectors.real.flat = parts[0::2]
+        vectors.imag.flat = parts[1::2]
+        got, flagged = whiten(vectors)
+        want, want_flagged = _whiten_masked(vectors, 1e-12)
+        assert got.tobytes() == want.tobytes()
+        assert flagged.tobytes() == want_flagged.tobytes()
+
     def test_unit_output(self, rng):
         vec = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         out, flagged = whiten(vec)
@@ -152,8 +187,17 @@ class TestWhiten:
         assert np.asarray(flagged).all()
 
 
+def _blend(rbar, r, lam):
+    """One tracker update, as a one-frame block of ``_Blend``."""
+    states = np.empty((2,) + r.shape, dtype=np.complex128)
+    states[0] = rbar
+    lam = np.asarray(lam, dtype=np.float64)
+    _Blend(states, r[np.newaxis], lam[np.newaxis] if lam.ndim else lam).step(0)
+    return states[1]
+
+
 class TestRecursiveUpdate:
-    """The tracker update ``_blend``, which both trackers use."""
+    """The tracker update ``_Blend``, which both trackers use."""
 
     def test_lambda_one_keeps_state_exactly(self, rng):
         rbar = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
@@ -181,11 +225,24 @@ class TestRecursiveUpdate:
     def test_geometric_recursion(self):
         c = np.full((2, 2), 0.3 - 0.4j)
         initial = np.full((2, 2), 1.0 + 1.0j)
-        rbar = initial.copy()
-        for _ in range(20):
-            rbar = _blend(rbar, c, 0.99)
+        # one 20-frame block
+        states = np.empty((21, 2, 2), dtype=np.complex128)
+        states[0] = initial
+        blend = _Blend(states, np.broadcast_to(c, (20, 2, 2)), 0.99)
+        for i in range(20):
+            blend.step(i)
         expected = c + 0.99**20 * (initial - c)
-        assert np.allclose(rbar, expected, atol=1e-12)
+        assert np.allclose(states[-1], expected, atol=1e-12)
+
+    def test_hold_keeps_state_whatever_lambda(self, rng):
+        states = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        states[0, 0, 0] = complex(-0.0, 0.0)
+        rtfs = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
+        blend = _Blend(states, rtfs, np.full((2, 4), 0.5))
+        blend.step(0, hold=True)
+        blend.step(1)
+        assert states[1].tobytes() == states[0].tobytes()
+        assert states[2].tobytes() == (0.5 * states[1] + 0.5 * rtfs[1]).tobytes()
 
 
 class TestPackage:
@@ -226,6 +283,20 @@ class TestCoherenceOp:
         assert abs(full - short) <= 1e-9
         # the tracker state is whitened first, so its scale does not matter
         assert abs(coherence(r, 0.3 * rbar) - full) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_matches_scalar_definition(self, width, seed):
+        # index-order sums over M - 1, the oracle's loop, for any M
+        rng = np.random.default_rng(seed)
+        rows = 17
+        r = np.exp(1j * rng.uniform(-np.pi, np.pi, (rows, width)))
+        rbar = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
+        rbar[rng.random((rows, width)) < 0.1] = 0.0
+        rbar[3] = r[3]  # exact self-comparisons land on the clip at 1
+        got = coherence(r, rbar).tolist()
+        want = [_coherence_whitened_form(r[f], rbar[f], 1e-12) for f in range(rows)]
+        assert got == want  # float ==, so bit for bit but for the sign of zero
 
     def test_whitens_state_as_whiten_does(self, rng):
         # (F, M-1) rows with degenerate state entries: coherence skips
@@ -518,7 +589,7 @@ def _engine_inputs(draw):
     num_frames = draw(st.one_of(
         st.sampled_from([1, 2, 2 * R + 1, 63, 64, 65, 128, 129]), st.integers(1, 200)
     ))
-    num_mics = draw(st.integers(2, 5))
+    num_mics = draw(st.integers(2, 10))
     num_bins = draw(st.sampled_from([48, 57]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     specs = random_small_specs(rng, num_mics, num_frames, num_bins)

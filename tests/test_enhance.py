@@ -69,6 +69,22 @@ class TestEnhanceStream:
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             enhance_stream(audio, cfg, estimator=_ConstantEstimator(1.5))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1])
+    def test_non_finite_or_negative_estimator_rejected(self, audio, value):
+        cfg = CoherenceConfig.for_variant("lstsc-3")
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            enhance_stream(audio, cfg, estimator=_ConstantEstimator(value))
+
+    def test_one_nan_entry_rejected(self, audio):
+        class OneNan:
+            def __call__(self, magnitude, gamma_local, gamma_global, banded=None):
+                row = np.full_like(gamma_local, 0.5)
+                row[7] = np.nan
+                return row
+
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            enhance_stream(audio, CoherenceConfig.for_variant("lstsc-2"), estimator=OneNan())
+
     def test_default_estimator_is_heuristic(self, audio):
         cfg = CoherenceConfig.for_variant("lstsc-3")
         result = enhance_stream(audio, cfg)

@@ -185,7 +185,52 @@ class TestStft:
         assert peak < 1.3 * specs.nbytes
 
 
+def _istft_per_frame(spec, cfg, length=None):
+    """Weighted overlap-add one frame at a time: the reference that
+    ``istft``'s piecewise adds must reproduce bit for bit."""
+    window = cfg.analysis_window()
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, : cfg.frame_len] * window
+    total = cfg.frame_len + (spec.shape[0] - 1) * cfg.hop
+    out = np.zeros(total)
+    wsum = np.zeros(total)
+    wsq = window * window
+    for l in range(spec.shape[0]):
+        start = l * cfg.hop
+        out[start : start + cfg.frame_len] += frames[l]
+        wsum[start : start + cfg.frame_len] += wsq
+    covered = wsum > 1e-10
+    out[covered] /= wsum[covered]
+    out[~covered] = 0.0
+    if length is not None:
+        out = out[:length] if length <= total else np.concatenate([out, np.zeros(length - total)])
+    return out
+
+
+@st.composite
+def _stft_configs(draw):
+    hop = draw(st.integers(1, 40))
+    frame_len = draw(st.integers(hop, 80))
+    return StftConfig(frame_len, hop, draw(st.integers(frame_len, 96)))
+
+
 class TestIstft:
+    @settings(max_examples=100, deadline=None)
+    @given(_stft_configs(), st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_per_frame_overlap_add(self, cfg, num_frames, seed, data):
+        rng = np.random.default_rng(seed)
+        shape = (num_frames, cfg.num_bins)
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spec[rng.random(shape) < 0.2] = 0.0
+        total = cfg.frame_len + (num_frames - 1) * cfg.hop
+        length = data.draw(st.none() | st.integers(1, total + cfg.hop))
+        got = istft(spec, cfg, length=length)
+        assert got.tobytes() == _istft_per_frame(spec, cfg, length).tobytes()
+
+    def test_matches_per_frame_on_default_frames(self, rng):
+        for num_frames in (1, 2, 3, 798):
+            spec = stft(rng.standard_normal(CFG.frame_len + (num_frames - 1) * CFG.hop), CFG)
+            assert istft(spec, CFG).tobytes() == _istft_per_frame(spec, CFG).tobytes()
+
     def test_interior_round_trip(self, rng):
         x = rng.standard_normal(128000)
         y = istft(stft(x, CFG), CFG, length=len(x))
