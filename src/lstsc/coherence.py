@@ -293,15 +293,20 @@ class _Blend:
     over a block, with the endpoints ``lam == 1`` (state kept) and
     ``lam == 0`` (state replaced) exact.
 
-    ``states`` is the block's state stack, ``states[0]`` filled in;
+    The attribute ``states`` is the block's state stack: ``states[0]``
+    is ``rbar``, the state before the block (or, when ``rbar`` is None,
+    the first frame's vector, which the tracker opens on), and
     ``states[i + 1]`` becomes the state after frame ``i``.  ``lam`` is a
-    scalar or one row per frame, in [0, 1]: ``CoherenceConfig`` validates
-    the fixed factors and ``lambda_schedule`` clips the scheduled ones.
-    The state-free half ``(1 - lam) * r`` is written into ``states[1:]``
-    for the whole block at once, so ``step`` only adds ``lam * rbar``.
+    scalar or one row per
+    frame, in [0, 1]: ``CoherenceConfig`` validates the fixed factors and
+    ``lambda_schedule`` clips the scheduled ones.  The state-free half
+    ``(1 - lam) * r`` is written into ``states[1:]`` for the whole block
+    at once, so ``step`` only adds ``lam * rbar``.
     """
 
-    def __init__(self, states: np.ndarray, rtfs: np.ndarray, lam) -> None:
+    def __init__(self, rtfs: np.ndarray, rbar: np.ndarray | None, lam) -> None:
+        states = np.empty((len(rtfs) + 1,) + rtfs.shape[1:], dtype=rtfs.dtype)
+        states[0] = rtfs[0] if rbar is None else rbar
         lam = np.asarray(lam, dtype=np.float64)
         # (n, 1, 1) for a fixed factor, (n, F, 1) for one row per frame
         lam = np.broadcast_to(lam, (len(rtfs), 1)) if lam.ndim == 0 else lam
@@ -423,23 +428,16 @@ def _tracker(
     any other, and its coherence is 1 by definition (the vector is
     compared with itself), not the rounded dot product.
     """
-    states = _open_states(rtfs, rbar)
-    blend = _Blend(states, rtfs, lam)
+    blend = _Blend(rtfs, rbar, lam)
     for i in range(len(rtfs)):
         blend.step(i)
+    states = blend.states
     # the peak is in coherence: free the endpoint masks and scratch row
     del blend
     gamma = coherence(rtfs, states[:-1], epsilon)
     if rbar is None:
         gamma[0] = 1.0
     return gamma, states
-
-
-def _open_states(rtfs: np.ndarray, rbar: np.ndarray | None) -> np.ndarray:
-    """A tracker's state stack for a block, ``states[0]`` filled in."""
-    states = np.empty((len(rtfs) + 1,) + rtfs.shape[1:], dtype=rtfs.dtype)
-    states[0] = rtfs[0] if rbar is None else rbar
-    return states
 
 
 def _estimate_mask(
@@ -519,8 +517,8 @@ def stream_frames(
         else:
             lam = np.full(gamma_local.shape, cfg.lambda_global)
         if steered:
-            gamma_global, states = np.empty_like(gamma_local), _open_states(rtf, global_rbar)
-            blend = _Blend(states, rtf, lam)
+            blend = _Blend(rtf, global_rbar, lam)
+            gamma_global, states = np.empty_like(gamma_local), blend.states
         else:
             blend = None
             # lstsc-1's scalar spares _Blend the (n, F) rows

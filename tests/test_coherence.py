@@ -189,11 +189,10 @@ class TestWhiten:
 
 def _blend(rbar, r, lam):
     """One tracker update, as a one-frame block of ``_Blend``."""
-    states = np.empty((2,) + r.shape, dtype=np.complex128)
-    states[0] = rbar
     lam = np.asarray(lam, dtype=np.float64)
-    _Blend(states, r[np.newaxis], lam[np.newaxis] if lam.ndim else lam).step(0)
-    return states[1]
+    blend = _Blend(r[np.newaxis], rbar, lam[np.newaxis] if lam.ndim else lam)
+    blend.step(0)
+    return blend.states[1]
 
 
 class TestRecursiveUpdate:
@@ -226,22 +225,21 @@ class TestRecursiveUpdate:
         c = np.full((2, 2), 0.3 - 0.4j)
         initial = np.full((2, 2), 1.0 + 1.0j)
         # one 20-frame block
-        states = np.empty((21, 2, 2), dtype=np.complex128)
-        states[0] = initial
-        blend = _Blend(states, np.broadcast_to(c, (20, 2, 2)), 0.99)
+        blend = _Blend(np.broadcast_to(c, (20, 2, 2)), initial, 0.99)
         for i in range(20):
             blend.step(i)
         expected = c + 0.99**20 * (initial - c)
-        assert np.allclose(states[-1], expected, atol=1e-12)
+        assert np.allclose(blend.states[-1], expected, atol=1e-12)
 
     def test_hold_keeps_state_whatever_lambda(self, rng):
-        states = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
-        states[0, 0, 0] = complex(-0.0, 0.0)
+        rbar = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        rbar[0, 0] = complex(-0.0, 0.0)
         rtfs = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
-        blend = _Blend(states, rtfs, np.full((2, 4), 0.5))
+        blend = _Blend(rtfs, rbar, np.full((2, 4), 0.5))
         blend.step(0, hold=True)
         blend.step(1)
-        assert states[1].tobytes() == states[0].tobytes()
+        states = blend.states
+        assert states[1].tobytes() == rbar.tobytes()
         assert states[2].tobytes() == (0.5 * states[1] + 0.5 * rtfs[1]).tobytes()
 
 
