@@ -3,9 +3,10 @@
 Subcommands: ``rir`` (impulse-response synthesis), ``simulate`` (scene
 rendering), ``extract`` (feature extraction to the binary + CSV formats),
 ``enhance`` (masking-based enhancement), ``evaluate`` (scale-invariant
-SDR reporting as JSON lines).  Configs are JSON with unknown keys and
-values of the wrong JSON type rejected; every run is deterministic given
-config + seed.
+SDR reporting as JSON lines).  Configs are JSON with unknown keys, values
+of the wrong JSON type and non-finite numbers rejected; a config section
+that sets a settings object has that object's fields as its keys and
+defaults.  Every run is deterministic given config + seed.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 missing input
 file, 4 domain-constraint violation, 1 unexpected failure.  The
@@ -17,8 +18,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +45,10 @@ from .roomsim import (
     measure_t60,
     simulate_rirs,
 )
-from .scenarios import STEM_KINDS, render_scene
-from .signal_core import MultichannelAudio, StftConfig, load_wav, save_wav, stft_multichannel
+from .scenarios import DEFAULT_STEM_KINDS, STEM_KINDS, render_scene
+from .signal_core import (
+    SAMPLE_RATE, MultichannelAudio, StftConfig, load_wav, save_wav, stft_multichannel
+)
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -72,9 +77,17 @@ def _load_config(path: str | None) -> dict:
     cfg_path = Path(path)
     if not cfg_path.exists():
         raise FileNotFoundError(f"file not found: {cfg_path}")
+
+    # Python's json reads NaN and Infinity, which JSON lacks, and 1e400 as inf
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise ConfigError(f"config {cfg_path} holds the non-finite number {token}")
+        return value
+
     try:
         with open(cfg_path) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {cfg_path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -130,39 +143,28 @@ def _check_keys(mapping: dict, allowed: dict, context: str) -> None:
             )
 
 
-_COHERENCE_KEYS = {
-    "R": _INT,
-    "lambda_local": _NUM,
-    "lambda_global": _NUM,
-    "beta": _NUM,
-    "epsilon": _NUM,
-}
+_HINT_TYPES = {int: _INT, float: _NUM, bool: _BOOL, tuple: _VEC, np.ndarray: _VEC}
 
-_ARRAY_KEYS = {
-    "kind": _STR,
-    "num_mics": _INT,
-    "spacing": _NUM,
-    "diameter": _NUM,
-    "positions": _VEC,
-}
 
-_SCENE_KEYS = {
-    "room_dims": _VEC,
-    "array_center": _VEC,
-    "range_bounds": _VEC,
-    "min_angle_deg": _NUM,
-    "azimuth_deg": _VEC,
-    "wall_margin": _NUM,
-    "max_attempts": _INT,
+def _config_keys(*targets, omit=()) -> dict:
+    """Config keys and their JSON types: the annotated parameters of each
+    settings class or factory in ``targets``, except ``omit``."""
+    return {
+        name: _HINT_TYPES[typing.get_origin(hint) or hint]
+        for target in targets
+        for name, hint in typing.get_type_hints(target).items()
+        if name != "return" and name not in omit
+    }
+
+
+# the variant's own settings come from --variant alone
+_COHERENCE_KEYS = _config_keys(CoherenceConfig, omit=set().union(*VARIANT_SETTINGS.values()))
+
+_ARRAY_FACTORIES = {
+    "ula": ArrayGeometry.ula, "circular": ArrayGeometry.circular, "positions": ArrayGeometry
 }
 
 _STEM_KEYS = {"kind": _STR, "rms": _NUM}
-
-_DEFAULT_STEM_KINDS = {
-    "target": "intermittent",
-    "non_target": "silence",
-    "interferer": "stationary_noise",
-}
 
 _RIR_CONFIG_KEYS = {
     "room": {"dims": _VEC, "t60": _NUM + _OR_NULL, "absorption": _NUM + _OR_NULL},
@@ -174,30 +176,22 @@ _RIR_CONFIG_KEYS = {
 
 _SIMULATE_CONFIG_KEYS = {
     "t60": _NUM,
-    "array": _ARRAY_KEYS,
-    "scene": _SCENE_KEYS,
-    "mix": {"sir_db": _NUM, "snr_db": _NUM, "clip_seconds": _NUM, "allow_off_grid": _BOOL},
-    "stems": {"target": _STEM_KEYS, "non_target": _STEM_KEYS, "interferer": _STEM_KEYS},
+    "array": {"kind": _STR, **_config_keys(*_ARRAY_FACTORIES.values())},
+    "scene": _config_keys(SceneConstraints),
+    "mix": _config_keys(MixSpec),
+    "stems": {role: _STEM_KEYS for role in ROLE_ORDER},
 }
 
 
 def _array_from_config(section: dict) -> ArrayGeometry:
-    kind = section.get("kind", "ula")
-    if kind == "ula":
-        return ArrayGeometry.ula(
-            num_mics=section.get("num_mics", 4),
-            spacing=float(section.get("spacing", 0.08)),
-        )
-    if kind == "circular":
-        return ArrayGeometry.circular(
-            num_mics=section.get("num_mics", 7),
-            diameter=float(section.get("diameter", 0.08)),
-        )
-    if kind == "positions":
-        if "positions" not in section:
-            raise ConfigError("array kind 'positions' needs a positions list")
-        return ArrayGeometry(section["positions"])
-    raise ConfigError(f"unknown array kind {kind!r}")
+    params = dict(section)
+    kind = params.pop("kind", "ula")
+    if kind not in _ARRAY_FACTORIES:
+        raise ConfigError(f"unknown array kind {kind!r}")
+    if kind == "positions" and "positions" not in params:
+        raise ConfigError("array kind 'positions' needs a positions list")
+    _check_keys(params, _config_keys(_ARRAY_FACTORIES[kind]), context="array.")
+    return _ARRAY_FACTORIES[kind](**params)
 
 
 def _cmd_rir(args: argparse.Namespace) -> int:
@@ -211,7 +205,7 @@ def _cmd_rir(args: argparse.Namespace) -> int:
         raise ConfigError("config needs room.dims")
     if "source" not in config or "mics" not in config:
         raise ConfigError("config needs source and mics")
-    fs = config.get("fs", 16000)
+    fs = config.get("fs", SAMPLE_RATE)
     t60 = room.get("t60")
     absorption = room.get("absorption")
 
@@ -250,35 +244,24 @@ def _cmd_rir(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     _check_keys(config, _SIMULATE_CONFIG_KEYS, context="")
-    fs = 16000
     t60 = float(config.get("t60", 0.3))
     array = _array_from_config(config.get("array", {}))
-    constraints = SceneConstraints(**{
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in config.get("scene", {}).items()
-    })
-
-    mix_section = config.get("mix", {})
-    spec = MixSpec(
-        sir_db=float(mix_section.get("sir_db", 0.0)),
-        snr_db=float(mix_section.get("snr_db", 30.0)),
-        clip_seconds=float(mix_section.get("clip_seconds", 8.0)),
-        allow_off_grid=mix_section.get("allow_off_grid", False),
-    )
+    constraints = SceneConstraints(**config.get("scene", {}))
+    spec = MixSpec(**config.get("mix", {}))
 
     makers, stem_kinds = {}, {}
     for role in ROLE_ORDER:
-        role_cfg = config.get("stems", {}).get(role, {})
-        kind = stem_kinds[role] = role_cfg.get("kind", _DEFAULT_STEM_KINDS[role])
+        level = dict(config.get("stems", {}).get(role, {}))
+        kind = stem_kinds[role] = level.pop("kind", DEFAULT_STEM_KINDS[role])
         if kind not in STEM_KINDS:
             raise ConfigError(
                 f"unknown stem kind {kind!r} for 'stems.{role}.kind'; "
                 f"allowed: {sorted(STEM_KINDS)}"
             )
-        makers[role] = functools.partial(STEM_KINDS[kind], rms=float(role_cfg.get("rms", 0.05)))
+        makers[role] = functools.partial(STEM_KINDS[kind], **level)
 
     rendered = render_scene(
-        args.seed, makers, t60=t60, spec=spec, array=array, constraints=constraints, fs=fs
+        args.seed, makers, t60=t60, spec=spec, array=array, constraints=constraints
     )
     scene, result = rendered.scene, rendered.mix
 
@@ -292,7 +275,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     manifest = {
         "seed": args.seed,
         "noise_seed": result.noise_seed,
-        "fs": fs,
+        "fs": SAMPLE_RATE,
         "t60": t60,
         "room_dims": scene.room_dims.tolist(),
         "mic_positions": scene.mic_positions.tolist(),
@@ -326,7 +309,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _load_pipeline_audio(path: str) -> MultichannelAudio:
     audio = load_wav(path)
-    if audio.sample_rate != 16000:
+    if audio.sample_rate != SAMPLE_RATE:
         raise ValueError(
             f"pipeline entry expects 16 kHz audio, got {audio.sample_rate} Hz"
         )

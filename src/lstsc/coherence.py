@@ -35,7 +35,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .erb import ErbFilterbank, design_filterbank, pool_feature
-from .signal_core import first_non_finite
+from .signal_core import SAMPLE_RATE, first_non_finite
 
 __all__ = [
     "CoherenceConfig",
@@ -103,9 +103,10 @@ class CoherenceConfig:
             raise ValueError("lambda_local must lie in [0, 1]")
         if not (0.0 <= self.lambda_global <= 1.0):
             raise ValueError("lambda_global must lie in [0, 1]")
-        if self.beta <= 0.0:
+        # written so that NaN fails
+        if not (self.beta > 0.0):
             raise ValueError("beta must be positive")
-        if self.epsilon <= 0.0:
+        if not (self.epsilon > 0.0):
             raise ValueError("epsilon must be positive")
         if self.erb_bands is not None and self.erb_bands < 2:
             raise ValueError("erb_bands must be >= 2 when set")
@@ -466,7 +467,7 @@ def stream_frames(
     specs,
     cfg: CoherenceConfig,
     mask_feedback: MaskFeedback | None = None,
-    sample_rate: int = 16000,
+    sample_rate: int = SAMPLE_RATE,
     filterbank: ErbFilterbank | None = None,
 ) -> Iterator[FrameBlock]:
     """Block-by-block feature engine: one ``FrameBlock`` per
@@ -617,7 +618,7 @@ def compute_lstsc(
     specs,
     cfg: CoherenceConfig,
     mask_feedback: MaskFeedback | None = None,
-    sample_rate: int = 16000,
+    sample_rate: int = SAMPLE_RATE,
 ) -> LstscFeatures:
     """Run the streaming engine over a whole clip and collect the outputs.
 

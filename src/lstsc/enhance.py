@@ -16,7 +16,9 @@ from typing import Protocol
 import numpy as np
 
 from .coherence import CoherenceConfig, LstscFeatures, compute_lstsc
-from .signal_core import Mask, MultichannelAudio, StftConfig, apply_mask, istft, stft_multichannel
+from .signal_core import (
+    SAMPLE_RATE, Mask, MultichannelAudio, StftConfig, apply_mask, istft, stft_multichannel
+)
 
 __all__ = [
     "MaskEstimator",
@@ -94,7 +96,7 @@ def enhance_stream(
     """
     if mixture.num_channels < 2:
         raise ValueError("enhancement requires at least 2 microphones")
-    if mixture.sample_rate != 16000:
+    if mixture.sample_rate != SAMPLE_RATE:
         raise ValueError("pipeline entry expects 16 kHz audio")
     if estimator is None:
         estimator = HeuristicMaskEstimator()

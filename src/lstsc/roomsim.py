@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .signal_core import MultichannelAudio
+from .signal_core import SAMPLE_RATE, MultichannelAudio
 
 __all__ = [
     "SPEED_OF_SOUND",
@@ -193,8 +193,8 @@ class Rir:
 
 @dataclasses.dataclass(frozen=True)
 class MixSpec:
-    """Mixing levels; values must come from the declared grids unless
-    ``allow_off_grid`` is set."""
+    """Mixing levels, stored as finite floats; values must come from the
+    declared grids unless ``allow_off_grid`` is set."""
 
     sir_db: float = 0.0
     snr_db: float = 30.0
@@ -205,6 +205,11 @@ class MixSpec:
     SNR_GRID = (20.0, 25.0, 30.0)
 
     def __post_init__(self) -> None:
+        for name in ("sir_db", "snr_db", "clip_seconds"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.clip_seconds <= 0:
             raise ValueError("clip_seconds must be positive")
         if not self.allow_off_grid:
@@ -219,10 +224,11 @@ class MixSpec:
                     "set allow_off_grid to override"
                 )
 
-    def num_samples(self, fs: int) -> int:
-        """Clip length in samples: the length of every image and of the
-        mixture, and the least length of a stem."""
-        return int(round(self.clip_seconds * fs))
+    @property
+    def num_samples(self) -> int:
+        """Clip length in samples at ``SAMPLE_RATE``: the length of every
+        image and of the mixture, and the least length of a stem."""
+        return int(round(self.clip_seconds * SAMPLE_RATE))
 
 
 def _eyring_absorption(room_dims: np.ndarray, t60: float) -> float:
@@ -331,7 +337,7 @@ def simulate_rirs(
     t60: float | None,
     src,
     mics,
-    fs: int = 16000,
+    fs: int = SAMPLE_RATE,
     *,
     absorption: float | None = None,
     duration: float | None = None,
@@ -398,7 +404,7 @@ def simulate_rir(
     t60: float | None,
     src,
     mic,
-    fs: int = 16000,
+    fs: int = SAMPLE_RATE,
     *,
     absorption: float | None = None,
     duration: float | None = None,
@@ -555,9 +561,9 @@ def mix_scene(
     stems: dict[str, np.ndarray],
     spec: MixSpec = MixSpec(),
     noise_seed: int = 0,
-    fs: int = 16000,
 ) -> MixResult:
-    """Render stems through the room and mix at the requested levels.
+    """Render stems through the room at ``SAMPLE_RATE`` and mix at the
+    requested levels.
 
     Every source is convolved with its simulated per-microphone RIRs.  An
     all-zero stem is neither simulated nor convolved: its image is zeros
@@ -569,7 +575,7 @@ def mix_scene(
     against the summed directional signal is exact.  Silent stems (or a
     silent target) skip the affected gain calibrations with unit gain.
     """
-    length = spec.num_samples(fs)
+    length = spec.num_samples
     roles = [src.role for src in scene.sources]
     for role in roles:
         if role not in stems:
@@ -594,7 +600,7 @@ def mix_scene(
             rirs[src.role] = []
         else:
             rirs[src.role] = simulate_rirs(
-                scene.room_dims, scene.t60, src.position, scene.mic_positions, fs
+                scene.room_dims, scene.t60, src.position, scene.mic_positions
             )
 
     images = {
@@ -653,9 +659,9 @@ def mix_scene(
     )
 
     return MixResult(
-        mixture=MultichannelAudio(mixture, fs),
-        images={role: MultichannelAudio(images[role], fs) for role in ordered},
-        noise=MultichannelAudio(noise, fs),
+        mixture=MultichannelAudio(mixture, SAMPLE_RATE),
+        images={role: MultichannelAudio(images[role], SAMPLE_RATE) for role in ordered},
+        noise=MultichannelAudio(noise, SAMPLE_RATE),
         gains=gains,
         realized_sir_db=realized_sir,
         realized_snr_db=realized_snr,

@@ -27,7 +27,7 @@ from .roomsim import (
     mix_scene,
     sample_scene,
 )
-from .signal_core import MultichannelAudio, StftConfig
+from .signal_core import SAMPLE_RATE, MultichannelAudio, StftConfig
 
 __all__ = [
     "speech_like",
@@ -35,6 +35,7 @@ __all__ = [
     "intermittent_speech",
     "frame_coverage",
     "STEM_KINDS",
+    "DEFAULT_STEM_KINDS",
     "Scenario",
     "render_scene",
     "build_sifting_scenario",
@@ -43,11 +44,9 @@ __all__ = [
 ]
 
 
-def _syllabic_envelope(
-    rng: np.random.Generator, num_samples: int, fs: int, floor: float
-) -> np.ndarray:
+def _syllabic_envelope(rng: np.random.Generator, num_samples: int, floor: float) -> np.ndarray:
     """Piecewise-smooth random envelope with ~8 Hz structure."""
-    knot_step = int(0.12 * fs)
+    knot_step = int(0.12 * SAMPLE_RATE)
     num_knots = max(2, num_samples // knot_step + 2)
     knots = np.arange(num_knots) * knot_step
     values = rng.uniform(0.0, 1.0, num_knots) ** 2
@@ -58,7 +57,6 @@ def _syllabic_envelope(
 def speech_like(
     rng: np.random.Generator,
     num_samples: int,
-    fs: int = 16000,
     *,
     envelope_floor: float = 0.0,
     rms: float = 0.05,
@@ -69,7 +67,7 @@ def speech_like(
     silences), which models a single uninterrupted utterance.
     """
     carrier = lfilter([1.0], [1.0, -0.9], rng.standard_normal(num_samples))
-    envelope = _syllabic_envelope(rng, num_samples, fs, envelope_floor)
+    envelope = _syllabic_envelope(rng, num_samples, envelope_floor)
     x = carrier * envelope
     scale = np.sqrt(np.mean(x**2))
     return x * (rms / scale) if scale > 0 else x
@@ -84,11 +82,7 @@ def stationary_noise(
 
 
 def intermittent_speech(
-    rng: np.random.Generator,
-    num_samples: int,
-    fs: int = 16000,
-    *,
-    rms: float = 0.05,
+    rng: np.random.Generator, num_samples: int, *, rms: float = 0.05
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bursty source: after a 1.5 s silent lead-in, speech-like bursts of
     0.4-0.9 s separated by silences of 0.5-1.2 s (drawn uniformly).
@@ -98,12 +92,12 @@ def intermittent_speech(
     """
     x = np.zeros(num_samples)
     active = np.zeros(num_samples, dtype=bool)
-    ramp = int(0.01 * fs)
-    cursor = int(1.5 * fs)
+    ramp = int(0.01 * SAMPLE_RATE)
+    cursor = int(1.5 * SAMPLE_RATE)
     while cursor < num_samples:
-        burst_len = int(rng.uniform(0.4, 0.9) * fs)
+        burst_len = int(rng.uniform(0.4, 0.9) * SAMPLE_RATE)
         stop = min(cursor + burst_len, num_samples)
-        segment = speech_like(rng, stop - cursor, fs, envelope_floor=0.3, rms=rms)
+        segment = speech_like(rng, stop - cursor, envelope_floor=0.3, rms=rms)
         fade = np.ones(stop - cursor)
         edge = min(ramp, len(fade) // 2)
         if edge > 0:
@@ -112,7 +106,7 @@ def intermittent_speech(
             fade[-edge:] = shape[::-1]
         x[cursor:stop] = segment * fade
         active[cursor:stop] = True
-        cursor = stop + int(rng.uniform(0.5, 1.2) * fs)
+        cursor = stop + int(rng.uniform(0.5, 1.2) * SAMPLE_RATE)
     return x, active
 
 
@@ -134,22 +128,30 @@ def _dilate_right(active: np.ndarray, num_samples_right: int) -> np.ndarray:
     return recent > 0
 
 
-def _silence(rng, num_samples, fs, rms=0.0):
+def _silence(rng, num_samples, rms=0.0):
     """The silent stem; it draws nothing from ``rng``."""
     return np.zeros(num_samples), np.zeros(num_samples, dtype=bool)
 
 
 # The named stem kinds of ``lstsc simulate`` configs, as stem makers (see
-# ``render_scene``) that also take the stem level ``rms``.
+# ``render_scene``) whose level ``rms`` defaults to the generator's.  They
+# call the generators by module name, so a rebound generator (a tracer's
+# timing wrapper) is the one that runs.
 STEM_KINDS: dict[str, Callable[..., tuple[np.ndarray, np.ndarray]]] = {
-    "intermittent": lambda rng, n, fs, rms=0.05: intermittent_speech(rng, n, fs, rms=rms),
-    "speech_like": lambda rng, n, fs, rms=0.05: (
-        speech_like(rng, n, fs, envelope_floor=0.35, rms=rms), np.ones(n, dtype=bool)
+    "intermittent": lambda rng, n, **level: intermittent_speech(rng, n, **level),
+    "speech_like": lambda rng, n, **level: (
+        speech_like(rng, n, envelope_floor=0.35, **level), np.ones(n, dtype=bool)
     ),
-    "stationary_noise": lambda rng, n, fs, rms=0.05: (
-        stationary_noise(rng, n, rms=rms), np.ones(n, dtype=bool)
+    "stationary_noise": lambda rng, n, **level: (
+        stationary_noise(rng, n, **level), np.ones(n, dtype=bool)
     ),
     "silence": _silence,
+}
+
+# Each role's stem kind in the sifting scene, the scene of a ``lstsc
+# simulate`` config that names no kind.
+DEFAULT_STEM_KINDS = {
+    "target": "intermittent", "non_target": "silence", "interferer": "stationary_noise"
 }
 
 
@@ -181,16 +183,17 @@ def render_scene(
     spec: MixSpec = MixSpec(),
     array: ArrayGeometry | None = None,
     constraints: SceneConstraints = SceneConstraints(),
-    fs: int = 16000,
 ) -> Scenario:
     """The one seeded scene recipe, shared by ``lstsc simulate`` and the
     scenario builders.
 
     The seed spawns three streams: scene geometry, stems and sensor noise.
     Stems are drawn from the stem stream in ``ROLE_ORDER``, each
-    ``spec.num_samples(fs)`` long, by ``makers[role](rng, num_samples, fs)``,
-    which returns ``(samples, active)`` with ``active`` marking where the
-    source sounds; a role without a maker is silent and draws nothing.
+    ``spec.num_samples`` long at ``SAMPLE_RATE``, by stem makers
+    ``(rng, num_samples, **level)`` called as ``makers[role](rng,
+    num_samples)`` (bind a level such as ``rms`` beforehand).  A maker
+    returns ``(samples, active)`` with ``active`` marking where the source
+    sounds; a role without a maker is silent and draws nothing.
     ``array`` defaults to the 4-mic ULA.
     """
     if not set(makers) <= set(ROLE_ORDER):
@@ -199,14 +202,12 @@ def render_scene(
     scene = sample_scene(
         np.random.default_rng(geo_seed), array=array, t60=t60, constraints=constraints
     )
-    num_samples = spec.num_samples(fs)
+    num_samples = spec.num_samples
     stem_rng = np.random.default_rng(stem_seed)
     stems, active = {}, {}
     for role in ROLE_ORDER:
-        stems[role], active[role] = makers.get(role, _silence)(stem_rng, num_samples, fs)
-    mix = mix_scene(
-        scene, stems, spec, noise_seed=int(noise_seed.generate_state(1)[0]), fs=fs
-    )
+        stems[role], active[role] = makers.get(role, _silence)(stem_rng, num_samples)
+    mix = mix_scene(scene, stems, spec, noise_seed=int(noise_seed.generate_state(1)[0]))
     return Scenario(scene=scene, stems=stems, mix=mix, active=active)
 
 
@@ -223,10 +224,7 @@ def build_sifting_scenario(
     the default ``StftConfig`` frames past ``CoherenceConfig()``'s warm-up."""
     out = render_scene(
         seed,
-        {
-            "target": STEM_KINDS["intermittent"],
-            "interferer": STEM_KINDS["stationary_noise"],
-        },
+        {role: STEM_KINDS[kind] for role, kind in DEFAULT_STEM_KINDS.items()},
         t60=t60,
         spec=MixSpec(sir_db=sir_db, snr_db=snr_db, clip_seconds=clip_seconds),
     )
@@ -253,11 +251,11 @@ def build_misconvergence_scenario(
     """Stationary interferer plus one long continuous target utterance,
     labeled for the fixed-vs-adaptive forgetting-factor A/B."""
 
-    def utterance_target(rng, num_samples, fs):
+    def utterance_target(rng, num_samples):
         active = np.zeros(num_samples, dtype=bool)
-        active[int(utterance[0] * fs) : int(utterance[1] * fs)] = True
+        active[int(utterance[0] * SAMPLE_RATE) : int(utterance[1] * SAMPLE_RATE)] = True
         target = np.zeros(num_samples)
-        target[active] = speech_like(rng, np.count_nonzero(active), fs, envelope_floor=0.35)
+        target[active] = speech_like(rng, np.count_nonzero(active), envelope_floor=0.35)
         return target, active
 
     out = render_scene(

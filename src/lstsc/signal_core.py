@@ -15,6 +15,7 @@ import numpy as np
 from scipy.io import wavfile
 
 __all__ = [
+    "SAMPLE_RATE",
     "MultichannelAudio",
     "StftConfig",
     "Mask",
@@ -25,6 +26,10 @@ __all__ = [
     "istft",
     "apply_mask",
 ]
+
+# The one sample rate of the pipeline (Hz): scenes render at it, and
+# ``extract`` and ``enhance`` accept only it.
+SAMPLE_RATE = 16000
 
 # Accumulated squared-window values below this are treated as uncovered
 # (first/last hop of the signal, where the tapered window never opens).

@@ -97,6 +97,49 @@ class TestSimulate:
         assert main(["simulate", "--seed", "1", "--config", config,
                      "--out", str(tmp_path / "x")]) == EXIT_CONSTRAINT
 
+    @pytest.mark.parametrize(
+        "array,key",
+        [
+            ({"diameter": 0.5}, "diameter"),
+            ({"kind": "ula", "diameter": 0.5}, "diameter"),
+            ({"kind": "ula", "positions": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]}, "positions"),
+            ({"kind": "circular", "spacing": 0.1}, "spacing"),
+            ({"kind": "positions", "positions": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]],
+              "num_mics": 2}, "num_mics"),
+        ],
+    )
+    def test_key_of_another_array_kind_exits_2_naming_it(self, tmp_path, capsys, array, key):
+        config = _write_config(tmp_path / "cfg.json", {"array": array})
+        out = tmp_path / "x"
+        assert main(["simulate", "--seed", "1", "--config", config,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"unknown config key 'array.{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_spellings_keep_the_bytes(self, tmp_path):
+        # the settings objects receive the config's numbers as written
+        def spelled(number):
+            return {
+                "array": {"kind": "circular", "num_mics": 3, "diameter": number(1)},
+                "scene": {"min_angle_deg": number(20)},
+                "mix": {"sir_db": number(5), "snr_db": number(25), "clip_seconds": number(2)},
+                "stems": {"target": {"rms": number(1)}},
+            }
+
+        bundles = {}
+        for number in (int, float):
+            out = tmp_path / number.__name__
+            config = _write_config(tmp_path / f"{number.__name__}.json", spelled(number))
+            assert main(["simulate", "--seed", "2", "--config", config,
+                         "--out", str(out)]) == EXIT_OK
+            manifest = json.loads((out / "scene.json").read_text())
+            assert manifest.pop("config_echo") == spelled(number)
+            wavs = {path.name: path.read_bytes() for path in sorted(out.glob("*.wav"))}
+            bundles[number] = manifest, wavs
+        assert len(bundles[int][1]) == 5
+        assert bundles[int] == bundles[float]
+        assert json.dumps(bundles[int][0]) == json.dumps(bundles[float][0])
+
 
 class TestSceneRecipe:
     @pytest.mark.parametrize("seed", [0, 1])
@@ -405,6 +448,46 @@ class TestConfigTypes:
             assert not out.exists()
         assert code == EXIT_CONFIG
         assert f"'{'.'.join(path)}'" in stderr.getvalue()
+
+
+# the coherence keys reach `enhance` too
+_NON_FINITE_CASES = sorted(_EXPECTED_TYPES) + [
+    ("enhance", path) for command, path in sorted(_EXPECTED_TYPES) if command == "extract"
+]
+
+
+class TestNonFiniteConfig:
+    """NaN and Infinity, which Python's json reads though JSON has no such
+    numbers, and numbers that overflow to infinity are rejected wherever
+    they stand, before anything is written."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(_NON_FINITE_CASES), st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400"]))
+    @example(("simulate", ("scene", "min_angle_deg")), "NaN")
+    @example(("simulate", ("mix", "clip_seconds")), "Infinity")
+    @example(("simulate", ("t60",)), "Infinity")
+    @example(("enhance", ("beta",)), "NaN")
+    @example(("rir", ("room", "t60")), "-Infinity")
+    def test_exits_2_naming_the_token(self, case, token):
+        command, path = case
+        text = token
+        for key in reversed(path):
+            text = f'{{"{key}": {text}}}'
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(text)
+            out = Path(tmp) / "out"
+            argv = [command, "--config", str(cfg_path), "--out", str(out)]
+            if command == "simulate":
+                argv += ["--seed", "1"]
+            if command in ("extract", "enhance"):
+                argv += ["--in", str(Path(tmp) / "unread.wav")]
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert not out.exists()
+        assert code == EXIT_CONFIG
+        assert f"non-finite number {token}" in stderr.getvalue()
 
 
 class TestEvaluate:

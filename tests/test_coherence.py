@@ -76,6 +76,11 @@ class TestConfig:
                 CoherenceConfig(erb_bands=bad)
         assert CoherenceConfig(R=np.int64(2), erb_bands=np.int32(48)).warmup_frames == 5
 
+    @pytest.mark.parametrize("field", ["beta", "epsilon"])
+    def test_nan_threshold_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            CoherenceConfig(**{field: float("nan")})
+
     def test_warmup(self):
         assert CoherenceConfig(R=1).warmup_frames == 3
         assert CoherenceConfig(R=3).warmup_frames == 7

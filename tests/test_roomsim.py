@@ -358,6 +358,12 @@ class TestMixScene:
         spec = MixSpec(sir_db=2.5, snr_db=23.0, allow_off_grid=True)
         assert spec.sir_db == 2.5
 
+    @pytest.mark.parametrize("field", ["sir_db", "snr_db", "clip_seconds"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_levels_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MixSpec(allow_off_grid=True, **{field: value})
+
     def test_grid_values_accepted(self):
         for sir in (0, 5, 10, 15):
             for snr in (20, 25, 30):

@@ -122,14 +122,14 @@ class TestMisconvergenceScenario:
 
 class TestStemKinds:
     def test_makers_call_the_generators(self):
-        n, fs = 4000, 16000
+        n = 4000
         calls = {
-            "intermittent": lambda rng: intermittent_speech(rng, n, fs, rms=0.07),
-            "speech_like": lambda rng: speech_like(rng, n, fs, envelope_floor=0.35, rms=0.07),
+            "intermittent": lambda rng: intermittent_speech(rng, n, rms=0.07),
+            "speech_like": lambda rng: speech_like(rng, n, envelope_floor=0.35, rms=0.07),
             "stationary_noise": lambda rng: stationary_noise(rng, n, rms=0.07),
         }
         for kind, call in calls.items():
-            samples, active = STEM_KINDS[kind](np.random.default_rng(9), n, fs, rms=0.07)
+            samples, active = STEM_KINDS[kind](np.random.default_rng(9), n, rms=0.07)
             want = call(np.random.default_rng(9))
             want_samples, want_active = want if kind == "intermittent" else (want, np.ones(n, bool))
             assert np.array_equal(samples, want_samples)
@@ -137,7 +137,7 @@ class TestStemKinds:
 
     def test_silence_draws_nothing(self):
         rng = np.random.default_rng(9)
-        samples, active = STEM_KINDS["silence"](rng, 100, 16000, rms=0.07)
+        samples, active = STEM_KINDS["silence"](rng, 100, rms=0.07)
         assert not samples.any() and not active.any() and samples.shape == (100,)
         assert rng.random() == np.random.default_rng(9).random()
 
