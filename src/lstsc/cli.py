@@ -33,6 +33,7 @@ from .coherence import (
     compute_lstsc,
     export_features_csv,
     write_features,
+    write_plane_csv,
 )
 from .enhance import HeuristicMaskEstimator, enhance_stream
 from .metrics import si_sdr
@@ -85,9 +86,20 @@ def _load_config(path: str | None) -> dict:
             raise ConfigError(f"config {cfg_path} holds the non-finite number {token}")
         return value
 
+    # an integer is kept as int, unless it is too large for a float
+    def integer(token: str) -> int:
+        if not math.isfinite(float(token)):
+            raise ConfigError(
+                f"config {cfg_path} holds a {len(token.lstrip('-'))}-digit integer, "
+                "too large for a float"
+            )
+        return int(token)
+
     try:
         with open(cfg_path) as fh:
-            config = json.load(fh, parse_float=finite, parse_constant=finite)
+            config = json.load(
+                fh, parse_float=finite, parse_int=integer, parse_constant=finite
+            )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {cfg_path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -351,7 +363,7 @@ def _cmd_enhance(args: argparse.Namespace) -> int:
         if args.mask_out
         else out_path.with_suffix(".mask.csv")
     )
-    np.savetxt(mask_path, result.mask.data, delimiter=",", fmt="%.9e")
+    write_plane_csv(mask_path, result.mask.data)
     print(f"wrote {out_path} and {mask_path}")
     return EXIT_OK
 

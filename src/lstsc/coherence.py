@@ -51,6 +51,7 @@ __all__ = [
     "compute_lstsc",
     "write_features",
     "read_features",
+    "write_plane_csv",
     "export_features_csv",
 ]
 
@@ -733,17 +734,120 @@ def read_features(path: str | Path) -> dict:
     }
 
 
+# Rows formatted per numpy pass: a few MB of temporaries at 257 columns.
+_CSV_BLOCK_ROWS = 256
+
+# A "%.9e" field without its sign is 15 bytes, 16 with the separator:
+# two little-endian words, "d.ddd" + "ddd" and "ddd" + "e+dd" + separator.
+# Each table holds a piece's ASCII bytes, shifted to its place in the word.
+_CSV_DIGITS = np.array(
+    [int.from_bytes(f"{q:03d}".encode(), "little") for q in range(1000)], dtype=np.uint64
+)
+# "d.ddd" for 0...9999: the leading digit and "." then the other three
+_CSV_LEAD = np.repeat(
+    np.arange(ord("0"), ord("9") + 1, dtype=np.uint64) | np.uint64(ord(".") << 8), 1000
+) | np.tile(_CSV_DIGITS << np.uint64(16), 10)
+_CSV_MID = _CSV_DIGITS << np.uint64(40)
+_CSV_EXP = np.array(
+    [int.from_bytes(f"e{e:+03d}".encode(), "little") << 24 for e in range(-99, 100)],
+    dtype=np.uint64,
+)
+_CSV_COMMA = np.uint64(ord(",") << 56)
+_CSV_NEWLINE = np.uint64(ord("\n") << 56)
+# 10**(9 - e) for e in -99...99, each correctly rounded; exact for |9 - e| <= 22
+_CSV_SCALE = np.array([float(f"1e{9 - e}") for e in range(-99, 100)])
+
+
+def _csv_block(rows: np.ndarray) -> bytes:
+    """CSV text of a float64 block: ``"%.9e"`` fields, ``,``, ``\\n``.
+
+    Each value's ten significant digits are ``n = rint(|x| 10^(9-e))``
+    with ``e = floor(log10 |x|)``.  Both the power of ten and the product
+    are correctly rounded, so below 1e10 the scaled value is within 2.3e-6
+    of the exact product.  A value is proven when its scaled value lies in
+    [1e9, 1e10 - 1/2), more than 1e-5 from a half-integer; zeros are
+    proven too.  A row holding an unproven value (a wrong exponent guess,
+    a near tie, a three-digit exponent, NaN or inf) is formatted by
+    Python's ``%`` operator.
+    """
+    count, cols = rows.shape
+    live = np.isfinite(rows) & (rows != 0.0)
+    a = np.abs(rows)
+    a[~live] = 1.0
+    # an exponent past +-99 is clipped, which puts y outside [1e9, 1e10)
+    e = np.clip(np.floor(np.log10(a)), -99.0, 99.0).astype(np.intp) + 99
+    y = a * _CSV_SCALE[e]
+    n = np.rint(y)
+    ok = live & (y >= 1e9) & (n < 1e10) & (np.abs(y - n) < 0.5 - 1e-5)
+    proven = ok | (rows == 0.0)
+    # zeros (and the unproven values, rewritten below) print as 0.000000000e+00
+    n[~ok] = 0.0
+    e[~ok] = 99
+    # n < 1e10 splits exactly in float64: 4 + 3 + 3 digits
+    lead = np.floor(n / 1e6)
+    rest = n - lead * 1e6
+    mid = np.floor(rest / 1e3)
+    low = rest - mid * 1e3
+    sep = np.full(cols, _CSV_COMMA)
+    sep[-1] = _CSV_NEWLINE
+    words = np.empty((count, cols, 2), dtype="<u8")
+    words[..., 0] = _CSV_LEAD[lead.astype(np.intp)] | _CSV_MID[mid.astype(np.intp)]
+    words[..., 1] = _CSV_DIGITS[low.astype(np.intp)] | _CSV_EXP[e] | sep
+
+    negative = np.signbit(rows) & proven
+    if negative.any():
+        signed = np.empty((count, cols, 17), dtype=np.uint8)
+        signed[..., 0] = ord("-")
+        signed[..., 1:] = words.view(np.uint8).reshape(count, cols, 16)
+        keep = np.ones(signed.shape, dtype=bool)
+        keep[..., 0] = negative
+        text = signed[keep].tobytes()
+    else:
+        text = words.tobytes()
+
+    unproven = np.flatnonzero(~proven.all(axis=1))
+    if unproven.size == 0:
+        return text
+    row_bytes = 16 * cols + negative.sum(axis=1)
+    ends = np.cumsum(row_bytes)
+    row_format = ",".join(["%.9e"] * cols) + "\n"
+    pieces, start = [], 0
+    for r in unproven:
+        pieces.append(text[start : ends[r] - row_bytes[r]])
+        pieces.append((row_format % tuple(rows[r].tolist())).encode("ascii"))
+        start = ends[r]
+    pieces.append(text[start:])
+    return b"".join(pieces)
+
+
+def write_plane_csv(path: str | Path, plane: np.ndarray) -> None:
+    """Write a 2-D float plane as CSV, one row per line.
+
+    Each value is written as Python's ``"%.9e" % value``, with ``,``
+    between values and ``\\n`` after each row: the bytes numpy's text
+    writer gives for ``delimiter=","`` and ``fmt="%.9e"``.  Formatting runs
+    in numpy, ``_CSV_BLOCK_ROWS`` rows at a time.
+    """
+    plane = np.asarray(plane, dtype=np.float64)
+    if plane.ndim != 2 or plane.shape[1] == 0:
+        raise ValueError(f"a CSV plane must be 2-D with columns, got shape {plane.shape}")
+    with open(path, "wb") as fh:
+        for start in range(0, len(plane), _CSV_BLOCK_ROWS):
+            fh.write(_csv_block(plane[start : start + _CSV_BLOCK_ROWS]))
+
+
 def export_features_csv(base_path: str | Path, features: LstscFeatures) -> list[Path]:
     """Write one CSV per exported plane next to ``base_path``.
 
     ``base_path`` may carry any suffix; files are named
-    ``<stem>.<plane>.csv`` in the same directory.  Returns written paths.
+    ``<stem>.<plane>.csv`` in the same directory and written by
+    ``write_plane_csv``.  Returns written paths.
     """
     base = Path(base_path)
     stem = base.stem if base.suffix else base.name
     written = []
     for name, plane in _export_planes(features):
         out = base.with_name(f"{stem}.{name}.csv")
-        np.savetxt(out, plane, delimiter=",", fmt="%.9e")
+        write_plane_csv(out, plane)
         written.append(out)
     return written

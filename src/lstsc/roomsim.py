@@ -467,6 +467,24 @@ class SceneConstraints:
     wall_margin: float = 0.05
     max_attempts: int = 1000
 
+    def __post_init__(self) -> None:
+        for name, size in (
+            ("room_dims", 3), ("array_center", 3), ("range_bounds", 2), ("azimuth_deg", 2)
+        ):
+            value = getattr(self, name)
+            try:
+                vector = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError):
+                vector = None
+            if vector is None or vector.shape != (size,) or not np.isfinite(vector).all():
+                raise ValueError(f"{name} must hold {size} finite numbers, got {value!r}")
+        if min(self.room_dims) <= 0:
+            raise ValueError(f"room_dims must be positive, got {self.room_dims!r}")
+        for name in ("range_bounds", "azimuth_deg"):
+            bounds = getattr(self, name)
+            if bounds[0] > bounds[1]:
+                raise ValueError(f"{name} must be (lo, hi) with lo <= hi, got {bounds!r}")
+
 
 def sample_scene(
     seed,

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 from __future__ import annotations
 
+import io
 import os
 import sys
 from pathlib import Path
@@ -53,3 +54,10 @@ def random_small_specs(
     """Random complex spectrogram stack for oracle comparisons."""
     shape = (num_channels, num_frames, num_bins)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def savetxt_bytes(plane: np.ndarray) -> bytes:
+    """The bytes ``np.savetxt`` writes for ``plane`` as a ``%.9e`` CSV."""
+    buffer = io.BytesIO()
+    np.savetxt(buffer, plane, delimiter=",", fmt="%.9e")
+    return buffer.getvalue()

@@ -18,14 +18,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from conftest import delayed_array_audio
+from conftest import delayed_array_audio, savetxt_bytes
 
 from lstsc import cli
 from lstsc.cli import EXIT_CONFIG, EXIT_CONSTRAINT, EXIT_MISSING, EXIT_OK, main
-from lstsc.coherence import read_features
+from lstsc.coherence import CoherenceConfig, compute_lstsc, read_features
+from lstsc.enhance import HeuristicMaskEstimator, enhance_stream
 from lstsc.roomsim import ROLE_ORDER
 from lstsc.scenarios import STEM_KINDS, build_sifting_scenario
-from lstsc.signal_core import load_wav, save_wav
+from lstsc.signal_core import StftConfig, load_wav, save_wav, stft_multichannel
 
 
 def _write_config(path, payload):
@@ -114,6 +115,32 @@ class TestSimulate:
         assert main(["simulate", "--seed", "1", "--config", config,
                      "--out", str(out)]) == EXIT_CONFIG
         assert f"unknown config key 'array.{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scene,key",
+        [({"room_dims": [6.0, 5.0]}, "room_dims"), ({"range_bounds": [1.0]}, "range_bounds")],
+    )
+    def test_scene_vector_of_wrong_length_exits_4_naming_it(self, tmp_path, capsys, scene, key):
+        config = _write_config(tmp_path / "cfg.json", {"scene": scene})
+        out = tmp_path / "x"
+        assert main(["simulate", "--seed", "1", "--config", config,
+                     "--out", str(out)]) == EXIT_CONSTRAINT
+        assert f"{key} must hold" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", [("mix", "sir_db"), ("t60",)])
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, path):
+        text = "9" * 400
+        for key in reversed(path):
+            text = f'{{"{key}": {text}}}'
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        out = tmp_path / "x"
+        assert main(["simulate", "--seed", "1", "--config", str(config),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(config) in err and "400-digit integer, too large" in err
         assert not out.exists()
 
     def test_integer_spellings_keep_the_bytes(self, tmp_path):
@@ -253,11 +280,21 @@ class TestExtract:
         assert back["planes"][0].shape == (98, width)
 
     def test_csv_sidecars(self, tmp_path, mixture_wav):
-        out = tmp_path / "feat.lsts"
-        assert main(["extract", "--in", mixture_wav, "--variant", "lstsc-3",
-                     "--csv", "--out", str(out)]) == EXIT_OK
-        assert (tmp_path / "feat.gamma_local.csv").exists()
-        assert (tmp_path / "feat.lambda.csv").exists()
+        # each plane's bytes are those of np.savetxt with "%.9e"
+        planes = {"gamma_local": "gamma_local", "gamma_global": "gamma_global",
+                  "gamma_global_warped": "gamma_global_warped", "lambda": "lambda_trace"}
+        specs = stft_multichannel(load_wav(mixture_wav), StftConfig())
+        for variant, prefix in (("lstsc-3", ""), ("lstsc-4", "banded_")):
+            out = tmp_path / variant / "feat.lsts"
+            assert main(["extract", "--in", mixture_wav, "--variant", variant,
+                         "--csv", "--out", str(out)]) == EXIT_OK
+            features = compute_lstsc(specs, CoherenceConfig.for_variant(variant))
+            assert sorted(path.name for path in out.parent.glob("feat.*.csv")) == sorted(
+                f"feat.{name}.csv" for name in planes
+            )
+            for name, attr in planes.items():
+                want = savetxt_bytes(getattr(features, prefix + attr))
+                assert (out.parent / f"feat.{name}.csv").read_bytes() == want
 
     def test_missing_input(self, tmp_path):
         assert main(["extract", "--in", str(tmp_path / "nope.wav"),
@@ -306,6 +343,11 @@ class TestEnhance:
         mask = np.loadtxt(tmp_path / "enhanced.mask.csv", delimiter=",")
         assert mask.shape == (98, 257)
         assert mask.min() >= 0.0 and mask.max() <= 1.0
+        result = enhance_stream(
+            load_wav(mixture_wav), CoherenceConfig.for_variant("lstsc-3"), HeuristicMaskEstimator()
+        )
+        want = savetxt_bytes(result.mask.data)
+        assert (tmp_path / "enhanced.mask.csv").read_bytes() == want
 
     def test_explicit_mask_path(self, tmp_path, mixture_wav):
         out = tmp_path / "e.wav"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import delayed_array_audio, random_small_specs
+from conftest import delayed_array_audio, random_small_specs, savetxt_bytes
 import oracle_frame_engine
 from oracle_lstsc import _coherence_whitened_form, oracle_lstsc, oracle_short_term_rtf
 
@@ -31,6 +31,7 @@ from lstsc.coherence import (
     stream_frames,
     whiten,
     write_features,
+    write_plane_csv,
 )
 from lstsc.enhance import HeuristicMaskEstimator
 from lstsc.signal_core import StftConfig, stft_multichannel
@@ -727,3 +728,69 @@ class TestExport:
             assert path.exists()
             data = np.loadtxt(path, delimiter=",")
             assert data.shape == (6, 5)
+
+
+_POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-300, 301)])
+
+
+def _dyadic_ties(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Values ``m / 2**j`` whose exact decimal has 11 significant digits
+    ending in 5: exact half-way cases for ten significant digits."""
+    out = []
+    for j in rng.integers(1, 16, size):
+        lo, hi = -(-10**10 // 5**j), (10**11 - 1) // 5**j
+        m = 2 * int(rng.integers(lo // 2, hi // 2)) + 1  # odd, in [lo, hi]
+        out.append(m / 2**j)
+    return np.array(out)
+
+
+def _csv_plane(rows: int, cols: int, seed: int, extras: list[float]) -> np.ndarray:
+    """A plane whose rows each draw from one family of values, or from all.
+
+    Families: mask-like values in [0, 1), signed values in [-1, 1],
+    magnitudes 1e-99...1e99 and 1e-330...1e300 (subnormals included),
+    one ulp either side of and at 10**k, dyadic ties, and the specials
+    +-0.0, NaN, +-inf, the smallest subnormal and the largest float.
+    Hypothesis's own floats land at random positions.
+    """
+    rng = np.random.default_rng(seed)
+    size = max(cols, 64)
+    near = rng.choice(_POWERS_OF_TEN, size)
+    families = [
+        rng.random(size),
+        rng.uniform(-1.0, 1.0, size),
+        10.0 ** rng.uniform(-99.0, 99.0, size),
+        10.0 ** rng.uniform(-330.0, 300.0, size),
+        np.concatenate([np.nextafter(near, 0.0), near, np.nextafter(near, np.inf)]),
+        _dyadic_ties(rng, size),
+        np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+                  np.finfo(np.float64).max]),
+    ]
+    everything = np.concatenate(families)
+    plane = np.empty((rows, cols))
+    for row, family in enumerate(rng.integers(0, len(families) + 1, rows)):
+        source = everything if family == len(families) else families[family]
+        plane[row] = rng.choice(source, cols) * rng.choice([-1.0, 1.0], cols)
+    for value in extras if rows else ():
+        plane[rng.integers(rows), rng.integers(cols)] = value
+    return plane
+
+
+class TestPlaneCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 300),
+        st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
+    )
+    def test_bytes_equal_numpy_text_writer(self, tmp_path_factory, rows, cols, seed, extras):
+        plane = _csv_plane(rows, cols, seed, extras)
+        path = tmp_path_factory.mktemp("csv") / "plane.csv"
+        write_plane_csv(path, plane)
+        assert path.read_bytes() == savetxt_bytes(plane)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 0), (2, 2, 2)])
+    def test_rejects_planes_that_are_not_2d(self, tmp_path, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            write_plane_csv(tmp_path / "p.csv", np.zeros(shape))

@@ -2,6 +2,8 @@
 scene-sampling protocol, and level-exact mixing."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +266,24 @@ class TestSampleScene:
                                        max_attempts=50)
         with pytest.raises(RuntimeError, match="budget exhausted"):
             sample_scene(0, constraints=constraints)
+
+    @pytest.mark.parametrize(
+        "field,value,words",
+        [
+            ("room_dims", (6.0, 5.0), "room_dims must hold 3 finite numbers"),
+            ("room_dims", (6.0, 5.0, np.inf), "room_dims must hold 3 finite numbers"),
+            ("room_dims", (6.0, 0.0, 3.0), "room_dims must be positive"),
+            ("array_center", (3.0, 1.5, 1.2, 0.0), "array_center must hold 3 finite numbers"),
+            ("array_center", ("a", "b", "c"), "array_center must hold 3 finite numbers"),
+            ("range_bounds", (1.0,), "range_bounds must hold 2 finite numbers"),
+            ("range_bounds", (2.0, 1.0), "range_bounds must be (lo, hi) with lo <= hi"),
+            ("azimuth_deg", (0.0, np.nan), "azimuth_deg must hold 2 finite numbers"),
+            ("azimuth_deg", (180.0, 0.0), "azimuth_deg must be (lo, hi) with lo <= hi"),
+        ],
+    )
+    def test_constraint_vectors_validated(self, field, value, words):
+        with pytest.raises(ValueError, match=re.escape(words)):
+            SceneConstraints(**{field: value})
 
     def test_custom_array(self):
         scene = sample_scene(5, array=ArrayGeometry.circular(7, 0.08))
