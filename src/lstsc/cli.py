@@ -310,12 +310,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "config_echo": config,
     }
     with open(out_dir / "scene.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    print(
-        f"wrote scene to {out_dir} "
-        f"(SIR {'n/a' if result.realized_sir_db is None else round(result.realized_sir_db, 3) + 0.0} dB, "
-        f"SNR {round(result.realized_snr_db, 3) + 0.0} dB)"
+        json.dump(manifest, fh, indent=2, allow_nan=False)
+    sir, snr = (
+        "n/a" if level is None else round(level, 3) + 0.0
+        for level in (result.realized_sir_db, result.realized_snr_db)
     )
+    print(f"wrote scene to {out_dir} (SIR {sir} dB, SNR {snr} dB)")
     return EXIT_OK
 
 

@@ -47,7 +47,9 @@ ROLE_ORDER = ("target", "non_target", "interferer")
 
 @dataclasses.dataclass(frozen=True)
 class ArrayGeometry:
-    """Microphone positions relative to the array center (meters)."""
+    """Microphone positions relative to the array's origin (meters).  The
+    origin need not be the mic centroid, from which the scene protocol
+    measures (``RoomScene.array_center``)."""
 
     positions: np.ndarray
 
@@ -67,7 +69,7 @@ class ArrayGeometry:
         return self.positions.shape[0]
 
     def placed(self, center) -> np.ndarray:
-        """Absolute mic positions for an array centered at ``center``."""
+        """Absolute mic positions for the array's origin at ``center``."""
         return self.positions + np.asarray(center, dtype=np.float64)
 
     @classmethod
@@ -102,26 +104,92 @@ class Source:
             raise ValueError(f"unknown source role {self.role!r}")
 
 
+@dataclasses.dataclass(frozen=True)
+class SceneConstraints:
+    """Protocol defaults for scene sampling.
+
+    Sources are drawn in the frontal half-plane ring sector around
+    ``array_center``, where the array's origin is placed, at its height;
+    azimuth is measured in the horizontal plane with the array facing +y.
+    """
+
+    room_dims: tuple[float, float, float] = (6.0, 5.0, 3.0)
+    array_center: tuple[float, float, float] = (3.0, 1.5, 1.2)
+    range_bounds: tuple[float, float] = (0.7, 2.0)
+    min_angle_deg: float = 15.0
+    azimuth_deg: tuple[float, float] = (0.0, 180.0)
+    wall_margin: float = 0.05
+    max_attempts: int = 1000
+
+    def __post_init__(self) -> None:
+        for name, size in (
+            ("room_dims", 3), ("array_center", 3), ("range_bounds", 2), ("azimuth_deg", 2)
+        ):
+            value = getattr(self, name)
+            try:
+                vector = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError):
+                vector = None
+            if vector is None or vector.shape != (size,) or not np.isfinite(vector).all():
+                raise ValueError(f"{name} must hold {size} finite numbers, got {value!r}")
+        if min(self.room_dims) <= 0:
+            raise ValueError(f"room_dims must be positive, got {self.room_dims!r}")
+        for name in ("range_bounds", "azimuth_deg"):
+            bounds = getattr(self, name)
+            if bounds[0] > bounds[1]:
+                raise ValueError(f"{name} must be (lo, hi) with lo <= hi, got {bounds!r}")
+        for name in ("min_angle_deg", "wall_margin"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
 def _inside(point: np.ndarray, dims: np.ndarray, margin: float = 0.0) -> bool:
     return bool(np.all(point > margin) and np.all(point < dims - margin))
+
+
+def _protocol_problem(
+    positions, center, dims, margin: float, range_bounds, min_angle_deg: float
+) -> str | None:
+    """The first protocol rule that the sources at ``positions`` (one row
+    per role, in ``ROLE_ORDER``) break around ``center``, or None."""
+    outside = ~np.all((positions > margin) & (positions < dims - margin), axis=1)
+    if outside.any():
+        return f"source {positions[outside.argmax()]} outside room {dims}"
+    offsets = positions - center
+    ranges = np.linalg.norm(offsets, axis=1)
+    lo, hi = range_bounds
+    for distance in ranges:
+        if not lo <= distance <= hi:
+            return f"source range {distance:.3f} m outside [{lo}, {hi}] m"
+    directions = offsets / ranges[:, None]
+    cosines = np.clip(directions @ directions.T, -1.0, 1.0)
+    angles = np.arccos(cosines[np.triu_indices(len(positions), k=1)])
+    if np.any(angles < math.radians(min_angle_deg) - 1e-9):
+        return "sources closer than the minimum angular separation"
+    if ranges[0] > ranges[1:].min() + 1e-9:
+        return "target must be at least as close as other sources"
+    return None
 
 
 @dataclasses.dataclass
 class RoomScene:
     """A sampled acoustic scene: box room, reverberation, mics, sources.
 
-    Geometric protocol invariants are validated at construction: sources
-    sit in the ring ``range_bounds`` around the array center, pairwise at
-    least ``min_angle_deg`` apart as seen from the center, with the
-    target no farther than any other source.
+    The protocol is validated at construction: ``sources`` holds one
+    source per role in ``ROLE_ORDER``, inside the room, in the ring
+    ``range_bounds`` around ``array_center`` (the mic centroid), pairwise
+    at least ``min_angle_deg`` apart as seen from it, with the target no
+    farther than any other source.  ``sample_scene`` keeps only draws
+    that pass this same rule.
     """
 
     room_dims: np.ndarray
     t60: float
     mic_positions: np.ndarray
     sources: list[Source]
-    range_bounds: tuple[float, float] = (0.7, 2.0)
-    min_angle_deg: float = 15.0
+    range_bounds: tuple[float, float] = SceneConstraints.range_bounds
+    min_angle_deg: float = SceneConstraints.min_angle_deg
 
     def __post_init__(self) -> None:
         self.room_dims = np.asarray(self.room_dims, dtype=np.float64)
@@ -130,48 +198,22 @@ class RoomScene:
         )
         if self.room_dims.shape != (3,) or np.any(self.room_dims <= 0):
             raise ValueError("room_dims must be three positive lengths")
-        if self.t60 <= 0:
-            raise ValueError("t60 must be positive")
+        if not (math.isfinite(self.t60) and self.t60 > 0):
+            raise ValueError(f"t60 must be positive and finite, got {self.t60}")
         if self.mic_positions.shape[1] != 3:
             raise ValueError("mic_positions must be (M, 3)")
         for mic in self.mic_positions:
             if not _inside(mic, self.room_dims):
                 raise ValueError(f"microphone {mic} outside room {self.room_dims}")
-        if not self.sources:
-            raise ValueError("scene needs at least one source")
-
-        center = self.array_center
-        ranges = {}
-        directions = []
-        for src in self.sources:
-            if not _inside(src.position, self.room_dims):
-                raise ValueError(f"source {src.position} outside room")
-            offset = src.position - center
-            rng = float(np.linalg.norm(offset))
-            lo, hi = self.range_bounds
-            if not (lo <= rng <= hi):
-                raise ValueError(
-                    f"source range {rng:.3f} m outside [{lo}, {hi}] m"
-                )
-            ranges.setdefault(src.role, []).append(rng)
-            directions.append(offset / rng)
-
-        min_angle = math.radians(self.min_angle_deg)
-        for i in range(len(directions)):
-            for j in range(i + 1, len(directions)):
-                cosine = float(np.clip(np.dot(directions[i], directions[j]), -1, 1))
-                if math.acos(cosine) < min_angle - 1e-9:
-                    raise ValueError(
-                        "sources closer than the minimum angular separation"
-                    )
-
-        if "target" in ranges:
-            target_range = min(ranges["target"])
-            others = [
-                r for role, rs in ranges.items() if role != "target" for r in rs
-            ]
-            if others and target_range > min(others) + 1e-9:
-                raise ValueError("target must be at least as close as other sources")
+        roles = tuple(src.role for src in self.sources)
+        if roles != ROLE_ORDER:
+            raise ValueError(f"sources must be one per role in {ROLE_ORDER}, got {roles}")
+        problem = _protocol_problem(
+            np.stack([src.position for src in self.sources]), self.array_center,
+            self.room_dims, 0.0, self.range_bounds, self.min_angle_deg,
+        )
+        if problem:
+            raise ValueError(problem)
 
     @property
     def array_center(self) -> np.ndarray:
@@ -210,8 +252,8 @@ class MixSpec:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
-        if self.clip_seconds <= 0:
-            raise ValueError("clip_seconds must be positive")
+        if self.num_samples < 1:
+            raise ValueError(f"clip_seconds must span at least one sample, got {self.clip_seconds}")
         if not self.allow_off_grid:
             if not any(math.isclose(self.sir_db, v) for v in self.SIR_GRID):
                 raise ValueError(
@@ -378,6 +420,8 @@ def simulate_rirs(
     if duration is not None and not (math.isfinite(duration) and duration * fs >= 1):
         raise ValueError(f"duration must span at least one sample, got {duration}")
 
+    if t60 is not None and not math.isfinite(t60):
+        raise ValueError(f"t60 must be finite, got {t60}")
     if absorption is not None:
         if not (0.0 < absorption <= 1.0):
             raise ValueError("absorption must lie in (0, 1]")
@@ -450,49 +494,14 @@ def measure_t60(rir: Rir) -> float:
     return -60.0 / slope
 
 
-@dataclasses.dataclass(frozen=True)
-class SceneConstraints:
-    """Protocol defaults for scene sampling.
-
-    Sources are drawn in the frontal half-plane ring sector around the
-    array center at array height; azimuth is measured in the horizontal
-    plane with the array facing +y.
-    """
-
-    room_dims: tuple[float, float, float] = (6.0, 5.0, 3.0)
-    array_center: tuple[float, float, float] = (3.0, 1.5, 1.2)
-    range_bounds: tuple[float, float] = (0.7, 2.0)
-    min_angle_deg: float = 15.0
-    azimuth_deg: tuple[float, float] = (0.0, 180.0)
-    wall_margin: float = 0.05
-    max_attempts: int = 1000
-
-    def __post_init__(self) -> None:
-        for name, size in (
-            ("room_dims", 3), ("array_center", 3), ("range_bounds", 2), ("azimuth_deg", 2)
-        ):
-            value = getattr(self, name)
-            try:
-                vector = np.asarray(value, dtype=np.float64)
-            except (TypeError, ValueError):
-                vector = None
-            if vector is None or vector.shape != (size,) or not np.isfinite(vector).all():
-                raise ValueError(f"{name} must hold {size} finite numbers, got {value!r}")
-        if min(self.room_dims) <= 0:
-            raise ValueError(f"room_dims must be positive, got {self.room_dims!r}")
-        for name in ("range_bounds", "azimuth_deg"):
-            bounds = getattr(self, name)
-            if bounds[0] > bounds[1]:
-                raise ValueError(f"{name} must be (lo, hi) with lo <= hi, got {bounds!r}")
-
-
 def sample_scene(
     seed,
     array: ArrayGeometry | None = None,
     t60: float = 0.3,
     constraints: SceneConstraints = SceneConstraints(),
 ) -> RoomScene:
-    """Rejection-sample a scene satisfying every protocol invariant.
+    """Rejection-sample a scene that passes ``RoomScene``'s protocol, with
+    sources ``wall_margin`` inside the walls.
 
     Deterministic for a fixed seed.  One source per role is placed; the
     closest draw becomes the target, the remaining roles are shuffled.
@@ -507,11 +516,11 @@ def sample_scene(
     for mic in mics:
         if not _inside(mic, dims, constraints.wall_margin):
             raise ValueError("array does not fit inside the room")
+    centroid = mics.mean(axis=0)
 
     num_sources = len(ROLE_ORDER)
     lo, hi = constraints.range_bounds
     az_lo, az_hi = np.radians(constraints.azimuth_deg)
-    min_angle = np.radians(constraints.min_angle_deg)
 
     for _ in range(constraints.max_attempts):
         radii = rng.uniform(lo, hi, num_sources)
@@ -521,17 +530,15 @@ def sample_scene(
             axis=1,
         )
         positions = center + offsets
-        if not all(_inside(p, dims, constraints.wall_margin) for p in positions):
+        closest = int(np.argmin(radii))
+        order = [closest] + [i for i in range(num_sources) if i != closest]
+        if _protocol_problem(
+            positions[order], centroid, dims, constraints.wall_margin,
+            constraints.range_bounds, constraints.min_angle_deg,
+        ):
             continue
-        directions = offsets / radii[:, None]
-        cosines = directions @ directions.T
-        angles = np.arccos(np.clip(cosines, -1.0, 1.0))
-        pair = angles[np.triu_indices(num_sources, k=1)]
-        if pair.size and pair.min() < min_angle:
-            continue
-        order = [int(np.argmin(radii))]
-        rest = [i for i in range(num_sources) if i != order[0]]
-        order += list(rng.permutation(rest))
+        # the shuffle leaves the target in place, so the checked draw stands
+        order[1:] = rng.permutation(order[1:])
         sources = [
             Source(position=positions[idx], role=role)
             for role, idx in zip(ROLE_ORDER, order)
@@ -564,7 +571,7 @@ class MixResult:
     noise: MultichannelAudio
     gains: dict[str, float]
     realized_sir_db: float | None
-    realized_snr_db: float
+    realized_snr_db: float | None
     rirs: dict[str, list[Rir]]
     noise_seed: int
 
@@ -591,16 +598,17 @@ def mix_scene(
     images; the non-target is scaled to equal power with the target; white
     sensor noise is normalized per channel so the reference-channel SNR
     against the summed directional signal is exact.  Silent stems (or a
-    silent target) skip the affected gain calibrations with unit gain.
+    silent target) skip the affected gain calibrations with unit gain;
+    the realized SIR is None unless the target and the interferer both
+    sound, and the realized SNR is None when no stem does.
     """
     length = spec.num_samples
-    roles = [src.role for src in scene.sources]
-    for role in roles:
+    images: dict[str, np.ndarray] = {}
+    rirs: dict[str, list[Rir]] = {}
+    for src in scene.sources:
+        role = src.role
         if role not in stems:
             raise ValueError(f"missing stem for role {role!r}")
-
-    trimmed: dict[str, np.ndarray] = {}
-    for role in roles:
         stem = np.asarray(stems[role], dtype=np.float64)
         if stem.ndim != 1:
             raise ValueError(f"stem {role!r} must be mono")
@@ -609,47 +617,31 @@ def mix_scene(
                 f"stem {role!r} shorter than clip length "
                 f"({stem.shape[0]} < {length})"
             )
-        trimmed[role] = stem[:length]
-
-    silent = {role: not trimmed[role].any() for role in roles}
-    rirs: dict[str, list[Rir]] = {}
-    for src in scene.sources:
-        if silent[src.role]:
-            rirs[src.role] = []
-        else:
-            rirs[src.role] = simulate_rirs(
+        stem = stem[:length]
+        if stem.any():
+            rirs[role] = simulate_rirs(
                 scene.room_dims, scene.t60, src.position, scene.mic_positions
             )
-
-    images = {
-        role: np.zeros((scene.num_mics, length))
-        if silent[role]
-        else _image(trimmed[role], rirs[role], length)
-        for role in roles
-    }
+            images[role] = _image(stem, rirs[role], length)
+        else:
+            rirs[role] = []
+            images[role] = np.zeros((scene.num_mics, length))
 
     def ref_power(x: np.ndarray) -> float:
         return float(np.mean(x[0] ** 2))
 
-    gains = {role: 1.0 for role in roles}
-    target_power = ref_power(images["target"]) if "target" in images else 0.0
+    gains = dict.fromkeys(ROLE_ORDER, 1.0)
+    target_power = ref_power(images["target"])
     if target_power > 0.0:
         # target-to-role power ratio: equal power, and the SIR
         ratios = {"non_target": 1.0, "interferer": 10.0 ** (spec.sir_db / 10.0)}
         for role, ratio in ratios.items():
-            power = ref_power(images[role]) if role in images else 0.0
+            power = ref_power(images[role])
             if power > 0.0:
                 gains[role] = math.sqrt(target_power / (power * ratio))
+                images[role] = images[role] * gains[role]
 
-    for role in roles:
-        if gains[role] != 1.0:
-            images[role] = images[role] * gains[role]
-
-    ordered = sorted(roles, key=ROLE_ORDER.index)
-    directional = images[ordered[0]]
-    for role in ordered[1:]:
-        directional = directional + images[role]
-
+    directional = (images["target"] + images["non_target"]) + images["interferer"]
     directional_power = ref_power(directional)
     rng = np.random.default_rng(noise_seed)
     noise = rng.standard_normal((scene.num_mics, length))
@@ -663,22 +655,18 @@ def mix_scene(
 
     mixture = directional + noise
 
-    interferer_power = (
-        ref_power(images["interferer"]) if "interferer" in images else 0.0
-    )
+    interferer_power = ref_power(images["interferer"])
     realized_sir = None
     if target_power > 0.0 and interferer_power > 0.0:
         realized_sir = 10.0 * math.log10(target_power / interferer_power)
     noise_ref_power = float(np.mean(noise[0] ** 2))
-    realized_snr = (
-        10.0 * math.log10(directional_power / noise_ref_power)
-        if noise_ref_power > 0.0
-        else math.inf
-    )
+    realized_snr = None
+    if noise_ref_power > 0.0:
+        realized_snr = 10.0 * math.log10(directional_power / noise_ref_power)
 
     return MixResult(
         mixture=MultichannelAudio(mixture, SAMPLE_RATE),
-        images={role: MultichannelAudio(images[role], SAMPLE_RATE) for role in ordered},
+        images={role: MultichannelAudio(image, SAMPLE_RATE) for role, image in images.items()},
         noise=MultichannelAudio(noise, SAMPLE_RATE),
         gains=gains,
         realized_sir_db=realized_sir,

@@ -129,6 +129,49 @@ class TestSimulate:
         assert f"{key} must hold" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_clip_shorter_than_one_sample_exits_4_naming_it(self, tmp_path, capsys):
+        config = _write_config(tmp_path / "cfg.json", {"mix": {"clip_seconds": 1e-6}})
+        out = tmp_path / "x"
+        assert main(["simulate", "--seed", "1", "--config", config,
+                     "--out", str(out)]) == EXIT_CONSTRAINT
+        assert "clip_seconds must span at least one sample" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_silent_scene_writes_strict_json(self, tmp_path, capsys):
+        silence = {"kind": "silence"}
+        config = _write_config(
+            tmp_path / "cfg.json",
+            {"mix": {"clip_seconds": 1.0}, "stems": dict.fromkeys(ROLE_ORDER, silence)},
+        )
+        out = tmp_path / "scene"
+        assert main(["simulate", "--seed", "1", "--config", config,
+                     "--out", str(out)]) == EXIT_OK
+        assert "(SIR n/a dB, SNR n/a dB)" in capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        manifest = json.loads((out / "scene.json").read_text(), parse_constant=reject)
+        assert manifest["realized_sir_db"] is None and manifest["realized_snr_db"] is None
+
+    def test_off_centroid_positions_array(self, tmp_path):
+        # the ring is checked around the mic centroid, 0.43 m from the
+        # array's origin here; the sampler keeps only draws that pass it
+        positions = [[0.3, 0.3, 0.0], [0.34, 0.3, 0.0], [0.3, 0.34, 0.0]]
+        config = _write_config(
+            tmp_path / "cfg.json",
+            {"array": {"kind": "positions", "positions": positions}, "mix": {"clip_seconds": 1.0}},
+        )
+        out = tmp_path / "scene"
+        assert main(["simulate", "--seed", "1", "--config", config,
+                     "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "scene.json").read_text())
+        centroid = np.mean(manifest["mic_positions"], axis=0)
+        ranges = [np.linalg.norm(np.subtract(src["position"], centroid))
+                  for src in manifest["sources"]]
+        assert all(0.7 <= r <= 2.0 for r in ranges)
+        assert ranges[0] <= min(ranges) + 1e-9
+
     @pytest.mark.parametrize("path", [("mix", "sir_db"), ("t60",)])
     def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, path):
         text = "9" * 400

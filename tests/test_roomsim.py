@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
@@ -104,6 +104,32 @@ class TestSceneValidation:
                 Source(np.array([4.0, 2.6, 1.2]), "non_target"),
                 Source(np.array([2.0, 2.6, 1.2]), "interferer"),
             ])
+
+    @pytest.mark.parametrize(
+        "roles",
+        [
+            ("target", "target", "interferer"),
+            ("target", "non_target"),
+            ("target", "interferer", "non_target"),
+            ("non_target", "target", "interferer"),
+        ],
+    )
+    def test_one_source_per_role_in_role_order(self, roles):
+        positions = [[3.0, 2.5, 1.2], [4.0, 2.6, 1.2], [2.0, 2.6, 1.2]]
+        with pytest.raises(ValueError, match="one per role"):
+            self._scene([Source(np.array(pos), role) for pos, role in zip(positions, roles)])
+
+    @pytest.mark.parametrize("t60", [np.nan, np.inf])
+    def test_non_finite_t60_rejected(self, t60):
+        scene = self._scene([
+            Source(np.array([3.0, 2.5, 1.2]), "target"),
+            Source(np.array([4.0, 2.6, 1.2]), "non_target"),
+            Source(np.array([2.0, 2.6, 1.2]), "interferer"),
+        ])
+        with pytest.raises(ValueError, match="t60 must be positive and finite"):
+            RoomScene(scene.room_dims, t60, scene.mic_positions, scene.sources)
+        with pytest.raises(ValueError, match="t60 must be finite"):
+            simulate_rirs(ROOM, t60, scene.sources[0].position, scene.mic_positions)
 
 
 class TestImageSource:
@@ -279,6 +305,10 @@ class TestSampleScene:
             ("range_bounds", (2.0, 1.0), "range_bounds must be (lo, hi) with lo <= hi"),
             ("azimuth_deg", (0.0, np.nan), "azimuth_deg must hold 2 finite numbers"),
             ("azimuth_deg", (180.0, 0.0), "azimuth_deg must be (lo, hi) with lo <= hi"),
+            ("min_angle_deg", np.nan, "min_angle_deg must be finite and non-negative"),
+            ("min_angle_deg", -1.0, "min_angle_deg must be finite and non-negative"),
+            ("wall_margin", np.nan, "wall_margin must be finite and non-negative"),
+            ("wall_margin", -0.05, "wall_margin must be finite and non-negative"),
         ],
     )
     def test_constraint_vectors_validated(self, field, value, words):
@@ -288,6 +318,46 @@ class TestSampleScene:
     def test_custom_array(self):
         scene = sample_scene(5, array=ArrayGeometry.circular(7, 0.08))
         assert scene.mic_positions.shape == (7, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mics=st.lists(st.tuples(*[st.floats(-0.4, 0.4)] * 3), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        lo=st.floats(0.3, 1.5),
+        width=st.floats(0.0, 1.0),
+        min_angle_deg=st.floats(0.0, 60.0),
+        wall_margin=st.floats(0.0, 0.2),
+    )
+    @example(mics=[(0.3, 0.3, 0.0), (0.34, 0.3, 0.0), (0.3, 0.34, 0.0)], seed=1,
+             lo=0.7, width=1.3, min_angle_deg=15.0, wall_margin=0.05)
+    @example(mics=[(-0.1, 0.0, 0.0), (0.0, 0.05, 0.0), (0.1, 0.0, 0.02)], seed=34,
+             lo=0.7, width=1.3, min_angle_deg=15.0, wall_margin=0.05)
+    def test_sampled_scenes_pass_the_protocol_around_the_mic_centroid(
+        self, mics, seed, lo, width, min_angle_deg, wall_margin
+    ):
+        # the array's origin, where it is placed, need not be its centroid
+        mics = np.array(mics)
+        gaps = np.linalg.norm(mics[:, None] - mics[None], axis=-1)
+        assume(np.all(gaps[np.triu_indices(len(mics), k=1)] > 1e-6))
+        constraints = SceneConstraints(
+            range_bounds=(lo, lo + width), min_angle_deg=min_angle_deg,
+            wall_margin=wall_margin, max_attempts=200,
+        )
+        try:
+            scene = sample_scene(seed, array=ArrayGeometry(mics), constraints=constraints)
+        except RuntimeError as exc:
+            assert "budget exhausted" in str(exc)
+            return
+        positions = np.stack([src.position for src in scene.sources])
+        assert np.all(positions > wall_margin) and np.all(positions < np.array(ROOM) - wall_margin)
+        offsets = positions - scene.array_center
+        radii = np.linalg.norm(offsets, axis=1)
+        assert np.all((lo <= radii) & (radii <= lo + width))
+        unit = offsets / radii[:, None]
+        cos = np.clip(unit @ unit.T, -1.0, 1.0)
+        angles = np.arccos(cos[np.triu_indices(3, k=1)])
+        assert np.all(angles >= np.radians(min_angle_deg) - 1e-9)
+        assert radii[0] <= radii.min() + 1e-9
 
 
 class TestMixScene:
@@ -342,6 +412,13 @@ class TestMixScene:
         assert len(result.rirs["target"]) == scene.num_mics
         assert np.isfinite(result.mixture.samples).all()
 
+    def test_all_silent_stems_realize_no_levels(self, scene):
+        silent = {role: np.zeros(16000) for role in ("target", "non_target", "interferer")}
+        result = mix_scene(scene, silent, self._spec(), noise_seed=3)
+        assert result.realized_sir_db is None and result.realized_snr_db is None
+        assert not result.mixture.samples.any()
+        assert all(rirs == [] for rirs in result.rirs.values())
+
     def test_short_stem_rejected(self, scene, stems):
         stems = dict(stems)
         stems["target"] = stems["target"][:100]
@@ -377,6 +454,12 @@ class TestMixScene:
             MixSpec(sir_db=0.0, snr_db=23.0)
         spec = MixSpec(sir_db=2.5, snr_db=23.0, allow_off_grid=True)
         assert spec.sir_db == 2.5
+
+    @pytest.mark.parametrize("clip_seconds", [1e-6, 3e-5, -1.0, 0.0])
+    def test_clip_shorter_than_one_sample_rejected(self, clip_seconds):
+        with pytest.raises(ValueError, match="clip_seconds must span at least one sample"):
+            MixSpec(clip_seconds=clip_seconds)
+        assert MixSpec(clip_seconds=1 / 16000).num_samples == 1
 
     @pytest.mark.parametrize("field", ["sir_db", "snr_db", "clip_seconds"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
