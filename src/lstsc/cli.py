@@ -30,9 +30,8 @@ from . import __version__
 from .coherence import (
     VARIANT_SETTINGS,
     CoherenceConfig,
-    compute_lstsc,
-    export_features_csv,
-    write_features,
+    FeatureWriter,
+    StreamingExtractor,
     write_plane_csv,
 )
 from .enhance import HeuristicMaskEstimator, enhance_stream
@@ -47,9 +46,7 @@ from .roomsim import (
     simulate_rirs,
 )
 from .scenarios import DEFAULT_STEM_KINDS, STEM_KINDS, render_scene
-from .signal_core import (
-    SAMPLE_RATE, MultichannelAudio, StftConfig, load_wav, save_wav, stft_multichannel
-)
+from .signal_core import SAMPLE_RATE, MultichannelAudio, StftConfig, WavReader, load_wav, save_wav
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -319,33 +316,41 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_pipeline_rate(sample_rate: int) -> None:
+    if sample_rate != SAMPLE_RATE:
+        raise ValueError(f"pipeline entry expects 16 kHz audio, got {sample_rate} Hz")
+
+
 def _load_pipeline_audio(path: str) -> MultichannelAudio:
     audio = load_wav(path)
-    if audio.sample_rate != SAMPLE_RATE:
-        raise ValueError(
-            f"pipeline entry expects 16 kHz audio, got {audio.sample_rate} Hz"
-        )
+    _check_pipeline_rate(audio.sample_rate)
     return audio
+
+
+# Samples read per chunk: one engine block of hops, so that a chunk's
+# spectra are about one block's.
+_CHUNK_SAMPLES = 64 * StftConfig().hop
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     _check_keys(config, _COHERENCE_KEYS, context="")
     cfg = CoherenceConfig.for_variant(args.variant, **config)
-    audio = _load_pipeline_audio(args.infile)
-    if audio.num_channels < 2:
+    # every check is made before anything is written
+    wav = WavReader(args.infile)
+    _check_pipeline_rate(wav.sample_rate)
+    if wav.num_channels < 2:
         raise ValueError("feature extraction requires at least 2 microphones")
-    specs = stft_multichannel(audio, StftConfig())
-    features = compute_lstsc(specs, cfg, sample_rate=audio.sample_rate)
+    num_frames = StftConfig().num_frames(wav.num_samples)
+    extractor = StreamingExtractor(cfg, wav.num_channels)
     out_path = _resolve_out(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_features(out_path, features)
-    width = features.banded_gamma_local.shape[1] if features.banded_gamma_local is not None else features.num_bins
-    note = ""
-    if args.csv:
-        csv_paths = export_features_csv(out_path, features)
-        note = f" and {len(csv_paths)} CSV planes"
-    print(f"wrote {out_path} ({features.num_frames} frames x {width}){note}")
+    with FeatureWriter(out_path, cfg, num_frames, csv=args.csv) as writer:
+        for chunk in wav.chunks(_CHUNK_SAMPLES):
+            writer.write(extractor.push(chunk))
+        writer.write(extractor.flush())
+    note = f" and {len(writer.csv_paths)} CSV planes" if args.csv else ""
+    print(f"wrote {out_path} ({num_frames} frames x {writer.width}){note}")
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import os
 import struct
 from pathlib import Path
 from typing import Callable, Iterator
@@ -35,7 +36,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .erb import ErbFilterbank, design_filterbank, pool_feature
-from .signal_core import SAMPLE_RATE, first_non_finite
+from .signal_core import SAMPLE_RATE, StftConfig, first_non_finite, stft
 
 __all__ = [
     "CoherenceConfig",
@@ -48,8 +49,10 @@ __all__ = [
     "lambda_schedule",
     "arcsine_warp",
     "stream_frames",
+    "StreamingExtractor",
     "compute_lstsc",
     "write_features",
+    "FeatureWriter",
     "read_features",
     "write_plane_csv",
     "export_features_csv",
@@ -464,6 +467,107 @@ def _estimate_mask(
     return mask_row
 
 
+class _Engine:
+    """The feature engine's per-block body and the state it carries from
+    one block to the next: both trackers' states, the whitened global
+    state (kept while halted frames leave the state as is) and the
+    previous mask row."""
+
+    def __init__(
+        self,
+        cfg: CoherenceConfig,
+        mask_feedback: MaskFeedback | None,
+        filterbank: ErbFilterbank | None,
+    ) -> None:
+        self.cfg = cfg
+        self.mask_feedback = mask_feedback
+        self.filterbank = filterbank
+        self.steered = cfg.time_varying and mask_feedback is not None
+        self.local_rbar: np.ndarray | None = None
+        self.global_rbar: np.ndarray | None = None
+        self.global_white: np.ndarray | None = None
+        self.prev_mask: np.ndarray | None = None
+
+    def block(self, tensor: np.ndarray, start: int, stop: int, first: int = 0) -> FrameBlock:
+        """The ``FrameBlock`` of clip frames ``[start, stop)``, the next
+        ones after the blocks before it.
+
+        ``tensor`` holds clip frames from ``first`` on, with ``first`` at
+        most ``max(0, start - R)``; it ends at the end of the clip or at
+        least ``R`` frames past ``stop``, so every short-term window is
+        truncated where the clip's own is.
+        """
+        cfg, steered = self.cfg, self.steered
+        begin, end = start - first, stop - first
+        # Feed-forward stage: nothing here reads the mask.
+        rtf, low_energy = _block_whitened_rtf(tensor, begin, end, cfg)
+        gamma_local, local_states = _tracker(rtf, self.local_rbar, cfg.lambda_local, cfg.epsilon)
+        self.local_rbar = local_states[-1].copy()
+        del local_states
+        # lambda of every frame that no mask halts
+        if cfg.time_varying:
+            lam = lambda_schedule(None, gamma_local, cfg)
+        else:
+            lam = np.full(gamma_local.shape, cfg.lambda_global)
+        if steered:
+            blend = _Blend(rtf, self.global_rbar, lam)
+            gamma_global, states = np.empty_like(gamma_local), blend.states
+        else:
+            # lstsc-1's scalar spares _Blend the (n, F) rows
+            global_lam = lam if cfg.time_varying else cfg.lambda_global
+            gamma_global, states = _tracker(rtf, self.global_rbar, global_lam, cfg.epsilon)
+        gamma_local_w = gamma_global_w = None
+        if cfg.apply_arcsine:
+            gamma_local_w = arcsine_warp(gamma_local)
+            gamma_global_w = np.empty_like(gamma_global) if steered else arcsine_warp(gamma_global)
+        halted = np.zeros(stop - start, dtype=bool)
+        mask = None
+
+        if self.mask_feedback is not None:
+            # Sequential stage: everything downstream of the mask feedback.
+            local_feat, global_feat = (
+                (gamma_local_w, gamma_global_w) if cfg.apply_arcsine else (gamma_local, gamma_global)
+            )
+            mask = np.empty_like(gamma_local)
+            magnitudes = np.abs(tensor[0, begin:end])
+            for i in range(stop - start):
+                if steered:
+                    halted[i] = _mask_is_energetic(self.prev_mask, cfg.beta)
+                    if start + i == 0:
+                        gamma_global[i] = 1.0
+                    else:
+                        if self.global_white is None:
+                            self.global_white = _unit_modulus(states[i], cfg.epsilon)[0]
+                        gamma_global[i] = _similarity(rtf[i], self.global_white)
+                    # a halted frame reuses the state untouched (bit-identical)
+                    blend.step(i, hold=halted[i])
+                    if halted[i]:
+                        lam[i] = 1.0
+                    else:
+                        self.global_white = None
+                    if cfg.apply_arcsine:
+                        gamma_global_w[i] = arcsine_warp(gamma_global[i])
+                mask[i] = self.prev_mask = _estimate_mask(
+                    self.mask_feedback, magnitudes[i], local_feat[i], global_feat[i],
+                    self.filterbank,
+                )
+
+        self.global_rbar = states[-1].copy()
+        return FrameBlock(
+            start=start,
+            rtf=rtf,
+            low_energy=low_energy,
+            gamma_local=gamma_local,
+            gamma_global=gamma_global,
+            gamma_local_warped=gamma_local_w,
+            gamma_global_warped=gamma_global_w,
+            lambda_trace=lam,
+            mask_halted=halted,
+            mask=mask,
+            global_rbar=states[1:],
+        )
+
+
 def stream_frames(
     specs,
     cfg: CoherenceConfig,
@@ -499,85 +603,110 @@ def stream_frames(
         fft_size = 2 * (tensor.shape[2] - 1)
         filterbank = design_filterbank(sample_rate, fft_size, cfg.erb_bands)
 
-    steered = cfg.time_varying and mask_feedback is not None
-    local_rbar: np.ndarray | None = None
-    global_rbar: np.ndarray | None = None
-    # whiten(global_rbar), kept while halted frames leave the state as is
-    global_white: np.ndarray | None = None
-    prev_mask: np.ndarray | None = None
-
+    engine = _Engine(cfg, mask_feedback, filterbank)
     for start in range(0, num_frames, _BLOCK_FRAMES):
-        stop = min(start + _BLOCK_FRAMES, num_frames)
-        # Feed-forward stage: nothing here reads the mask.
-        rtf, low_energy = _block_whitened_rtf(tensor, start, stop, cfg)
-        gamma_local, local_states = _tracker(rtf, local_rbar, cfg.lambda_local, cfg.epsilon)
-        local_rbar = local_states[-1].copy()
-        del local_states
-        # lambda of every frame that no mask halts
-        if cfg.time_varying:
-            lam = lambda_schedule(None, gamma_local, cfg)
-        else:
-            lam = np.full(gamma_local.shape, cfg.lambda_global)
-        if steered:
-            blend = _Blend(rtf, global_rbar, lam)
-            gamma_global, states = np.empty_like(gamma_local), blend.states
-        else:
-            blend = None
-            # lstsc-1's scalar spares _Blend the (n, F) rows
-            global_lam = lam if cfg.time_varying else cfg.lambda_global
-            gamma_global, states = _tracker(rtf, global_rbar, global_lam, cfg.epsilon)
-        gamma_local_w = gamma_global_w = None
-        if cfg.apply_arcsine:
-            gamma_local_w = arcsine_warp(gamma_local)
-            gamma_global_w = np.empty_like(gamma_global) if steered else arcsine_warp(gamma_global)
-        halted = np.zeros(stop - start, dtype=bool)
-        mask = magnitudes = None
-        local_feat, global_feat = (
-            (gamma_local_w, gamma_global_w) if cfg.apply_arcsine else (gamma_local, gamma_global)
-        )
+        yield engine.block(tensor, start, min(start + _BLOCK_FRAMES, num_frames))
 
-        if mask_feedback is not None:
-            # Sequential stage: everything downstream of the mask feedback.
-            mask = np.empty_like(gamma_local)
-            magnitudes = np.abs(tensor[0, start:stop])
-            for i in range(stop - start):
-                if steered:
-                    halted[i] = _mask_is_energetic(prev_mask, cfg.beta)
-                    if start + i == 0:
-                        gamma_global[i] = 1.0
-                    else:
-                        if global_white is None:
-                            global_white = _unit_modulus(states[i], cfg.epsilon)[0]
-                        gamma_global[i] = _similarity(rtf[i], global_white)
-                    # a halted frame reuses the state untouched (bit-identical)
-                    blend.step(i, hold=halted[i])
-                    if halted[i]:
-                        lam[i] = 1.0
-                    else:
-                        global_white = None
-                    if cfg.apply_arcsine:
-                        gamma_global_w[i] = arcsine_warp(gamma_global[i])
-                mask[i] = prev_mask = _estimate_mask(
-                    mask_feedback, magnitudes[i], local_feat[i], global_feat[i], filterbank
+
+class StreamingExtractor:
+    """The feature engine fed with samples a chunk at a time.
+
+    ``push`` takes an (M, n) chunk of samples of any length n, frames and
+    transforms only the frames it completes (on the default ``StftConfig``
+    frames), and returns the ``FrameBlock``s that are finished: those whose
+    last frame's short-term window, ``R`` frames ahead, has arrived.
+    ``flush`` ends the clip, which truncates the windows at its end, and
+    returns the remaining blocks.  Whatever the chunking, the blocks are
+    bit for bit those of ``stream_frames`` on the whole clip's
+    ``stft_multichannel`` (the engine is the same).
+
+    Between calls it keeps the samples that the next frame still needs,
+    the spectra of at most one block plus its ``2R`` lookahead and
+    look-behind frames, and the engine's tracker states.  Non-finite
+    samples, and spectra that overflow, are rejected by the ``push`` that
+    brings them, naming the first bad entry of that chunk; a rejected
+    chunk leaves the extractor as it was.
+    """
+
+    def __init__(self, cfg: CoherenceConfig, num_mics: int) -> None:
+        if num_mics < 2:
+            raise ValueError("spatial coherence requires at least 2 microphones")
+        self.cfg = cfg
+        self.num_mics = num_mics
+        self.stft_cfg = StftConfig()
+        self._engine = _Engine(cfg, None, None)
+        # samples from the first one of the next frame on
+        self._samples = np.empty((num_mics, 0))
+        self._num_samples = 0
+        # spectra of clip frames from self._first on
+        self._spectra = np.empty((num_mics, 0, self.stft_cfg.num_bins), dtype=np.complex128)
+        self._first = 0
+        self._next_block = 0
+        self._ended = False
+
+    def push(self, samples) -> list[FrameBlock]:
+        """Append an (M, n) chunk of samples; returns the finished blocks."""
+        if self._ended:
+            raise ValueError("push after flush: the clip has ended")
+        chunk = np.asarray(samples, dtype=np.float64)
+        if chunk.ndim != 2 or chunk.shape[0] != self.num_mics:
+            raise ValueError(
+                f"expected samples shaped ({self.num_mics}, n), got {chunk.shape}"
+            )
+        bad = first_non_finite(chunk)
+        if bad is not None:
+            channel, sample = bad
+            raise ValueError(
+                f"non-finite audio sample at channel {channel}, "
+                f"sample {self._num_samples + sample}"
+            )
+        buffered = np.concatenate([self._samples, chunk], axis=1)
+        hop, frame_len = self.stft_cfg.hop, self.stft_cfg.frame_len
+        count = 0 if buffered.shape[1] < frame_len else self.stft_cfg.num_frames(buffered.shape[1])
+        if count:
+            new = np.empty((self.num_mics, count, self.stft_cfg.num_bins), dtype=np.complex128)
+            for m in range(self.num_mics):
+                new[m] = stft(buffered[m, : (count - 1) * hop + frame_len], self.stft_cfg)
+            bad = first_non_finite(new)
+            if bad is not None:
+                channel, frame, bin_ = bad
+                frame += self._first + self._spectra.shape[1]
+                raise ValueError(
+                    f"non-finite spectrum entry at channel {channel}, frame {frame}, bin {bin_}"
                 )
+            self._spectra = np.concatenate([self._spectra, new], axis=1)
+            del new
+        self._num_samples += chunk.shape[1]
+        self._samples = buffered[:, count * hop :].copy()
+        return self._blocks()
 
-        global_rbar = states[-1].copy()
-        yield FrameBlock(
-            start=start,
-            rtf=rtf,
-            low_energy=low_energy,
-            gamma_local=gamma_local,
-            gamma_global=gamma_global,
-            gamma_local_warped=gamma_local_w,
-            gamma_global_warped=gamma_global_w,
-            lambda_trace=lam,
-            mask_halted=halted,
-            mask=mask,
-            global_rbar=states[1:],
-        )
-        # free this block's buffers before the next block allocates its own
-        del rtf, low_energy, gamma_local, gamma_global, gamma_local_w, gamma_global_w
-        del lam, halted, mask, states, magnitudes, local_feat, global_feat, blend
+    def flush(self) -> list[FrameBlock]:
+        """End the clip; returns its remaining blocks.  A clip shorter than
+        one frame raises ``ValueError``."""
+        if self._ended:
+            raise ValueError("flush after flush: the clip has ended")
+        self.stft_cfg.num_frames(self._num_samples)
+        self._ended = True
+        self._samples = self._samples[:, :0]
+        return self._blocks()
+
+    def _blocks(self) -> list[FrameBlock]:
+        blocks = []
+        available = self._first + self._spectra.shape[1]
+        while self._next_block < available:
+            start = self._next_block
+            stop = start + _BLOCK_FRAMES
+            if self._ended:
+                stop = min(stop, available)
+            elif stop + self.cfg.R > available:
+                break
+            blocks.append(self._engine.block(self._spectra, start, stop, self._first))
+            self._next_block = stop
+            # the next block looks back R frames, no further
+            keep = max(0, stop - self.cfg.R)
+            self._spectra = self._spectra[:, keep - self._first :]
+            self._first = keep
+        return blocks
 
 
 @dataclasses.dataclass
@@ -626,7 +755,8 @@ def compute_lstsc(
     Each plane is allocated once and filled a block of rows at a time;
     the warped planes exist only with ``cfg.apply_arcsine`` and the mask
     only with ``mask_feedback``.  With ``cfg.erb_bands`` set, banded
-    (L, B) planes are added alongside.
+    (L, B) planes are added alongside, pooled over the spans of
+    ``_pool_spans``, as ``FeatureWriter`` pools a stream of blocks.
     """
     tensor = _as_spec_tensor(specs, scan=False)  # stream_frames scans it
     _, num_frames, num_bins = tensor.shape
@@ -656,10 +786,31 @@ def compute_lstsc(
         # warp first, pool second
         for name in ("gamma_local", "gamma_global", "gamma_global_warped", "lambda_trace"):
             if name in planes:
-                planes["banded_" + name] = pool_feature(planes[name], filterbank)
+                plane = planes[name]
+                banded = planes["banded_" + name] = np.empty((num_frames, filterbank.num_bands))
+                for start, stop in _pool_spans(num_frames):
+                    banded[start:stop] = pool_feature(plane[start:stop], filterbank)
     # the planes a setting turns off stay None
     absent = dict.fromkeys(field.name for field in dataclasses.fields(LstscFeatures))
     return LstscFeatures(**{**absent, **planes})
+
+
+# Band pooling runs on the rows of one engine block at a time, so the
+# planes of a whole clip and a stream of blocks are pooled by the same
+# matrix products.  A product of at most _SMALL_POOL_ROWS rows rounds
+# differently (OpenBLAS takes its small-matrix path; measured with numpy
+# 2.4 and OpenBLAS 0.3.31), so a clip's last block that short is pooled
+# together with the block before it.  From 26 rows on, each row's bands
+# are those of any larger product, a whole plane's included.
+_SMALL_POOL_ROWS = 25
+
+
+def _pool_spans(num_frames: int) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` frame spans that band pooling takes at once."""
+    starts = list(range(0, num_frames, _BLOCK_FRAMES))
+    if len(starts) > 1 and num_frames - starts[-1] <= _SMALL_POOL_ROWS:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [num_frames]))
 
 
 # (exported name, LstscFeatures attribute), in file order; a plane that
@@ -672,17 +823,42 @@ _EXPORT_PLANES = (
 )
 
 
-def _export_planes(features: LstscFeatures) -> list[tuple[str, np.ndarray]]:
-    """Named planes for export, in documented order.
-
-    ``gamma_local, gamma_global[, gamma_global_warped], lambda`` — 3 planes
-    without warping, 4 with.  When the filterbank is enabled every plane is
-    its banded counterpart (B-wide), with the warped plane pooled after
-    warping.
-    """
-    prefix = "banded_" if features.banded_gamma_local is not None else ""
-    planes = [(name, getattr(features, prefix + attr)) for name, attr in _EXPORT_PLANES]
+def _named_planes(source, prefix: str = "") -> list[tuple[str, np.ndarray]]:
+    """The exported planes of an ``LstscFeatures`` or ``FrameBlock``, by
+    export name, in file order: ``gamma_local, gamma_global[,
+    gamma_global_warped], lambda`` — 3 planes without warping, 4 with.
+    ``prefix`` picks the attributes; ``"banded_"`` takes the banded
+    counterparts."""
+    planes = [(name, getattr(source, prefix + attr)) for name, attr in _EXPORT_PLANES]
     return [(name, plane) for name, plane in planes if plane is not None]
+
+
+def _export_planes(features: LstscFeatures) -> list[tuple[str, np.ndarray]]:
+    """Named planes for export, in documented order.  When the filterbank
+    is enabled every plane is its banded counterpart (B-wide), with the
+    warped plane pooled after warping."""
+    return _named_planes(features, "banded_" if features.banded_gamma_local is not None else "")
+
+
+def _csv_path(base_path: str | Path, name: str) -> Path:
+    """``<stem>.<name>.csv`` next to ``base_path``, whatever its suffix."""
+    base = Path(base_path)
+    stem = base.stem if base.suffix else base.name
+    return base.with_name(f"{stem}.{name}.csv")
+
+
+def _write_lsts_header(fh, frames: int, width: int, count: int) -> None:
+    fh.write(_LSTS_MAGIC)
+    fh.write(struct.pack("<IIII", _LSTS_VERSION, frames, width, count))
+
+
+def _write_lsts_rows(fh, frames: int, start: int, planes: list[np.ndarray]) -> None:
+    """Rows ``start`` onward of each plane, as float32 at their offsets in
+    a file of ``frames``-row planes."""
+    for index, rows in enumerate(planes):
+        width = rows.shape[1]
+        fh.seek(_LSTS_HEADER_BYTES + 4 * width * (index * frames + start))
+        fh.write(np.ascontiguousarray(rows, dtype="<f4").tobytes())
 
 
 def write_features(path: str | Path, features: LstscFeatures) -> None:
@@ -695,36 +871,132 @@ def write_features(path: str | Path, features: LstscFeatures) -> None:
     """
     planes = [plane for _, plane in _export_planes(features)]
     frames, width = planes[0].shape
+    if any(plane.shape != (frames, width) for plane in planes):
+        raise ValueError("feature planes disagree on shape")
     with open(Path(path), "wb") as fh:
-        fh.write(_LSTS_MAGIC)
-        fh.write(struct.pack("<IIII", _LSTS_VERSION, frames, width, len(planes)))
-        for plane in planes:
-            if plane.shape != (frames, width):
-                raise ValueError("feature planes disagree on shape")
-            fh.write(np.ascontiguousarray(plane, dtype="<f4").tobytes())
+        _write_lsts_header(fh, frames, width, len(planes))
+        _write_lsts_rows(fh, frames, 0, planes)
+
+
+class FeatureWriter:
+    """A clip's exported planes, written a ``FrameBlock`` at a time.
+
+    The binary file gets the bytes ``write_features`` writes and, with
+    ``csv``, the CSV files those ``export_features_csv`` writes, for the
+    blocks of ``StreamingExtractor`` (the default ``StftConfig`` frames at
+    ``SAMPLE_RATE``).  The header is written from ``num_frames`` when the
+    first block arrives.  A block's rows wait only until their pooling
+    span (see ``_pool_spans``: the block, or a short last block with the
+    one before it) is complete, are pooled with ``cfg.erb_bands``, and go
+    as float32 to their offsets in every plane, so no whole plane is held.
+
+    Use it as a context manager: a clean exit checks that all
+    ``num_frames`` frames were written and closes the files, and an
+    exception (or a missing frame) removes the files it opened.
+    """
+
+    def __init__(
+        self, path: str | Path, cfg: CoherenceConfig, num_frames: int, csv: bool = False
+    ) -> None:
+        stft_cfg = StftConfig()
+        self.path = Path(path)
+        self.num_frames = num_frames
+        self.csv = csv
+        self.filterbank = None
+        self.width = stft_cfg.num_bins
+        if cfg.erb_bands is not None:
+            self.filterbank = design_filterbank(SAMPLE_RATE, stft_cfg.fft_size, cfg.erb_bands)
+            self.width = cfg.erb_bands
+        # the files opened so far, the binary one first
+        self.paths: list[Path] = []
+        self._files: list = []
+        self._spans = _pool_spans(num_frames)
+        self._pending: list[list[np.ndarray]] = []
+        self._next = 0
+        self._written = 0
+
+    @property
+    def csv_paths(self) -> list[Path]:
+        return self.paths[1:]
+
+    def __enter__(self) -> "FeatureWriter":
+        return self
+
+    def write(self, blocks) -> None:
+        """Write the rows of ``blocks``, the clip's next ``FrameBlock``s."""
+        for block in blocks:
+            frames = block.frames
+            if frames.start != self._next or frames.stop > self.num_frames:
+                raise ValueError(
+                    f"expected the block at frame {self._next} of {self.num_frames}, "
+                    f"got frames {frames.start} to {frames.stop}"
+                )
+            named = _named_planes(block)
+            if not self._files:
+                self._open([name for name, _ in named])
+            self._next = frames.stop
+            self._pending.append([plane for _, plane in named])
+            start, stop = self._spans[0]
+            if self._next == stop:
+                rows = [np.concatenate(parts) for parts in zip(*self._pending)]
+                if self.filterbank is not None:
+                    rows = [pool_feature(plane_rows, self.filterbank) for plane_rows in rows]
+                self._emit(start, rows)
+                self._pending.clear()
+                del self._spans[0]
+
+    def _open(self, names: list[str]) -> None:
+        targets = [self.path] + ([_csv_path(self.path, name) for name in names] if self.csv else [])
+        for target in targets:
+            self._files.append(open(target, "wb"))
+            self.paths.append(target)
+        _write_lsts_header(self._files[0], self.num_frames, self.width, len(names))
+
+    def _emit(self, start: int, rows: list[np.ndarray]) -> None:
+        _write_lsts_rows(self._files[0], self.num_frames, start, rows)
+        for fh, plane_rows in zip(self._files[1:], rows):
+            fh.write(_csv_block(plane_rows))
+        self._written += len(rows[0])
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        complete = exc_type is None and self._written == self.num_frames
+        for fh in self._files:
+            fh.close()
+        if not complete:
+            for path in self.paths:
+                path.unlink(missing_ok=True)
+        if exc_type is None and not complete:
+            raise ValueError(
+                f"the feature file holds {self.num_frames} frames, {self._written} were written"
+            )
 
 
 def read_features(path: str | Path) -> dict:
-    """Parse a binary feature file back into header fields and planes."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != _LSTS_MAGIC:
-        raise ValueError("not a feature file (bad magic)")
-    if len(raw) < _LSTS_HEADER_BYTES:
-        raise ValueError(
-            f"feature file truncated: {len(raw)} bytes, header needs {_LSTS_HEADER_BYTES}"
-        )
-    version, frames, width, count = struct.unpack_from("<IIII", raw, 4)
-    if version != _LSTS_VERSION:
-        raise ValueError(f"unsupported feature file version {version}")
-    expected = _LSTS_HEADER_BYTES + 4 * frames * width * count
-    if len(raw) != expected:
-        raise ValueError("feature file truncated or oversized")
-    planes = []
-    offset = _LSTS_HEADER_BYTES
-    for _ in range(count):
-        plane = np.frombuffer(raw, dtype="<f4", count=frames * width, offset=offset)
-        planes.append(plane.reshape(frames, width).astype(np.float64))
-        offset += 4 * frames * width
+    """Parse a binary feature file back into header fields and planes.
+
+    The header is checked against the file's length before any plane is
+    read; each plane is then read from its offset, so at most one plane's
+    float32 bytes are held beside the float64 planes.
+    """
+    with open(Path(path), "rb") as fh:
+        header = fh.read(_LSTS_HEADER_BYTES)
+        if header[:4] != _LSTS_MAGIC:
+            raise ValueError("not a feature file (bad magic)")
+        if len(header) < _LSTS_HEADER_BYTES:
+            raise ValueError(
+                f"feature file truncated: {len(header)} bytes, header needs {_LSTS_HEADER_BYTES}"
+            )
+        version, frames, width, count = struct.unpack_from("<IIII", header, 4)
+        if version != _LSTS_VERSION:
+            raise ValueError(f"unsupported feature file version {version}")
+        plane_bytes = 4 * frames * width
+        if os.fstat(fh.fileno()).st_size != _LSTS_HEADER_BYTES + plane_bytes * count:
+            raise ValueError("feature file truncated or oversized")
+        planes = []
+        for index in range(count):
+            fh.seek(_LSTS_HEADER_BYTES + index * plane_bytes)
+            plane = np.fromfile(fh, dtype="<f4", count=frames * width)
+            planes.append(plane.reshape(frames, width).astype(np.float64))
     return {
         "version": version,
         "num_frames": frames,
@@ -843,11 +1115,9 @@ def export_features_csv(base_path: str | Path, features: LstscFeatures) -> list[
     ``<stem>.<plane>.csv`` in the same directory and written by
     ``write_plane_csv``.  Returns written paths.
     """
-    base = Path(base_path)
-    stem = base.stem if base.suffix else base.name
     written = []
     for name, plane in _export_planes(features):
-        out = base.with_name(f"{stem}.{name}.csv")
+        out = _csv_path(base_path, name)
         write_plane_csv(out, plane)
         written.append(out)
     return written

@@ -138,10 +138,27 @@ class SceneConstraints:
             bounds = getattr(self, name)
             if bounds[0] > bounds[1]:
                 raise ValueError(f"{name} must be (lo, hi) with lo <= hi, got {bounds!r}")
+        _check_range_bounds(self.range_bounds)
         for name in ("min_angle_deg", "wall_margin"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
+def _check_range_bounds(range_bounds) -> None:
+    # the protocol divides each source offset by its range, so a range of
+    # 0 (a source on the mic centroid) must lie outside the ring
+    if not range_bounds[0] > 0:
+        raise ValueError(f"range_bounds must have a positive low end, got {range_bounds!r}")
+
+
+def _power_ratio(level_db: float) -> float:
+    """``10 ** (level_db / 10)``, the power ratio of a level in dB;
+    ``inf`` where it overflows."""
+    try:
+        return 10.0 ** (level_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _inside(point: np.ndarray, dims: np.ndarray, margin: float = 0.0) -> bool:
@@ -208,6 +225,7 @@ class RoomScene:
         roles = tuple(src.role for src in self.sources)
         if roles != ROLE_ORDER:
             raise ValueError(f"sources must be one per role in {ROLE_ORDER}, got {roles}")
+        _check_range_bounds(self.range_bounds)
         problem = _protocol_problem(
             np.stack([src.position for src in self.sources]), self.array_center,
             self.room_dims, 0.0, self.range_bounds, self.min_angle_deg,
@@ -252,6 +270,12 @@ class MixSpec:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
+        for name in ("sir_db", "snr_db"):
+            level = getattr(self, name)
+            if not 0.0 < _power_ratio(level) < math.inf:
+                raise ValueError(
+                    f"{name} {level} dB gives a power ratio that is not a positive finite float"
+                )
         if self.num_samples < 1:
             raise ValueError(f"clip_seconds must span at least one sample, got {self.clip_seconds}")
         if not self.allow_off_grid:
@@ -634,7 +658,7 @@ def mix_scene(
     target_power = ref_power(images["target"])
     if target_power > 0.0:
         # target-to-role power ratio: equal power, and the SIR
-        ratios = {"non_target": 1.0, "interferer": 10.0 ** (spec.sir_db / 10.0)}
+        ratios = {"non_target": 1.0, "interferer": _power_ratio(spec.sir_db)}
         for role, ratio in ratios.items():
             power = ref_power(images[role])
             if power > 0.0:
@@ -646,7 +670,7 @@ def mix_scene(
     rng = np.random.default_rng(noise_seed)
     noise = rng.standard_normal((scene.num_mics, length))
     if directional_power > 0.0:
-        noise_power = directional_power / 10.0 ** (spec.snr_db / 10.0)
+        noise_power = directional_power / _power_ratio(spec.snr_db)
         for m in range(scene.num_mics):
             row_power = float(np.mean(noise[m] ** 2))
             noise[m] *= math.sqrt(noise_power / row_power)

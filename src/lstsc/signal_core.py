@@ -20,6 +20,7 @@ __all__ = [
     "StftConfig",
     "Mask",
     "load_wav",
+    "WavReader",
     "save_wav",
     "stft",
     "stft_multichannel",
@@ -34,6 +35,9 @@ SAMPLE_RATE = 16000
 # Accumulated squared-window values below this are treated as uncovered
 # (first/last hop of the signal, where the tapered window never opens).
 _WOLA_FLOOR = 1e-10
+
+# Samples per chunk of WavReader's non-finite scan.
+_SCAN_SAMPLES = 1 << 16
 
 
 def first_non_finite(array: np.ndarray) -> tuple[int, ...] | None:
@@ -139,17 +143,23 @@ class Mask:
         return self.data.shape
 
 
-def load_wav(path: str | Path) -> MultichannelAudio:
-    """Read a PCM or float WAV into channel-major float64 in [-1, 1]."""
-    path = Path(path)
+def _read_wav(path: Path, mmap: bool = False) -> tuple[int, np.ndarray]:
+    """scipy's ``wavfile.read``, with a missing file raised as such and
+    any other failure as ``ValueError`` naming the file."""
     if not path.exists():
         raise FileNotFoundError(f"file not found: {path}")
     try:
-        rate, data = wavfile.read(path)
+        rate, data = wavfile.read(path, mmap=mmap)
     except FileNotFoundError:
         raise
     except Exception as exc:  # scipy raises bare ValueError on bad RIFF
         raise ValueError(f"unsupported or corrupt WAV file {path}: {exc}") from exc
+    return int(rate), data
+
+
+def _decode(data: np.ndarray) -> np.ndarray:
+    """WAV data, (frames,) or (frames, channels), as (M, n) float64 in
+    [-1, 1]."""
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:
@@ -161,10 +171,65 @@ def load_wav(path: str | Path) -> MultichannelAudio:
     else:
         raise ValueError(f"unsupported WAV sample encoding: {data.dtype}")
     if samples.ndim == 1:
-        samples = samples[np.newaxis, :]
-    else:
-        samples = samples.T  # wavfile uses (frames, channels)
-    return MultichannelAudio(samples=samples, sample_rate=int(rate))
+        return samples[np.newaxis, :]
+    return samples.T  # wavfile uses (frames, channels)
+
+
+def load_wav(path: str | Path) -> MultichannelAudio:
+    """Read a PCM or float WAV into channel-major float64 in [-1, 1]."""
+    rate, data = _read_wav(Path(path))
+    return MultichannelAudio(samples=_decode(data), sample_rate=rate)
+
+
+class WavReader:
+    """A WAV file read a chunk of samples at a time.
+
+    The file is memory-mapped where scipy can map its encoding; 24-bit
+    PCM, which it cannot, is read whole, as ``load_wav`` reads it.  The
+    checks ``load_wav`` makes are made when the file is opened, with the
+    same messages: the encoding, a positive rate and, for float data, the
+    first non-finite sample (in channel, then sample order).  ``chunks``
+    converts with ``load_wav``'s own code, so the samples are the same.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        path = Path(path)
+        try:
+            self.sample_rate, data = _read_wav(path, mmap=True)
+        except ValueError:
+            # not mappable (24-bit PCM), or not readable at all, which the
+            # plain read reports as load_wav does
+            self.sample_rate, data = _read_wav(path)
+        self._data = data if data.ndim == 2 else data[:, np.newaxis]
+        _decode(self._data[:0])  # an unsupported encoding fails here
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
+        if self._data.dtype.kind == "f":
+            # scan the raw chunks: the float64 conversion keeps finiteness
+            bad = None
+            for start in range(0, self.num_samples, _SCAN_SAMPLES):
+                found = first_non_finite(self._data[start : start + _SCAN_SAMPLES].T)
+                if found is not None:
+                    channel, sample = found
+                    found = (channel, start + sample)
+                    bad = found if bad is None else min(bad, found)
+            if bad is not None:
+                channel, sample = bad
+                raise ValueError(f"non-finite audio sample at channel {channel}, sample {sample}")
+
+    @property
+    def num_channels(self) -> int:
+        return self._data.shape[1]
+
+    @property
+    def num_samples(self) -> int:
+        return self._data.shape[0]
+
+    def chunks(self, size: int):
+        """The samples as consecutive (M, n) float64 chunks of ``size``
+        samples (the last one shorter)."""
+        for start in range(0, self.num_samples, size):
+            yield _decode(self._data[start : start + size])
 
 
 def save_wav(path: str | Path, audio: MultichannelAudio) -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import os
+import struct
 import sys
 from pathlib import Path
 
@@ -61,3 +62,15 @@ def savetxt_bytes(plane: np.ndarray) -> bytes:
     buffer = io.BytesIO()
     np.savetxt(buffer, plane, delimiter=",", fmt="%.9e")
     return buffer.getvalue()
+
+
+def write_pcm24(path, samples: np.ndarray, rate: int = 16000) -> None:
+    """A 24-bit PCM WAV of (n, channels) samples given as int32 values
+    whose low byte is dropped: 24-bit samples shifted left by 8, the values
+    scipy reads back.  scipy cannot memory-map such a file."""
+    frames, channels = samples.shape
+    data = samples.astype("<i4").view(np.uint8).reshape(frames, channels, 4)[..., 1:].tobytes()
+    fmt = struct.pack("<HHIIHH", 1, channels, rate, 3 * rate * channels, 3 * channels, 24)
+    body = b"WAVEfmt " + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", len(data)) + data
+    body += b"\0" * (len(data) % 2)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)

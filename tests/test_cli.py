@@ -10,6 +10,7 @@ import io
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from conftest import delayed_array_audio, savetxt_bytes
+from conftest import delayed_array_audio, savetxt_bytes, write_pcm24
 
 from lstsc import cli
 from lstsc.cli import EXIT_CONFIG, EXIT_CONSTRAINT, EXIT_MISSING, EXIT_OK, main
-from lstsc.coherence import CoherenceConfig, compute_lstsc, read_features
+from lstsc.coherence import (
+    CoherenceConfig, compute_lstsc, export_features_csv, read_features, write_features
+)
 from lstsc.enhance import HeuristicMaskEstimator, enhance_stream
 from lstsc.roomsim import ROLE_ORDER
 from lstsc.scenarios import STEM_KINDS, build_sifting_scenario
@@ -127,6 +130,27 @@ class TestSimulate:
         assert main(["simulate", "--seed", "1", "--config", config,
                      "--out", str(out)]) == EXIT_CONSTRAINT
         assert f"{key} must hold" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["sir_db", "snr_db"])
+    @pytest.mark.parametrize("level", [4000, -4000])
+    def test_level_whose_power_ratio_overflows_exits_4_naming_it(self, tmp_path, capsys, field, level):
+        config = _write_config(
+            tmp_path / "cfg.json",
+            {"mix": {"clip_seconds": 3.0, field: level, "allow_off_grid": True}},
+        )
+        out = tmp_path / "x"
+        assert main(["simulate", "--seed", "0", "--config", config,
+                     "--out", str(out)]) == EXIT_CONSTRAINT
+        assert f"{field} {float(level)} dB gives a power ratio" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_positive_range_low_end_exits_4_naming_it(self, tmp_path, capsys):
+        config = _write_config(tmp_path / "cfg.json", {"scene": {"range_bounds": [0.0, 2.0]}})
+        out = tmp_path / "x"
+        assert main(["simulate", "--seed", "1", "--config", config,
+                     "--out", str(out)]) == EXIT_CONSTRAINT
+        assert "range_bounds must have a positive low end" in capsys.readouterr().err
         assert not out.exists()
 
     def test_clip_shorter_than_one_sample_exits_4_naming_it(self, tmp_path, capsys):
@@ -304,6 +328,14 @@ class TestRir:
         assert not out.exists()
 
 
+def _non_finite_in_last_chunk():
+    # extract reads 10240 samples a chunk: these are in the last one
+    samples = np.zeros((200000, 4), dtype=np.float32)
+    samples[199990, 2] = np.nan
+    samples[199995, 3] = np.inf
+    return 16000, samples
+
+
 class TestExtract:
     @pytest.mark.parametrize(
         "variant,width,planes",
@@ -338,6 +370,88 @@ class TestExtract:
             for name, attr in planes.items():
                 want = savetxt_bytes(getattr(features, prefix + attr))
                 assert (out.parent / f"feat.{name}.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("variant", ["lstsc-1", "lstsc-2", "lstsc-3", "lstsc-4"])
+    @pytest.mark.parametrize(
+        "num_frames,num_mics", [(65, 3), (89, 2), (90, 4), (128, 3), (769, 8)],
+        ids=["last-1", "last-25", "last-26", "last-64", "8mic-last-1"],
+    )
+    def test_streamed_bytes_equal_whole_clip(self, tmp_path, variant, num_frames, num_mics):
+        # extract streams the WAV through the engine a chunk at a time; its
+        # files are those of the whole-clip API writers
+        rng = np.random.default_rng(num_frames)
+        num_samples = 400 + 160 * (num_frames - 1) + 37
+        wav = tmp_path / "mix.wav"
+        wavfile.write(wav, 16000, (0.1 * rng.standard_normal((num_samples, num_mics))).astype(np.float32))
+        out = tmp_path / "stream" / "f.lsts"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["extract", "--in", str(wav), "--variant", variant, "--csv",
+                         "--out", str(out)]) == EXIT_OK
+        features = compute_lstsc(
+            stft_multichannel(load_wav(wav)), CoherenceConfig.for_variant(variant)
+        )
+        whole = tmp_path / "whole" / "f.lsts"
+        whole.parent.mkdir()
+        write_features(whole, features)
+        export_features_csv(whole, features)
+        names = sorted(path.name for path in whole.parent.iterdir())
+        assert sorted(path.name for path in out.parent.iterdir()) == names
+        for name in names:
+            assert (out.parent / name).read_bytes() == (whole.parent / name).read_bytes(), name
+
+    def test_pcm24_input(self, tmp_path):
+        # scipy cannot memory-map 24-bit PCM, which is read whole instead
+        rng = np.random.default_rng(24)
+        pcm = rng.integers(-(2**23), 2**23, (16000, 3)) << 8
+        wav = tmp_path / "pcm24.wav"
+        write_pcm24(wav, pcm)
+        out = tmp_path / "f.lsts"
+        assert main(["extract", "--in", str(wav), "--variant", "lstsc-4", "--out", str(out)]) == EXIT_OK
+        features = compute_lstsc(
+            stft_multichannel(load_wav(wav)), CoherenceConfig.for_variant("lstsc-4")
+        )
+        write_features(tmp_path / "whole.lsts", features)
+        assert out.read_bytes() == (tmp_path / "whole.lsts").read_bytes()
+
+    @pytest.mark.parametrize(
+        "make,words",
+        [
+            (lambda: (16000, np.zeros((0, 3), np.float32)), "shorter than one frame (0 < 400)"),
+            (lambda: (16000, np.zeros((399, 3), np.float32)), "shorter than one frame (399 < 400)"),
+            (lambda: (8000, np.zeros((8000, 3), np.float32)), "expects 16 kHz audio, got 8000 Hz"),
+            (lambda: (16000, np.zeros(8000, np.float32)), "requires at least 2 microphones"),
+            (_non_finite_in_last_chunk, "non-finite audio sample at channel 2, sample 199990"),
+        ],
+        ids=["empty", "short", "rate", "one-channel", "non-finite-last-chunk"],
+    )
+    def test_rejected_before_anything_is_written(self, tmp_path, capsys, make, words):
+        wav = tmp_path / "in.wav"
+        wavfile.write(wav, *make())
+        out = tmp_path / "out" / "f.lsts"
+        assert main(["extract", "--in", str(wav), "--variant", "lstsc-4", "--csv",
+                     "--out", str(out)]) == EXIT_CONSTRAINT
+        assert words in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [wav]
+
+    def test_peak_memory_flat_in_clip_length(self, tmp_path):
+        # one engine block and one chunk of samples and spectra, whatever
+        # the clip's length
+        peaks = {}
+        rng = np.random.default_rng(80)
+        for seconds in (8, 80):
+            wav = tmp_path / f"{seconds}s.wav"
+            wavfile.write(wav, 16000, 0.1 * rng.standard_normal((16000 * seconds, 8), dtype=np.float32))
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["extract", "--in", str(wav), "--variant", "lstsc-4",
+                                 "--out", str(tmp_path / "f.lsts")])
+                peaks[seconds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+            wav.unlink()
+        assert abs(peaks[80] - peaks[8]) <= 0.1 * peaks[8], peaks
 
     def test_missing_input(self, tmp_path):
         assert main(["extract", "--in", str(tmp_path / "nope.wav"),

@@ -3,12 +3,13 @@ oracle equivalence, and the binary/CSV export formats."""
 from __future__ import annotations
 
 import dataclasses
+import struct
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import delayed_array_audio, random_small_specs, savetxt_bytes
@@ -19,7 +20,9 @@ from lstsc.coherence import (
     _BLOCK_FRAMES,
     VARIANT_SETTINGS,
     CoherenceConfig,
+    FeatureWriter,
     FrameBlock,
+    StreamingExtractor,
     _Blend,
     arcsine_warp,
     coherence,
@@ -34,7 +37,8 @@ from lstsc.coherence import (
     write_plane_csv,
 )
 from lstsc.enhance import HeuristicMaskEstimator
-from lstsc.signal_core import StftConfig, stft_multichannel
+from lstsc.erb import design_filterbank, pool_feature
+from lstsc.signal_core import MultichannelAudio, StftConfig, stft_multichannel
 
 
 class TestConfig:
@@ -681,6 +685,184 @@ class TestBlockEngine:
                     assert _same_bytes(got_mags, want_mags)
 
 
+def _sample_cuts(num_samples: int, R: int, mode: str, data) -> list[int]:
+    """Chunk boundaries, as sample offsets: every sample (1-sample
+    chunks), or a drawn mix of random offsets, frame edges (the first and
+    the one-past-last sample of a frame) and block edges (the sample that
+    completes a block's lookahead), with a stretch of 1-sample chunks."""
+    if mode == "ones":
+        return list(range(1, num_samples))
+    hop, frame_len = STFT.hop, STFT.frame_len
+    last = StftConfig().num_frames(num_samples) - 1
+    edges = [l * hop for l in range(last + 1)] + [l * hop + frame_len for l in range(last + 1)]
+    edges += [(min(k + R, last)) * hop + frame_len for k in range(_BLOCK_FRAMES, last + 1, _BLOCK_FRAMES)]
+    points = data.draw(st.lists(
+        st.one_of(st.integers(0, num_samples), st.sampled_from(edges)), max_size=12
+    ))
+    if data.draw(st.booleans()):
+        lo = data.draw(st.integers(0, num_samples))
+        points += range(lo, min(num_samples, lo + data.draw(st.integers(1, 400))))
+    return sorted(set(points) - {0, num_samples})
+
+
+STFT = StftConfig()
+
+
+class TestStreamingExtractor:
+    """Samples pushed in any chunks give the blocks of the whole clip."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        variant=st.sampled_from(sorted(VARIANT_SETTINGS)),
+        num_mics=st.integers(2, 4),
+        R=st.sampled_from([0, 1, 2, 3, 70]),
+        num_frames=st.one_of(
+            st.sampled_from([1, 2, 63, 64, 65, 66, 128, 129, 153, 154]), st.integers(1, 200)
+        ),
+        extra=st.integers(0, STFT.hop - 1),
+        mode=st.sampled_from(["ones", "drawn", "drawn", "drawn"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @example(variant="lstsc-4", num_mics=3, R=1, num_frames=66, extra=0, mode="ones",
+             seed=0, data=None)
+    @example(variant="lstsc-2", num_mics=2, R=70, num_frames=154, extra=159, mode="ones",
+             seed=1, data=None)
+    def test_any_chunking_matches_the_whole_clip(
+        self, variant, num_mics, R, num_frames, extra, mode, seed, data
+    ):
+        rng = np.random.default_rng(seed)
+        num_samples = STFT.frame_len + STFT.hop * (num_frames - 1) + extra
+        samples = 0.1 * rng.standard_normal((num_mics, num_samples))
+        if rng.random() < 0.5:
+            # silence makes the low-energy flags fire
+            lo = int(rng.integers(0, num_samples))
+            samples[:, lo : lo + int(rng.integers(1, 4000))] = 0.0
+        cfg = CoherenceConfig.for_variant(variant, R=R)
+        want = list(stream_frames(stft_multichannel(MultichannelAudio(samples, 16000)), cfg))
+
+        extractor = StreamingExtractor(cfg, num_mics)
+        got = []
+        bounds = [0] + _sample_cuts(num_samples, R, mode, data) + [num_samples]
+        for lo, hi in zip(bounds, bounds[1:]):
+            got += extractor.push(samples[:, lo:hi])
+        got += extractor.flush()
+
+        assert len(got) == len(want)
+        for block, ref in zip(got, want):
+            for field in dataclasses.fields(FrameBlock):
+                assert _same_bytes(getattr(block, field.name), getattr(ref, field.name)), (
+                    block.start, field.name
+                )
+
+    def test_blocks_arrive_when_their_lookahead_has(self, rng):
+        cfg = CoherenceConfig.for_variant("lstsc-1", R=2)
+        extractor = StreamingExtractor(cfg, 2)
+        # frames 0...65 complete the first block's lookahead (frames 64, 65)
+        ready = STFT.frame_len + STFT.hop * (_BLOCK_FRAMES + cfg.R - 1)
+        samples = rng.standard_normal((2, ready + 5 * STFT.hop))
+        assert extractor.push(samples[:, : ready - 1]) == []
+        (block,) = extractor.push(samples[:, ready - 1 : ready])
+        assert block.frames == slice(0, _BLOCK_FRAMES)
+        assert extractor.push(samples[:, ready:]) == []
+        (last,) = extractor.flush()
+        assert last.frames == slice(_BLOCK_FRAMES, _BLOCK_FRAMES + cfg.R + 5)
+
+    def test_rejections(self, rng):
+        cfg = CoherenceConfig()
+        with pytest.raises(ValueError, match="at least 2 microphones"):
+            StreamingExtractor(cfg, 1)
+        extractor = StreamingExtractor(cfg, 3)
+        with pytest.raises(ValueError, match=r"shaped \(3, n\)"):
+            extractor.push(np.zeros((2, 10)))
+        extractor.push(np.zeros((3, 1000)))
+        bad = np.zeros((3, 1000))
+        bad[2, 7] = np.nan
+        bad[1, 900] = np.inf
+        with pytest.raises(ValueError, match="non-finite audio sample at channel 1, sample 1900$"):
+            extractor.push(bad)
+        # finite samples whose spectrum overflows
+        huge = np.full((3, 400), 1e308)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="non-finite spectrum entry at channel 0, frame 4, bin 0$"
+        ):
+            extractor.push(huge)
+        # the rejected chunks left the extractor as it was
+        blocks = extractor.push(np.zeros((3, 160 * 65))) + extractor.flush()
+        assert [block.frames for block in blocks] == [slice(0, 64), slice(64, 69)]
+        short = StreamingExtractor(cfg, 2)
+        short.push(np.zeros((2, 399)))
+        with pytest.raises(ValueError, match=r"shorter than one frame \(399 < 400\)"):
+            short.flush()
+        done = StreamingExtractor(cfg, 2)
+        done.push(np.zeros((2, 400)))
+        done.flush()
+        with pytest.raises(ValueError, match="the clip has ended"):
+            done.push(np.zeros((2, 10)))
+        with pytest.raises(ValueError, match="the clip has ended"):
+            done.flush()
+
+
+class TestFeatureWriter:
+    """Blocks written as they come give the whole-clip files."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_SETTINGS))
+    @pytest.mark.parametrize("num_frames", [1, 25, 26, 64, 65, 89, 90, 129, 153, 154, 192])
+    def test_bytes_equal_whole_clip_writers(self, tmp_path, variant, num_frames):
+        rng = np.random.default_rng(num_frames)
+        specs = random_small_specs(rng, 3, num_frames, STFT.num_bins)
+        cfg = CoherenceConfig.for_variant(variant)
+        features = compute_lstsc(specs, cfg)
+        write_features(tmp_path / "whole.lsts", features)
+        export_features_csv(tmp_path / "whole.lsts", features)
+        with FeatureWriter(tmp_path / "blocks.lsts", cfg, num_frames, csv=True) as writer:
+            writer.write(stream_frames(specs, cfg))
+        wholes = sorted(tmp_path.glob("whole*"))
+        assert sorted(path.name for path in writer.paths) == [
+            path.name.replace("whole", "blocks") for path in wholes
+        ]
+        for path in wholes:
+            twin = tmp_path / path.name.replace("whole", "blocks")
+            assert twin.read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("num_frames", [1, 25, 26, 64, 89, 90, 769, 2998])
+    def test_band_pooling_equals_whole_plane_pooling(self, num_frames):
+        # a clip's last block of at most 25 frames is pooled with the one
+        # before it; then every span's bands equal those of the whole plane
+        rng = np.random.default_rng(num_frames)
+        specs = random_small_specs(rng, 2, num_frames, STFT.num_bins)
+        features = compute_lstsc(specs, CoherenceConfig.for_variant("lstsc-4"))
+        filterbank = design_filterbank(16000, STFT.fft_size, 48)
+        for name in ("gamma_local", "gamma_global", "gamma_global_warped", "lambda_trace"):
+            whole = pool_feature(getattr(features, name), filterbank)
+            assert getattr(features, "banded_" + name).tobytes() == whole.tobytes(), name
+
+    def test_failure_removes_the_files(self, tmp_path, rng):
+        specs = random_small_specs(rng, 2, 130, STFT.num_bins)
+        cfg = CoherenceConfig.for_variant("lstsc-3")
+        blocks = stream_frames(specs, cfg)
+        with pytest.raises(RuntimeError, match="stop"):
+            with FeatureWriter(tmp_path / "f.lsts", cfg, 130, csv=True) as writer:
+                writer.write([next(blocks)])
+                assert len(list(tmp_path.iterdir())) == 5
+                raise RuntimeError("stop")
+        assert list(tmp_path.iterdir()) == []
+        # a missing block is a failure too; the second block waits for
+        # the 2-frame last one, which is pooled with it
+        with pytest.raises(ValueError, match="holds 130 frames, 64 were written"):
+            with FeatureWriter(tmp_path / "f.lsts", cfg, 130) as writer:
+                writer.write(list(stream_frames(specs, cfg))[:2])
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match="expected the block at frame 0 of 130, got frames 64 to 128"):
+            with FeatureWriter(tmp_path / "f.lsts", cfg, 130) as writer:
+                writer.write(list(stream_frames(specs, cfg))[1:])
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match="expected the block at frame 128 of 129, got frames 128 to 130"):
+            with FeatureWriter(tmp_path / "f.lsts", cfg, 129) as writer:
+                writer.write(stream_frames(specs, cfg))
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestExport:
     def test_binary_round_trip_unwarped(self, tmp_path, rng):
         specs = random_small_specs(rng, 3, 6, 5)
@@ -718,6 +900,32 @@ class TestExport:
         path.write_bytes(b"LSTS" + b"\x01\x00\x00\x00")  # shorter than the header
         with pytest.raises(ValueError, match="truncated"):
             read_features(path)
+
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path, rng):
+        # the header is checked against the file's length before any plane
+        # is read, so a short file costs no plane's worth of memory
+        specs = random_small_specs(rng, 2, 2000, 257)
+        path = tmp_path / "f.lsts"
+        write_features(path, compute_lstsc(specs, CoherenceConfig.for_variant("lstsc-1")))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-4])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated or oversized"):
+                read_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * len(raw)
+        # a header whose sizes are past what any file holds
+        path.write_bytes(raw[:8] + struct.pack("<III", 2**32 - 1, 2**32 - 1, 2**32 - 1) + raw[20:])
+        with pytest.raises(ValueError, match="truncated or oversized"):
+            read_features(path)
+        path.write_bytes(raw)
+        back = read_features(path)
+        assert back["planes"][1].tobytes() == np.frombuffer(
+            raw, "<f4", 2000 * 257, 20 + 4 * 2000 * 257
+        ).astype(np.float64).tobytes()
 
     def test_csv_export(self, tmp_path, rng):
         specs = random_small_specs(rng, 3, 6, 5)

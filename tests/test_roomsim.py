@@ -119,6 +119,19 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match="one per role"):
             self._scene([Source(np.array(pos), role) for pos, role in zip(positions, roles)])
 
+    @pytest.mark.parametrize("low", [0.0, -1.0])
+    def test_non_positive_range_low_end_rejected(self, low):
+        # a target on the mic centroid would divide by its zero range
+        center = self._mics().mean(axis=0)
+        sources = [
+            Source(center.copy(), "target"),
+            Source(np.array([4.0, 2.6, 1.2]), "non_target"),
+            Source(np.array([2.0, 2.6, 1.2]), "interferer"),
+        ]
+        with pytest.raises(ValueError, match="range_bounds must have a positive low end"):
+            RoomScene(room_dims=np.array(ROOM), t60=0.3, mic_positions=self._mics(),
+                      sources=sources, range_bounds=(low, 2.0))
+
     @pytest.mark.parametrize("t60", [np.nan, np.inf])
     def test_non_finite_t60_rejected(self, t60):
         scene = self._scene([
@@ -309,6 +322,8 @@ class TestSampleScene:
             ("min_angle_deg", -1.0, "min_angle_deg must be finite and non-negative"),
             ("wall_margin", np.nan, "wall_margin must be finite and non-negative"),
             ("wall_margin", -0.05, "wall_margin must be finite and non-negative"),
+            ("range_bounds", (-1.0, 2.0), "range_bounds must have a positive low end"),
+            ("range_bounds", (0.0, 2.0), "range_bounds must have a positive low end"),
         ],
     )
     def test_constraint_vectors_validated(self, field, value, words):
@@ -466,6 +481,15 @@ class TestMixScene:
     def test_non_finite_levels_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             MixSpec(allow_off_grid=True, **{field: value})
+
+    @pytest.mark.parametrize("field", ["sir_db", "snr_db"])
+    @pytest.mark.parametrize("level", [4000.0, -4000.0, 3090.0, -3240.0])
+    def test_levels_whose_power_ratio_is_not_a_positive_float_rejected(self, field, level):
+        # 10 ** (level / 10) overflows above about 3082.5 dB and is 0
+        # below about -3236 dB
+        with pytest.raises(ValueError, match=f"{field} {level} dB gives a power ratio"):
+            MixSpec(allow_off_grid=True, **{field: level})
+        assert MixSpec(allow_off_grid=True, **{field: 3000.0 if level > 0 else -3000.0})
 
     def test_grid_values_accepted(self):
         for sir in (0, 5, 10, 15):

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
+
+from conftest import write_pcm24
 
 from lstsc.signal_core import (
     Mask,
     MultichannelAudio,
     StftConfig,
+    WavReader,
     apply_mask,
     istft,
     load_wav,
@@ -106,6 +110,66 @@ class TestWavIo:
         audio = MultichannelAudio(np.zeros((1, 100)), 16000)
         with pytest.raises(OSError):
             save_wav(tmp_path / "no" / "such" / "dir" / "x.wav", audio)
+
+
+class TestWavReader:
+    @pytest.mark.parametrize("encoding", ["int16", "uint8", "float32", "float64", "int24", "mono"])
+    @pytest.mark.parametrize("size", [1, 160, 997, 100000])
+    def test_chunks_are_load_wav_samples(self, tmp_path, rng, encoding, size):
+        x = 0.3 * rng.standard_normal((5000, 3))
+        path = tmp_path / "x.wav"
+        if encoding == "int24":
+            # scaled into the top 24 bits, as scipy returns them
+            write_pcm24(path, np.round(x * 2**23).clip(-(2**23), 2**23 - 1).astype(np.int64) << 8)
+        elif encoding == "mono":
+            wavfile.write(path, 16000, x[:, 0].astype(np.float32))
+        else:
+            scale = {"int16": 32767, "uint8": 127, "float32": 1, "float64": 1}[encoding]
+            offset = 128 if encoding == "uint8" else 0
+            wavfile.write(path, 16000, (x * scale + offset).astype(encoding))
+        reader = WavReader(path)
+        whole = load_wav(path)
+        assert (reader.sample_rate, reader.num_channels, reader.num_samples) == (
+            16000, whole.num_channels, whole.num_samples
+        )
+        chunks = list(reader.chunks(size))
+        assert all(chunk.shape[1] == size for chunk in chunks[:-1])
+        assert np.concatenate(chunks, axis=1).tobytes() == whole.samples.tobytes()
+
+    def test_pcm24_samples(self, tmp_path):
+        path = tmp_path / "pcm24.wav"
+        write_pcm24(path, np.array([[0, -(2**23) << 8], [(2**22) << 8, 1 << 8]]))
+        (chunk,) = WavReader(path).chunks(10)
+        assert np.array_equal(chunk, [[0.0, 0.5], [-1.0, 2.0**-23]])
+
+    @pytest.mark.parametrize("sample", [3, 65535, 65536, 150000])
+    def test_first_non_finite_sample_named(self, tmp_path, sample):
+        # the scan runs in chunks, yet names the first bad entry in
+        # channel-then-sample order, as MultichannelAudio does
+        x = np.zeros((160000, 3), dtype=np.float32)
+        x[sample, 1] = np.nan
+        x[159999, 1] = np.inf
+        x[0, 2] = -np.inf
+        path = tmp_path / "bad.wav"
+        wavfile.write(path, 16000, x)
+        with pytest.raises(ValueError, match=rf"channel 1, sample {sample}$"):
+            WavReader(path)
+        with pytest.raises(ValueError, match=rf"channel 1, sample {sample}$"):
+            load_wav(path)
+
+    def test_missing_and_corrupt_files(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="file not found"):
+            WavReader(tmp_path / "nope.wav")
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"RIFFgarbage")
+        with pytest.raises(ValueError, match="unsupported or corrupt WAV file"):
+            WavReader(bad)
+
+    def test_unsupported_encoding(self, tmp_path):
+        path = tmp_path / "int64.wav"
+        wavfile.write(path, 16000, np.ones((10, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="unsupported WAV sample encoding: int64"):
+            WavReader(path)
 
 
 class TestStft:
