@@ -345,7 +345,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     extractor = StreamingExtractor(cfg, wav.num_channels)
     out_path = _resolve_out(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with FeatureWriter(out_path, cfg, num_frames, csv=args.csv) as writer:
+    with FeatureWriter(out_path, num_frames, csv=args.csv) as writer:
         for chunk in wav.chunks(_CHUNK_SAMPLES):
             writer.write(extractor.push(chunk))
         writer.write(extractor.flush())

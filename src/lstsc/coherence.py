@@ -66,6 +66,16 @@ VARIANT_SETTINGS: dict[str, dict] = {
     "lstsc-4": {"time_varying": True, "apply_arcsine": True, "erb_bands": 48},
 }
 
+# (exported name, attribute of LstscFeatures and FrameBlock), in file
+# order; a plane that is None (the warped one when warping is off) is
+# skipped.  Band pooling pools these planes.
+_EXPORT_PLANES = (
+    ("gamma_local", "gamma_local"),
+    ("gamma_global", "gamma_global"),
+    ("gamma_global_warped", "gamma_global_warped"),
+    ("lambda", "lambda_trace"),
+)
+
 _LSTS_MAGIC = b"LSTS"
 _LSTS_VERSION = 1
 _LSTS_HEADER_BYTES = 20
@@ -134,13 +144,16 @@ class CoherenceConfig:
 
 
 def _as_spec_tensor(specs, scan: bool = True) -> np.ndarray:
-    """``specs`` as an (M, L, F) array with M >= 2 and, when ``scan`` is
-    set, finite entries; ``compute_lstsc`` leaves the scan to the engine."""
+    """``specs`` as an (M, L, F) array with M >= 2, L >= 1, F >= 1 and,
+    when ``scan`` is set, finite entries; ``compute_lstsc`` leaves the
+    scan to the engine."""
     tensor = np.asarray(specs)
     if tensor.ndim != 3:
         raise ValueError("expected per-channel spectrograms stacked as (M, L, F)")
     if tensor.shape[0] < 2:
         raise ValueError("spatial coherence requires at least 2 microphones")
+    if 0 in tensor.shape[1:]:
+        raise ValueError(f"spectra need frames and bins, got shape (M, L, F) = {tensor.shape}")
     bad = first_non_finite(tensor) if scan else None
     if bad is not None:
         channel, frame, bin_ = bad
@@ -182,14 +195,14 @@ def _block_whitened_rtf(
     lo = max(0, start - cfg.R)
     span = tensor[:, lo : min(num_frames, stop + cfg.R), :]
     # (destination frames, source frames) per window offset, in window
-    # order; a window truncated at a clip edge skips its missing offsets
+    # order; only the offsets that reach a clip frame from some frame of
+    # the block, so a window truncated at a clip edge skips the rest
     windows = []
-    for offset in range(-cfg.R, cfg.R + 1):
+    for offset in range(max(-cfg.R, 1 - stop), min(cfg.R, num_frames - start - 1) + 1):
         first, last = max(start, -offset), min(stop, num_frames - offset)
-        if first < last:
-            windows.append(
-                (slice(first - start, last - start), slice(first + offset - lo, last + offset - lo))
-            )
+        windows.append(
+            (slice(first - start, last - start), slice(first + offset - lo, last + offset - lo))
+        )
 
     def window_sums(per_frame: np.ndarray) -> np.ndarray:
         # shifted adds from zeros, as numpy's sum over a window axis
@@ -389,7 +402,9 @@ class FrameBlock:
     whitened RTFs and the global tracker state after each frame.
     ``mask_halted`` flags the frames whose previous feedback mask froze
     the global tracker; such a frame's state row equals the one before it
-    bit for bit and its ``lambda_trace`` row is all ones.
+    bit for bit and its ``lambda_trace`` row is all ones.  With
+    ``erb_bands`` set, the ``banded_*`` fields are the block's rows of
+    the exported planes pooled into bands, one product per plane.
     """
 
     start: int
@@ -403,6 +418,10 @@ class FrameBlock:
     mask_halted: np.ndarray
     mask: np.ndarray | None
     global_rbar: np.ndarray
+    banded_gamma_local: np.ndarray | None = None
+    banded_gamma_global: np.ndarray | None = None
+    banded_gamma_global_warped: np.ndarray | None = None
+    banded_lambda_trace: np.ndarray | None = None
 
     @property
     def frames(self) -> slice:
@@ -471,17 +490,21 @@ class _Engine:
     """The feature engine's per-block body and the state it carries from
     one block to the next: both trackers' states, the whitened global
     state (kept while halted frames leave the state as is) and the
-    previous mask row."""
+    previous mask row.  With ``cfg.erb_bands`` set it designs the
+    filterbank for ``num_bins``-bin spectra at ``sample_rate``."""
 
     def __init__(
         self,
         cfg: CoherenceConfig,
         mask_feedback: MaskFeedback | None,
-        filterbank: ErbFilterbank | None,
+        num_bins: int,
+        sample_rate: int = SAMPLE_RATE,
     ) -> None:
         self.cfg = cfg
         self.mask_feedback = mask_feedback
-        self.filterbank = filterbank
+        self.filterbank = None
+        if cfg.erb_bands is not None:
+            self.filterbank = design_filterbank(sample_rate, 2 * (num_bins - 1), cfg.erb_bands)
         self.steered = cfg.time_varying and mask_feedback is not None
         self.local_rbar: np.ndarray | None = None
         self.global_rbar: np.ndarray | None = None
@@ -553,7 +576,7 @@ class _Engine:
                 )
 
         self.global_rbar = states[-1].copy()
-        return FrameBlock(
+        block = FrameBlock(
             start=start,
             rtf=rtf,
             low_energy=low_energy,
@@ -566,6 +589,13 @@ class _Engine:
             mask=mask,
             global_rbar=states[1:],
         )
+        if self.filterbank is not None:
+            # warp first, pool second
+            for _, name in _EXPORT_PLANES:
+                plane = getattr(block, name)
+                if plane is not None:
+                    setattr(block, "banded_" + name, pool_feature(plane, self.filterbank))
+        return block
 
 
 def stream_frames(
@@ -573,7 +603,6 @@ def stream_frames(
     cfg: CoherenceConfig,
     mask_feedback: MaskFeedback | None = None,
     sample_rate: int = SAMPLE_RATE,
-    filterbank: ErbFilterbank | None = None,
 ) -> Iterator[FrameBlock]:
     """Block-by-block feature engine: one ``FrameBlock`` per
     ``_BLOCK_FRAMES`` frames, in clip order.
@@ -597,13 +626,8 @@ def stream_frames(
     tracker it steers.
     """
     tensor = _as_spec_tensor(specs)
-    num_frames = tensor.shape[1]
-
-    if filterbank is None and cfg.erb_bands is not None:
-        fft_size = 2 * (tensor.shape[2] - 1)
-        filterbank = design_filterbank(sample_rate, fft_size, cfg.erb_bands)
-
-    engine = _Engine(cfg, mask_feedback, filterbank)
+    _, num_frames, num_bins = tensor.shape
+    engine = _Engine(cfg, mask_feedback, num_bins, sample_rate)
     for start in range(0, num_frames, _BLOCK_FRAMES):
         yield engine.block(tensor, start, min(start + _BLOCK_FRAMES, num_frames))
 
@@ -634,7 +658,7 @@ class StreamingExtractor:
         self.cfg = cfg
         self.num_mics = num_mics
         self.stft_cfg = StftConfig()
-        self._engine = _Engine(cfg, None, None)
+        self._engine = _Engine(cfg, None, self.stft_cfg.num_bins)
         # samples from the first one of the next frame on
         self._samples = np.empty((num_mics, 0))
         self._num_samples = 0
@@ -752,92 +776,38 @@ def compute_lstsc(
 ) -> LstscFeatures:
     """Run the streaming engine over a whole clip and collect the outputs.
 
-    Each plane is allocated once and filled a block of rows at a time;
-    the warped planes exist only with ``cfg.apply_arcsine`` and the mask
-    only with ``mask_feedback``.  With ``cfg.erb_bands`` set, banded
-    (L, B) planes are added alongside, pooled over the spans of
-    ``_pool_spans``, as ``FeatureWriter`` pools a stream of blocks.
+    Each plane is allocated once, as the first block's field of the same
+    name, and filled a block of rows at a time; the fields a setting turns
+    off stay None: the warped planes without ``cfg.apply_arcsine``, the
+    mask without ``mask_feedback`` and the banded planes without
+    ``cfg.erb_bands``.
     """
     tensor = _as_spec_tensor(specs, scan=False)  # stream_frames scans it
-    _, num_frames, num_bins = tensor.shape
-    filterbank = None
-    if cfg.erb_bands is not None:
-        filterbank = design_filterbank(sample_rate, 2 * (num_bins - 1), cfg.erb_bands)
-
-    names = ["gamma_local", "gamma_global", "lambda_trace", "low_energy"]
-    if cfg.apply_arcsine:
-        names += ["gamma_local_warped", "gamma_global_warped"]
-    if mask_feedback is not None:
-        names.append("mask")
-    planes = {
-        name: np.empty((num_frames, num_bins), bool if name == "low_energy" else np.float64)
-        for name in names
-    }
-    planes["mask_halted"] = np.empty(num_frames, dtype=bool)
-    for block in stream_frames(
-        tensor, cfg, mask_feedback, sample_rate=sample_rate, filterbank=filterbank
-    ):
+    num_frames = tensor.shape[1]
+    names = [field.name for field in dataclasses.fields(LstscFeatures)]
+    planes: dict[str, np.ndarray] = {}
+    for block in stream_frames(tensor, cfg, mask_feedback, sample_rate=sample_rate):
+        if not planes:
+            for name in names:
+                rows = getattr(block, name)
+                if rows is not None:
+                    planes[name] = np.empty((num_frames,) + rows.shape[1:], rows.dtype)
         for name, plane in planes.items():
             plane[block.frames] = getattr(block, name)
         # it would pin the block's buffers while the engine computes the next
         del block
-
-    if filterbank is not None:
-        # warp first, pool second
-        for name in ("gamma_local", "gamma_global", "gamma_global_warped", "lambda_trace"):
-            if name in planes:
-                plane = planes[name]
-                banded = planes["banded_" + name] = np.empty((num_frames, filterbank.num_bands))
-                for start, stop in _pool_spans(num_frames):
-                    banded[start:stop] = pool_feature(plane[start:stop], filterbank)
-    # the planes a setting turns off stay None
-    absent = dict.fromkeys(field.name for field in dataclasses.fields(LstscFeatures))
-    return LstscFeatures(**{**absent, **planes})
+    return LstscFeatures(**{**dict.fromkeys(names), **planes})
 
 
-# Band pooling runs on the rows of one engine block at a time, so the
-# planes of a whole clip and a stream of blocks are pooled by the same
-# matrix products.  A product of at most _SMALL_POOL_ROWS rows rounds
-# differently (OpenBLAS takes its small-matrix path; measured with numpy
-# 2.4 and OpenBLAS 0.3.31), so a clip's last block that short is pooled
-# together with the block before it.  From 26 rows on, each row's bands
-# are those of any larger product, a whole plane's included.
-_SMALL_POOL_ROWS = 25
-
-
-def _pool_spans(num_frames: int) -> list[tuple[int, int]]:
-    """The ``[start, stop)`` frame spans that band pooling takes at once."""
-    starts = list(range(0, num_frames, _BLOCK_FRAMES))
-    if len(starts) > 1 and num_frames - starts[-1] <= _SMALL_POOL_ROWS:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [num_frames]))
-
-
-# (exported name, LstscFeatures attribute), in file order; a plane that
-# is None (the warped one when warping is off) is skipped.
-_EXPORT_PLANES = (
-    ("gamma_local", "gamma_local"),
-    ("gamma_global", "gamma_global"),
-    ("gamma_global_warped", "gamma_global_warped"),
-    ("lambda", "lambda_trace"),
-)
-
-
-def _named_planes(source, prefix: str = "") -> list[tuple[str, np.ndarray]]:
+def _export_planes(source) -> list[tuple[str, np.ndarray]]:
     """The exported planes of an ``LstscFeatures`` or ``FrameBlock``, by
     export name, in file order: ``gamma_local, gamma_global[,
     gamma_global_warped], lambda`` — 3 planes without warping, 4 with.
-    ``prefix`` picks the attributes; ``"banded_"`` takes the banded
-    counterparts."""
+    When bands are on every plane is its banded counterpart (B-wide),
+    with the warped plane pooled after warping."""
+    prefix = "banded_" if source.banded_gamma_local is not None else ""
     planes = [(name, getattr(source, prefix + attr)) for name, attr in _EXPORT_PLANES]
     return [(name, plane) for name, plane in planes if plane is not None]
-
-
-def _export_planes(features: LstscFeatures) -> list[tuple[str, np.ndarray]]:
-    """Named planes for export, in documented order.  When the filterbank
-    is enabled every plane is its banded counterpart (B-wide), with the
-    warped plane pooled after warping."""
-    return _named_planes(features, "banded_" if features.banded_gamma_local is not None else "")
 
 
 def _csv_path(base_path: str | Path, name: str) -> Path:
@@ -884,36 +854,26 @@ class FeatureWriter:
     The binary file gets the bytes ``write_features`` writes and, with
     ``csv``, the CSV files those ``export_features_csv`` writes, for the
     blocks of ``StreamingExtractor`` (the default ``StftConfig`` frames at
-    ``SAMPLE_RATE``).  The header is written from ``num_frames`` when the
-    first block arrives.  A block's rows wait only until their pooling
-    span (see ``_pool_spans``: the block, or a short last block with the
-    one before it) is complete, are pooled with ``cfg.erb_bands``, and go
-    as float32 to their offsets in every plane, so no whole plane is held.
+    ``SAMPLE_RATE``).  The header is written from ``num_frames`` and the
+    first block's width when that block arrives.  Each block's exported
+    rows (banded when the engine pools them) go as float32 to their
+    offsets in every plane as the block arrives, so no whole plane is held.
 
     Use it as a context manager: a clean exit checks that all
     ``num_frames`` frames were written and closes the files, and an
     exception (or a missing frame) removes the files it opened.
     """
 
-    def __init__(
-        self, path: str | Path, cfg: CoherenceConfig, num_frames: int, csv: bool = False
-    ) -> None:
-        stft_cfg = StftConfig()
+    def __init__(self, path: str | Path, num_frames: int, csv: bool = False) -> None:
         self.path = Path(path)
         self.num_frames = num_frames
         self.csv = csv
-        self.filterbank = None
-        self.width = stft_cfg.num_bins
-        if cfg.erb_bands is not None:
-            self.filterbank = design_filterbank(SAMPLE_RATE, stft_cfg.fft_size, cfg.erb_bands)
-            self.width = cfg.erb_bands
+        # the planes' width, from the first block
+        self.width: int | None = None
         # the files opened so far, the binary one first
         self.paths: list[Path] = []
         self._files: list = []
-        self._spans = _pool_spans(num_frames)
-        self._pending: list[list[np.ndarray]] = []
         self._next = 0
-        self._written = 0
 
     @property
     def csv_paths(self) -> list[Path]:
@@ -931,35 +891,25 @@ class FeatureWriter:
                     f"expected the block at frame {self._next} of {self.num_frames}, "
                     f"got frames {frames.start} to {frames.stop}"
                 )
-            named = _named_planes(block)
+            named = _export_planes(block)
+            rows = [plane for _, plane in named]
             if not self._files:
-                self._open([name for name, _ in named])
+                self._open([name for name, _ in named], rows[0].shape[1])
+            _write_lsts_rows(self._files[0], self.num_frames, frames.start, rows)
+            for fh, plane_rows in zip(self._files[1:], rows):
+                fh.write(_csv_block(plane_rows))
             self._next = frames.stop
-            self._pending.append([plane for _, plane in named])
-            start, stop = self._spans[0]
-            if self._next == stop:
-                rows = [np.concatenate(parts) for parts in zip(*self._pending)]
-                if self.filterbank is not None:
-                    rows = [pool_feature(plane_rows, self.filterbank) for plane_rows in rows]
-                self._emit(start, rows)
-                self._pending.clear()
-                del self._spans[0]
 
-    def _open(self, names: list[str]) -> None:
+    def _open(self, names: list[str], width: int) -> None:
         targets = [self.path] + ([_csv_path(self.path, name) for name in names] if self.csv else [])
         for target in targets:
             self._files.append(open(target, "wb"))
             self.paths.append(target)
-        _write_lsts_header(self._files[0], self.num_frames, self.width, len(names))
-
-    def _emit(self, start: int, rows: list[np.ndarray]) -> None:
-        _write_lsts_rows(self._files[0], self.num_frames, start, rows)
-        for fh, plane_rows in zip(self._files[1:], rows):
-            fh.write(_csv_block(plane_rows))
-        self._written += len(rows[0])
+        self.width = width
+        _write_lsts_header(self._files[0], self.num_frames, width, len(names))
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        complete = exc_type is None and self._written == self.num_frames
+        complete = exc_type is None and self._next == self.num_frames
         for fh in self._files:
             fh.close()
         if not complete:
@@ -967,7 +917,7 @@ class FeatureWriter:
                 path.unlink(missing_ok=True)
         if exc_type is None and not complete:
             raise ValueError(
-                f"the feature file holds {self.num_frames} frames, {self._written} were written"
+                f"the feature file holds {self.num_frames} frames, {self._next} were written"
             )
 
 

@@ -44,6 +44,9 @@ SPEED_OF_SOUND = 343.0  # m/s
 
 ROLE_ORDER = ("target", "non_target", "interferer")
 
+# the largest magnitude of a float32 WAV sample
+_WAV_SAMPLE_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclasses.dataclass(frozen=True)
 class ArrayGeometry:
@@ -624,7 +627,9 @@ def mix_scene(
     against the summed directional signal is exact.  Silent stems (or a
     silent target) skip the affected gain calibrations with unit gain;
     the realized SIR is None unless the target and the interferer both
-    sound, and the realized SNR is None when no stem does.
+    sound, and the realized SNR is None when no stem does.  Levels so far
+    apart that a rendered signal overflows a float32 WAV sample raise
+    ``ValueError``.
     """
     length = spec.num_samples
     images: dict[str, np.ndarray] = {}
@@ -678,6 +683,14 @@ def mix_scene(
         noise *= 0.0
 
     mixture = directional + noise
+    for name, signal in (("mixture", mixture), *images.items(), ("noise", noise)):
+        # NaN fails the comparison too
+        peak = max(signal.max(), -signal.min())
+        if not peak <= _WAV_SAMPLE_MAX:
+            raise ValueError(
+                f"the mix overflows float32 WAV samples: the {name} peaks at {peak:.3g} "
+                f"(sir_db {spec.sir_db}, snr_db {spec.snr_db})"
+            )
 
     interferer_power = ref_power(images["interferer"])
     realized_sir = None

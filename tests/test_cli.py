@@ -145,6 +145,22 @@ class TestSimulate:
         assert f"{field} {float(level)} dB gives a power ratio" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mix",
+        [{"clip_seconds": 1, "snr_db": -3000}, {"clip_seconds": 1, "snr_db": -3200},
+         {"clip_seconds": 3, "sir_db": -3000}],
+        ids=["snr-3000", "snr-3200", "sir-3000"],
+    )
+    def test_mix_that_overflows_float32_exits_4_naming_it(self, tmp_path, capsys, mix):
+        # MixSpec accepts these levels (their power ratios are positive
+        # floats), but the gains they ask for push samples past float32
+        config = _write_config(tmp_path / "cfg.json", {"mix": {**mix, "allow_off_grid": True}})
+        out = tmp_path / "x"
+        assert main(["simulate", "--seed", "0", "--config", config,
+                     "--out", str(out)]) == EXIT_CONSTRAINT
+        assert "the mix overflows float32 WAV samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_positive_range_low_end_exits_4_naming_it(self, tmp_path, capsys):
         config = _write_config(tmp_path / "cfg.json", {"scene": {"range_bounds": [0.0, 2.0]}})
         out = tmp_path / "x"

@@ -3,8 +3,10 @@ oracle equivalence, and the binary/CSV export formats."""
 from __future__ import annotations
 
 import dataclasses
+import re
 import struct
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -135,6 +137,20 @@ class TestShortTermRtf:
         for l in range(9):
             entries, low = short_term_whitened_rtf(specs, l)
             assert np.allclose(np.abs(entries), 1.0, atol=1e-9)
+
+    def test_huge_half_window_is_the_whole_clip(self, rng):
+        # only the offsets that reach a frame are visited, so R = 10**9
+        # costs what R = L - 1 does and gives its bytes
+        specs = random_small_specs(rng, 3, 10, 257)
+        for variant in ("lstsc-1", "lstsc-4"):
+            t0 = time.perf_counter()
+            huge = compute_lstsc(specs, CoherenceConfig.for_variant(variant, R=10**9))
+            elapsed = time.perf_counter() - t0
+            whole = compute_lstsc(specs, CoherenceConfig.for_variant(variant, R=9))
+            assert elapsed < 0.5, elapsed
+            for name, plane in vars(whole).items():
+                got = getattr(huge, name)
+                assert (plane is None and got is None) or plane.tobytes() == got.tobytes(), name
 
     def test_matches_oracle(self, rng):
         cfg = CoherenceConfig(R=2)
@@ -386,6 +402,17 @@ class TestComputeLstsc:
         planes = sum(plane.nbytes for plane in vars(feats).values() if plane is not None)
         rtf_block = _BLOCK_FRAMES * num_bins * (num_mics - 1) * specs.itemsize
         assert peak - planes < 4.7 * rtf_block
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_SETTINGS))
+    def test_empty_spectra_rejected(self, variant):
+        cfg = CoherenceConfig.for_variant(variant)
+        for shape in ((3, 0, 257), (3, 10, 0), (2, 0, 0)):
+            specs = np.zeros(shape, dtype=complex)
+            message = re.escape(f"spectra need frames and bins, got shape (M, L, F) = {shape}")
+            with pytest.raises(ValueError, match=message):
+                compute_lstsc(specs, cfg)
+            with pytest.raises(ValueError, match=message):
+                next(stream_frames(specs, cfg))
 
     def test_shapes_independent_of_channel_count(self, rng):
         cfg = CoherenceConfig.for_variant("lstsc-1")
@@ -642,6 +669,8 @@ def _same_bytes(got, want) -> bool:
 # FrameBlock fields that the per-frame reference names differently
 _ORACLE_NAMES = {"lambda_trace": "lam", "mask": "mask_row"}
 
+_BANDED = ("gamma_local", "gamma_global", "gamma_global_warped", "lambda_trace")
+
 
 class TestBlockEngine:
     """The block engine against the per-frame reference loop."""
@@ -657,8 +686,14 @@ class TestBlockEngine:
             got = short_term_whitened_rtf(specs, frame, cfg)
             want = oracle_frame_engine.short_term_whitened_rtf(specs, frame, cfg)
             assert all(map(_same_bytes, got, want)), frame
-        fields = [f.name for f in dataclasses.fields(FrameBlock) if f.name != "start"]
-        num_frames = specs.shape[1]
+        # the per-frame reference has no block pooling: the banded fields
+        # are checked as the pooled rows of the reference's block
+        fields = [
+            f.name for f in dataclasses.fields(FrameBlock)
+            if f.name != "start" and not f.name.startswith("banded_")
+        ]
+        num_frames, num_bins = specs.shape[1:]
+        filterbank = design_filterbank(16000, 2 * (num_bins - 1), 48)
         for variant in sorted(VARIANT_SETTINGS):
             cfg = CoherenceConfig.for_variant(variant, R=R)
             for make in estimators:
@@ -671,7 +706,8 @@ class TestBlockEngine:
                     for name in fields:
                         field = getattr(block, name)
                         assert field is None or len(field) == n, (variant, name)
-                    for i, ref in zip(range(n), want):
+                    refs = [ref for _, ref in zip(range(n), want)]
+                    for i, ref in enumerate(refs):
                         assert ref.frame == frame
                         for name in fields:
                             field = getattr(block, name)
@@ -679,6 +715,14 @@ class TestBlockEngine:
                             ref_value = getattr(ref, _ORACLE_NAMES.get(name, name))
                             assert _same_bytes(got, ref_value), (variant, estimator, frame, name)
                         frame += 1
+                    for name in _BANDED:
+                        planes = [getattr(ref, _ORACLE_NAMES.get(name, name)) for ref in refs]
+                        pooled = None
+                        if cfg.erb_bands is not None and planes[0] is not None:
+                            pooled = pool_feature(np.stack(planes), filterbank)
+                        assert _same_bytes(getattr(block, "banded_" + name), pooled), (
+                            variant, estimator, block.start, name
+                        )
                 assert frame == num_frames and next(want, None) is None
                 if isinstance(estimator, _PrerecordedEstimator):
                     got_mags, want_mags = (np.stack(e.magnitudes) for e in (estimator, reference))
@@ -815,7 +859,7 @@ class TestFeatureWriter:
         features = compute_lstsc(specs, cfg)
         write_features(tmp_path / "whole.lsts", features)
         export_features_csv(tmp_path / "whole.lsts", features)
-        with FeatureWriter(tmp_path / "blocks.lsts", cfg, num_frames, csv=True) as writer:
+        with FeatureWriter(tmp_path / "blocks.lsts", num_frames, csv=True) as writer:
             writer.write(stream_frames(specs, cfg))
         wholes = sorted(tmp_path.glob("whole*"))
         assert sorted(path.name for path in writer.paths) == [
@@ -825,40 +869,52 @@ class TestFeatureWriter:
             twin = tmp_path / path.name.replace("whole", "blocks")
             assert twin.read_bytes() == path.read_bytes(), path.name
 
-    @pytest.mark.parametrize("num_frames", [1, 25, 26, 64, 89, 90, 769, 2998])
-    def test_band_pooling_equals_whole_plane_pooling(self, num_frames):
-        # a clip's last block of at most 25 frames is pooled with the one
-        # before it; then every span's bands equal those of the whole plane
-        rng = np.random.default_rng(num_frames)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        num_frames=st.one_of(st.sampled_from([1, 25, 26, 64, 65, 89, 90]), st.integers(1, 300)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(num_frames=769, seed=769)
+    @example(num_frames=2998, seed=2998)
+    def test_band_pooling_is_per_block(self, num_frames, seed):
+        # each block's bands are its own rows pooled in one product, and
+        # within rounding those of pooling the whole plane at once
+        rng = np.random.default_rng(seed)
         specs = random_small_specs(rng, 2, num_frames, STFT.num_bins)
-        features = compute_lstsc(specs, CoherenceConfig.for_variant("lstsc-4"))
+        cfg = CoherenceConfig.for_variant("lstsc-4")
+        features = compute_lstsc(specs, cfg)
         filterbank = design_filterbank(16000, STFT.fft_size, 48)
-        for name in ("gamma_local", "gamma_global", "gamma_global_warped", "lambda_trace"):
+        for block in stream_frames(specs, cfg):
+            for name in _BANDED:
+                pooled = pool_feature(getattr(block, name), filterbank)
+                assert getattr(block, "banded_" + name).tobytes() == pooled.tobytes(), name
+        for name in _BANDED:
             whole = pool_feature(getattr(features, name), filterbank)
-            assert getattr(features, "banded_" + name).tobytes() == whole.tobytes(), name
+            np.testing.assert_allclose(
+                getattr(features, "banded_" + name), whole, rtol=0, atol=1e-12, err_msg=name
+            )
 
     def test_failure_removes_the_files(self, tmp_path, rng):
         specs = random_small_specs(rng, 2, 130, STFT.num_bins)
         cfg = CoherenceConfig.for_variant("lstsc-3")
         blocks = stream_frames(specs, cfg)
         with pytest.raises(RuntimeError, match="stop"):
-            with FeatureWriter(tmp_path / "f.lsts", cfg, 130, csv=True) as writer:
+            with FeatureWriter(tmp_path / "f.lsts", 130, csv=True) as writer:
                 writer.write([next(blocks)])
                 assert len(list(tmp_path.iterdir())) == 5
                 raise RuntimeError("stop")
         assert list(tmp_path.iterdir()) == []
-        # a missing block is a failure too; the second block waits for
-        # the 2-frame last one, which is pooled with it
-        with pytest.raises(ValueError, match="holds 130 frames, 64 were written"):
-            with FeatureWriter(tmp_path / "f.lsts", cfg, 130) as writer:
+        # a missing block is a failure too
+        with pytest.raises(ValueError, match="holds 130 frames, 128 were written"):
+            with FeatureWriter(tmp_path / "f.lsts", 130) as writer:
                 writer.write(list(stream_frames(specs, cfg))[:2])
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ValueError, match="expected the block at frame 0 of 130, got frames 64 to 128"):
-            with FeatureWriter(tmp_path / "f.lsts", cfg, 130) as writer:
+            with FeatureWriter(tmp_path / "f.lsts", 130) as writer:
                 writer.write(list(stream_frames(specs, cfg))[1:])
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ValueError, match="expected the block at frame 128 of 129, got frames 128 to 130"):
-            with FeatureWriter(tmp_path / "f.lsts", cfg, 129) as writer:
+            with FeatureWriter(tmp_path / "f.lsts", 129) as writer:
                 writer.write(stream_frames(specs, cfg))
         assert list(tmp_path.iterdir()) == []
 
