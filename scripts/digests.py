@@ -26,9 +26,10 @@ replaced by ``<root>``.  The set:
   ``scene`` section; and a 30 s 8-mic bundle with its ``extract --csv``
   (lstsc-1, lstsc-4) and ``enhance`` (lstsc-3) files.
 
-FFT bytes can differ across numpy and scipy builds, so compare digests
-made in one environment; this is why no test runs it.  A run takes about
-20 s on two vCPUs and peaks near 330 MB resident.
+FFT bytes can differ across numpy builds, and scene images
+(``roomsim._image``), features and enhancement all come from numpy's FFT,
+so compare digests made in one environment; this is why no test runs it.
+A run takes about 20 s on two vCPUs and peaks near 330 MB resident.
 """
 import contextlib
 import hashlib

@@ -646,7 +646,10 @@ class StreamingExtractor:
 
     Between calls it keeps the samples that the next frame still needs,
     the spectra of at most one block plus its ``2R`` lookahead and
-    look-behind frames, and the engine's tracker states.  Non-finite
+    look-behind frames, and the engine's tracker states.  Its memory is
+    therefore O(64 + 2R) frames of (M, F) spectra, whatever the clip's
+    length; ``R`` has no upper bound, and an ``R`` as long as the clip
+    keeps the clip's whole spectrum until ``flush``.  Non-finite
     samples, and spectra that overflow, are rejected by the ``push`` that
     brings them, naming the first bad entry of that chunk; a rejected
     chunk leaves the extractor as it was.

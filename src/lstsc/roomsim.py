@@ -20,7 +20,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .signal_core import SAMPLE_RATE, MultichannelAudio
 
@@ -603,9 +602,41 @@ class MixResult:
     noise_seed: int
 
 
+def _fast_len(n: int) -> int:
+    """The least 5-smooth integer >= ``n`` (``n >= 1``), the FFT length
+    scipy's ``next_fast_len(n, real=True)`` picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power-of-two multiple of p35 that is >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _image(stem: np.ndarray, rirs: list[Rir], length: int) -> np.ndarray:
-    rows = [fftconvolve(stem, rir.taps)[:length] for rir in rirs]
-    return np.stack(rows)
+    """The stem through each RIR, cut to ``length`` samples: one row per
+    RIR, with the bytes of scipy's ``fftconvolve(stem, taps)[:length]``
+    (the same transform lengths, operands and product order), but the
+    stem transformed once per transform length, not once per RIR."""
+    out = np.empty((len(rirs), length))
+    spectra: dict[int, np.ndarray] = {}
+    for row, rir in zip(out, rirs):
+        if stem.shape[0] == 1 or rir.taps.shape[0] == 1:
+            # scipy multiplies by a one-sample operand, without transforms
+            row[:] = (stem * rir.taps)[:length]
+            continue
+        nfft = _fast_len(stem.shape[0] + rir.taps.shape[0] - 1)
+        if nfft not in spectra:
+            spectra[nfft] = np.fft.rfft(stem, nfft)
+        # bound to a name, so that numpy cannot reuse this temporary for
+        # the product and swap the operands, which rounds differently
+        response = np.fft.rfft(rir.taps, nfft)
+        row[:] = np.fft.irfft(spectra[nfft] * response, nfft)[:length]
+    return out
 
 
 def mix_scene(

@@ -12,7 +12,6 @@ import dataclasses
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 __all__ = [
     "SAMPLE_RATE",
@@ -146,6 +145,8 @@ class Mask:
 def _read_wav(path: Path, mmap: bool = False) -> tuple[int, np.ndarray]:
     """scipy's ``wavfile.read``, with a missing file raised as such and
     any other failure as ``ValueError`` naming the file."""
+    from scipy.io import wavfile  # on first use: it takes ~0.3 s to import
+
     if not path.exists():
         raise FileNotFoundError(f"file not found: {path}")
     try:
@@ -237,6 +238,8 @@ def save_wav(path: str | Path, audio: MultichannelAudio) -> None:
     data = audio.samples.T.astype(np.float32)
     if data.shape[1] == 1:
         data = data[:, 0]
+    from scipy.io import wavfile  # on first use, as in _read_wav
+
     wavfile.write(Path(path), audio.sample_rate, data)
 
 

@@ -8,8 +8,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -757,3 +761,25 @@ class TestArgparseSurface:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == EXIT_OK
         assert "lstsc" in capsys.readouterr().out
+
+
+class TestStartUp:
+    def test_scipy_signal_and_io_stay_unloaded_until_a_wav_is_read(self, tmp_path):
+        # they take over a second to import, in a fresh process per command
+        wav = tmp_path / "short.wav"
+        wavfile.write(wav, 16000, np.zeros((16, 2), dtype=np.float32))
+        script = textwrap.dedent("""
+            import json, sys
+            import lstsc.cli, lstsc.enhance, lstsc.metrics, lstsc.roomsim, lstsc.scenarios
+            from lstsc.signal_core import load_wav
+            loaded = [name for name in ("scipy.signal", "scipy.io") if name in sys.modules]
+            load_wav(sys.argv[1])
+            print(json.dumps({"loaded": loaded, "wavfile": "scipy.io.wavfile" in sys.modules}))
+        """)
+        src = Path(cli.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(wav)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(run.stdout) == {"loaded": [], "wavfile": True}

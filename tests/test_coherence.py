@@ -799,6 +799,27 @@ class TestStreamingExtractor:
                     block.start, field.name
                 )
 
+    @pytest.mark.parametrize("R", [1, 64])
+    def test_peak_memory_follows_a_block_and_its_windows(self, R):
+        # O(64 + 2R) frames of spectra: about 5.4 frames' worth per span
+        # frame at R = 1 and 3.1 at R = 64; the clip is 16 spans long at
+        # R = 64, so a buffer that grows with it breaks the bound
+        num_mics = 2
+        span = _BLOCK_FRAMES + 2 * R
+        frame_bytes = num_mics * STFT.num_bins * np.dtype(np.complex128).itemsize
+        num_samples = STFT.frame_len + STFT.hop * (16 * (_BLOCK_FRAMES + 2 * 64) - 1)
+        samples = 0.1 * np.random.default_rng(R).standard_normal((num_mics, num_samples))
+        extractor = StreamingExtractor(CoherenceConfig.for_variant("lstsc-4", R=R), num_mics)
+        tracemalloc.start()
+        try:
+            for lo in range(0, num_samples, 10240):
+                extractor.push(samples[:, lo : lo + 10240])
+            extractor.flush()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * span * frame_bytes, peak / (span * frame_bytes)
+
     def test_blocks_arrive_when_their_lookahead_has(self, rng):
         cfg = CoherenceConfig.for_variant("lstsc-1", R=2)
         extractor = StreamingExtractor(cfg, 2)

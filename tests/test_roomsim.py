@@ -22,12 +22,42 @@ from lstsc.roomsim import (
     measure_t60,
     mix_scene,
     sample_scene,
+    _fast_len,
+    _image,
     _image_source_taps,
     simulate_rir,
     simulate_rirs,
 )
 
 ROOM = (6.0, 5.0, 3.0)
+
+
+class TestImageConvolution:
+    """The mixer's convolution, pinned to scipy as an oracle."""
+
+    def test_fast_len_is_scipys_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        for n in [*range(1, 5001), 500_001, 524_289, 531_441, 1_000_003, 9_765_626, 2**31 + 1]:
+            assert _fast_len(n) == next_fast_len(n, True), n
+
+    def test_image_equals_fftconvolve_with_unequal_taps(self):
+        # RIRs of unequal lengths, so the transform length differs between
+        # mics; two of them share one, whose stem transform is reused
+        rng = np.random.default_rng(11)
+        length = 5000
+        stem = rng.standard_normal(length)
+        rirs = [
+            Rir(sample_rate=16000, taps=0.1 * rng.standard_normal(n), source_distance=1.0)
+            for n in (1, 377, 380, 1024, 4097, 6000)
+        ]
+        image = _image(stem, rirs, length)
+        assert image.shape == (len(rirs), length)
+        for row, rir in zip(image, rirs):
+            assert row.tobytes() == fftconvolve(stem, rir.taps)[:length].tobytes()
+        # a one-sample clip
+        (row,) = _image(stem[:1], rirs[2:3], 1)
+        assert row.tobytes() == fftconvolve(stem[:1], rirs[2].taps)[:1].tobytes()
 
 
 class TestArrayGeometry:

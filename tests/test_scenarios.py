@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
+from lstsc import scenarios
 from lstsc.coherence import CoherenceConfig, arcsine_warp, compute_lstsc
 from lstsc.roomsim import ROLE_ORDER, MixSpec
 from lstsc.scenarios import (
@@ -48,6 +50,59 @@ class TestStems:
         a = intermittent_speech(np.random.default_rng(3), 32000)
         b = intermittent_speech(np.random.default_rng(3), 32000)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def _lfilter_bytes(x: np.ndarray, k: float) -> bytes:
+    out = lfilter([1.0], [1.0, -k], x)
+    assert out.dtype == np.float64
+    return out.tobytes()
+
+
+class TestFirstOrderIir:
+    """The stems' recursion ``y[n] = x[n] + k y[n-1]``, pinned to scipy's
+    ``lfilter`` byte for byte."""
+
+    BLOCK = scenarios._IIR_BLOCK
+    LONGEST = scenarios._IIR_BLOCK * scenarios._IIR_MAX_LANES
+    SHORTEST_BLOCKED = scenarios._IIR_MIN_SAMPLES
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(
+            # empty, one sample, below one block, exact multiples of the
+            # block (on both sides of the blocked path's bounds), and odd
+            st.sampled_from([
+                0, 1, 2, 255, BLOCK, SHORTEST_BLOCKED - 1, SHORTEST_BLOCKED,
+                SHORTEST_BLOCKED + 1, 3 * BLOCK * 129, LONGEST, LONGEST + 1,
+                2 * LONGEST + BLOCK,
+            ]),
+            st.integers(0, 2 * LONGEST).map(lambda n: n | 1),
+        ),
+        st.sampled_from([0.9, 0.5]),
+        st.sampled_from([1e-300, 1e-3, 1.0, 1e200]),
+    )
+    def test_bytes_equal_lfilter(self, seed, length, k, scale):
+        x = np.random.default_rng(seed).standard_normal(length) * scale
+        got = scenarios._first_order_iir(x, k)
+        assert got.dtype == np.float64 and got.shape == (length,)
+        assert got.tobytes() == _lfilter_bytes(x, k)
+
+    @pytest.mark.parametrize("k, falls_back", [(0.9, False), (0.5, False), (0.99999, True)])
+    def test_sequential_loop_only_where_blocks_do_not_merge(self, monkeypatch, k, falls_back):
+        # 0.99999 forgets too slowly for the blocks to merge over their
+        # warm-up, so the whole input takes the sequential loop, still exact
+        calls = []
+        sequential = scenarios._iir_sequential
+
+        def spy(x, k):
+            calls.append(x.shape[0])
+            return sequential(x, k)
+
+        monkeypatch.setattr(scenarios, "_iir_sequential", spy)
+        x = np.random.default_rng(4).standard_normal(3 * self.SHORTEST_BLOCKED + 17)
+        assert scenarios._first_order_iir(x, k).tobytes() == _lfilter_bytes(x, k)
+        assert calls == ([x.shape[0]] if falls_back else [])
 
 
 class TestFrameCoverage:
