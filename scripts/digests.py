@@ -29,7 +29,7 @@ replaced by ``<root>``.  The set:
 FFT bytes can differ across numpy builds, and scene images
 (``roomsim._image``), features and enhancement all come from numpy's FFT,
 so compare digests made in one environment; this is why no test runs it.
-A run takes about 20 s on two vCPUs and peaks near 330 MB resident.
+A run takes about 12 s on two vCPUs and peaks near 270 MB resident.
 """
 import contextlib
 import hashlib

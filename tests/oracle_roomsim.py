@@ -1,9 +1,16 @@
 """Reference image-source enumeration for one source/microphone pair.
 
 This is the simulator's original per-pair implementation, kept verbatim:
-it rebuilds the full (N, 3) image lattice for every pair.  The separable
-per-source enumeration in ``lstsc.roomsim`` must reproduce its taps byte
-for byte.
+it rebuilds the full (N, 3) image lattice for every pair and keeps the
+images that land with one ``bincount`` per parity.  ``lstsc.roomsim``
+enumerates per source, visits only the images inside each microphone's
+delay ball, in blocks, and adds them with ``np.add.at`` in this lattice
+order; it must reproduce these taps byte for byte.
+
+The reference holds the whole lattice at once, so its cost grows with
+the cube of the duration: a 6 x 5 x 3 m room at 0.853 s (a scene's
+response) takes about 0.45 s and 47 MB of traced memory, and the
+1.6 s of a T60 0.7 calibration probe 3.5 s and 292 MB.
 """
 from __future__ import annotations
 

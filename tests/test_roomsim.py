@@ -2,7 +2,9 @@
 scene-sampling protocol, and level-exact mixing."""
 from __future__ import annotations
 
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +24,12 @@ from lstsc.roomsim import (
     measure_t60,
     mix_scene,
     sample_scene,
+    _BLOCK_POINTS,
+    _calibrate,
     _fast_len,
     _image,
     _image_source_taps,
+    _reach,
     simulate_rir,
     simulate_rirs,
 )
@@ -250,9 +255,30 @@ def _image_source_cases(draw):
     return dims, src, mics * dims, beta, durations
 
 
+def _delay(d2: float, fs: int) -> float:
+    """The image enumeration's delay of a squared distance, in numpy."""
+    return float(np.round(np.sqrt(np.float64(d2)) / SPEED_OF_SOUND * fs))
+
+
+# a 2 m cube at 0.3 s: 53**3 points per parity, many blocks, and most
+# (x, y) rows of the lattice's corners lie outside the delay ball
+_CUBE = (np.full(3, 2.0), np.array([0.7, 1.3, 0.4]),
+         np.array([[1.5, 0.5, 1.6], [1.52, 0.5, 1.6]]), 0.8, [0.3, 0.27])
+# beta = 0: the direct paths alone
+_ANECHOIC = (np.array([3.0, 4.0, 2.5]), np.array([1.0, 1.2, 0.8]),
+             np.array([[2.0, 3.0, 1.5], [2.5, 0.5, 2.0], [0.2, 3.9, 0.1]]), 0.0,
+             [0.05, 0.12, 0.2])
+# the benchmark's room at a scene's response length
+_SCENE = (np.array([6.0, 5.0, 3.0]), np.array([2.0, 3.2, 1.6]),
+          np.array([[3.4, 1.8, 1.1]]), 0.93, [0.853])
+
+
 class TestImageSourceOracle:
     @settings(max_examples=40, deadline=None)
     @given(_image_source_cases())
+    @example(_CUBE)
+    @example(_ANECHOIC)
+    @example(_SCENE)
     def test_taps_match_per_pair_oracle_bytes(self, case):
         dims, src, mics, beta, durations = case
         taps = _image_source_taps(dims, src, mics, 16000, beta, durations)
@@ -263,6 +289,28 @@ class TestImageSourceOracle:
             )
             assert got.tobytes() == want.tobytes()
 
+    def test_cube_example_spans_blocks_and_skips_rows(self):
+        dims, src, mics, _, durations = _CUBE
+        count = int(np.ceil(durations[0] * SPEED_OF_SOUND / (2.0 * dims[0])))
+        side = 2 * count + 1
+        assert side**3 > 8 * _BLOCK_POINTS
+        # (x, y) rows whose offsets alone reach past the first response
+        reach = _reach(round(durations[0] * 16000), 16000)
+        dx, dy = (
+            (s + 2.0 * np.arange(-count, count + 1) * length - m) ** 2
+            for s, length, m in zip(src[:2], dims[:2], mics[0][:2])
+        )
+        assert np.count_nonzero(dx[:, None] + dy > reach) > side**2 // 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**7), st.integers(1, 192000))
+    @example(1, 16000)
+    @example(13648, 16000)
+    def test_reach_is_the_last_squared_distance_that_lands(self, size, fs):
+        reach = _reach(size, fs)
+        assert reach >= 0.0
+        assert _delay(reach, fs) < size <= _delay(np.nextafter(reach, math.inf), fs)
+
     def test_simulate_rirs_matches_pairs(self):
         src = [2.0, 3.2, 1.6]
         mics = ArrayGeometry.circular(5, 0.1).placed((3.4, 1.8, 1.1))
@@ -272,6 +320,21 @@ class TestImageSourceOracle:
             pair = simulate_rir(ROOM, 0.3, src, mic)
             assert rir.taps.tobytes() == pair.taps.tobytes()
             assert rir.source_distance == pair.source_distance
+
+    def test_calibration_and_enumeration_memory_is_bounded(self):
+        # the whole image lattice of this T60 holds 240 MB of temporaries;
+        # blocked enumeration holds about 2.7 MB (rows, gains, one block)
+        src = [2.0, 3.2, 1.6]
+        mics = ArrayGeometry.ula().placed((3.0, 1.5, 1.2))
+        _calibrate.cache_clear()
+        tracemalloc.start()
+        try:
+            rirs = simulate_rirs(ROOM, 1.0, src, mics)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rirs) == 4
+        assert peak < 10e6
 
     def test_simulate_rirs_validates_every_mic(self):
         mics = [[3.0, 2.5, 1.2], [3.0, 9.0, 1.2]]
