@@ -36,7 +36,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .erb import ErbFilterbank, design_filterbank, pool_feature
-from .signal_core import SAMPLE_RATE, StftConfig, first_non_finite, stft
+from .signal_core import SAMPLE_RATE, StftConfig, _in_halves, _stft_channels, first_non_finite
 
 __all__ = [
     "CoherenceConfig",
@@ -189,7 +189,30 @@ def _block_whitened_rtf(
     tensor: np.ndarray, start: int, stop: int, cfg: CoherenceConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """``short_term_whitened_rtf`` of frames ``[start, stop)`` at once:
-    entries (n, F, M-1) and low-energy flags (n, F)."""
+    entries (n, F, M-1) and low-energy flags (n, F), the frames in two
+    halves (``_in_halves``)."""
+    num_mics, _, num_bins = tensor.shape
+    entries = np.empty((stop - start, num_bins, num_mics - 1), dtype=np.complex128)
+    low = np.empty((stop - start, num_bins), dtype=bool)
+
+    def frames(lo: int, hi: int) -> None:
+        _whitened_rtf_rows(tensor, start + lo, start + hi, cfg, entries[lo:hi], low[lo:hi])
+
+    _in_halves(frames, stop - start, _SPLIT_FRAMES)
+    return entries, low
+
+
+def _whitened_rtf_rows(
+    tensor: np.ndarray,
+    start: int,
+    stop: int,
+    cfg: CoherenceConfig,
+    entries: np.ndarray,
+    low: np.ndarray,
+) -> None:
+    """``_block_whitened_rtf`` of frames ``[start, stop)``, written into
+    ``entries`` and ``low``; each frame's bytes are the same whichever
+    frames share the call."""
     num_mics, num_frames, num_bins = tensor.shape
     count = stop - start
     lo = max(0, start - cfg.R)
@@ -221,22 +244,22 @@ def _block_whitened_rtf(
     safe_auto = np.where(low_ref, 1.0, auto)
     # z_m * conj(z_0) as separate real and imaginary planes: plain float
     # ufuncs round each product once, whereas fused complex kernels may
-    # contract and drift by an ulp.  The ratio is laid out (n, F, M-1)
-    # and filled through (M-1, n, F) views of its parts.
-    ratio = np.empty((count, num_bins, num_mics - 1), dtype=np.complex128)
+    # contract and drift by an ulp.  The ratio is laid out (n, F, M-1),
+    # filled through (M-1, n, F) views of its parts and whitened in place.
     np.divide(
         window_sums(oth_re * ref_re + oth_im * ref_im),
         safe_auto,
-        out=ratio.real.transpose(2, 0, 1),
+        out=entries.real.transpose(2, 0, 1),
     )
     np.divide(
         window_sums(oth_im * ref_re - oth_re * ref_im),
         safe_auto,
-        out=ratio.imag.transpose(2, 0, 1),
+        out=entries.imag.transpose(2, 0, 1),
     )
-    entries, flagged = whiten(ratio, cfg.epsilon)
+    _, degenerate = _unit_modulus(entries, cfg.epsilon, out=entries)
     entries[low_ref] = 1.0
-    return entries, low_ref | flagged
+    low[...] = low_ref
+    _flag_rows(degenerate, low)
 
 
 def whiten(vectors: np.ndarray, epsilon: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -248,16 +271,24 @@ def whiten(vectors: np.ndarray, epsilon: float = 1e-12) -> tuple[np.ndarray, np.
     whitened, degenerate = _unit_modulus(vectors, epsilon)
     if whitened.ndim <= 1:
         return whitened, bool(degenerate.any())
-    # the rows' OR, one plane of the last axis at a time: cheaper than
-    # any(axis=-1) over a short last axis
-    flagged = np.zeros(degenerate.shape[:-1], dtype=bool)
+    return whitened, _flag_rows(degenerate, np.zeros(degenerate.shape[:-1], dtype=bool))
+
+
+def _flag_rows(degenerate: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """ORs each row of ``degenerate`` into ``flags`` and returns it, one
+    plane of the last axis at a time: cheaper than any(axis=-1) over a
+    short last axis."""
     for k in range(degenerate.shape[-1]):
-        flagged |= degenerate[..., k]
-    return whitened, flagged
+        flags |= degenerate[..., k]
+    return flags
 
 
-def _unit_modulus(vectors: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """``whiten`` without the row flags; returns the per-entry degenerate mask.
+def _unit_modulus(
+    vectors: np.ndarray, epsilon: float, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``whiten`` without the row flags; returns the per-entry degenerate
+    mask.  The whitened entries go to ``out`` when given, which may be
+    ``vectors`` itself.
 
     The modulus is ``np.hypot``, which rounds once; ``sqrt(re*re + im*im)``
     rounds three times and moves some entries by an ulp.  Degenerate
@@ -270,7 +301,7 @@ def _unit_modulus(vectors: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.n
     any_degenerate = degenerate.any()
     if any_degenerate:
         modulus[degenerate] = 1.0
-    whitened = np.empty_like(vectors)
+    whitened = np.empty_like(vectors) if out is None else out
     np.divide(vectors.real, modulus, out=whitened.real)
     np.divide(vectors.imag, modulus, out=whitened.imag)
     if any_degenerate:
@@ -438,6 +469,9 @@ MaskFeedback = Callable[
 # overhead, few enough that the block buffers stay a few MB at 8 mics.
 _BLOCK_FRAMES = 64
 
+# Fewest frames whose RTFs or coherence are worth two threads.
+_SPLIT_FRAMES = 8
+
 
 def _tracker(
     rtfs: np.ndarray, rbar: np.ndarray | None, lam, epsilon: float
@@ -446,11 +480,11 @@ def _tracker(
 
     ``lam`` is a scalar or one row per frame.  ``states[0]`` is the state
     before the block and ``states[i + 1]`` the state after frame ``i``;
-    each frame is scored against the state before it, all in one
-    ``coherence`` call.  ``rbar`` is None before the first frame: the
-    tracker opens on that frame's vector, which is then blended in like
-    any other, and its coherence is 1 by definition (the vector is
-    compared with itself), not the rounded dot product.
+    each frame is scored against the state before it by ``coherence``,
+    the frames in two halves (``_in_halves``).  ``rbar`` is None before
+    the first frame: the tracker opens on that frame's vector, which is
+    then blended in like any other, and its coherence is 1 by definition
+    (the vector is compared with itself), not the rounded dot product.
     """
     blend = _Blend(rtfs, rbar, lam)
     for i in range(len(rtfs)):
@@ -458,7 +492,12 @@ def _tracker(
     states = blend.states
     # the peak is in coherence: free the endpoint masks and scratch row
     del blend
-    gamma = coherence(rtfs, states[:-1], epsilon)
+    gamma = np.empty(rtfs.shape[:-1])
+
+    def frames(lo: int, hi: int) -> None:
+        gamma[lo:hi] = coherence(rtfs[lo:hi], states[lo:hi], epsilon)
+
+    _in_halves(frames, len(rtfs), _SPLIT_FRAMES)
     if rbar is None:
         gamma[0] = 1.0
     return gamma, states
@@ -623,7 +662,10 @@ def stream_frames(
     and its coherence, the mask-free lambda rows and, unless an estimator
     steers it, the global tracker and its coherence.  With an estimator,
     a loop over the block's frames then calls it and runs the global
-    tracker it steers.
+    tracker it steers.  Where two CPUs are available, the RTFs and the
+    trackers' coherence run in two halves of the block's frames on two
+    threads (``signal_core._in_halves``), so two halves' temporaries exist
+    at once; the outputs are the same bytes.
     """
     tensor = _as_spec_tensor(specs)
     _, num_frames, num_bins = tensor.shape
@@ -649,7 +691,11 @@ class StreamingExtractor:
     look-behind frames, and the engine's tracker states.  Its memory is
     therefore O(64 + 2R) frames of (M, F) spectra, whatever the clip's
     length; ``R`` has no upper bound, and an ``R`` as long as the clip
-    keeps the clip's whole spectrum until ``flush``.  Non-finite
+    keeps the clip's whole spectrum until ``flush``.  Where two CPUs are
+    available, the chunk's STFTs (in two halves of the mics), the RTFs
+    and the coherence (in two halves of a block's frames) run on two
+    threads, so two halves' temporaries exist at once; the blocks are the
+    same bytes.  Non-finite
     samples, and spectra that overflow, are rejected by the ``push`` that
     brings them, naming the first bad entry of that chunk; a rejected
     chunk leaves the extractor as it was.
@@ -692,8 +738,7 @@ class StreamingExtractor:
         count = 0 if buffered.shape[1] < frame_len else self.stft_cfg.num_frames(buffered.shape[1])
         if count:
             new = np.empty((self.num_mics, count, self.stft_cfg.num_bins), dtype=np.complex128)
-            for m in range(self.num_mics):
-                new[m] = stft(buffered[m, : (count - 1) * hop + frame_len], self.stft_cfg)
+            _stft_channels(buffered[:, : (count - 1) * hop + frame_len], self.stft_cfg, new)
             bad = first_non_finite(new)
             if bad is not None:
                 channel, frame, bin_ = bad

@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .signal_core import SAMPLE_RATE, MultichannelAudio
+from .signal_core import SAMPLE_RATE, MultichannelAudio, _in_halves
 
 __all__ = [
     "SPEED_OF_SOUND",
@@ -668,21 +668,30 @@ def _image(stem: np.ndarray, rirs: list[Rir], length: int) -> np.ndarray:
     """The stem through each RIR, cut to ``length`` samples: one row per
     RIR, with the bytes of scipy's ``fftconvolve(stem, taps)[:length]``
     (the same transform lengths, operands and product order), but the
-    stem transformed once per transform length, not once per RIR."""
+    stem transformed once per transform length, not once per RIR.  The
+    rows are computed in two halves (``_in_halves``)."""
     out = np.empty((len(rirs), length))
-    spectra: dict[int, np.ndarray] = {}
-    for row, rir in zip(out, rirs):
-        if stem.shape[0] == 1 or rir.taps.shape[0] == 1:
-            # scipy multiplies by a one-sample operand, without transforms
-            row[:] = (stem * rir.taps)[:length]
-            continue
-        nfft = _fast_len(stem.shape[0] + rir.taps.shape[0] - 1)
-        if nfft not in spectra:
-            spectra[nfft] = np.fft.rfft(stem, nfft)
-        # bound to a name, so that numpy cannot reuse this temporary for
-        # the product and swap the operands, which rounds differently
-        response = np.fft.rfft(rir.taps, nfft)
-        row[:] = np.fft.irfft(spectra[nfft] * response, nfft)[:length]
+    # per RIR, its transform length, or None where scipy multiplies by a
+    # one-sample operand, without transforms
+    nffts = [
+        None
+        if stem.shape[0] == 1 or rir.taps.shape[0] == 1
+        else _fast_len(stem.shape[0] + rir.taps.shape[0] - 1)
+        for rir in rirs
+    ]
+    spectra = {nfft: np.fft.rfft(stem, nfft) for nfft in set(nffts) - {None}}
+
+    def rows(lo: int, hi: int) -> None:
+        for row, rir, nfft in zip(out[lo:hi], rirs[lo:hi], nffts[lo:hi]):
+            if nfft is None:
+                row[:] = (stem * rir.taps)[:length]
+                continue
+            # bound to a name, so that numpy cannot reuse this temporary
+            # for the product and swap the operands, which rounds differently
+            response = np.fft.rfft(rir.taps, nfft)
+            row[:] = np.fft.irfft(spectra[nfft] * response, nfft)[:length]
+
+    _in_halves(rows, len(rirs), 2)
     return out
 
 

@@ -8,7 +8,11 @@ pre-padding, so time-frequency indices are reproducible across modules.
 """
 from __future__ import annotations
 
+import contextvars
 import dataclasses
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +41,69 @@ _WOLA_FLOOR = 1e-10
 
 # Samples per chunk of WavReader's non-finite scan.
 _SCAN_SAMPLES = 1 << 16
+
+# CPUs this process may run on; with fewer than 2, _in_halves runs inline.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# _in_halves' worker thread, started on first use, and the flag it sets
+# on itself so that a task it runs never waits on the worker.
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+_on_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _on_worker.active = True
+
+
+def _forget_worker() -> None:
+    """In a forked child: the parent's worker thread does not exist there,
+    so the child starts its own on first use."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _in_halves(task, count: int, least: int) -> None:
+    """Run ``task(lo, hi)`` over the rows ``[0, count)`` on two cores.
+
+    The caller runs the lower half and the worker thread the upper one,
+    in the caller's context (numpy's ``errstate`` is a context variable).
+    The task must write each row's result into arrays the caller owns
+    and compute a row the same way whichever rows it is given, so the
+    bytes are those of ``task(0, count)``, which is what runs instead when
+    ``count < least``, when fewer than 2 CPUs are available or when the
+    caller is the worker itself (a nested task would wait on itself).
+    If the worker has not started the upper half by the time the lower
+    one is done, the caller runs it too.  An error raised by the lower
+    half wins over one from the upper half, and both halves have ended
+    when this returns or raises.
+    """
+    global _worker
+    if count < least or _CPUS < 2 or getattr(_on_worker, "active", False):
+        task(0, count)
+        return
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="lstsc-halves", initializer=_mark_worker
+            )
+        worker = _worker
+    half = (count + 1) // 2
+    upper = worker.submit(contextvars.copy_context().run, task, half, count)
+    try:
+        task(0, half)
+    except BaseException:
+        if not upper.cancel():
+            upper.exception()  # wait for it; the lower half's error wins
+        raise
+    if upper.cancel():
+        task(half, count)
+    else:
+        upper.result()
 
 
 def first_non_finite(array: np.ndarray) -> tuple[int, ...] | None:
@@ -249,6 +316,11 @@ def stft(x: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
     Frames are windowed, zero-padded to ``fft_size`` and transformed;
     ``L = 1 + floor((T - frame_len) / hop)``, no pre-padding.
     """
+    return _stft(x, cfg)
+
+
+def _stft(x, cfg: StftConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """``stft``, with the transform written into ``out`` when given."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("stft expects a 1-D sample vector")
@@ -256,7 +328,18 @@ def stft(x: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
     window = cfg.analysis_window()
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)
     frames = frames[:: cfg.hop][:num_frames]
-    return np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
+    return np.fft.rfft(frames * window, n=cfg.fft_size, axis=1, out=out)
+
+
+def _stft_channels(samples: np.ndarray, cfg: StftConfig, out: np.ndarray) -> None:
+    """The STFT of each row of ``samples`` written into the same channel
+    of the (M, L, F) ``out``, the channels in two halves (``_in_halves``)."""
+
+    def channels(lo: int, hi: int) -> None:
+        for m in range(lo, hi):
+            _stft(samples[m], cfg, out[m])
+
+    _in_halves(channels, out.shape[0], 2)
 
 
 def stft_multichannel(
@@ -264,14 +347,13 @@ def stft_multichannel(
 ) -> np.ndarray:
     """Per-channel STFTs as one (M, L, F) tensor.
 
-    The tensor is allocated once and each channel's STFT is written into
-    its slice, so the peak is the tensor plus one channel's temporaries
-    rather than two tensors.
+    The tensor is allocated once and each channel's transform is written
+    straight into its slice, so the peak is the tensor plus the windowed
+    frames of the (at most two) channels in progress, not two tensors.
     """
     num_frames = cfg.num_frames(audio.num_samples)
     out = np.empty((audio.num_channels, num_frames, cfg.num_bins), dtype=np.complex128)
-    for m in range(audio.num_channels):
-        out[m] = stft(audio.channel(m), cfg)
+    _stft_channels(audio.samples, cfg, out)
     return out
 
 

@@ -57,6 +57,14 @@ def random_small_specs(
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def same_bytes(got, want) -> bool:
+    """Both None, or arrays of one dtype and shape with the same bytes."""
+    if got is None or want is None:
+        return got is want
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def savetxt_bytes(plane: np.ndarray) -> bytes:
     """The bytes ``np.savetxt`` writes for ``plane`` as a ``%.9e`` CSV."""
     buffer = io.BytesIO()

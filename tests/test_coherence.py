@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import delayed_array_audio, random_small_specs, savetxt_bytes
+from conftest import delayed_array_audio, random_small_specs, same_bytes, savetxt_bytes
 import oracle_frame_engine
 from oracle_lstsc import _coherence_whitened_form, oracle_lstsc, oracle_short_term_rtf
 
@@ -659,13 +659,6 @@ def _mask_runs(draw, num_frames: int, num_bins: int) -> np.ndarray:
     return rows
 
 
-def _same_bytes(got, want) -> bool:
-    if got is None or want is None:
-        return got is want
-    got, want = np.asarray(got), np.asarray(want)
-    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-
-
 # FrameBlock fields that the per-frame reference names differently
 _ORACLE_NAMES = {"lambda_trace": "lam", "mask": "mask_row"}
 
@@ -685,7 +678,7 @@ class TestBlockEngine:
         for frame in range(specs.shape[1]):
             got = short_term_whitened_rtf(specs, frame, cfg)
             want = oracle_frame_engine.short_term_whitened_rtf(specs, frame, cfg)
-            assert all(map(_same_bytes, got, want)), frame
+            assert all(map(same_bytes, got, want)), frame
         # the per-frame reference has no block pooling: the banded fields
         # are checked as the pooled rows of the reference's block
         fields = [
@@ -713,20 +706,20 @@ class TestBlockEngine:
                             field = getattr(block, name)
                             got = None if field is None else field[i]
                             ref_value = getattr(ref, _ORACLE_NAMES.get(name, name))
-                            assert _same_bytes(got, ref_value), (variant, estimator, frame, name)
+                            assert same_bytes(got, ref_value), (variant, estimator, frame, name)
                         frame += 1
                     for name in _BANDED:
                         planes = [getattr(ref, _ORACLE_NAMES.get(name, name)) for ref in refs]
                         pooled = None
                         if cfg.erb_bands is not None and planes[0] is not None:
                             pooled = pool_feature(np.stack(planes), filterbank)
-                        assert _same_bytes(getattr(block, "banded_" + name), pooled), (
+                        assert same_bytes(getattr(block, "banded_" + name), pooled), (
                             variant, estimator, block.start, name
                         )
                 assert frame == num_frames and next(want, None) is None
                 if isinstance(estimator, _PrerecordedEstimator):
                     got_mags, want_mags = (np.stack(e.magnitudes) for e in (estimator, reference))
-                    assert _same_bytes(got_mags, want_mags)
+                    assert same_bytes(got_mags, want_mags)
 
 
 def _sample_cuts(num_samples: int, R: int, mode: str, data) -> list[int]:
@@ -795,7 +788,7 @@ class TestStreamingExtractor:
         assert len(got) == len(want)
         for block, ref in zip(got, want):
             for field in dataclasses.fields(FrameBlock):
-                assert _same_bytes(getattr(block, field.name), getattr(ref, field.name)), (
+                assert same_bytes(getattr(block, field.name), getattr(ref, field.name)), (
                     block.start, field.name
                 )
 
