@@ -48,10 +48,16 @@ ROLE_ORDER = ("target", "non_target", "interferer")
 _WAV_SAMPLE_MAX = float(np.finfo(np.float32).max)
 
 # lattice points per block of the image enumeration (or one (x, y) row,
-# if longer): its float64 temporaries of 128 kB stay in cache, whatever
-# the duration (2**14 ran faster than 2**12, 2**13, 2**15 and 2**16 on a
-# 2-vCPU Xeon VM)
-_BLOCK_POINTS = 1 << 14
+# if longer): its float64 buffers of 256 kB stay in cache, whatever the
+# duration.  On one thread 2**14 and 2**15 run alike, but on two a numpy
+# call on 2**14 points lasts about as long as handing the interpreter
+# lock to the other thread, and the halves gained nothing (2-vCPU Xeon VM)
+_BLOCK_POINTS = 1 << 15
+
+# lattice points in a microphone's sub-grid (per parity) from which the
+# enumeration runs in two halves: at 28k points the halves were 10-20%
+# slower than one thread, at 64k level and at 122k 10-25% faster
+_SPLIT_POINTS = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -313,6 +319,7 @@ def _eyring_absorption(room_dims: np.ndarray, t60: float) -> float:
     return 1.0 - math.exp(-0.161 * volume / (surface * t60))
 
 
+@functools.lru_cache(maxsize=1024)
 def _reach(size: int, fs: int) -> float:
     """The largest double ``d2`` whose delay ``round(sqrt(d2) / c * fs)``
     is below ``size`` (``size >= 1``).
@@ -357,10 +364,17 @@ def _image_source_taps(
     ``_reach`` are skipped (adding ``dz >= 0`` cannot bring them back),
     and the rest are taken ``_BLOCK_POINTS`` points at a time, with the
     square root, delay and amplitude computed on the kept points only.
-    The kept images are accumulated in the per-pair enumeration's order
-    into a zeroed array per parity and microphone (``np.add.at`` adds in
-    input order, as ``bincount`` does), so the taps are bit-identical to
-    it.
+    The kept images of one (microphone, parity) pass are accumulated in
+    the per-pair enumeration's order into a zeroed array (``np.add.at``
+    adds in input order, as ``bincount`` does), and each microphone's
+    pass sums are added to its taps in parity order, so the taps are
+    bit-identical to it.
+
+    The passes, microphone by microphone, run in two halves
+    (``_in_halves``) when the largest microphone sub-grid holds at least
+    ``_SPLIT_POINTS`` points.  A half adds the sums of the microphones
+    whose passes it starts with parity 0; the one microphone the halves
+    share gets the upper half's sums after the lower half's.
     """
     num_taps = [int(round(duration * fs)) for duration in durations]
     counts = [
@@ -371,41 +385,107 @@ def _image_source_taps(
     orders = [np.arange(-c, c + 1) for c in top]
     # an axis of order range [-c, c] contributes at most 2c + 1 reflections
     gains = beta ** np.arange(2 * int(top.sum()) + 4)
-    reaches = [_reach(size, fs) for size in num_taps]
-
+    # per axis, the image coordinates and reflection counts of parity 0
+    # and of parity 1
+    axes = [
+        [((1 - 2 * p) * s + 2.0 * n * length, np.abs(n - p) + np.abs(n)) for p in (0, 1)]
+        for s, n, length in zip(src, orders, room_dims)
+    ]
+    windows = [tuple(slice(t - c, t + c + 1) for t, c in zip(top, count)) for count in counts]
+    parities = list(itertools.product((0, 1), repeat=3))
     taps = [np.zeros(n) for n in num_taps]
-    for parity in itertools.product((0, 1), repeat=3):
-        coords = [
-            (1 - 2 * p) * s + 2.0 * n * length
-            for p, s, n, length in zip(parity, src, orders, room_dims)
-        ]
-        reflections = [np.abs(n - p) + np.abs(n) for p, n in zip(parity, orders)]
-        for mic, count, size, reach, out in zip(mics, counts, num_taps, reaches, taps):
-            window = tuple(slice(t - c, t + c + 1) for t, c in zip(top, count))
-            dx, dy, dz = (
-                (coord[w] - m) ** 2 for coord, w, m in zip(coords, window, mic)
+    # (mic, pass sum) of the passes a half takes up after parity 0
+    late = []
+
+    def passes(lo: int, hi: int) -> None:
+        # block buffers, allocated once per half: a block's temporaries
+        # allocated afresh are mapped and faulted in afresh
+        points = max(_BLOCK_POINTS, *(2 * count[2] + 1 for count in counts))
+        work = np.empty(points), np.empty(points), np.empty(points, bool), np.empty(points, np.intp)
+        for index in range(lo // len(parities), -(-hi // len(parities))):
+            first = index * len(parities)
+            sums = _mic_passes(
+                axes, mics[index], windows[index], gains, num_taps[index], fs,
+                parities[max(lo - first, 0) : hi - first], work,
             )
-            rx, ry, rz = (r[w] for r, w in zip(reflections, window))
+            for summed in sums:
+                if lo > first:
+                    late.append((index, summed))
+                else:
+                    taps[index] += summed
+
+    jobs = len(mics) * len(parities)
+    if max(math.prod(2 * count + 1) for count in counts) < _SPLIT_POINTS:
+        passes(0, jobs)
+    else:
+        _in_halves(passes, jobs, 2)
+    for index, summed in late:
+        taps[index] += summed
+    return taps
+
+
+def _mic_passes(axes, mic, window, gains, size, fs, parities, work):
+    """The taps of each of ``parities``' images at one microphone, in
+    turn (``_blocks``, in the block buffers ``work``).  The squared
+    offsets and reflection counts are computed once per microphone, and
+    the kept rows once for two parities that differ only along z."""
+    reach = _reach(size, fs)
+    # per axis and parity, the squared offsets and reflection counts on
+    # this microphone's sub-grid
+    near = [
+        [((coord[w] - m) ** 2, reflections[w]) for coord, reflections in axis]
+        for axis, w, m in zip(axes, window, mic)
+    ]
+    plane = None
+    for px, py, pz in parities:
+        if (px, py) != plane:
+            plane = (px, py)
+            (dx, rx), (dy, ry) = near[0][px], near[1][py]
             dxy = dx[:, None] + dy
             rows = np.flatnonzero(dxy <= reach)
             dxy = dxy.ravel()[rows]
             rxy = (rx[:, None] + ry).ravel()[rows]
-            # row j: the gains of a row with j reflections, along z
-            row_gains = gains[np.arange(rxy.max(initial=0) + 1)[:, None] + rz]
-            step = max(1, _BLOCK_POINTS // dz.size)
-            summed = np.zeros(size)
-            for start in range(0, rows.size, step):
-                block = slice(start, start + step)
-                d2 = dxy[block, None] + dz
-                keep = d2 <= reach
-                dist = np.sqrt(d2[keep])
-                delay = np.round(dist / SPEED_OF_SOUND * fs).astype(int)
-                amplitude = row_gains[rxy[block]][keep] / (
-                    4.0 * np.pi * np.maximum(dist, 1e-9)
-                )
-                np.add.at(summed, delay, amplitude)
-            out += summed
-    return taps
+        dz, rz = near[2][pz]
+        yield _blocks(dxy, rxy, dz, rz, gains, reach, size, fs, work)
+
+
+def _blocks(dxy, rxy, dz, rz, gains, reach, size, fs, work) -> np.ndarray:
+    """The taps of the lattice points ``(dx + dy) + dz`` of the kept
+    rows ``dxy`` (with ``rxy`` reflections) by ``dz`` (with ``rz``) that
+    lie in the delay ball, in order, ``_BLOCK_POINTS`` at a time, each
+    block computed in the buffers ``work`` (two of floats, the keep mask
+    and the delays)."""
+    # row j: the gains of a row with j reflections, along z
+    row_gains = gains[np.arange(rxy.max(initial=0) + 1)[:, None] + rz]
+    step = max(1, _BLOCK_POINTS // dz.size)
+    lattice_buffer, point_buffer, keep_buffer, delay_buffer = work
+    summed = np.zeros(size)
+    for start in range(0, dxy.size, step):
+        block = slice(start, start + step)
+        shape = (min(step, dxy.size - start), dz.size)
+        points = shape[0] * shape[1]
+        # the kept images' d2 = (dx + dy) + dz, in lattice order, then
+        # round(sqrt(d2) / c * fs) (round is rint) and
+        # gain / (4 pi max(dist, 1e-9)), each operation in that order
+        d2 = np.add(dxy[block, None], dz, out=lattice_buffer[:points].reshape(shape))
+        keep = np.less_equal(d2, reach, out=keep_buffer[:points].reshape(shape))
+        dist = np.sqrt(d2[keep])
+        scaled = np.divide(dist, SPEED_OF_SOUND, out=point_buffer[: dist.size])
+        scaled *= fs
+        np.rint(scaled, out=scaled)
+        delay = delay_buffer[: dist.size]
+        np.copyto(delay, scaled, casting="unsafe")
+        # (every row index is in range; with mode="raise" numpy would
+        # buffer the output instead of writing it straight to out)
+        gathered = np.take(
+            row_gains, rxy[block], axis=0, mode="clip", out=lattice_buffer[:points].reshape(shape)
+        )
+        amplitude = gathered[keep]
+        spread = np.maximum(dist, 1e-9, out=dist)
+        spread *= 4.0 * np.pi
+        amplitude /= spread
+        np.add.at(summed, delay, amplitude)
+    return summed
 
 
 def _calibration_probe(room_dims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

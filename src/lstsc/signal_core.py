@@ -252,31 +252,42 @@ def load_wav(path: str | Path) -> MultichannelAudio:
 class WavReader:
     """A WAV file read a chunk of samples at a time.
 
-    The file is memory-mapped where scipy can map its encoding; 24-bit
-    PCM, which it cannot, is read whole, as ``load_wav`` reads it.  The
-    checks ``load_wav`` makes are made when the file is opened, with the
-    same messages: the encoding, a positive rate and, for float data, the
-    first non-finite sample (in channel, then sample order).  ``chunks``
-    converts with ``load_wav``'s own code, so the samples are the same.
+    Where scipy can memory-map the encoding, the file is mapped once to
+    learn where its samples start, then unmapped, and the chunks are read
+    in turn from that offset, so resident memory does not grow with the
+    file (a mapping would keep the pages it read); 24-bit
+    PCM, which scipy cannot map, is read whole, as ``load_wav`` reads it.
+    The checks ``load_wav`` makes are made when the file is opened, with
+    the same messages: the encoding, a positive rate and, for float data,
+    the first non-finite sample (in channel, then sample order).
+    ``chunks`` converts with ``load_wav``'s own code, so the samples are
+    the same.
     """
 
     def __init__(self, path: str | Path) -> None:
-        path = Path(path)
+        self._path = Path(path)
         try:
-            self.sample_rate, data = _read_wav(path, mmap=True)
+            self.sample_rate, data = _read_wav(self._path, mmap=True)
         except ValueError:
             # not mappable (24-bit PCM), or not readable at all, which the
             # plain read reports as load_wav does
-            self.sample_rate, data = _read_wav(path)
-        self._data = data if data.ndim == 2 else data[:, np.newaxis]
-        _decode(self._data[:0])  # an unsupported encoding fails here
+            self.sample_rate, data = _read_wav(self._path)
+        data = data if data.ndim == 2 else data[:, np.newaxis]
+        # the whole samples of an unmapped file; None where chunks are read
+        self._whole = None if isinstance(data, np.memmap) else data
+        self._offset = data.offset if self._whole is None else 0
+        self._dtype = data.dtype
+        self.num_samples, self.num_channels = data.shape
+        del data  # unmaps the file
+        _decode(np.empty((0, 1), self._dtype))  # an unsupported encoding fails here
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if self._data.dtype.kind == "f":
+        if self._dtype.kind == "f":
             # scan the raw chunks: the float64 conversion keeps finiteness
             bad = None
-            for start in range(0, self.num_samples, _SCAN_SAMPLES):
-                found = first_non_finite(self._data[start : start + _SCAN_SAMPLES].T)
+            starts = range(0, self.num_samples, _SCAN_SAMPLES)
+            for start, frames in zip(starts, self._frames(_SCAN_SAMPLES)):
+                found = first_non_finite(frames.T)
                 if found is not None:
                     channel, sample = found
                     found = (channel, start + sample)
@@ -285,19 +296,30 @@ class WavReader:
                 channel, sample = bad
                 raise ValueError(f"non-finite audio sample at channel {channel}, sample {sample}")
 
-    @property
-    def num_channels(self) -> int:
-        return self._data.shape[1]
+    def _frames(self, size: int):
+        """The raw samples as consecutive (n, M) chunks of ``size``
+        samples; a mapped file's are read in turn from its samples'
+        offset.  No chunk is referenced here once the next is asked for."""
+        if self._whole is not None:
+            for start in range(0, self.num_samples, size):
+                yield self._whole[start : start + size]
+            return
+        with self._path.open("rb", buffering=0) as file:
+            file.seek(self._offset)
+            for start in range(0, self.num_samples, size):
+                yield self._read(file, min(size, self.num_samples - start))
 
-    @property
-    def num_samples(self) -> int:
-        return self._data.shape[0]
+    def _read(self, file, count: int) -> np.ndarray:
+        frames = np.fromfile(file, self._dtype, count * self.num_channels)
+        if frames.size != count * self.num_channels:
+            raise ValueError(f"WAV file {self._path} changed while it was read")
+        return frames.reshape(count, self.num_channels)
 
     def chunks(self, size: int):
         """The samples as consecutive (M, n) float64 chunks of ``size``
         samples (the last one shorter)."""
-        for start in range(0, self.num_samples, size):
-            yield _decode(self._data[start : start + size])
+        # map drops each raw chunk once it is converted
+        yield from map(_decode, self._frames(size))
 
 
 def save_wav(path: str | Path, audio: MultichannelAudio) -> None:

@@ -783,3 +783,32 @@ class TestStartUp:
             env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
         )
         assert json.loads(run.stdout) == {"loaded": [], "wavfile": True}
+
+
+class TestResidentMemory:
+    def test_extract_resident_peak_does_not_grow_with_the_wav(self, tmp_path):
+        # the WAV is read in chunks from its samples' offset, not mapped:
+        # a mapped 80 s 8-mic float32 WAV added its 41 MB of read pages to
+        # the peak (+36 MB from 8 s); chunked reads add about 2 MB.  A small
+        # wrapper process runs each extract, since a child's ru_maxrss
+        # counts what its parent had resident when it was started
+        wrapper = textwrap.dedent("""
+            import resource, subprocess, sys
+            subprocess.run([sys.executable, "-m", "lstsc.cli", "extract", *sys.argv[1:]],
+                           check=True, stdout=subprocess.DEVNULL)
+            print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+        """)
+        src = Path(cli.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        rng = np.random.default_rng(0)
+        peaks = []
+        for seconds in (8, 80):
+            wav = tmp_path / f"{seconds}.wav"
+            wavfile.write(wav, 16000, rng.standard_normal((seconds * 16000, 8), dtype=np.float32))
+            run = subprocess.run(
+                [sys.executable, "-c", wrapper, "--in", str(wav), "--variant", "lstsc-1",
+                 "--out", str(tmp_path / f"{seconds}.lsts")],
+                env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+            )
+            peaks.append(int(run.stdout) / 1024)  # ru_maxrss is in kB on Linux
+        assert peaks[1] - peaks[0] < 10, peaks

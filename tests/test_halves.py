@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import same_bytes
@@ -24,7 +24,7 @@ from lstsc.coherence import (
     compute_lstsc,
 )
 from lstsc.enhance import HeuristicMaskEstimator
-from lstsc.roomsim import Rir, _image
+from lstsc.roomsim import Rir, _image, _image_source_taps
 from lstsc.signal_core import MultichannelAudio, StftConfig, _in_halves, stft_multichannel
 
 STFT = StftConfig()
@@ -32,6 +32,10 @@ STFT = StftConfig()
 FRAME_COUNTS = [1, 7, 8, 9, 63, 64, 65, 200]
 # seconds any one call may take before the test counts it as hung
 TIMEOUT = 20.0
+# response lengths (s) in a 2 m cube, on both sides of one block per
+# (microphone, parity) pass (0.19, 0.2) and of the split threshold: a
+# microphone's sub-grid of 39**3 (0.2215) or 41**3 (0.2216) points
+CUBE_SECONDS = [0.01, 0.19, 0.2, 0.2215, 0.2216, 0.3]
 
 
 def _plain(task, count, least):
@@ -278,6 +282,29 @@ class TestSameBytes:
         results = _on_each_path(lambda: _image(stem, rirs, length))
         for kind in ("inline", "threads"):
             assert same_bytes(results[kind], results["plain"]), kind
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        durations=st.lists(st.sampled_from(CUBE_SECONDS), min_size=1, max_size=9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the halves share a microphone when the count is odd: here the one
+    # microphone of a calibration probe, and the middle one of three and
+    # of nine
+    @example(durations=[0.2216], seed=0)
+    @example(durations=[0.3, 0.01, 0.2216], seed=1)
+    @example(durations=[0.2, 0.3, 0.01, 0.19, 0.2216, 0.2215, 0.3, 0.2, 0.01], seed=2)
+    def test_image_source_taps(self, durations, seed):
+        rng = np.random.default_rng(seed)
+        dims = np.full(3, 2.0)
+        src, *mics = rng.uniform(0.1, 1.9, (1 + len(durations), 3))
+        results = _on_each_path(
+            lambda: _image_source_taps(dims, src, np.array(mics), 16000, 0.8, durations)
+        )
+        for kind in ("inline", "threads"):
+            assert len(results[kind]) == len(durations)
+            for got, want in zip(results[kind], results["plain"]):
+                assert same_bytes(got, want), kind
 
 
 def _child_features(specs, queue) -> None:

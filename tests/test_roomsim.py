@@ -260,10 +260,10 @@ def _delay(d2: float, fs: int) -> float:
     return float(np.round(np.sqrt(np.float64(d2)) / SPEED_OF_SOUND * fs))
 
 
-# a 2 m cube at 0.3 s: 53**3 points per parity, many blocks, and most
+# a 2 m cube at 0.4 s: 71**3 points per parity, many blocks, and most
 # (x, y) rows of the lattice's corners lie outside the delay ball
 _CUBE = (np.full(3, 2.0), np.array([0.7, 1.3, 0.4]),
-         np.array([[1.5, 0.5, 1.6], [1.52, 0.5, 1.6]]), 0.8, [0.3, 0.27])
+         np.array([[1.5, 0.5, 1.6], [1.52, 0.5, 1.6]]), 0.8, [0.4, 0.36])
 # beta = 0: the direct paths alone
 _ANECHOIC = (np.array([3.0, 4.0, 2.5]), np.array([1.0, 1.2, 0.8]),
              np.array([[2.0, 3.0, 1.5], [2.5, 0.5, 2.0], [0.2, 3.9, 0.1]]), 0.0,

@@ -165,6 +165,19 @@ class TestWavReader:
         with pytest.raises(ValueError, match="unsupported or corrupt WAV file"):
             WavReader(bad)
 
+    def test_a_file_cut_short_while_read_is_rejected(self, tmp_path):
+        # the chunks are read from the file, not from a mapping, which
+        # would fault on the lost pages
+        path = tmp_path / "x.wav"
+        wavfile.write(path, 16000, np.ones((1000, 2), dtype=np.float32))
+        reader = WavReader(path)
+        chunks = reader.chunks(400)
+        assert next(chunks).shape == (2, 400)
+        with path.open("r+b") as file:
+            file.truncate(path.stat().st_size - 4000)
+        with pytest.raises(ValueError, match="changed while it was read"):
+            list(chunks)
+
     def test_unsupported_encoding(self, tmp_path):
         path = tmp_path / "int64.wav"
         wavfile.write(path, 16000, np.ones((10, 2), dtype=np.int64))
