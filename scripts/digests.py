@@ -19,6 +19,10 @@ replaced by ``<root>``.  The set:
   with ``HeuristicMaskEstimator``, on the sifting scene of seed 0;
 * every ``enhance_stream`` output (enhanced audio, mask and features) of
   lstsc-1...4 on that scene;
+* the ``LstscFeatures`` planes and ``enhance_stream`` outputs of
+  lstsc-2...4 on that scene under two deterministic estimators
+  (``PatternEstimator``) that halt the global tracker on the scene's
+  ``target_active`` frames, or on every other frame;
 * every plane of lstsc-1 and of lstsc-3 with the estimator on random
   spectra of M = 2...13 channels;
 * ``lstsc simulate`` bundles: no config, integer- and float-spelled
@@ -29,7 +33,7 @@ replaced by ``<root>``.  The set:
 FFT bytes can differ across numpy builds, and scene images
 (``roomsim._image``), features and enhancement all come from numpy's FFT,
 so compare digests made in one environment; this is why no test runs it.
-A run takes about 12 s on two vCPUs and peaks near 270 MB resident.
+A run takes about 15 s on two vCPUs and peaks near 285 MB resident.
 """
 import contextlib
 import hashlib
@@ -45,7 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lstsc import cli
 from lstsc.coherence import VARIANT_SETTINGS, CoherenceConfig, compute_lstsc
-from lstsc.enhance import HeuristicMaskEstimator, enhance_stream
+from lstsc.enhance import HeuristicMaskEstimator, enhance_stream, heuristic_mask
 from lstsc.scenarios import build_misconvergence_scenario, build_sifting_scenario
 from lstsc.signal_core import stft_multichannel
 
@@ -126,6 +130,30 @@ def scenarios():
                 yield f"{prefix}/realized", np.array([np.nan if v is None else v for v in realized])
 
 
+class PatternEstimator:
+    """Mask row ``l`` is energetic (mean square above the default beta,
+    0.01) where ``energetic[l]`` is set and quiet elsewhere, so frame
+    ``l + 1`` halts exactly where ``energetic[l]`` is set.  The rows are
+    ``heuristic_mask`` scaled into [0.5, 1] or [0, 0.05], so they depend on
+    the coherence rows the estimator is given."""
+
+    def __init__(self, energetic: np.ndarray) -> None:
+        self.energetic = energetic
+        self.frame = 0
+
+    def __call__(self, magnitude, gamma_local, gamma_global, banded=None):
+        row = heuristic_mask(gamma_local, gamma_global)
+        row = 0.5 + 0.5 * row if self.energetic[self.frame] else 0.05 * row
+        self.frame += 1
+        return row
+
+
+def _enhance(prefix, result):
+    yield f"{prefix}/enhanced", result.enhanced.samples
+    yield f"{prefix}/mask", result.mask.data
+    yield from _features(f"{prefix}/features", result.features)
+
+
 def features():
     scene = build_sifting_scenario(0)
     specs = stft_multichannel(scene.mixture)
@@ -136,10 +164,25 @@ def features():
             f"features/{variant}/heuristic",
             compute_lstsc(specs, cfg, mask_feedback=HeuristicMaskEstimator()),
         )
-        result = enhance_stream(scene.mixture, cfg, HeuristicMaskEstimator())
-        yield f"enhance/{variant}/enhanced", result.enhanced.samples
-        yield f"enhance/{variant}/mask", result.mask.data
-        yield from _features(f"enhance/{variant}/features", result.features)
+        yield from _enhance(f"enhance/{variant}", enhance_stream(scene.mixture, cfg, HeuristicMaskEstimator()))
+    # halts that follow the target, and strictly alternating ones: the
+    # heuristic above keeps the tracker halted on nearly every frame
+    num_frames = specs.shape[1]
+    patterns = {
+        "target_active": np.append(scene.target_active[1:], False),
+        "alternating": np.arange(num_frames) % 2 == 0,
+    }
+    for name, energetic in patterns.items():
+        for variant in ("lstsc-2", "lstsc-3", "lstsc-4"):
+            cfg = CoherenceConfig.for_variant(variant)
+            yield from _features(
+                f"features/{variant}/{name}",
+                compute_lstsc(specs, cfg, mask_feedback=PatternEstimator(energetic)),
+            )
+            yield from _enhance(
+                f"enhance/{variant}/{name}",
+                enhance_stream(scene.mixture, cfg, PatternEstimator(energetic)),
+            )
 
 
 def random_spectra():

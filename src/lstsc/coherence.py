@@ -320,21 +320,29 @@ def coherence(r: np.ndarray, rbar: np.ndarray, epsilon: float = 1e-12) -> np.nda
     return _similarity(np.asarray(r, dtype=np.complex128), _unit_modulus(rbar, epsilon)[0])
 
 
+def _clamp_unit(x, out: np.ndarray | None = None):
+    """``np.clip(x, -1.0, 1.0)`` with the same bytes (NaN and the signs
+    of zero pass through), without ``np.clip``'s per-call overhead."""
+    return np.minimum(np.maximum(x, -1.0, out=out), 1.0, out=out)
+
+
 def _similarity(r: np.ndarray, rbar_white: np.ndarray) -> np.ndarray:
     """``coherence`` against a state that is already whitened.
 
     The M - 1 products are summed as plane adds in index order, the order
     of the scalar definition.  numpy's own last-axis sum agrees up to
-    M - 1 = 7 and switches to pairwise blocks from 8 on.
+    M - 1 = 7 and switches to pairwise blocks from 8 on.  The planes are
+    flattened to 1-D, which numpy adds faster than (1, F) ones.
     """
     prod = r.real * rbar_white.real
     prod += r.imag * rbar_white.imag
-    num = prod[..., 0].copy()
-    for k in range(1, prod.shape[-1]):
-        num += prod[..., k]
+    planes = prod.reshape(-1, prod.shape[-1])
+    num = planes[:, 0].copy()
+    for k in range(1, planes.shape[1]):
+        num += planes[:, k]
     num /= r.shape[-1]
-    np.clip(num, -1.0, 1.0, out=num)
-    return num[()]  # a scalar for one vector
+    _clamp_unit(num, out=num)
+    return num.reshape(prod.shape[:-1])[()]  # a scalar for one vector
 
 
 class _Blend:
@@ -419,8 +427,7 @@ def arcsine_warp(gamma: np.ndarray | float) -> np.ndarray | float:
     Fixes -1, 0 and 1 exactly (inputs are clamped to [-1, 1] first so
     float dust cannot leak outside the domain).
     """
-    clipped = np.clip(gamma, -1.0, 1.0)
-    return np.arcsin(clipped) / (0.5 * np.pi)
+    return np.arcsin(_clamp_unit(gamma)) / (0.5 * np.pi)
 
 
 @dataclasses.dataclass
@@ -520,7 +527,7 @@ def _estimate_mask(
     if mask_row.shape != magnitude.shape:
         raise ValueError("mask estimator returned a row of the wrong length")
     # min and max propagate NaN, which fails both comparisons
-    if not (mask_row.min() >= 0.0 and mask_row.max() <= 1.0):
+    if not (np.minimum.reduce(mask_row) >= 0.0 and np.maximum.reduce(mask_row) <= 1.0):
         raise ValueError("mask estimator returned values outside [0, 1]")
     return mask_row
 
@@ -592,27 +599,39 @@ class _Engine:
             )
             mask = np.empty_like(gamma_local)
             magnitudes = np.abs(tensor[0, begin:end])
+            # Rows [i, scored) of gamma_global were scored against the
+            # state before frame i; a row stays valid while the frames
+            # before it in its batch are halted, which leave the state as
+            # is.  A released frame discards the rows after it.  Batches
+            # grow 1, 1, 2, 4, ... (the rows scored since the last
+            # release or the block's start), so strictly alternating
+            # halts score no row twice.
+            scored = run = 0
             for i in range(stop - start):
                 if steered:
-                    halted[i] = _mask_is_energetic(self.prev_mask, cfg.beta)
-                    if start + i == 0:
-                        gamma_global[i] = 1.0
-                    else:
-                        if self.global_white is None:
-                            self.global_white = _unit_modulus(states[i], cfg.epsilon)[0]
-                        gamma_global[i] = _similarity(rtf[i], self.global_white)
+                    if i == scored:
+                        if start + i == 0:
+                            gamma_global[0] = 1.0
+                            scored = 1
+                        else:
+                            scored = min(stop - start, i + max(1, run))
+                            if self.global_white is None:
+                                self.global_white = _unit_modulus(states[i], cfg.epsilon)[0]
+                            gamma_global[i:scored] = _similarity(rtf[i:scored], self.global_white)
+                        if cfg.apply_arcsine:
+                            gamma_global_w[i:scored] = arcsine_warp(gamma_global[i:scored])
+                        run += scored - i
+                    halted[i] = hold = _mask_is_energetic(self.prev_mask, cfg.beta)
                     # a halted frame reuses the state untouched (bit-identical)
-                    blend.step(i, hold=halted[i])
-                    if halted[i]:
-                        lam[i] = 1.0
-                    else:
+                    blend.step(i, hold=hold)
+                    if not hold:
                         self.global_white = None
-                    if cfg.apply_arcsine:
-                        gamma_global_w[i] = arcsine_warp(gamma_global[i])
+                        scored, run = i + 1, 0
                 mask[i] = self.prev_mask = _estimate_mask(
                     self.mask_feedback, magnitudes[i], local_feat[i], global_feat[i],
                     self.filterbank,
                 )
+            lam[halted] = 1.0
 
         self.global_rbar = states[-1].copy()
         block = FrameBlock(
@@ -662,7 +681,7 @@ def stream_frames(
     and its coherence, the mask-free lambda rows and, unless an estimator
     steers it, the global tracker and its coherence.  With an estimator,
     a loop over the block's frames then calls it and runs the global
-    tracker it steers.  Where two CPUs are available, the RTFs and the
+    tracker it steers, scoring halted runs in batches.  Where two CPUs are available, the RTFs and the
     trackers' coherence run in two halves of the block's frames on two
     threads (``signal_core._in_halves``), so two halves' temporaries exist
     at once; the outputs are the same bytes.

@@ -32,11 +32,12 @@ __all__ = [
 class MaskEstimator(Protocol):
     """Frame-wise causal mask contract.
 
-    Called once per frame with the reference-channel magnitude frame, the
-    local and global coherence rows (warped when the variant warps), and
-    the banded (local, global) pair when a filterbank is active.  Must
-    return an F-length row with entries in [0, 1], using only current and
-    past information.
+    Called exactly once per frame, in clip order, with the
+    reference-channel magnitude frame, the frame's final local and global
+    coherence rows (warped when the variant warps; the rows of the
+    returned ``LstscFeatures``), and the banded (local, global) pair when
+    a filterbank is active.  Must return an F-length row with entries in
+    [0, 1], using only current and past information.
     """
 
     def __call__(

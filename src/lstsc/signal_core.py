@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextvars
 import dataclasses
 import os
+import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -249,36 +250,102 @@ def load_wav(path: str | Path) -> MultichannelAudio:
     return MultichannelAudio(samples=_decode(data), sample_rate=rate)
 
 
+# The GUID tail of a WAVE_FORMAT_EXTENSIBLE subformat (RFC 2361); the
+# subformat's tag is the GUID's first four bytes.
+_EXTENSIBLE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _pcm24_layout(path: Path) -> tuple[int, int, int, int] | None:
+    """``(rate, channels, data offset, frames)`` of a little-endian RIFF
+    file of 24-bit PCM samples, found by walking its chunks as scipy's
+    ``wavfile.read`` walks them; None for any other file, and for any
+    header or chunk list that scipy would reject, warn about or read
+    otherwise than as whole frames."""
+    with path.open("rb") as file:
+        head = file.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
+            return None
+        end = struct.unpack("<I", head[4:8])[0] + 8
+        fmt = data = None
+        while file.tell() < end:
+            chunk = file.read(8)
+            if len(chunk) < 8:
+                return None
+            name, size = chunk[:4], struct.unpack("<I", chunk[4:])[0]
+            if name == b"fmt " and fmt is None and size >= 16:
+                body = file.read(size)
+                if len(body) < size:
+                    return None
+                fmt = struct.unpack("<HHIIHH", body[:16])
+                if fmt[0] == 0xFFFE:  # extensible: the subformat decides
+                    if size < 40 or struct.unpack("<H", body[16:18])[0] < 22:
+                        return None
+                    guid = body[24:40]
+                    tag = struct.unpack("<I", guid[:4])[0] if guid[4:] == _EXTENSIBLE_GUID_TAIL else 0
+                    fmt = (tag,) + fmt[1:]
+            elif name == b"data" and fmt is not None and data is None:
+                data = (file.tell(), size)
+                file.seek(size, os.SEEK_CUR)
+            elif name in (b"fact", b"LIST", b"JUNK", b"Fake"):
+                file.seek(size, os.SEEK_CUR)
+            else:
+                return None
+            file.seek(size % 2, os.SEEK_CUR)
+        file_bytes = os.fstat(file.fileno()).st_size
+    if data is None:
+        return None
+    tag, channels, rate, byte_rate, block_align, bits = fmt
+    offset, size = data
+    if not (
+        tag == 1 and not 1 <= bits <= 8 and channels >= 1 and block_align == 3 * channels
+        and byte_rate == rate * block_align and size % block_align == 0
+        and offset + size <= file_bytes
+    ):
+        return None
+    return rate, channels, offset, size // block_align
+
+
 class WavReader:
     """A WAV file read a chunk of samples at a time.
 
-    Where scipy can memory-map the encoding, the file is mapped once to
-    learn where its samples start, then unmapped, and the chunks are read
-    in turn from that offset, so resident memory does not grow with the
-    file (a mapping would keep the pages it read); 24-bit
-    PCM, which scipy cannot map, is read whole, as ``load_wav`` reads it.
-    The checks ``load_wav`` makes are made when the file is opened, with
-    the same messages: the encoding, a positive rate and, for float data,
-    the first non-finite sample (in channel, then sample order).
-    ``chunks`` converts with ``load_wav``'s own code, so the samples are
-    the same.
+    The chunks are read in turn from the file, from the offset where its
+    samples start, so resident memory does not grow with the file.  Where
+    scipy can memory-map the encoding, the file is mapped once to learn
+    that offset, then unmapped (a mapping would keep the pages it read);
+    for 24-bit PCM, which scipy cannot map, a walk of the RIFF chunks
+    (``_pcm24_layout``) finds it, and each chunk's 3-byte samples become
+    the int32 values scipy makes of them (the sample in the top three
+    bytes).  Any other file is read whole, as ``load_wav`` reads it.  The
+    checks ``load_wav`` makes are made when the file is opened, with the
+    same messages: the encoding, a positive rate and, for float data, the
+    first non-finite sample (in channel, then sample order).  ``chunks``
+    converts with ``load_wav``'s own code, so the samples are the same.
     """
 
     def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
+        self._packed = False  # 3 bytes a sample in the file, 4 in memory
+        self._whole = None  # the samples of a file read whole
         try:
             self.sample_rate, data = _read_wav(self._path, mmap=True)
         except ValueError:
-            # not mappable (24-bit PCM), or not readable at all, which the
-            # plain read reports as load_wav does
-            self.sample_rate, data = _read_wav(self._path)
-        data = data if data.ndim == 2 else data[:, np.newaxis]
-        # the whole samples of an unmapped file; None where chunks are read
-        self._whole = None if isinstance(data, np.memmap) else data
-        self._offset = data.offset if self._whole is None else 0
-        self._dtype = data.dtype
-        self.num_samples, self.num_channels = data.shape
-        del data  # unmaps the file
+            layout = _pcm24_layout(self._path)
+            if layout is None:
+                # not 24-bit PCM, or not readable at all, which the plain
+                # read reports as load_wav does
+                self.sample_rate, data = _read_wav(self._path)
+            else:
+                data = None
+                self.sample_rate, self.num_channels, self._offset, self.num_samples = layout
+                self._dtype, self._packed = np.dtype("<i4"), True
+        if data is not None:
+            data = data if data.ndim == 2 else data[:, np.newaxis]
+            if not isinstance(data, np.memmap):
+                self._whole = data
+            self._offset = data.offset if self._whole is None else 0
+            self._dtype = data.dtype
+            self.num_samples, self.num_channels = data.shape
+            del data  # unmaps the file
         _decode(np.empty((0, 1), self._dtype))  # an unsupported encoding fails here
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
@@ -298,8 +365,9 @@ class WavReader:
 
     def _frames(self, size: int):
         """The raw samples as consecutive (n, M) chunks of ``size``
-        samples; a mapped file's are read in turn from its samples'
-        offset.  No chunk is referenced here once the next is asked for."""
+        samples; a file not read whole has them read in turn from its
+        samples' offset.  No chunk is referenced here once the next is
+        asked for."""
         if self._whole is not None:
             for start in range(0, self.num_samples, size):
                 yield self._whole[start : start + size]
@@ -310,8 +378,16 @@ class WavReader:
                 yield self._read(file, min(size, self.num_samples - start))
 
     def _read(self, file, count: int) -> np.ndarray:
-        frames = np.fromfile(file, self._dtype, count * self.num_channels)
-        if frames.size != count * self.num_channels:
+        values = count * self.num_channels
+        if self._packed:
+            raw = np.fromfile(file, np.uint8, 3 * values)
+            # scipy's int32: the sample's three bytes above a zero byte
+            frames = np.zeros((raw.size // 3, 4), dtype=np.uint8)
+            frames[:, 1:] = raw[: 3 * len(frames)].reshape(-1, 3)
+            frames = frames.view(self._dtype).ravel()
+        else:
+            frames = np.fromfile(file, self._dtype, values)
+        if frames.size != values:
             raise ValueError(f"WAV file {self._path} changed while it was read")
         return frames.reshape(count, self.num_channels)
 

@@ -72,13 +72,22 @@ def savetxt_bytes(plane: np.ndarray) -> bytes:
     return buffer.getvalue()
 
 
-def write_pcm24(path, samples: np.ndarray, rate: int = 16000) -> None:
+def write_pcm24(
+    path, samples: np.ndarray, rate: int = 16000, extensible: bool = False,
+    before: bytes = b"", after: bytes = b"",
+) -> None:
     """A 24-bit PCM WAV of (n, channels) samples given as int32 values
     whose low byte is dropped: 24-bit samples shifted left by 8, the values
-    scipy reads back.  scipy cannot memory-map such a file."""
+    scipy reads back.  scipy cannot memory-map such a file.  ``extensible``
+    writes a WAVE_FORMAT_EXTENSIBLE header with the PCM subformat;
+    ``before`` and ``after`` are raw chunks written around the data."""
     frames, channels = samples.shape
     data = samples.astype("<i4").view(np.uint8).reshape(frames, channels, 4)[..., 1:].tobytes()
-    fmt = struct.pack("<HHIIHH", 1, channels, rate, 3 * rate * channels, 3 * channels, 24)
-    body = b"WAVEfmt " + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", len(data)) + data
-    body += b"\0" * (len(data) % 2)
+    tag = 0xFFFE if extensible else 1
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, 3 * rate * channels, 3 * channels, 24)
+    if extensible:
+        guid = struct.pack("<I", 1) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        fmt += struct.pack("<HHI", 22, 24, 0) + guid
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + before
+    body += b"data" + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2) + after
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)

@@ -789,9 +789,31 @@ class TestResidentMemory:
     def test_extract_resident_peak_does_not_grow_with_the_wav(self, tmp_path):
         # the WAV is read in chunks from its samples' offset, not mapped:
         # a mapped 80 s 8-mic float32 WAV added its 41 MB of read pages to
-        # the peak (+36 MB from 8 s); chunked reads add about 2 MB.  A small
-        # wrapper process runs each extract, since a child's ru_maxrss
-        # counts what its parent had resident when it was started
+        # the peak (+36 MB from 8 s); chunked reads add about 2 MB
+        rng = np.random.default_rng(0)
+
+        def write(wav, seconds):
+            wavfile.write(wav, 16000, rng.standard_normal((seconds * 16000, 8), dtype=np.float32))
+
+        self._assert_flat_peak(tmp_path, write)
+
+    def test_extract_resident_peak_does_not_grow_with_a_24_bit_wav(self, tmp_path):
+        # scipy cannot map 24-bit PCM: its chunks are read from the data
+        # offset a RIFF walk finds (read whole, the 80 s file added 44.5 MB)
+        rng = np.random.default_rng(0)
+
+        def write(wav, seconds):
+            write_pcm24(wav, rng.integers(-(2**23), 2**23, (seconds * 16000, 8)) << 8)
+
+        self._assert_flat_peak(tmp_path, write)
+
+    @staticmethod
+    def _assert_flat_peak(tmp_path, write) -> None:
+        """The fresh-process ``ru_maxrss`` of ``extract`` lstsc-1 on 8-mic
+        WAVs that ``write(path, seconds)`` makes grows by less than 10 MB
+        from 8 s to 80 s.  A small wrapper process runs each extract, since
+        a child's ru_maxrss counts what its parent had resident when it was
+        started."""
         wrapper = textwrap.dedent("""
             import resource, subprocess, sys
             subprocess.run([sys.executable, "-m", "lstsc.cli", "extract", *sys.argv[1:]],
@@ -800,11 +822,10 @@ class TestResidentMemory:
         """)
         src = Path(cli.__file__).resolve().parents[1]
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        rng = np.random.default_rng(0)
         peaks = []
         for seconds in (8, 80):
             wav = tmp_path / f"{seconds}.wav"
-            wavfile.write(wav, 16000, rng.standard_normal((seconds * 16000, 8), dtype=np.float32))
+            write(wav, seconds)
             run = subprocess.run(
                 [sys.executable, "-c", wrapper, "--in", str(wav), "--variant", "lstsc-1",
                  "--out", str(tmp_path / f"{seconds}.lsts")],

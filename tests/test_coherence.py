@@ -26,6 +26,7 @@ from lstsc.coherence import (
     FrameBlock,
     StreamingExtractor,
     _Blend,
+    _clamp_unit,
     arcsine_warp,
     coherence,
     compute_lstsc,
@@ -379,6 +380,32 @@ class TestArcsineWarp:
         assert arcsine_warp(-1.0 - 1e-12) == -1.0
 
 
+_EDGE_DOUBLES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0] + [
+    np.nextafter(edge, toward) for edge in (1.0, -1.0) for toward in (-np.inf, np.inf)
+]
+
+
+class TestClampUnit:
+    """The ±1 clamp of ``_similarity`` and ``arcsine_warp`` is
+    ``np.clip(x, -1.0, 1.0)``, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(_EDGE_DOUBLES),
+        st.floats(),
+        # any bit pattern: NaNs of either sign and any payload, subnormals
+        st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    ), min_size=1, max_size=40))
+    def test_equals_np_clip(self, values):
+        x = np.array(values, dtype=np.float64)
+        want = np.clip(x, -1.0, 1.0)
+        assert _clamp_unit(x).tobytes() == want.tobytes()
+        out = x.copy()
+        assert _clamp_unit(out, out=out) is out and out.tobytes() == want.tobytes()
+        for value in x:
+            assert _clamp_unit(value).tobytes() == np.clip(value, -1.0, 1.0).tobytes()
+
+
 class TestComputeLstsc:
     @pytest.mark.parametrize(
         "variant, estimator",
@@ -535,14 +562,17 @@ class TestNonFiniteSpectra:
 
 class _PrerecordedEstimator:
     """Plays back fixed mask rows (for oracle comparisons and halting
-    tests) and keeps a copy of each magnitude row it is given."""
+    tests) and keeps a copy of each magnitude row and each (local,
+    global) coherence row pair it is given."""
 
     def __init__(self, rows):
         self.rows = rows
         self.magnitudes = []
+        self.features = []
 
     def __call__(self, magnitude, gamma_local, gamma_global, banded=None):
         self.magnitudes.append(magnitude.copy())
+        self.features.append((gamma_local.copy(), gamma_global.copy()))
         return self.rows[len(self.magnitudes) - 1]
 
 
@@ -616,14 +646,14 @@ class TestHalting:
 
 
 @st.composite
-def _engine_inputs(draw):
+def _engine_inputs(draw, min_frames: int = 1):
     """Spectra with the edge cases of real STFTs: DC and Nyquist carry an
     exactly zero imaginary part of either sign, and silent frames, silent
     channels or silent reference bins make the low-energy flags fire."""
     R = draw(st.integers(0, 3))
     num_frames = draw(st.one_of(
         st.sampled_from([1, 2, 2 * R + 1, 63, 64, 65, 128, 129]), st.integers(1, 200)
-    ))
+    ).filter(lambda n: n >= min_frames))
     num_mics = draw(st.integers(2, 10))
     num_bins = draw(st.sampled_from([48, 57]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -659,6 +689,40 @@ def _mask_runs(draw, num_frames: int, num_bins: int) -> np.ndarray:
     return rows
 
 
+# Halted runs that end at, or one frame past, the end of a batch of the
+# steered loop, whose batches of 1, 1, 2, 4, ... rows end 1, 2, 4, 8, 16,
+# 32 and 64 rows after a release.
+_BATCH_EDGE_RUNS = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63)
+
+
+@st.composite
+def _halt_patterns(draw, num_frames: int, num_bins: int) -> np.ndarray:
+    """Mask rows whose halts (frame l halts when row l - 1 is energetic)
+    strictly alternate, come in runs of 1-3 frames, or come in runs of
+    ``_BATCH_EDGE_RUNS`` frames parted by 1-3 released ones; optionally
+    a halted run is still open at the first block's last frame."""
+    kind = draw(st.sampled_from(["alternate", "short", "edges"]))
+    energetic = np.zeros(num_frames, dtype=bool)
+    if kind == "alternate":
+        energetic[draw(st.integers(0, 1)) :: 2] = True
+    else:
+        frame, on = 0, draw(st.booleans())
+        while frame < num_frames:
+            edges = on and kind == "edges"
+            length = draw(st.sampled_from(_BATCH_EDGE_RUNS) if edges else st.integers(1, 3))
+            energetic[frame : frame + length] = on
+            frame, on = frame + length, not on
+    if num_frames > _BLOCK_FRAMES and draw(st.booleans()):
+        # rows up to the block's second-last one halt frames up to its last
+        energetic[draw(st.integers(0, _BLOCK_FRAMES - 2)) : _BLOCK_FRAMES - 1] = True
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.where(
+        energetic[:, np.newaxis],
+        rng.uniform(0.2, 1.0, (num_frames, num_bins)),
+        rng.uniform(0.0, 0.1, (num_frames, num_bins)),
+    )
+
+
 # FrameBlock fields that the per-frame reference names differently
 _ORACLE_NAMES = {"lambda_trace": "lam", "mask": "mask_row"}
 
@@ -673,12 +737,48 @@ class TestBlockEngine:
     def test_matches_per_frame_engine(self, inputs, data):
         R, specs = inputs
         rows = data.draw(_mask_runs(*specs.shape[1:]))
-        estimators = (lambda: None, HeuristicMaskEstimator, lambda: _PrerecordedEstimator(rows))
         cfg = CoherenceConfig(R=R)
         for frame in range(specs.shape[1]):
             got = short_term_whitened_rtf(specs, frame, cfg)
             want = oracle_frame_engine.short_term_whitened_rtf(specs, frame, cfg)
             assert all(map(same_bytes, got, want)), frame
+        for variant in sorted(VARIANT_SETTINGS):
+            cfg = CoherenceConfig.for_variant(variant, R=R)
+            for make in (lambda: None, HeuristicMaskEstimator, lambda: _PrerecordedEstimator(rows)):
+                self._assert_matches_reference(specs, cfg, make)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_engine_inputs(min_frames=_BLOCK_FRAMES + 1), st.data())
+    def test_halt_patterns_match_per_frame_engine(self, inputs, data):
+        # the steered loop scores halted runs in batches; these patterns
+        # release the tracker inside, at and just past a batch's end
+        R, specs = inputs
+        rows = data.draw(_halt_patterns(*specs.shape[1:]))
+        for variant in sorted(VARIANT_SETTINGS):
+            cfg = CoherenceConfig.for_variant(variant, R=R)
+            self._assert_matches_reference(specs, cfg, lambda: _PrerecordedEstimator(rows))
+
+    @settings(max_examples=15, deadline=None)
+    @given(_engine_inputs(min_frames=_BLOCK_FRAMES + 1), st.data())
+    def test_estimator_sees_the_final_rows(self, inputs, data):
+        # once per frame, in clip order, and never a row scored ahead of a
+        # release and then discarded
+        R, specs = inputs
+        rows = data.draw(_halt_patterns(*specs.shape[1:]))
+        for variant in sorted(VARIANT_SETTINGS):
+            cfg = CoherenceConfig.for_variant(variant, R=R)
+            estimator = _PrerecordedEstimator(rows)
+            blocks = list(stream_frames(specs, cfg, estimator))
+            warped = "_warped" if cfg.apply_arcsine else ""
+            for scope, got in zip(("local", "global"), zip(*estimator.features)):
+                want = np.concatenate([getattr(b, f"gamma_{scope}{warped}") for b in blocks])
+                assert same_bytes(np.stack(got), want), (variant, scope)
+
+    @staticmethod
+    def _assert_matches_reference(specs, cfg, make) -> None:
+        """Every ``FrameBlock`` row of ``stream_frames`` equals the
+        per-frame reference's, with a fresh estimator from ``make`` on
+        each side."""
         # the per-frame reference has no block pooling: the banded fields
         # are checked as the pooled rows of the reference's block
         fields = [
@@ -687,39 +787,36 @@ class TestBlockEngine:
         ]
         num_frames, num_bins = specs.shape[1:]
         filterbank = design_filterbank(16000, 2 * (num_bins - 1), 48)
-        for variant in sorted(VARIANT_SETTINGS):
-            cfg = CoherenceConfig.for_variant(variant, R=R)
-            for make in estimators:
-                estimator, reference = make(), make()
-                want = oracle_frame_engine.stream_frames(specs, cfg, reference)
-                frame = 0
-                for block in stream_frames(specs, cfg, estimator):
-                    assert block.start == frame
-                    n = min(_BLOCK_FRAMES, num_frames - frame)
-                    for name in fields:
-                        field = getattr(block, name)
-                        assert field is None or len(field) == n, (variant, name)
-                    refs = [ref for _, ref in zip(range(n), want)]
-                    for i, ref in enumerate(refs):
-                        assert ref.frame == frame
-                        for name in fields:
-                            field = getattr(block, name)
-                            got = None if field is None else field[i]
-                            ref_value = getattr(ref, _ORACLE_NAMES.get(name, name))
-                            assert same_bytes(got, ref_value), (variant, estimator, frame, name)
-                        frame += 1
-                    for name in _BANDED:
-                        planes = [getattr(ref, _ORACLE_NAMES.get(name, name)) for ref in refs]
-                        pooled = None
-                        if cfg.erb_bands is not None and planes[0] is not None:
-                            pooled = pool_feature(np.stack(planes), filterbank)
-                        assert same_bytes(getattr(block, "banded_" + name), pooled), (
-                            variant, estimator, block.start, name
-                        )
-                assert frame == num_frames and next(want, None) is None
-                if isinstance(estimator, _PrerecordedEstimator):
-                    got_mags, want_mags = (np.stack(e.magnitudes) for e in (estimator, reference))
-                    assert same_bytes(got_mags, want_mags)
+        estimator, reference = make(), make()
+        want = oracle_frame_engine.stream_frames(specs, cfg, reference)
+        frame = 0
+        for block in stream_frames(specs, cfg, estimator):
+            assert block.start == frame
+            n = min(_BLOCK_FRAMES, num_frames - frame)
+            for name in fields:
+                field = getattr(block, name)
+                assert field is None or len(field) == n, (cfg, name)
+            refs = [ref for _, ref in zip(range(n), want)]
+            for i, ref in enumerate(refs):
+                assert ref.frame == frame
+                for name in fields:
+                    field = getattr(block, name)
+                    got = None if field is None else field[i]
+                    ref_value = getattr(ref, _ORACLE_NAMES.get(name, name))
+                    assert same_bytes(got, ref_value), (cfg, estimator, frame, name)
+                frame += 1
+            for name in _BANDED:
+                planes = [getattr(ref, _ORACLE_NAMES.get(name, name)) for ref in refs]
+                pooled = None
+                if cfg.erb_bands is not None and planes[0] is not None:
+                    pooled = pool_feature(np.stack(planes), filterbank)
+                assert same_bytes(getattr(block, "banded_" + name), pooled), (
+                    cfg, estimator, block.start, name
+                )
+        assert frame == num_frames and next(want, None) is None
+        if isinstance(estimator, _PrerecordedEstimator):
+            got_mags, want_mags = (np.stack(e.magnitudes) for e in (estimator, reference))
+            assert same_bytes(got_mags, want_mags)
 
 
 def _sample_cuts(num_samples: int, R: int, mode: str, data) -> list[int]:

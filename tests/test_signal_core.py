@@ -1,6 +1,7 @@
 """Framing, transforms, WAV I/O, and masking contracts."""
 from __future__ import annotations
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -135,6 +136,30 @@ class TestWavReader:
         chunks = list(reader.chunks(size))
         assert all(chunk.shape[1] == size for chunk in chunks[:-1])
         assert np.concatenate(chunks, axis=1).tobytes() == whole.samples.tobytes()
+
+    @pytest.mark.parametrize(
+        "header, streamed",
+        [
+            ({}, True),
+            ({"extensible": True}, True),
+            # an odd-sized chunk is padded to an even length
+            ({"before": b"LIST" + struct.pack("<I", 3) + b"abc\0"}, True),
+            ({"after": b"JUNK" + struct.pack("<I", 4) + b"\0" * 4}, True),
+            # scipy warns about an unknown chunk: the file is read whole
+            ({"before": b"abcd" + struct.pack("<I", 2) + b"xy"}, False),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:Chunk \\(non-data\\) not understood")
+    def test_pcm24_chunks_are_read_from_the_data_offset(self, tmp_path, rng, header, streamed):
+        # 7 frames of 3 channels: 63 bytes, an odd-sized data chunk
+        pcm = rng.integers(-(2**23), 2**23, (7, 3)) << 8
+        path = tmp_path / "pcm24.wav"
+        write_pcm24(path, pcm, **header)
+        reader = WavReader(path)
+        assert (reader._whole is None) == streamed
+        chunks = np.concatenate(list(reader.chunks(2)), axis=1)
+        assert chunks.tobytes() == load_wav(path).samples.tobytes()
+        assert np.array_equal(chunks, pcm.T / 2.0**31)
 
     def test_pcm24_samples(self, tmp_path):
         path = tmp_path / "pcm24.wav"
