@@ -46,7 +46,15 @@ from .roomsim import (
     simulate_rirs,
 )
 from .scenarios import DEFAULT_STEM_KINDS, STEM_KINDS, render_scene
-from .signal_core import SAMPLE_RATE, MultichannelAudio, StftConfig, WavReader, load_wav, save_wav
+from .signal_core import (
+    SAMPLE_RATE,
+    MultichannelAudio,
+    StftConfig,
+    WavReader,
+    _in_halves,
+    load_wav,
+    save_wav,
+)
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -276,10 +284,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_wav(out_dir / "mixture.wav", result.mixture)
-    for role, image in result.images.items():
-        save_wav(out_dir / f"{role}.wav", image)
-    save_wav(out_dir / "noise.wav", result.noise)
+    files = {
+        "mixture.wav": result.mixture,
+        **{f"{role}.wav": image for role, image in result.images.items()},
+        "noise.wav": result.noise,
+    }
+    names = list(files)
+
+    def write(lo: int, hi: int) -> None:
+        for name in names[lo:hi]:
+            save_wav(out_dir / name, files[name])
+
+    # in two halves (the first three files here, the last two on the
+    # worker): the float32 casts and the writes release the GIL
+    _in_halves(write, len(names), 2)
 
     manifest = {
         "seed": args.seed,
@@ -301,9 +319,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "gains": result.gains,
         "realized_sir_db": result.realized_sir_db,
         "realized_snr_db": result.realized_snr_db,
-        "files": ["mixture.wav"]
-        + [f"{role}.wav" for role in result.images]
-        + ["noise.wav"],
+        "files": names,
         "config_echo": config,
     }
     with open(out_dir / "scene.json", "w") as fh:

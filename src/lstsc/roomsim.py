@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .signal_core import SAMPLE_RATE, MultichannelAudio, _in_halves
+from .signal_core import SAMPLE_RATE, MultichannelAudio, _alongside, _in_halves
 
 __all__ = [
     "SPEED_OF_SOUND",
@@ -826,36 +826,64 @@ def mix_scene(
     def ref_power(x: np.ndarray) -> float:
         return float(np.mean(x[0] ** 2))
 
-    gains = dict.fromkeys(ROLE_ORDER, 1.0)
-    target_power = ref_power(images["target"])
-    if target_power > 0.0:
-        # target-to-role power ratio: equal power, and the SIR
-        ratios = {"non_target": 1.0, "interferer": _power_ratio(spec.sir_db)}
-        for role, ratio in ratios.items():
-            power = ref_power(images[role])
-            if power > 0.0:
-                gains[role] = math.sqrt(target_power / (power * ratio))
-                images[role] = images[role] * gains[role]
+    def peak(high: np.ndarray, low: np.ndarray) -> float:
+        return max(high.max(), -low.min())
 
-    directional = (images["target"] + images["non_target"]) + images["interferer"]
-    directional_power = ref_power(directional)
-    rng = np.random.default_rng(noise_seed)
-    noise = rng.standard_normal((scene.num_mics, length))
-    if directional_power > 0.0:
-        noise_power = directional_power / _power_ratio(spec.snr_db)
-        for m in range(scene.num_mics):
-            row_power = float(np.mean(noise[m] ** 2))
-            noise[m] *= math.sqrt(noise_power / row_power)
-    else:
-        noise *= 0.0
+    def weigh():
+        """The gains, with the images scaled in place by them, the target's
+        reference power, the directional sum and its reference power, and
+        the images' peaks."""
+        gains = dict.fromkeys(ROLE_ORDER, 1.0)
+        target_power = ref_power(images["target"])
+        if target_power > 0.0:
+            # target-to-role power ratio: equal power, and the SIR
+            ratios = {"non_target": 1.0, "interferer": _power_ratio(spec.sir_db)}
+            for role, ratio in ratios.items():
+                power = ref_power(images[role])
+                if power > 0.0:
+                    gains[role] = math.sqrt(target_power / (power * ratio))
+                    images[role] *= gains[role]
+        directional = images["target"] + images["non_target"]
+        directional += images["interferer"]
+        peaks = {role: peak(image, image) for role, image in images.items()}
+        return gains, target_power, directional, ref_power(directional), peaks
 
-    mixture = directional + noise
-    for name, signal in (("mixture", mixture), *images.items(), ("noise", noise)):
+    # The worker draws the noise while this thread weighs the images.  Not
+    # earlier: a draw started before the images are rendered would hold up
+    # the upper halves of their enumeration and convolution.
+    noise, (gains, target_power, mixture, directional_power, image_peaks) = _alongside(
+        lambda: np.random.default_rng(noise_seed).standard_normal((scene.num_mics, length)),
+        weigh,
+    )
+    noise_power = directional_power / _power_ratio(spec.snr_db)
+
+    def scale_noise(lo: int, hi: int) -> None:
+        if directional_power > 0.0:
+            for m in range(lo, hi):
+                row_power = float(np.mean(noise[m] ** 2))
+                noise[m] *= math.sqrt(noise_power / row_power)
+        else:
+            noise[lo:hi] *= 0.0
+
+    # the mixture's and the noise's per-row maxima and minima
+    highs, lows = np.empty((2, 2, scene.num_mics))
+
+    def mix_rows(lo: int, hi: int) -> None:
+        mixture[lo:hi] += noise[lo:hi]  # the directional sum becomes the mixture
+        for high, low, signal in zip(highs, lows, (mixture, noise)):
+            np.max(signal[lo:hi], axis=1, out=high[lo:hi])
+            np.min(signal[lo:hi], axis=1, out=low[lo:hi])
+
+    # two passes, so that a numpy error is the one the whole-array passes
+    # (all rows scaled, then the sum) raise first
+    _in_halves(scale_noise, scene.num_mics, 2)
+    _in_halves(mix_rows, scene.num_mics, 2)
+    peaks = {"mixture": peak(highs[0], lows[0]), **image_peaks, "noise": peak(highs[1], lows[1])}
+    for name, level in peaks.items():
         # NaN fails the comparison too
-        peak = max(signal.max(), -signal.min())
-        if not peak <= _WAV_SAMPLE_MAX:
+        if not level <= _WAV_SAMPLE_MAX:
             raise ValueError(
-                f"the mix overflows float32 WAV samples: the {name} peaks at {peak:.3g} "
+                f"the mix overflows float32 WAV samples: the {name} peaks at {level:.3g} "
                 f"(sir_db {spec.sir_db}, snr_db {spec.snr_db})"
             )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import functools
 import os
 import struct
 import threading
@@ -43,11 +44,13 @@ _WOLA_FLOOR = 1e-10
 # Samples per chunk of WavReader's non-finite scan.
 _SCAN_SAMPLES = 1 << 16
 
-# CPUs this process may run on; with fewer than 2, _in_halves runs inline.
+# CPUs this process may run on; with fewer than 2, _alongside and
+# _in_halves run inline.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# _in_halves' worker thread, started on first use, and the flag it sets
-# on itself so that a task it runs never waits on the worker.
+# The one worker thread of _alongside and _in_halves, started on first
+# use, and the flag it sets on itself so that a task it runs never waits
+# on the worker.
 _worker: ThreadPoolExecutor | None = None
 _worker_lock = threading.Lock()
 _on_worker = threading.local()
@@ -68,43 +71,64 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _in_halves(task, count: int, least: int) -> None:
-    """Run ``task(lo, hi)`` over the rows ``[0, count)`` on two cores.
+def _two_threads() -> bool:
+    """Whether a handoff to the worker can run beside the caller: at least
+    2 CPUs are available and the caller is not the worker itself (a
+    nested task would wait on itself)."""
+    return _CPUS >= 2 and not getattr(_on_worker, "active", False)
 
-    The caller runs the lower half and the worker thread the upper one,
-    in the caller's context (numpy's ``errstate`` is a context variable).
-    The task must write each row's result into arrays the caller owns
-    and compute a row the same way whichever rows it is given, so the
-    bytes are those of ``task(0, count)``, which is what runs instead when
-    ``count < least``, when fewer than 2 CPUs are available or when the
-    caller is the worker itself (a nested task would wait on itself).
-    If the worker has not started the upper half by the time the lower
-    one is done, the caller runs it too.  An error raised by the lower
-    half wins over one from the upper half, and both halves have ended
-    when this returns or raises.
+
+def _alongside(background, foreground):
+    """``(background(), foreground())``, the two run at once.
+
+    The worker thread runs ``background()`` in the caller's context
+    (numpy's ``errstate`` is a context variable) while the caller runs
+    ``foreground()``.  The two must not depend on each other's effects,
+    so the results are those of the calls made one after the other, which
+    is how they run when ``_two_threads()`` is false: ``foreground()``,
+    then ``background()``.  If the worker has not started ``background``
+    by the time ``foreground`` is done, the caller runs it too.  An error
+    raised by ``foreground`` wins over one from ``background``, and both
+    have ended when this returns or raises.
     """
     global _worker
-    if count < least or _CPUS < 2 or getattr(_on_worker, "active", False):
-        task(0, count)
-        return
+    if not _two_threads():
+        fore = foreground()
+        return background(), fore
     with _worker_lock:
         if _worker is None:
             _worker = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="lstsc-halves", initializer=_mark_worker
             )
         worker = _worker
-    half = (count + 1) // 2
-    upper = worker.submit(contextvars.copy_context().run, task, half, count)
+    pending = worker.submit(contextvars.copy_context().run, background)
     try:
-        task(0, half)
+        fore = foreground()
     except BaseException:
-        if not upper.cancel():
-            upper.exception()  # wait for it; the lower half's error wins
+        if not pending.cancel():
+            pending.exception()  # wait for it; the foreground's error wins
         raise
-    if upper.cancel():
-        task(half, count)
-    else:
-        upper.result()
+    if pending.cancel():
+        return background(), fore
+    return pending.result(), fore
+
+
+def _in_halves(task, count: int, least: int) -> None:
+    """Run ``task(lo, hi)`` over the rows ``[0, count)`` on two cores.
+
+    The caller runs the lower half and the worker the upper one
+    (``_alongside``).  The task must write each row's result into arrays
+    the caller owns and compute a row the same way whichever rows it is
+    given, so the bytes are those of ``task(0, count)``, which is what
+    runs instead when ``count < least`` or ``_two_threads()`` is false.
+    An error raised by the lower half wins over one from the upper half,
+    and both halves have ended when this returns or raises.
+    """
+    if count < least or not _two_threads():
+        task(0, count)
+        return
+    half = (count + 1) // 2
+    _alongside(functools.partial(task, half, count), functools.partial(task, 0, half))
 
 
 def first_non_finite(array: np.ndarray) -> tuple[int, ...] | None:
@@ -170,16 +194,19 @@ class StftConfig:
     def __post_init__(self) -> None:
         if not (0 < self.hop <= self.frame_len <= self.fft_size):
             raise ValueError("require 0 < hop <= frame_len <= fft_size")
+        # periodic Hann, square-rooted; built once, shared read-only
+        n = np.arange(self.frame_len)
+        window = np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / self.frame_len))
+        window.flags.writeable = False
+        object.__setattr__(self, "_window", window)
 
     @property
     def num_bins(self) -> int:
         return self.fft_size // 2 + 1
 
     def analysis_window(self) -> np.ndarray:
-        # periodic Hann, square-rooted
-        n = np.arange(self.frame_len)
-        hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / self.frame_len)
-        return np.sqrt(hann)
+        """The square-root periodic Hann window, a read-only array."""
+        return self._window
 
     def num_frames(self, num_samples: int) -> int:
         if num_samples < self.frame_len:
@@ -400,7 +427,10 @@ class WavReader:
 
 def save_wav(path: str | Path, audio: MultichannelAudio) -> None:
     """Write 32-bit float WAV, preserving channel count and rate."""
-    data = audio.samples.T.astype(np.float32)
+    # C order: scipy writes C-ordered bytes, and ravels an array that is
+    # not C-contiguous (as astype's default order makes of a transpose)
+    # into a second copy
+    data = audio.samples.T.astype(np.float32, order="C")
     if data.shape[1] == 1:
         data = data[:, 0]
     from scipy.io import wavfile  # on first use, as in _read_wav

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import delayed_array_audio
 
@@ -11,7 +13,31 @@ from lstsc.enhance import HeuristicMaskEstimator, enhance_stream, heuristic_mask
 from lstsc.signal_core import MultichannelAudio, StftConfig, istft, stft
 
 
+# doubles where a clamp into [0, 1] can go wrong: both zeros and their
+# neighbours, the upper bound and its neighbours, the infinities and NaNs
+# of both signs
+_EDGE_DOUBLES = [
+    0.0, -0.0, 5e-324, -5e-324, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+    -1.0, np.inf, -np.inf, np.nan, -np.nan,
+]
+_DOUBLES = st.one_of(
+    st.sampled_from(_EDGE_DOUBLES),
+    st.floats(),
+    # any bit pattern: NaNs of either sign and any payload, subnormals
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+)
+
+
 class TestHeuristicMask:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda n: st.tuples(*[st.lists(_DOUBLES, min_size=n, max_size=n)] * 2)
+    ))
+    def test_equals_the_np_clip_formula_byte_for_byte(self, rows):
+        local, glob = (np.array(row, dtype=np.float64) for row in rows)
+        want = np.clip(local, 0.0, 1.0) * (1.0 - np.clip(glob, 0.0, 1.0))
+        assert heuristic_mask(local, glob).tobytes() == want.tobytes()
+
     def test_strong_local_quiet_global(self):
         row = heuristic_mask(np.array([1.0, 0.5]), np.array([0.0, 0.0]))
         assert row == pytest.approx([1.0, 0.5])

@@ -1,6 +1,7 @@
-"""Rows run in two halves on two threads (``signal_core._in_halves``):
-the helper's own contract, byte identity of every call site against the
-plain single-call path, and a forked child's worker."""
+"""Work handed to the one worker thread (``signal_core._alongside`` and
+``signal_core._in_halves``): the helpers' own contract, byte identity of
+every call site against the plain single-call path, and a forked child's
+worker."""
 from __future__ import annotations
 
 import contextlib
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import same_bytes
-from lstsc import coherence, roomsim, signal_core
+from lstsc import cli, coherence, roomsim, signal_core
 from lstsc.coherence import (
     VARIANT_SETTINGS,
     CoherenceConfig,
@@ -24,8 +25,24 @@ from lstsc.coherence import (
     compute_lstsc,
 )
 from lstsc.enhance import HeuristicMaskEstimator
-from lstsc.roomsim import Rir, _image, _image_source_taps
-from lstsc.signal_core import MultichannelAudio, StftConfig, _in_halves, stft_multichannel
+from lstsc.roomsim import (
+    ROLE_ORDER,
+    ArrayGeometry,
+    MixSpec,
+    Rir,
+    _image,
+    _image_source_taps,
+    mix_scene,
+    sample_scene,
+)
+from lstsc.scenarios import DEFAULT_STEM_KINDS, STEM_KINDS, render_scene
+from lstsc.signal_core import (
+    MultichannelAudio,
+    StftConfig,
+    _alongside,
+    _in_halves,
+    stft_multichannel,
+)
 
 STFT = StftConfig()
 # frames on both sides of the engine's split threshold (8) and block (64)
@@ -42,25 +59,39 @@ def _plain(task, count, least):
     task(0, count)
 
 
+def _plain_alongside(background, foreground):
+    fore = foreground()
+    return background(), fore
+
+
+# each helper and the plain call that replaces it on the plain path
+_PLAIN = {"_in_halves": _plain, "_alongside": _plain_alongside}
+
+
 @contextlib.contextmanager
 def _path(kind: str):
-    """Run the block inside on one path: ``plain`` replaces the helper by
-    one ``task(0, count)`` call in every module that uses it, ``inline``
-    takes the helper's one-CPU path and ``threads`` its two-thread path,
-    whatever the host's CPU count."""
-    modules = (signal_core, coherence, roomsim)
-    saved = signal_core._CPUS, [module._in_halves for module in modules]
+    """Run the block inside on one path: ``plain`` replaces the helpers by
+    plain calls in every module that uses them, ``inline`` takes the
+    helpers' one-CPU path and ``threads`` their two-thread path, whatever
+    the host's CPU count."""
+    saved = [
+        (module, name, getattr(module, name))
+        for module in (signal_core, coherence, roomsim, cli)
+        for name in _PLAIN
+        if hasattr(module, name)
+    ]
+    cpus = signal_core._CPUS
     try:
         if kind == "plain":
-            for module in modules:
-                module._in_halves = _plain
+            for module, name, _ in saved:
+                setattr(module, name, _PLAIN[name])
         else:
             signal_core._CPUS = 1 if kind == "inline" else 2
         yield
     finally:
-        signal_core._CPUS = saved[0]
-        for module, helper in zip(modules, saved[1]):
-            module._in_halves = helper
+        signal_core._CPUS = cpus
+        for module, name, helper in saved:
+            setattr(module, name, helper)
 
 
 def _on_each_path(run):
@@ -199,6 +230,154 @@ class TestHelper:
         assert (lo, hi) == (0, 20) and name.startswith("lstsc-halves")
 
 
+def _handed(background, foreground, around=contextlib.nullcontext):
+    """``_alongside(background, foreground)`` on the two-thread path,
+    called inside ``around()``, with ``foreground()`` started once the
+    worker has started ``background()``; returns the pair of results."""
+    started = threading.Event()
+
+    def back():
+        started.set()
+        return background()
+
+    def fore():
+        assert started.wait(TIMEOUT)
+        return foreground()
+
+    def call():
+        with around():
+            return _alongside(back, fore)
+
+    with _path("threads"):
+        return _within(TIMEOUT, call)
+
+
+def _thread() -> str:
+    return threading.current_thread().name
+
+
+class TestAlongside:
+    """The contract of ``_alongside`` itself."""
+
+    def test_background_runs_on_the_worker_in_the_callers_context(self):
+        def background():
+            return _thread(), np.geterr()["over"]
+
+        (thread, over), caller = _handed(background, _thread, lambda: np.errstate(over="ignore"))
+        assert thread.startswith("lstsc-halves") and not caller.startswith("lstsc-halves")
+        assert over == "ignore"
+
+    @pytest.mark.parametrize("failing", ["foreground", "background", "both"])
+    def test_an_error_reaches_the_caller_after_both_end(self, failing):
+        ended = threading.Event()
+
+        def background():
+            try:
+                time.sleep(0.05)
+                if failing != "foreground":
+                    raise KeyError("the background failed")
+            finally:
+                ended.set()
+
+        def foreground():
+            if failing != "background":
+                raise ValueError("the foreground failed")
+
+        error, message = (
+            (KeyError, "'the background failed'")
+            if failing == "background"
+            else (ValueError, "the foreground failed")
+        )
+        with pytest.raises(error) as info:
+            _handed(background, foreground)
+        assert str(info.value) == message
+        assert ended.is_set()
+        # the next call still hands its background to the worker
+        (thread, _) = _handed(_thread, _nothing)
+        assert thread.startswith("lstsc-halves")
+
+    def test_the_background_has_ended_when_it_returns(self):
+        ended = threading.Event()
+
+        def background():
+            time.sleep(0.05)
+            ended.set()
+            return "background"
+
+        assert _handed(background, lambda: "foreground") == ("background", "foreground")
+        assert ended.is_set()
+
+    def test_a_call_from_the_worker_runs_inline(self):
+        order = []
+
+        def nested():
+            return _alongside(
+                lambda: order.append(("background", _thread())),
+                lambda: order.append(("foreground", _thread())),
+            )
+
+        _handed(nested, _nothing)
+        assert [side for side, _ in order] == ["foreground", "background"]
+        assert all(name.startswith("lstsc-halves") for _, name in order)
+
+    def test_one_cpu_runs_the_foreground_then_the_background_on_the_caller(self):
+        order = []
+        with _path("inline"):
+            pair = _within(TIMEOUT, lambda: _alongside(
+                lambda: order.append(("background", _thread())) or 1,
+                lambda: order.append(("foreground", _thread())) or 2,
+            ))
+        assert pair == (1, 2)
+        assert [side for side, _ in order] == ["foreground", "background"]
+        assert order[0][1] == order[1][1] and not order[0][1].startswith("lstsc-halves")
+
+    def test_a_background_the_busy_worker_has_not_started_runs_on_the_caller(self):
+        _handed(_nothing, _nothing)  # the worker exists
+        release = threading.Event()
+        busy = signal_core._worker.submit(release.wait, TIMEOUT)
+        try:
+            with _path("threads"):
+                pair = _within(TIMEOUT, lambda: _alongside(_thread, _thread))
+        finally:
+            release.set()
+            busy.result(TIMEOUT)
+        assert pair[0] == pair[1] and not pair[0].startswith("lstsc-halves")
+
+
+def _scene_stems(rng, seconds: float, silent) -> dict[str, np.ndarray]:
+    n = int(round(seconds * 16000))
+    return {
+        role: np.zeros(n) if role in silent else rng.standard_normal(n)
+        for role in ROLE_ORDER
+    }
+
+
+def _mix_or_error(scene, stems, spec, noise_seed):
+    """``mix_scene``'s result, or the message of the ``ValueError`` it
+    raises."""
+    try:
+        return mix_scene(scene, stems, spec, noise_seed=noise_seed)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_mix(results):
+    want = results["plain"]
+    for kind in ("inline", "threads"):
+        got = results[kind]
+        if isinstance(want, str):
+            assert got == want, kind
+            continue
+        signals = {"mixture": got.mixture, **got.images, "noise": got.noise}
+        wanted = {"mixture": want.mixture, **want.images, "noise": want.noise}
+        assert list(signals) == list(wanted)
+        for name, audio in wanted.items():
+            assert same_bytes(signals[name].samples, audio.samples), (kind, name)
+        assert got.gains == want.gains, kind
+        for level in ("realized_sir_db", "realized_snr_db"):
+            assert same_bytes(getattr(got, level), getattr(want, level)), (kind, level)
+
+
 class TestSameBytes:
     """Every call site gives the bytes of one plain call on both of the
     helper's paths."""
@@ -307,10 +486,85 @@ class TestSameBytes:
                 assert same_bytes(got, want), kind
 
 
-def _child_features(specs, queue) -> None:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        num_mics=st.integers(1, 9),
+        silent=st.sets(st.sampled_from(ROLE_ORDER)),
+        sir_db=st.sampled_from([0.0, 15.0, -3000.0]),
+        snr_db=st.sampled_from([30.0, -3000.0]),
+        seed=st.integers(0, 2**16),
+    )
+    # odd and even counts, silent stems, no directional power at all (the
+    # noise is scaled to zero) and the float32 overflow message
+    @example(num_mics=8, silent=set(), sir_db=0.0, snr_db=30.0, seed=0)
+    @example(num_mics=7, silent={"non_target"}, sir_db=15.0, snr_db=30.0, seed=1)
+    @example(num_mics=1, silent={"target"}, sir_db=0.0, snr_db=30.0, seed=2)
+    @example(num_mics=9, silent=set(ROLE_ORDER), sir_db=0.0, snr_db=30.0, seed=3)
+    @example(num_mics=3, silent=set(), sir_db=-3000.0, snr_db=30.0, seed=4)
+    @example(num_mics=4, silent=set(), sir_db=0.0, snr_db=-3000.0, seed=5)
+    def test_mix_scene(self, num_mics, silent, sir_db, snr_db, seed):
+        rng = np.random.default_rng(seed)
+        scene = sample_scene(seed, array=ArrayGeometry.circular(num_mics), t60=0.2)
+        spec = MixSpec(sir_db=sir_db, snr_db=snr_db, clip_seconds=0.25, allow_off_grid=True)
+        stems = _scene_stems(rng, spec.clip_seconds, silent)
+        results = _on_each_path(lambda: _mix_or_error(scene, stems, spec, seed))
+        _assert_same_mix(results)
+        if isinstance(results["plain"], str):
+            assert results["plain"].startswith("the mix overflows float32 WAV samples: the ")
+            return
+        mixture = results["plain"].mixture.samples
+        top = max(mixture.max(), -mixture.min())
+        if top == 0.0:
+            return
+        # a float32 limit just under the mixture's peak: each path must find
+        # that peak, whichever row and half it lies in
+        saved = roomsim._WAV_SAMPLE_MAX
+        roomsim._WAV_SAMPLE_MAX = float(np.nextafter(top, 0.0))
+        try:
+            results = _on_each_path(lambda: _mix_or_error(scene, stems, spec, seed))
+        finally:
+            roomsim._WAV_SAMPLE_MAX = saved
+        assert results["plain"] == (
+            f"the mix overflows float32 WAV samples: the mixture peaks at {top:.3g} "
+            f"(sir_db {sir_db}, snr_db {snr_db})"
+        )
+        _assert_same_mix(results)
+
+    def test_simulate_bundle(self, tmp_path):
+        # 7 mics: the mix rows split 4/3 and the five files 3/2
+        config = tmp_path / "scene.json"
+        config.write_text(
+            '{"array": {"kind": "circular", "num_mics": 7}, "mix": {"clip_seconds": 0.5}}'
+        )
+
+        def run(kind: str):
+            out = tmp_path / kind
+            assert cli.main(["simulate", "--seed", "3", "--config", str(config), "--out", str(out)]) == 0
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        bundles = {}
+        for kind in ("plain", "inline", "threads"):
+            with _path(kind):
+                bundles[kind] = _within(TIMEOUT, lambda: run(kind))
+        assert len(bundles["plain"]) == 6
+        for kind in ("inline", "threads"):
+            assert bundles[kind] == bundles["plain"], kind
+
+
+def _scene_bytes() -> bytes:
+    """The samples of a rendered 5-mic scene: its noise is drawn beside the
+    gain passes and its mix rows run in halves."""
+    makers = {role: STEM_KINDS[DEFAULT_STEM_KINDS[role]] for role in ROLE_ORDER}
+    spec = MixSpec(clip_seconds=0.5)
+    mix = render_scene(4, makers, spec=spec, array=ArrayGeometry.circular(5)).mix
+    return b"".join(audio.samples.tobytes() for audio in (mix.mixture, *mix.images.values(), mix.noise))
+
+
+def _child_outputs(specs, queue) -> None:
     features = compute_lstsc(specs, CoherenceConfig.for_variant("lstsc-4"))
+    scene = _scene_bytes()
     workers = [t for t in threading.enumerate() if t.name.startswith("lstsc-halves")]
-    queue.put((features.gamma_global_warped.tobytes(), len(workers)))
+    queue.put((features.gamma_global_warped.tobytes(), scene, len(workers)))
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
@@ -320,13 +574,14 @@ def test_forked_child_starts_a_worker_of_its_own():
     cfg = CoherenceConfig.for_variant("lstsc-4")
     with _path("threads"):
         want = compute_lstsc(specs, cfg).gamma_global_warped.tobytes()
+        want_scene = _scene_bytes()
         assert signal_core._worker is not None
         context = multiprocessing.get_context("fork")
         queue = context.Queue()
-        child = context.Process(target=_child_features, args=(specs, queue))
+        child = context.Process(target=_child_outputs, args=(specs, queue))
         child.start()
         try:
-            got, workers = queue.get(timeout=TIMEOUT)
+            got, got_scene, workers = queue.get(timeout=TIMEOUT)
             child.join(TIMEOUT)
             assert not child.is_alive()
         finally:
@@ -334,4 +589,5 @@ def test_forked_child_starts_a_worker_of_its_own():
                 child.kill()
                 child.join()
     assert got == want
+    assert got_scene == want_scene
     assert workers == 1

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
@@ -313,6 +313,21 @@ def _stft_configs(draw):
     hop = draw(st.integers(1, 40))
     frame_len = draw(st.integers(hop, 80))
     return StftConfig(frame_len, hop, draw(st.integers(frame_len, 96)))
+
+
+class TestAnalysisWindow:
+    @settings(max_examples=30, deadline=None)
+    @given(_stft_configs())
+    @example(StftConfig())
+    def test_built_once_read_only_square_root_hann(self, cfg):
+        window = cfg.analysis_window()
+        n = np.arange(cfg.frame_len)
+        want = np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / cfg.frame_len))
+        assert (window.dtype, window.tobytes()) == (want.dtype, want.tobytes())
+        assert not window.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            window[0] = 0.0
+        assert cfg.analysis_window() is window
 
 
 class TestIstft:
