@@ -343,8 +343,11 @@ def _load_pipeline_audio(path: str) -> MultichannelAudio:
     return audio
 
 
-# Samples read per chunk: one engine block of hops, so that a chunk's
-# spectra are about one block's.
+# Samples read per chunk: one engine block of hops.  The first chunk is
+# longer by the first block's R frames of lookahead and by the frame's
+# overhang past its hop, so that it completes the first block and every
+# later chunk completes the next one: the extractor then holds one block's
+# spectra and its 2R window frames, not a block waiting for the next chunk.
 _CHUNK_SAMPLES = 64 * StftConfig().hop
 
 
@@ -359,10 +362,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         raise ValueError("feature extraction requires at least 2 microphones")
     num_frames = StftConfig().num_frames(wav.num_samples)
     extractor = StreamingExtractor(cfg, wav.num_channels)
+    hop, frame_len = extractor.stft_cfg.hop, extractor.stft_cfg.frame_len
+    first = _CHUNK_SAMPLES + cfg.R * hop + frame_len - hop
     out_path = _resolve_out(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with FeatureWriter(out_path, num_frames, csv=args.csv) as writer:
-        for chunk in wav.chunks(_CHUNK_SAMPLES):
+        for chunk in wav.chunks(_CHUNK_SAMPLES, first):
             writer.write(extractor.push(chunk))
         writer.write(extractor.flush())
     note = f" and {len(writer.csv_paths)} CSV planes" if args.csv else ""

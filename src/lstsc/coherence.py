@@ -479,6 +479,12 @@ _BLOCK_FRAMES = 64
 # Fewest frames whose RTFs or coherence are worth two threads.
 _SPLIT_FRAMES = 8
 
+# Most bytes of tracker states that _tracker scores at once, per thread:
+# the whitened states and the similarity products then peak near twice
+# this, and a 4-mic half-block (32 frames of 257 x 3 entries, 395 kB) is
+# still one slice, which 4-mic clips score faster than two.
+_SLICE_BYTES = 1 << 19
+
 
 def _tracker(
     rtfs: np.ndarray, rbar: np.ndarray | None, lam, epsilon: float
@@ -488,7 +494,8 @@ def _tracker(
     ``lam`` is a scalar or one row per frame.  ``states[0]`` is the state
     before the block and ``states[i + 1]`` the state after frame ``i``;
     each frame is scored against the state before it by ``coherence``,
-    the frames in two halves (``_in_halves``).  ``rbar`` is None before
+    the frames in two halves (``_in_halves``), each half in even slices
+    of at most ``_SLICE_BYTES`` of states.  ``rbar`` is None before
     the first frame: the tracker opens on that frame's vector, which is
     then blended in like any other, and its coherence is 1 by definition
     (the vector is compared with itself), not the rounded dot product.
@@ -502,7 +509,11 @@ def _tracker(
     gamma = np.empty(rtfs.shape[:-1])
 
     def frames(lo: int, hi: int) -> None:
-        gamma[lo:hi] = coherence(rtfs[lo:hi], states[lo:hi], epsilon)
+        # each frame is scored on its own, so any slicing gives its bytes
+        pieces = max(1, -(-(hi - lo) * states[0].nbytes // _SLICE_BYTES))
+        bounds = [lo + (hi - lo) * k // pieces for k in range(pieces + 1)]
+        for a, b in zip(bounds, bounds[1:]):
+            gamma[a:b] = coherence(rtfs[a:b], states[a:b], epsilon)
 
     _in_halves(frames, len(rtfs), _SPLIT_FRAMES)
     if rbar is None:
@@ -710,11 +721,18 @@ class StreamingExtractor:
     look-behind frames, and the engine's tracker states.  Its memory is
     therefore O(64 + 2R) frames of (M, F) spectra, whatever the clip's
     length; ``R`` has no upper bound, and an ``R`` as long as the clip
-    keeps the clip's whole spectrum until ``flush``.  Where two CPUs are
-    available, the chunk's STFTs (in two halves of the mics), the RTFs
-    and the coherence (in two halves of a block's frames) run on two
-    threads, so two halves' temporaries exist at once; the blocks are the
-    same bytes.  Non-finite
+    keeps the clip's whole spectrum until ``flush``.  A push holds the
+    frames it brings beside those kept, so the chunking sets the peak:
+    chunks of 64 hops, the first longer by ``R`` hops and by
+    ``frame_len - hop`` samples (as ``lstsc extract`` reads them),
+    complete one block each, and a block then runs on its own 64 + 2R
+    frames; 64-hop chunks from the clip's start leave each block waiting
+    for the next chunk, whose 64 frames join it (126 + R frames for ``R``
+    up to 62).  A push frees its samples before it runs the blocks.
+    Where two CPUs are available, the chunk's STFTs (in two halves of the
+    mics), the RTFs and the coherence (in two halves of a block's frames)
+    run on two threads, so two halves' temporaries exist at once; the
+    blocks are the same bytes.  Non-finite
     samples, and spectra that overflow, are rejected by the ``push`` that
     brings them, naming the first bad entry of that chunk; a rejected
     chunk leaves the extractor as it was.
@@ -756,19 +774,31 @@ class StreamingExtractor:
         hop, frame_len = self.stft_cfg.hop, self.stft_cfg.frame_len
         count = 0 if buffered.shape[1] < frame_len else self.stft_cfg.num_frames(buffered.shape[1])
         if count:
-            new = np.empty((self.num_mics, count, self.stft_cfg.num_bins), dtype=np.complex128)
+            # the kept frames and the new ones in one buffer, the new ones
+            # transformed in place; the kept frames move first, so that the
+            # old buffer is freed before the transform's temporaries exist
+            # (a rejected chunk leaves the same kept frames)
+            kept = self._spectra.shape[1]
+            spectra = np.empty(
+                (self.num_mics, kept + count, self.stft_cfg.num_bins), dtype=np.complex128
+            )
+            spectra[:, :kept] = self._spectra
+            self._spectra = spectra[:, :kept]
+            new = spectra[:, kept:]
             _stft_channels(buffered[:, : (count - 1) * hop + frame_len], self.stft_cfg, new)
             bad = first_non_finite(new)
             if bad is not None:
                 channel, frame, bin_ = bad
-                frame += self._first + self._spectra.shape[1]
+                frame += self._first + kept
                 raise ValueError(
                     f"non-finite spectrum entry at channel {channel}, frame {frame}, bin {bin_}"
                 )
-            self._spectra = np.concatenate([self._spectra, new], axis=1)
-            del new
+            self._spectra = spectra
+            del spectra, new
         self._num_samples += chunk.shape[1]
         self._samples = buffered[:, count * hop :].copy()
+        # the blocks need none of the samples
+        del buffered, chunk
         return self._blocks()
 
     def flush(self) -> list[FrameBlock]:

@@ -896,10 +896,12 @@ def mix_scene(
     if noise_ref_power > 0.0:
         realized_snr = 10.0 * math.log10(directional_power / noise_ref_power)
 
+    # the peaks above are finite, so every sample is: no scan
+    wrap = MultichannelAudio._of_finite
     return MixResult(
-        mixture=MultichannelAudio(mixture, SAMPLE_RATE),
-        images={role: MultichannelAudio(image, SAMPLE_RATE) for role, image in images.items()},
-        noise=MultichannelAudio(noise, SAMPLE_RATE),
+        mixture=wrap(mixture, SAMPLE_RATE),
+        images={role: wrap(image, SAMPLE_RATE) for role, image in images.items()},
+        noise=wrap(noise, SAMPLE_RATE),
         gains=gains,
         realized_sir_db=realized_sir,
         realized_snr_db=realized_snr,

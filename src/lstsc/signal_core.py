@@ -78,6 +78,11 @@ def _two_threads() -> bool:
     return _CPUS >= 2 and not getattr(_on_worker, "active", False)
 
 
+def _call_popped(box: list):
+    """Calls the one callable in ``box``, taken out of it first."""
+    return box.pop()()
+
+
 def _alongside(background, foreground):
     """``(background(), foreground())``, the two run at once.
 
@@ -101,15 +106,21 @@ def _alongside(background, foreground):
                 max_workers=1, thread_name_prefix="lstsc-halves", initializer=_mark_worker
             )
         worker = _worker
-    pending = worker.submit(contextvars.copy_context().run, background)
+    # The worker takes the task out of a list, and the caller does when it
+    # cancels the work item, so that neither an item it has run nor a
+    # cancelled one left in its queue keeps the task's arrays alive.
+    box = [background]
+    pending = worker.submit(contextvars.copy_context().run, _call_popped, box)
     try:
         fore = foreground()
     except BaseException:
-        if not pending.cancel():
+        if pending.cancel():
+            box.clear()
+        else:
             pending.exception()  # wait for it; the foreground's error wins
         raise
     if pending.cancel():
-        return background(), fore
+        return _call_popped(box), fore
     return pending.result(), fore
 
 
@@ -164,6 +175,15 @@ class MultichannelAudio:
         if bad is not None:
             channel, sample = bad
             raise ValueError(f"non-finite audio sample at channel {channel}, sample {sample}")
+
+    @classmethod
+    def _of_finite(cls, samples: np.ndarray, sample_rate: int) -> "MultichannelAudio":
+        """An (M, T) float64 matrix with M >= 1, every sample already
+        known to be finite, wrapped without ``__post_init__``'s checks and
+        its scan of every sample."""
+        audio = cls.__new__(cls)
+        audio.samples, audio.sample_rate = samples, sample_rate
+        return audio
 
     @property
     def num_channels(self) -> int:
@@ -332,6 +352,17 @@ def _pcm24_layout(path: Path) -> tuple[int, int, int, int] | None:
     return rate, channels, offset, size // block_align
 
 
+def _spans(total: int, size: int, first: int):
+    """``(start, count)`` of consecutive chunks of ``total`` samples: the
+    first of ``first`` samples, the others of ``size``, the last one
+    shorter."""
+    start, count = 0, first
+    while start < total:
+        count = min(count, total - start)
+        yield start, count
+        start, count = start + count, size
+
+
 class WavReader:
     """A WAV file read a chunk of samples at a time.
 
@@ -390,19 +421,21 @@ class WavReader:
                 channel, sample = bad
                 raise ValueError(f"non-finite audio sample at channel {channel}, sample {sample}")
 
-    def _frames(self, size: int):
-        """The raw samples as consecutive (n, M) chunks of ``size``
-        samples; a file not read whole has them read in turn from its
+    def _frames(self, size: int, first: int | None = None):
+        """The raw samples as consecutive (n, M) chunks, the first of
+        ``first`` samples (``size`` by default) and the others of
+        ``size``; a file not read whole has them read in turn from its
         samples' offset.  No chunk is referenced here once the next is
         asked for."""
+        spans = _spans(self.num_samples, size, size if first is None else first)
         if self._whole is not None:
-            for start in range(0, self.num_samples, size):
-                yield self._whole[start : start + size]
+            for start, count in spans:
+                yield self._whole[start : start + count]
             return
         with self._path.open("rb", buffering=0) as file:
             file.seek(self._offset)
-            for start in range(0, self.num_samples, size):
-                yield self._read(file, min(size, self.num_samples - start))
+            for _, count in spans:
+                yield self._read(file, count)
 
     def _read(self, file, count: int) -> np.ndarray:
         values = count * self.num_channels
@@ -418,11 +451,12 @@ class WavReader:
             raise ValueError(f"WAV file {self._path} changed while it was read")
         return frames.reshape(count, self.num_channels)
 
-    def chunks(self, size: int):
+    def chunks(self, size: int, first: int | None = None):
         """The samples as consecutive (M, n) float64 chunks of ``size``
-        samples (the last one shorter)."""
+        samples, the first of ``first`` (``size`` by default) and the last
+        one shorter."""
         # map drops each raw chunk once it is converted
-        yield from map(_decode, self._frames(size))
+        yield from map(_decode, self._frames(size, first))
 
 
 def save_wav(path: str | Path, audio: MultichannelAudio) -> None:

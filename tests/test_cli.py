@@ -401,23 +401,7 @@ class TestExtract:
         # files are those of the whole-clip API writers
         rng = np.random.default_rng(num_frames)
         num_samples = 400 + 160 * (num_frames - 1) + 37
-        wav = tmp_path / "mix.wav"
-        wavfile.write(wav, 16000, (0.1 * rng.standard_normal((num_samples, num_mics))).astype(np.float32))
-        out = tmp_path / "stream" / "f.lsts"
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["extract", "--in", str(wav), "--variant", variant, "--csv",
-                         "--out", str(out)]) == EXIT_OK
-        features = compute_lstsc(
-            stft_multichannel(load_wav(wav)), CoherenceConfig.for_variant(variant)
-        )
-        whole = tmp_path / "whole" / "f.lsts"
-        whole.parent.mkdir()
-        write_features(whole, features)
-        export_features_csv(whole, features)
-        names = sorted(path.name for path in whole.parent.iterdir())
-        assert sorted(path.name for path in out.parent.iterdir()) == names
-        for name in names:
-            assert (out.parent / name).read_bytes() == (whole.parent / name).read_bytes(), name
+        _assert_streamed_bytes(tmp_path, 0.1 * rng.standard_normal((num_samples, num_mics)), variant)
 
     def test_pcm24_input(self, tmp_path):
         # scipy cannot memory-map 24-bit PCM, which is read whole instead
@@ -507,6 +491,65 @@ class TestExtract:
         main(["extract", "--in", mixture_wav, "--variant", "lstsc-3", "--out", str(a)])
         main(["extract", "--in", mixture_wav, "--variant", "lstsc-3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+    @pytest.mark.parametrize("variant", ["lstsc-1", "lstsc-4"])
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_traced_peak_holds_one_block(self, tmp_path, variant, R):
+        # 8 mics: the peak holds one block's spectra and its 2R window
+        # frames (about 1.2 RTF blocks), its RTFs and one tracker's state
+        # stack (1 each), the coherence temporaries of two 16-frame slices
+        # (about 1.2), and the WAV chunk and the extractor's samples (0.36
+        # each): 4.5-5.0 RTF blocks, and the bound leaves 10% above that.
+        # With each block waiting for the next chunk's lookahead and whole
+        # halves scored at once, it read 6.6-7.3
+        rng = np.random.default_rng(R)
+        wav = tmp_path / "mix.wav"
+        wavfile.write(wav, 16000, (0.1 * rng.standard_normal((3 * 16000, 8))).astype(np.float32))
+        argv = ["extract", "--in", str(wav), "--variant", variant,
+                "--config", _write_config(tmp_path / "r.json", {"R": R}),
+                "--out", str(tmp_path / "f.lsts")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK  # imports and caches outside the trace
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        rtf_block = 64 * 257 * 7 * np.dtype(np.complex128).itemsize
+        assert peak < 5.5 * rtf_block, peak / rtf_block
+
+    @pytest.mark.parametrize("R", [0, 3, 70])
+    def test_streamed_bytes_equal_whole_clip_at_any_r(self, tmp_path, R):
+        # the first chunk read is longer by R hops: the files are still
+        # those of the whole-clip API writers
+        rng = np.random.default_rng(R)
+        _assert_streamed_bytes(tmp_path, 0.1 * rng.standard_normal((400 + 160 * 199, 3)), "lstsc-4", R=R)
+
+
+def _assert_streamed_bytes(tmp_path, samples, variant, **config) -> None:
+    """``extract --csv`` of the (n, M) ``samples``, as a float32 WAV, with
+    ``config`` overriding the variant's settings, writes the files of the
+    whole-clip API writers."""
+    wav = tmp_path / "mix.wav"
+    wavfile.write(wav, 16000, samples.astype(np.float32))
+    out = tmp_path / "stream" / "f.lsts"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["extract", "--in", str(wav), "--variant", variant, "--csv",
+                     "--config", _write_config(tmp_path / "config.json", config),
+                     "--out", str(out)]) == EXIT_OK
+    features = compute_lstsc(
+        stft_multichannel(load_wav(wav)), CoherenceConfig.for_variant(variant, **config)
+    )
+    whole = tmp_path / "whole" / "f.lsts"
+    whole.parent.mkdir()
+    write_features(whole, features)
+    export_features_csv(whole, features)
+    names = sorted(path.name for path in whole.parent.iterdir())
+    assert sorted(path.name for path in out.parent.iterdir()) == names
+    for name in names:
+        assert (out.parent / name).read_bytes() == (whole.parent / name).read_bytes(), name
 
 
 class TestEnhance:

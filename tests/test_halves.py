@@ -9,6 +9,7 @@ import dataclasses
 import multiprocessing
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -342,6 +343,37 @@ class TestAlongside:
             release.set()
             busy.result(TIMEOUT)
         assert pair[0] == pair[1] and not pair[0].startswith("lstsc-halves")
+
+    @pytest.mark.parametrize("worker", ["idle", "busy"])
+    def test_no_work_item_keeps_the_background_alive(self, worker):
+        # the idle worker holds the item it ran until it takes the next;
+        # a busy one leaves the item the caller cancelled in its queue.
+        # Neither may keep the arrays of a call that has returned alive.
+        _handed(_nothing, _nothing)  # the worker exists
+        release = threading.Event()
+        busy = None
+        if worker == "busy":
+            busy = signal_core._worker.submit(release.wait, TIMEOUT)
+        try:
+            with _path("threads"):
+                freed = _within(TIMEOUT, _background_freed)
+        finally:
+            release.set()
+            if busy is not None:
+                busy.result(TIMEOUT)
+        assert freed
+
+
+def _background_freed() -> bool:
+    """Whether an array that only an ``_alongside`` background refers to
+    is freed once the call returns."""
+
+    def call():
+        payload = np.zeros(4)
+        _alongside(payload.sum, _nothing)
+        return weakref.ref(payload)
+
+    return call()() is None
 
 
 def _scene_stems(rng, seconds: float, silent) -> dict[str, np.ndarray]:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 import oracle_roomsim
+from lstsc import signal_core
+from lstsc.signal_core import MultichannelAudio
 from lstsc.roomsim import (
     SPEED_OF_SOUND,
     ArrayGeometry,
@@ -501,6 +503,29 @@ class TestMixScene:
         p_t = np.mean(result.images["target"].samples[0] ** 2)
         p_n = np.mean(result.images["non_target"].samples[0] ** 2)
         assert abs(10.0 * np.log10(p_t / p_n)) <= 0.01
+
+    @pytest.mark.parametrize("snr_db", [-3000.0, -3200.0])
+    def test_noise_that_overflows_is_rejected(self, scene, stems, snr_db):
+        # scaled by about 1e150 the noise passes float32's limit, and at
+        # -3200 dB float64's too: the overflow check is the one guard the
+        # unscanned outputs have
+        with pytest.raises(ValueError, match="the mix overflows float32 WAV samples: the "):
+            mix_scene(scene, stems, self._spec(snr_db=snr_db), noise_seed=3)
+
+    def test_outputs_are_not_scanned_again(self, scene, stems, monkeypatch):
+        # the overflow check has shown every sample finite; an array passed
+        # in from outside is still scanned
+        def scan(array):
+            raise AssertionError(f"a {array.shape} output was scanned")
+
+        monkeypatch.setattr(signal_core, "first_non_finite", scan)
+        result = mix_scene(scene, stems, self._spec(), noise_seed=3)
+        for audio in (result.mixture, *result.images.values(), result.noise):
+            assert audio.samples.dtype == np.float64 and audio.samples.shape == (4, 16000)
+            assert audio.sample_rate == 16000
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="non-finite audio sample at channel 0, sample 0"):
+            MultichannelAudio(np.full((2, 3), np.nan), 16000)
 
     def test_bit_exact_additivity(self, scene, stems):
         result = mix_scene(scene, stems, self._spec(), noise_seed=9)

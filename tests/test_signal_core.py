@@ -137,6 +137,22 @@ class TestWavReader:
         assert all(chunk.shape[1] == size for chunk in chunks[:-1])
         assert np.concatenate(chunks, axis=1).tobytes() == whole.samples.tobytes()
 
+    @pytest.mark.parametrize("encoding", ["float32", "int24"])
+    @pytest.mark.parametrize("first", [1, 2639, 5000, 100000])
+    def test_the_first_chunk_may_be_longer(self, tmp_path, rng, encoding, first):
+        # extract reads its first chunk longer by R hops and a frame's
+        # overhang; a first chunk past the file's end holds the whole file
+        x = 0.3 * rng.standard_normal((5000, 3))
+        path = tmp_path / "x.wav"
+        if encoding == "int24":
+            write_pcm24(path, np.round(x * 2**23).clip(-(2**23), 2**23 - 1).astype(np.int64) << 8)
+        else:
+            wavfile.write(path, 16000, x.astype(np.float32))
+        chunks = list(WavReader(path).chunks(997, first))
+        assert [chunk.shape[1] for chunk in chunks[:2]] == [min(first, 5000), 997][: len(chunks)]
+        assert all(chunk.shape[1] == 997 for chunk in chunks[1:-1])
+        assert np.concatenate(chunks, axis=1).tobytes() == load_wav(path).samples.tobytes()
+
     @pytest.mark.parametrize(
         "header, streamed",
         [
