@@ -397,6 +397,11 @@ def _cmd_enhance(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     ref = load_wav(args.ref)
     est = load_wav(args.est)
+    if ref.sample_rate != est.sample_rate:
+        raise ValueError(
+            f"reference {args.ref} is at {ref.sample_rate} Hz, "
+            f"estimate {args.est} at {est.sample_rate} Hz"
+        )
     report = si_sdr(ref.channel(0), est.channel(0))
     out_path = _resolve_out(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextvars
 import dataclasses
 import functools
+import itertools
 import os
 import struct
 import threading
@@ -257,189 +258,161 @@ class Mask:
         return self.data.shape
 
 
-def _read_wav(path: Path, mmap: bool = False) -> tuple[int, np.ndarray]:
-    """scipy's ``wavfile.read``, with a missing file raised as such and
-    any other failure as ``ValueError`` naming the file."""
-    from scipy.io import wavfile  # on first use: it takes ~0.3 s to import
-
-    if not path.exists():
-        raise FileNotFoundError(f"file not found: {path}")
-    try:
-        rate, data = wavfile.read(path, mmap=mmap)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:  # scipy raises bare ValueError on bad RIFF
-        raise ValueError(f"unsupported or corrupt WAV file {path}: {exc}") from exc
-    return int(rate), data
-
-
 def _decode(data: np.ndarray) -> np.ndarray:
-    """WAV data, (frames,) or (frames, channels), as (M, n) float64 in
-    [-1, 1]."""
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype == np.uint8:
-        samples = (data.astype(np.float64) - 128.0) / 128.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise ValueError(f"unsupported WAV sample encoding: {data.dtype}")
-    if samples.ndim == 1:
-        return samples[np.newaxis, :]
-    return samples.T  # wavfile uses (frames, channels)
+    """(frames, channels) samples of a dtype of ``_ENCODINGS`` as (M, n)
+    float64 in [-1, 1]: PCM divided by 2 ** (bits - 1) of its dtype,
+    unsigned 8-bit PCM centred on 128 first."""
+    samples = data.astype(np.float64).T
+    if data.dtype.kind == "u":
+        samples -= 128.0
+    if data.dtype.kind != "f":
+        samples /= 2.0 ** (8 * data.dtype.itemsize - 1)
+    return samples
 
 
-def load_wav(path: str | Path) -> MultichannelAudio:
-    """Read a PCM or float WAV into channel-major float64 in [-1, 1]."""
-    rate, data = _read_wav(Path(path))
-    return MultichannelAudio(samples=_decode(data), sample_rate=rate)
-
+# The sample encodings read, named by kind and bits per sample in the
+# file, with their in-memory dtype: PCM of at most 8 bits is unsigned,
+# wider PCM signed, and 24-bit PCM is held as int32 with the sample in the
+# top three bytes, as scipy's ``wavfile.read`` returns it.
+_ENCODINGS = {"uint8": "u1", "int16": "<i2", "int24": "<i4", "int32": "<i4",
+              "float32": "<f4", "float64": "<f8"}
 
 # The GUID tail of a WAVE_FORMAT_EXTENSIBLE subformat (RFC 2361); the
 # subformat's tag is the GUID's first four bytes.
 _EXTENSIBLE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
 
-def _pcm24_layout(path: Path) -> tuple[int, int, int, int] | None:
-    """``(rate, channels, data offset, frames)`` of a little-endian RIFF
-    file of 24-bit PCM samples, found by walking its chunks as scipy's
-    ``wavfile.read`` walks them; None for any other file, and for any
-    header or chunk list that scipy would reject, warn about or read
-    otherwise than as whole frames."""
-    with path.open("rb") as file:
+
+def _wav_layout(path: Path) -> tuple[int, int, np.dtype, int, int, int]:
+    """``(rate, channels, dtype, width, data offset, frames)`` of a WAV
+    file whose samples take ``width`` bytes in the file and are held as
+    ``dtype`` in memory.
+
+    The chunks of a RIFF or RF64 file are walked to the first data chunk,
+    and the last fmt chunk before it is read as scipy's ``wavfile.read``
+    reads it: plain or ``WAVE_FORMAT_EXTENSIBLE`` with a standard
+    subformat, PCM or IEEE float, a sample's width being the block align
+    over the channel count.  Other chunks are skipped, odd-sized ones with
+    their pad byte.  A missing file raises FileNotFoundError, any other
+    file not read so ValueError naming the file and the problem.
+    """
+
+    def corrupt(problem: str) -> ValueError:
+        return ValueError(f"unsupported or corrupt WAV file {path}: {problem}")
+
+    try:
+        file = path.open("rb")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise corrupt(str(exc)) from exc
+    with file:
         head = file.read(12)
-        if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
-            return None
-        end = struct.unpack("<I", head[4:8])[0] + 8
-        fmt = data = None
-        while file.tell() < end:
+        if head[:4] == b"RIFX":
+            raise corrupt("big-endian (RIFX) files are not supported")
+        if head[:4] not in (b"RIFF", b"RF64") or head[8:] != b"WAVE":
+            raise corrupt("not a RIFF WAVE file")
+        fmt = rf64_size = None
+        while True:
             chunk = file.read(8)
             if len(chunk) < 8:
-                return None
+                raise corrupt("no data chunk")
             name, size = chunk[:4], struct.unpack("<I", chunk[4:])[0]
-            if name == b"fmt " and fmt is None and size >= 16:
-                body = file.read(size)
-                if len(body) < size:
-                    return None
-                fmt = struct.unpack("<HHIIHH", body[:16])
-                if fmt[0] == 0xFFFE:  # extensible: the subformat decides
-                    if size < 40 or struct.unpack("<H", body[16:18])[0] < 22:
-                        return None
-                    guid = body[24:40]
-                    tag = struct.unpack("<I", guid[:4])[0] if guid[4:] == _EXTENSIBLE_GUID_TAIL else 0
-                    fmt = (tag,) + fmt[1:]
-            elif name == b"data" and fmt is not None and data is None:
-                data = (file.tell(), size)
-                file.seek(size, os.SEEK_CUR)
-            elif name in (b"fact", b"LIST", b"JUNK", b"Fake"):
-                file.seek(size, os.SEEK_CUR)
-            else:
-                return None
-            file.seek(size % 2, os.SEEK_CUR)
+            if name == b"data":
+                break
+            body = file.read(min(size, 40)) if name in (b"fmt ", b"ds64") else b""
+            if name == b"fmt ":
+                fmt = body
+            elif name == b"ds64" and len(body) >= 16:
+                rf64_size = struct.unpack("<Q", body[8:16])[0]
+            file.seek(size + size % 2 - len(body), os.SEEK_CUR)
+        offset = file.tell()
         file_bytes = os.fstat(file.fileno()).st_size
-    if data is None:
-        return None
-    tag, channels, rate, byte_rate, block_align, bits = fmt
-    offset, size = data
-    if not (
-        tag == 1 and not 1 <= bits <= 8 and channels >= 1 and block_align == 3 * channels
-        and byte_rate == rate * block_align and size % block_align == 0
-        and offset + size <= file_bytes
-    ):
-        return None
-    return rate, channels, offset, size // block_align
+    if head[:4] == b"RF64":
+        if rf64_size is None:
+            raise corrupt("RF64 file without a ds64 chunk")
+        size = rf64_size
+    if fmt is None or len(fmt) < 16:
+        raise corrupt("no whole fmt chunk before the data chunk")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack("<HHIIHH", fmt[:16])
+    if tag == _EXTENSIBLE:
+        if len(fmt) < 40 or struct.unpack("<H", fmt[16:18])[0] < 22:
+            raise corrupt(f"extensible fmt chunk of {len(fmt)} bytes")
+        if fmt[28:40] != _EXTENSIBLE_GUID_TAIL:
+            raise corrupt(f"extensible subformat GUID {fmt[24:40].hex()}")
+        tag = struct.unpack("<I", fmt[24:28])[0]
+    if tag not in (_PCM, _IEEE_FLOAT):
+        raise corrupt(f"format tag {tag:#06x}, neither PCM nor IEEE float")
+    if channels < 1 or rate < 1:
+        raise corrupt(f"{channels} channels at {rate} Hz")
+    if tag == _PCM and byte_rate != rate * block_align:
+        raise corrupt(f"byte rate {byte_rate} is not {rate} Hz times block align {block_align}")
+    width = block_align // channels
+    kind = "float" if tag == _IEEE_FLOAT else "uint" if 1 <= bits <= 8 else "int"
+    encoding = f"{kind}{8 * width}"
+    if kind == "float" and bits not in (32, 64):
+        encoding = f"{bits}-bit float"
+    if encoding not in _ENCODINGS:
+        raise ValueError(f"unsupported WAV sample encoding: {encoding} in {path}")
+    if offset + size > file_bytes:
+        raise corrupt(f"data chunk runs {offset + size - file_bytes} bytes past the file's end")
+    values = size // width
+    if values % channels:
+        raise corrupt(f"data chunk of {values} samples is not whole frames of {channels}")
+    return rate, channels, np.dtype(_ENCODINGS[encoding]), width, offset, values // channels
 
 
-def _spans(total: int, size: int, first: int):
-    """``(start, count)`` of consecutive chunks of ``total`` samples: the
+def _bounds(total: int, size: int, first: int):
+    """The offsets that cut ``total`` samples into consecutive chunks: the
     first of ``first`` samples, the others of ``size``, the last one
-    shorter."""
-    start, count = 0, first
-    while start < total:
-        count = min(count, total - start)
-        yield start, count
-        start, count = start + count, size
+    shorter; no samples make one empty chunk."""
+    return itertools.chain((0,), range(min(first, total), total, size), (total,))
 
 
 class WavReader:
     """A WAV file read a chunk of samples at a time.
 
-    The chunks are read in turn from the file, from the offset where its
-    samples start, so resident memory does not grow with the file.  Where
-    scipy can memory-map the encoding, the file is mapped once to learn
-    that offset, then unmapped (a mapping would keep the pages it read);
-    for 24-bit PCM, which scipy cannot map, a walk of the RIFF chunks
-    (``_pcm24_layout``) finds it, and each chunk's 3-byte samples become
-    the int32 values scipy makes of them (the sample in the top three
-    bytes).  Any other file is read whole, as ``load_wav`` reads it.  The
-    checks ``load_wav`` makes are made when the file is opened, with the
-    same messages: the encoding, a positive rate and, for float data, the
-    first non-finite sample (in channel, then sample order).  ``chunks``
-    converts with ``load_wav``'s own code, so the samples are the same.
+    A walk of the file's chunks (``_wav_layout``) finds the encoding and
+    the offset where the samples start, and the chunks are read in turn
+    from there, each into an array of its own, so resident memory does not
+    grow with the file.  The file is checked when it is opened: its layout
+    and encoding, and for float data the first non-finite sample (in
+    channel, then sample order), which a scan of the raw chunks finds.
+    ``load_wav`` is this reader's one chunk, so the samples are the same
+    however the file is chunked.
     """
 
     def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
-        self._packed = False  # 3 bytes a sample in the file, 4 in memory
-        self._whole = None  # the samples of a file read whole
-        try:
-            self.sample_rate, data = _read_wav(self._path, mmap=True)
-        except ValueError:
-            layout = _pcm24_layout(self._path)
-            if layout is None:
-                # not 24-bit PCM, or not readable at all, which the plain
-                # read reports as load_wav does
-                self.sample_rate, data = _read_wav(self._path)
-            else:
-                data = None
-                self.sample_rate, self.num_channels, self._offset, self.num_samples = layout
-                self._dtype, self._packed = np.dtype("<i4"), True
-        if data is not None:
-            data = data if data.ndim == 2 else data[:, np.newaxis]
-            if not isinstance(data, np.memmap):
-                self._whole = data
-            self._offset = data.offset if self._whole is None else 0
-            self._dtype = data.dtype
-            self.num_samples, self.num_channels = data.shape
-            del data  # unmaps the file
-        _decode(np.empty((0, 1), self._dtype))  # an unsupported encoding fails here
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        (self.sample_rate, self.num_channels, self._dtype, self._width, self._offset,
+         self.num_samples) = _wav_layout(self._path)
         if self._dtype.kind == "f":
             # scan the raw chunks: the float64 conversion keeps finiteness
-            bad = None
-            starts = range(0, self.num_samples, _SCAN_SAMPLES)
+            found = []
+            starts = _bounds(self.num_samples, _SCAN_SAMPLES, _SCAN_SAMPLES)
             for start, frames in zip(starts, self._frames(_SCAN_SAMPLES)):
-                found = first_non_finite(frames.T)
-                if found is not None:
-                    channel, sample = found
-                    found = (channel, start + sample)
-                    bad = found if bad is None else min(bad, found)
-            if bad is not None:
-                channel, sample = bad
+                bad = first_non_finite(frames.T)
+                if bad is not None:
+                    found.append((bad[0], start + bad[1]))
+            if found:
+                channel, sample = min(found)
                 raise ValueError(f"non-finite audio sample at channel {channel}, sample {sample}")
 
     def _frames(self, size: int, first: int | None = None):
         """The raw samples as consecutive (n, M) chunks, the first of
         ``first`` samples (``size`` by default) and the others of
-        ``size``; a file not read whole has them read in turn from its
-        samples' offset.  No chunk is referenced here once the next is
-        asked for."""
-        spans = _spans(self.num_samples, size, size if first is None else first)
-        if self._whole is not None:
-            for start, count in spans:
-                yield self._whole[start : start + count]
-            return
+        ``size``, read in turn from the samples' offset.  No chunk is
+        referenced here once the next is asked for."""
+        bounds = _bounds(self.num_samples, size, size if first is None else first)
         with self._path.open("rb", buffering=0) as file:
             file.seek(self._offset)
-            for _, count in spans:
-                yield self._read(file, count)
+            for start, stop in itertools.pairwise(bounds):
+                yield self._read(file, stop - start)
 
     def _read(self, file, count: int) -> np.ndarray:
         values = count * self.num_channels
-        if self._packed:
+        if self._width == 3:
             raw = np.fromfile(file, np.uint8, 3 * values)
             # scipy's int32: the sample's three bytes above a zero byte
             frames = np.zeros((raw.size // 3, 4), dtype=np.uint8)
@@ -454,22 +427,48 @@ class WavReader:
     def chunks(self, size: int, first: int | None = None):
         """The samples as consecutive (M, n) float64 chunks of ``size``
         samples, the first of ``first`` (``size`` by default) and the last
-        one shorter."""
+        one shorter; a file of no samples gives one empty chunk."""
         # map drops each raw chunk once it is converted
         yield from map(_decode, self._frames(size, first))
 
 
-def save_wav(path: str | Path, audio: MultichannelAudio) -> None:
-    """Write 32-bit float WAV, preserving channel count and rate."""
-    # C order: scipy writes C-ordered bytes, and ravels an array that is
-    # not C-contiguous (as astype's default order makes of a transpose)
-    # into a second copy
-    data = audio.samples.T.astype(np.float32, order="C")
-    if data.shape[1] == 1:
-        data = data[:, 0]
-    from scipy.io import wavfile  # on first use, as in _read_wav
+def load_wav(path: str | Path) -> MultichannelAudio:
+    """Read a PCM or float WAV into channel-major float64 in [-1, 1]:
+    ``WavReader``'s samples in one chunk, already checked for non-finite
+    values."""
+    reader = WavReader(path)
+    (samples,) = reader.chunks(max(reader.num_samples, 1))
+    return MultichannelAudio._of_finite(samples, reader.sample_rate)
 
-    wavfile.write(Path(path), audio.sample_rate, data)
+
+def save_wav(path: str | Path, audio: MultichannelAudio) -> None:
+    """Write 32-bit float WAV, preserving channel count and rate.
+
+    The file holds a RIFF header, an IEEE-float fmt chunk with a zero
+    ``cbSize``, a fact chunk with the frame count and the data chunk: the
+    bytes scipy's ``wavfile.write`` writes for float32 data.  Samples of
+    more than 4 GiB, which a RIFF file cannot hold, raise ValueError
+    before they are cast or the file is opened.
+    """
+    channels, frames = audio.samples.shape
+    rate, nbytes = audio.sample_rate, 4 * channels * frames
+    riff_size = 50 + nbytes  # the bytes after the RIFF size field
+    if riff_size > 0xFFFFFFFF:
+        raise ValueError(
+            f"cannot write {path}: {nbytes} bytes of samples do not fit a RIFF WAV file"
+        )
+    # cast in C order, the order of the file's bytes
+    data = audio.samples.T.astype("<f4", order="C")
+    header = b"".join([
+        b"RIFF", struct.pack("<I", riff_size), b"WAVE",
+        b"fmt ", struct.pack("<IHHIIHHH", 18, _IEEE_FLOAT, channels, rate, 4 * channels * rate,
+                             4 * channels, 32, 0),
+        b"fact", struct.pack("<II", 4, frames),
+        b"data", struct.pack("<I", nbytes),
+    ])
+    with open(path, "wb") as file:
+        file.write(header)
+        file.write(data.data)
 
 
 def stft(x: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:

@@ -23,7 +23,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from conftest import delayed_array_audio, savetxt_bytes, write_pcm24
+from conftest import (
+    UNREADABLE_WAVS, delayed_array_audio, savetxt_bytes, write_pcm24, write_unreadable_wav
+)
 
 from lstsc import cli
 from lstsc.cli import EXIT_CONFIG, EXIT_CONSTRAINT, EXIT_MISSING, EXIT_OK, main
@@ -33,7 +35,7 @@ from lstsc.coherence import (
 from lstsc.enhance import HeuristicMaskEstimator, enhance_stream
 from lstsc.roomsim import ROLE_ORDER
 from lstsc.scenarios import STEM_KINDS, build_sifting_scenario
-from lstsc.signal_core import StftConfig, load_wav, save_wav, stft_multichannel
+from lstsc.signal_core import MultichannelAudio, StftConfig, load_wav, save_wav, stft_multichannel
 
 
 def _write_config(path, payload):
@@ -404,7 +406,7 @@ class TestExtract:
         _assert_streamed_bytes(tmp_path, 0.1 * rng.standard_normal((num_samples, num_mics)), variant)
 
     def test_pcm24_input(self, tmp_path):
-        # scipy cannot memory-map 24-bit PCM, which is read whole instead
+        # 3 bytes a sample in the file, 4 in the chunks read from it
         rng = np.random.default_rng(24)
         pcm = rng.integers(-(2**23), 2**23, (16000, 3)) << 8
         wav = tmp_path / "pcm24.wav"
@@ -435,6 +437,17 @@ class TestExtract:
         assert main(["extract", "--in", str(wav), "--variant", "lstsc-4", "--csv",
                      "--out", str(out)]) == EXIT_CONSTRAINT
         assert words in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [wav]
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_WAVS))
+    def test_unreadable_wav_exits_4_naming_file_and_problem(self, tmp_path, capsys, case):
+        # a truncated data chunk was extracted short, with exit 0
+        wav = tmp_path / "in.wav"
+        write_unreadable_wav(wav, case)
+        out = tmp_path / "out" / "f.lsts"
+        assert main(["extract", "--in", str(wav), "--out", str(out)]) == EXIT_CONSTRAINT
+        err = capsys.readouterr().err
+        assert str(wav) in err and UNREADABLE_WAVS[case] in err
         assert list(tmp_path.iterdir()) == [wav]
 
     def test_peak_memory_flat_in_clip_length(self, tmp_path):
@@ -758,8 +771,6 @@ class TestEvaluate:
         est_samples = ref.samples + 0.01 * rng.standard_normal((1, 8000))
         ref_path, est_path = tmp_path / "ref.wav", tmp_path / "est.wav"
         save_wav(ref_path, ref)
-        from lstsc.signal_core import MultichannelAudio
-
         save_wav(est_path, MultichannelAudio(est_samples, 16000))
         report = tmp_path / "report.jsonl"
         for label in ("first", "second"):
@@ -769,6 +780,20 @@ class TestEvaluate:
         assert len(lines) == 2
         assert lines[0]["label"] == "first"
         assert np.isfinite(lines[0]["si_sdr_db"])
+
+    def test_sample_rate_mismatch_exits_4(self, tmp_path, rng, capsys):
+        # the same samples saved at 8 kHz scored 100 dB against the 16 kHz
+        # reference
+        samples = delayed_array_audio(rng, 1, 8000).samples
+        ref_path, est_path = tmp_path / "ref.wav", tmp_path / "est.wav"
+        save_wav(ref_path, MultichannelAudio(samples, 16000))
+        save_wav(est_path, MultichannelAudio(samples, 8000))
+        report = tmp_path / "report.jsonl"
+        assert main(["evaluate", "--ref", str(ref_path), "--est", str(est_path),
+                     "--out", str(report)]) == EXIT_CONSTRAINT
+        err = capsys.readouterr().err
+        assert f"{ref_path} is at 16000 Hz" in err and f"{est_path} at 8000 Hz" in err
+        assert not report.exists()
 
     def test_missing_reference(self, tmp_path, rng):
         est = tmp_path / "est.wav"
@@ -807,25 +832,49 @@ class TestArgparseSurface:
 
 
 class TestStartUp:
-    def test_scipy_signal_and_io_stay_unloaded_until_a_wav_is_read(self, tmp_path):
-        # they take over a second to import, in a fresh process per command
-        wav = tmp_path / "short.wav"
-        wavfile.write(wav, 16000, np.zeros((16, 2), dtype=np.float32))
+    @pytest.mark.parametrize("scipy", ["blocked", "importable"])
+    def test_readme_commands_need_no_scipy(self, tmp_path, scipy):
+        # numpy is the one runtime dependency: README's five commands
+        # succeed with scipy unimportable, and load none of it when it is
+        # importable (scipy.io took 0.2-0.4 s of every command)
         script = textwrap.dedent("""
-            import json, sys
-            import lstsc.cli, lstsc.enhance, lstsc.metrics, lstsc.roomsim, lstsc.scenarios
-            from lstsc.signal_core import load_wav
-            loaded = [name for name in ("scipy.signal", "scipy.io") if name in sys.modules]
-            load_wav(sys.argv[1])
-            print(json.dumps({"loaded": loaded, "wavfile": "scipy.io.wavfile" in sys.modules}))
+            import importlib.abc, json, sys
+
+            class NoScipy(importlib.abc.MetaPathFinder):
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"{name} is blocked")
+
+            root, scipy = sys.argv[1:]
+            if scipy == "blocked":
+                sys.meta_path.insert(0, NoScipy())
+            from lstsc.cli import main
+            with open(f"{root}/rir.json", "w") as file:
+                json.dump({"room": {"dims": [6.0, 4.0, 2.5], "t60": 0.3}, "source": [2.1, 3.1, 1.7],
+                           "mics": [[3.7, 1.9, 1.1], [3.7, 2.1, 1.1]], "duration": 0.5}, file)
+            with open(f"{root}/scene.json", "w") as file:
+                json.dump({"mix": {"clip_seconds": 3.0}}, file)
+            codes = [
+                main(["rir", "--config", f"{root}/rir.json", "--out", f"{root}/rirs"]),
+                main(["simulate", "--config", f"{root}/scene.json", "--seed", "0",
+                      "--out", f"{root}/scene"]),
+                main(["extract", "--in", f"{root}/scene/mixture.wav", "--variant", "lstsc-4",
+                      "--out", f"{root}/features.lsts", "--csv"]),
+                main(["enhance", "--in", f"{root}/scene/mixture.wav", "--variant", "lstsc-3",
+                      "--out", f"{root}/enhanced.wav"]),
+                main(["evaluate", "--ref", f"{root}/scene/target.wav",
+                      "--est", f"{root}/enhanced.wav", "--out", f"{root}/report.jsonl"]),
+            ]
+            loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+            print(json.dumps({"codes": codes, "loaded": loaded}))
         """)
         src = Path(cli.__file__).resolve().parents[1]
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         run = subprocess.run(
-            [sys.executable, "-c", script, str(wav)],
+            [sys.executable, "-c", script, str(tmp_path), scipy],
             env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
         )
-        assert json.loads(run.stdout) == {"loaded": [], "wavfile": True}
+        assert json.loads(run.stdout.splitlines()[-1]) == {"codes": [EXIT_OK] * 5, "loaded": []}
 
 
 class TestResidentMemory:
@@ -841,8 +890,8 @@ class TestResidentMemory:
         self._assert_flat_peak(tmp_path, write)
 
     def test_extract_resident_peak_does_not_grow_with_a_24_bit_wav(self, tmp_path):
-        # scipy cannot map 24-bit PCM: its chunks are read from the data
-        # offset a RIFF walk finds (read whole, the 80 s file added 44.5 MB)
+        # 24-bit PCM is read in chunks too (read whole, the 80 s file
+        # added 44.5 MB)
         rng = np.random.default_rng(0)
 
         def write(wav, seconds):

@@ -25,6 +25,7 @@ from lstsc.coherence import (
     CoherenceConfig,
     FeatureWriter,
     FrameBlock,
+    LstscFeatures,
     StreamingExtractor,
     _Blend,
     _clamp_unit,
@@ -518,6 +519,59 @@ class TestComputeLstsc:
         feats_scaled = compute_lstsc(scaled, cfg)
         assert np.allclose(feats.gamma_local, feats_scaled.gamma_local, atol=1e-6)
         assert np.allclose(feats.gamma_global, feats_scaled.gamma_global, atol=1e-6)
+
+    @staticmethod
+    def _invariance_case(data):
+        """A drawn variant, a seeded generator, the spectra of a source
+        delayed across 2-5 mics in noise, and either no estimator's rows or
+        rows to play back whose mean square is 0 or at least 0.04, far from
+        ``beta`` = 0.01: no halt can depend on the coherence."""
+        cfg = CoherenceConfig.for_variant(data.draw(st.sampled_from(sorted(VARIANT_SETTINGS))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        num_mics = data.draw(st.integers(2, 5))
+        delays = tuple(int(d) for d in rng.integers(0, 8, num_mics))
+        specs = stft_multichannel(delayed_array_audio(rng, num_mics, 8000, delays, noise_rms=0.1))
+        rows = None
+        if data.draw(st.booleans()):
+            on = rng.random(specs.shape[1]) < 0.5
+            rows = np.where(on[:, None], rng.uniform(0.2, 1.0, specs.shape[1:]), 0.0)
+        return cfg, rng, specs, rows
+
+    @staticmethod
+    def _features(specs, cfg, rows):
+        return compute_lstsc(specs, cfg, None if rows is None else _PrerecordedEstimator(rows))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_unwarped_coherence_ignores_mic_gains_and_order(self, data):
+        # a static per-mic, per-bin complex gain (a microphone mismatch)
+        # or a permutation of the non-reference mics moved γ_L and γ_G by
+        # at most 1.4e-14 on a sifting scene
+        cfg, rng, specs, rows = self._invariance_case(data)
+        num_mics, _, num_bins = specs.shape
+        if data.draw(st.booleans()):
+            gains = rng.uniform(0.5, 2.0, (num_mics, num_bins)) * np.exp(
+                1j * rng.uniform(-np.pi, np.pi, (num_mics, num_bins))
+            )
+            changed = specs * gains[:, None, :]
+        else:
+            changed = specs[[0, *data.draw(st.permutations(range(1, num_mics)))]]
+        feats, moved = (self._features(x, cfg, rows) for x in (specs, changed))
+        for name in ("gamma_local", "gamma_global"):
+            assert np.max(np.abs(getattr(moved, name) - getattr(feats, name))) <= 1e-12, name
+        assert np.array_equal(moved.low_energy, feats.low_energy)
+        assert np.array_equal(moved.mask_halted, feats.mask_halted)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_power_of_two_gain_keeps_every_byte(self, data):
+        # every product and ratio scales exactly; the bins' energies stay
+        # far above epsilon, so no bin turns low-energy
+        cfg, _, specs, rows = self._invariance_case(data)
+        gain = 2.0 ** data.draw(st.integers(-8, 8))
+        feats, scaled = (self._features(x, cfg, rows) for x in (specs, specs * gain))
+        for field in dataclasses.fields(LstscFeatures):
+            assert same_bytes(getattr(scaled, field.name), getattr(feats, field.name)), field.name
 
     def test_first_frame_opens_at_one(self, rng):
         audio = delayed_array_audio(rng, 3, 8000)

@@ -1,8 +1,13 @@
 """Framing, transforms, WAV I/O, and masking contracts."""
 from __future__ import annotations
 
+import io
+import re
 import struct
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from conftest import write_pcm24
+from conftest import (
+    UNREADABLE_WAVS, same_bytes, wav_bytes, write_pcm24, write_unreadable_wav
+)
 
 from lstsc.signal_core import (
     Mask,
@@ -154,26 +161,27 @@ class TestWavReader:
         assert np.concatenate(chunks, axis=1).tobytes() == load_wav(path).samples.tobytes()
 
     @pytest.mark.parametrize(
-        "header, streamed",
+        "header, scipy_quiet",
         [
             ({}, True),
             ({"extensible": True}, True),
             # an odd-sized chunk is padded to an even length
             ({"before": b"LIST" + struct.pack("<I", 3) + b"abc\0"}, True),
             ({"after": b"JUNK" + struct.pack("<I", 4) + b"\0" * 4}, True),
-            # scipy warns about an unknown chunk: the file is read whole
+            # scipy warns about an unknown chunk, which is skipped all the same
             ({"before": b"abcd" + struct.pack("<I", 2) + b"xy"}, False),
         ],
     )
-    @pytest.mark.filterwarnings("ignore:Chunk \\(non-data\\) not understood")
-    def test_pcm24_chunks_are_read_from_the_data_offset(self, tmp_path, rng, header, streamed):
+    def test_pcm24_chunks_are_read_from_the_data_offset(self, tmp_path, rng, header, scipy_quiet):
         # 7 frames of 3 channels: 63 bytes, an odd-sized data chunk
         pcm = rng.integers(-(2**23), 2**23, (7, 3)) << 8
         path = tmp_path / "pcm24.wav"
         write_pcm24(path, pcm, **header)
-        reader = WavReader(path)
-        assert (reader._whole is None) == streamed
-        chunks = np.concatenate(list(reader.chunks(2)), axis=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert np.array_equal(wavfile.read(path)[1], pcm)
+        assert (not caught) == scipy_quiet
+        chunks = np.concatenate(list(WavReader(path).chunks(2)), axis=1)
         assert chunks.tobytes() == load_wav(path).samples.tobytes()
         assert np.array_equal(chunks, pcm.T / 2.0**31)
 
@@ -224,6 +232,92 @@ class TestWavReader:
         wavfile.write(path, 16000, np.ones((10, 2), dtype=np.int64))
         with pytest.raises(ValueError, match="unsupported WAV sample encoding: int64"):
             WavReader(path)
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_WAVS))
+    def test_unreadable_files_are_rejected_naming_the_problem(self, tmp_path, case):
+        # a truncated data chunk was read short, and 16-bit RIFX was
+        # rejected as the encoding ">i2"
+        path = tmp_path / "x.wav"
+        write_unreadable_wav(path, case)
+        for read in (WavReader, load_wav):
+            with pytest.raises(ValueError, match=re.escape(UNREADABLE_WAVS[case])) as caught:
+                read(path)
+            assert str(path) in str(caught.value)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_reads_and_writes_as_scipy(self, data):
+        """Every encoding, channel count, fmt chunk, container and chunk
+        list drawn reads as scipy reads it, through ``_parent_decode``, and
+        ``save_wav`` writes scipy's bytes."""
+        tag, width, bits = data.draw(st.sampled_from(
+            [(1, 1, 8), (1, 1, 4), (1, 2, 16), (1, 2, 12), (1, 3, 24), (1, 3, 20),
+             (1, 4, 32), (1, 4, 28), (3, 4, 32), (3, 8, 64)]
+        ))
+        channels, frames = data.draw(st.integers(1, 9)), data.draw(st.integers(0, 2000))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if tag == 3:  # finite floats
+            samples = rng.standard_normal(channels * frames).astype(f"<f{width}").tobytes()
+        else:
+            samples = rng.integers(0, 256, channels * frames * width, dtype=np.uint8).tobytes()
+        chunk = st.builds(
+            lambda name, body: name + struct.pack("<I", len(body)) + body + b"\0" * (len(body) % 2),
+            st.sampled_from([b"LIST", b"JUNK", b"fact", b"abcd"]), st.binary(max_size=9),
+        )
+        wav = wav_bytes(
+            samples, channels, width, bits, tag,
+            rate=data.draw(st.sampled_from([8000, 16000, 44100])),
+            extensible=data.draw(st.booleans()),
+            before=b"".join(data.draw(st.lists(chunk, max_size=3))),
+            after=b"".join(data.draw(st.lists(chunk, max_size=3))),
+            container=data.draw(st.sampled_from([b"RIFF", b"RF64"])),
+        )
+        size = data.draw(st.integers(1, 2500))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.wav"
+            path.write_bytes(wav)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", wavfile.WavFileWarning)  # unknown chunks
+                rate, raw = wavfile.read(path)
+            want = _parent_decode(raw)
+            loaded = load_wav(path)
+            assert loaded.sample_rate == rate and same_bytes(loaded.samples, want)
+            reader = WavReader(path)
+            assert same_bytes(np.concatenate(list(reader.chunks(size)), axis=1), want)
+
+            save_wav(path, loaded)
+            cast = want.T.astype(np.float32)
+            buffer = io.BytesIO()
+            wavfile.write(buffer, rate, cast[:, 0] if channels == 1 else cast)
+            assert path.read_bytes() == buffer.getvalue()
+
+    def test_a_write_of_over_4_gib_is_rejected(self, tmp_path):
+        # a RIFF file's sizes are 32-bit; the check comes before the cast,
+        # so a broadcast view of 2**30 samples (4 GiB as float32) costs no
+        # memory
+        audio = MultichannelAudio._of_finite(np.broadcast_to(0.0, (1, 2**30)), 16000)
+        with pytest.raises(ValueError, match="do not fit a RIFF WAV file"):
+            save_wav(tmp_path / "big.wav", audio)
+        assert not (tmp_path / "big.wav").exists()
+
+
+def _parent_decode(data: np.ndarray) -> np.ndarray:
+    """scipy's ``wavfile.read`` samples, (frames,) or (frames, channels),
+    as (M, n) float64 in [-1, 1]: the conversion ``load_wav`` made of them
+    when it read WAV files through scipy."""
+    if data.dtype == np.int16:
+        samples = data.astype(np.float64) / 32768.0
+    elif data.dtype == np.int32:
+        samples = data.astype(np.float64) / 2147483648.0
+    elif data.dtype == np.uint8:
+        samples = (data.astype(np.float64) - 128.0) / 128.0
+    elif data.dtype in (np.float32, np.float64):
+        samples = data.astype(np.float64)
+    else:
+        raise ValueError(f"unsupported WAV sample encoding: {data.dtype}")
+    if samples.ndim == 1:
+        return samples[np.newaxis, :]
+    return samples.T
 
 
 class TestStft:
