@@ -31,7 +31,7 @@ from .coherence import (
     VARIANT_SETTINGS,
     CoherenceConfig,
     FeatureWriter,
-    StreamingExtractor,
+    stream_wav,
     write_plane_csv,
 )
 from .enhance import HeuristicMaskEstimator, enhance_stream
@@ -343,14 +343,6 @@ def _load_pipeline_audio(path: str) -> MultichannelAudio:
     return audio
 
 
-# Samples read per chunk: one engine block of hops.  The first chunk is
-# longer by the first block's R frames of lookahead and by the frame's
-# overhang past its hop, so that it completes the first block and every
-# later chunk completes the next one: the extractor then holds one block's
-# spectra and its 2R window frames, not a block waiting for the next chunk.
-_CHUNK_SAMPLES = 64 * StftConfig().hop
-
-
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     _check_keys(config, _COHERENCE_KEYS, context="")
@@ -358,18 +350,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     # every check is made before anything is written
     wav = WavReader(args.infile)
     _check_pipeline_rate(wav.sample_rate)
-    if wav.num_channels < 2:
-        raise ValueError("feature extraction requires at least 2 microphones")
+    blocks = stream_wav(wav, cfg)
     num_frames = StftConfig().num_frames(wav.num_samples)
-    extractor = StreamingExtractor(cfg, wav.num_channels)
-    hop, frame_len = extractor.stft_cfg.hop, extractor.stft_cfg.frame_len
-    first = _CHUNK_SAMPLES + cfg.R * hop + frame_len - hop
     out_path = _resolve_out(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with FeatureWriter(out_path, num_frames, csv=args.csv) as writer:
-        for chunk in wav.chunks(_CHUNK_SAMPLES, first):
-            writer.write(extractor.push(chunk))
-        writer.write(extractor.flush())
+        writer.write(blocks)
     note = f" and {len(writer.csv_paths)} CSV planes" if args.csv else ""
     print(f"wrote {out_path} ({num_frames} frames x {writer.width}){note}")
     return EXIT_OK
@@ -389,6 +375,7 @@ def _cmd_enhance(args: argparse.Namespace) -> int:
         if args.mask_out
         else out_path.with_suffix(".mask.csv")
     )
+    mask_path.parent.mkdir(parents=True, exist_ok=True)
     write_plane_csv(mask_path, result.mask.data)
     print(f"wrote {out_path} and {mask_path}")
     return EXIT_OK

@@ -36,7 +36,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .erb import ErbFilterbank, design_filterbank, pool_feature
-from .signal_core import SAMPLE_RATE, StftConfig, _in_halves, _stft_channels, first_non_finite
+from .signal_core import (
+    SAMPLE_RATE, StftConfig, WavReader, _in_halves, _stft_channels, first_non_finite
+)
 
 __all__ = [
     "CoherenceConfig",
@@ -49,7 +51,7 @@ __all__ = [
     "lambda_schedule",
     "arcsine_warp",
     "stream_frames",
-    "StreamingExtractor",
+    "stream_wav",
     "compute_lstsc",
     "write_features",
     "FeatureWriter",
@@ -143,10 +145,8 @@ class CoherenceConfig:
         return 2 * self.R + 1
 
 
-def _as_spec_tensor(specs, scan: bool = True) -> np.ndarray:
-    """``specs`` as an (M, L, F) array with M >= 2, L >= 1, F >= 1 and,
-    when ``scan`` is set, finite entries; ``compute_lstsc`` leaves the
-    scan to the engine."""
+def _as_spec_tensor(specs) -> np.ndarray:
+    """``specs`` as an (M, L, F) array with M >= 2, L >= 1 and F >= 1."""
     tensor = np.asarray(specs)
     if tensor.ndim != 3:
         raise ValueError("expected per-channel spectrograms stacked as (M, L, F)")
@@ -154,13 +154,18 @@ def _as_spec_tensor(specs, scan: bool = True) -> np.ndarray:
         raise ValueError("spatial coherence requires at least 2 microphones")
     if 0 in tensor.shape[1:]:
         raise ValueError(f"spectra need frames and bins, got shape (M, L, F) = {tensor.shape}")
-    bad = first_non_finite(tensor) if scan else None
+    return tensor
+
+
+def _reject_non_finite(spectra: np.ndarray, first: int = 0) -> None:
+    """Raise ValueError naming the first non-finite entry of (M, n, F)
+    ``spectra`` of clip frames ``first`` onward."""
+    bad = first_non_finite(spectra)
     if bad is not None:
         channel, frame, bin_ = bad
         raise ValueError(
-            f"non-finite spectrum entry at channel {channel}, frame {frame}, bin {bin_}"
+            f"non-finite spectrum entry at channel {channel}, frame {first + frame}, bin {bin_}"
         )
-    return tensor
 
 
 def short_term_whitened_rtf(
@@ -175,12 +180,15 @@ def short_term_whitened_rtf(
     Returns ``(entries, low_energy)`` where ``entries`` is (F, M-1)
     complex with unit-modulus rows and ``low_energy`` flags bins whose
     reference energy or ratio modulus fell at or below ``cfg.epsilon``;
-    flagged bins carry ``1 + 0j`` placeholders.
+    flagged bins carry ``1 + 0j`` placeholders.  Non-finite entries of
+    the frames it averages are rejected.
     """
     tensor = _as_spec_tensor(specs)
     num_frames = tensor.shape[1]
     if not (0 <= frame < num_frames):
         raise ValueError(f"frame {frame} outside [0, {num_frames})")
+    lo = max(0, frame - cfg.R)
+    _reject_non_finite(tensor[:, lo : frame + cfg.R + 1], lo)
     entries, low_energy = _block_whitened_rtf(tensor, frame, frame + 1, cfg)
     return entries[0], low_energy[0]
 
@@ -698,136 +706,59 @@ def stream_frames(
     at once; the outputs are the same bytes.
     """
     tensor = _as_spec_tensor(specs)
+    _reject_non_finite(tensor)
     _, num_frames, num_bins = tensor.shape
     engine = _Engine(cfg, mask_feedback, num_bins, sample_rate)
     for start in range(0, num_frames, _BLOCK_FRAMES):
         yield engine.block(tensor, start, min(start + _BLOCK_FRAMES, num_frames))
 
 
-class StreamingExtractor:
-    """The feature engine fed with samples a chunk at a time.
+def stream_wav(reader: WavReader, cfg: CoherenceConfig) -> Iterator[FrameBlock]:
+    """``stream_frames`` of the WAV file that ``reader`` reads, on the
+    default ``StftConfig`` frames, each block's frames read from the file.
 
-    ``push`` takes an (M, n) chunk of samples of any length n, frames and
-    transforms only the frames it completes (on the default ``StftConfig``
-    frames), and returns the ``FrameBlock``s that are finished: those whose
-    last frame's short-term window, ``R`` frames ahead, has arrived.
-    ``flush`` ends the clip, which truncates the windows at its end, and
-    returns the remaining blocks.  Whatever the chunking, the blocks are
-    bit for bit those of ``stream_frames`` on the whole clip's
-    ``stft_multichannel`` (the engine is the same).
-
-    Between calls it keeps the samples that the next frame still needs,
-    the spectra of at most one block plus its ``2R`` lookahead and
-    look-behind frames, and the engine's tracker states.  Its memory is
-    therefore O(64 + 2R) frames of (M, F) spectra, whatever the clip's
-    length; ``R`` has no upper bound, and an ``R`` as long as the clip
-    keeps the clip's whole spectrum until ``flush``.  A push holds the
-    frames it brings beside those kept, so the chunking sets the peak:
-    chunks of 64 hops, the first longer by ``R`` hops and by
-    ``frame_len - hop`` samples (as ``lstsc extract`` reads them),
-    complete one block each, and a block then runs on its own 64 + 2R
-    frames; 64-hop chunks from the clip's start leave each block waiting
-    for the next chunk, whose 64 frames join it (126 + R frames for ``R``
-    up to 62).  A push frees its samples before it runs the blocks.
-    Where two CPUs are available, the chunk's STFTs (in two halves of the
-    mics), the RTFs and the coherence (in two halves of a block's frames)
-    run on two threads, so two halves' temporaries exist at once; the
-    blocks are the same bytes.  Non-finite
-    samples, and spectra that overflow, are rejected by the ``push`` that
-    brings them, naming the first bad entry of that chunk; a rejected
-    chunk leaves the extractor as it was.
+    For the block of clip frames ``[start, stop)`` the samples of frames
+    ``[max(0, start - R), min(L, stop + R))`` are read and transformed
+    into one (M, min(L, 64 + 2R), F) spectra buffer that the whole stream
+    reuses.  A frame's spectrum does not depend on the frames transformed
+    with it, so the blocks are bit for bit those of ``stream_frames`` on
+    the whole clip's ``stft_multichannel``.  The stream holds the buffer,
+    a block's span of samples while it is transformed and the engine's
+    block: O(64 + 2R) frames, whatever the clip's length.  ``R`` has no
+    upper bound; an ``R`` of the clip's length makes every block read and
+    transform the whole clip again.  Where two CPUs are available, the
+    STFTs run in two halves of the mics and the engine's kernels in two
+    halves of a block's frames (``signal_core._in_halves``); the blocks
+    are the same bytes.  A reader of fewer than 2 channels or of less
+    than one frame of samples raises ValueError here, before any block;
+    spectra that overflow are rejected by the block that reads them,
+    naming the first bad entry (the reader has rejected non-finite
+    samples).
     """
+    if reader.num_channels < 2:
+        raise ValueError("spatial coherence requires at least 2 microphones")
+    stft_cfg = StftConfig()
+    hop, frame_len = stft_cfg.hop, stft_cfg.frame_len
+    num_frames = stft_cfg.num_frames(reader.num_samples)
+    engine = _Engine(cfg, None, stft_cfg.num_bins, reader.sample_rate)
+    spectra = np.empty(
+        (reader.num_channels, min(num_frames, _BLOCK_FRAMES + 2 * cfg.R), stft_cfg.num_bins),
+        dtype=np.complex128,
+    )
 
-    def __init__(self, cfg: CoherenceConfig, num_mics: int) -> None:
-        if num_mics < 2:
-            raise ValueError("spatial coherence requires at least 2 microphones")
-        self.cfg = cfg
-        self.num_mics = num_mics
-        self.stft_cfg = StftConfig()
-        self._engine = _Engine(cfg, None, self.stft_cfg.num_bins)
-        # samples from the first one of the next frame on
-        self._samples = np.empty((num_mics, 0))
-        self._num_samples = 0
-        # spectra of clip frames from self._first on
-        self._spectra = np.empty((num_mics, 0, self.stft_cfg.num_bins), dtype=np.complex128)
-        self._first = 0
-        self._next_block = 0
-        self._ended = False
+    def blocks() -> Iterator[FrameBlock]:
+        for start in range(0, num_frames, _BLOCK_FRAMES):
+            stop = min(start + _BLOCK_FRAMES, num_frames)
+            first, end = max(0, start - cfg.R), min(num_frames, stop + cfg.R)
+            span = spectra[:, : end - first]
+            samples = reader.read(first * hop, (end - 1) * hop + frame_len)
+            _stft_channels(samples, stft_cfg, span)
+            # the block needs none of the samples
+            del samples
+            _reject_non_finite(span, first)
+            yield engine.block(span, start, stop, first)
 
-    def push(self, samples) -> list[FrameBlock]:
-        """Append an (M, n) chunk of samples; returns the finished blocks."""
-        if self._ended:
-            raise ValueError("push after flush: the clip has ended")
-        chunk = np.asarray(samples, dtype=np.float64)
-        if chunk.ndim != 2 or chunk.shape[0] != self.num_mics:
-            raise ValueError(
-                f"expected samples shaped ({self.num_mics}, n), got {chunk.shape}"
-            )
-        bad = first_non_finite(chunk)
-        if bad is not None:
-            channel, sample = bad
-            raise ValueError(
-                f"non-finite audio sample at channel {channel}, "
-                f"sample {self._num_samples + sample}"
-            )
-        buffered = np.concatenate([self._samples, chunk], axis=1)
-        hop, frame_len = self.stft_cfg.hop, self.stft_cfg.frame_len
-        count = 0 if buffered.shape[1] < frame_len else self.stft_cfg.num_frames(buffered.shape[1])
-        if count:
-            # the kept frames and the new ones in one buffer, the new ones
-            # transformed in place; the kept frames move first, so that the
-            # old buffer is freed before the transform's temporaries exist
-            # (a rejected chunk leaves the same kept frames)
-            kept = self._spectra.shape[1]
-            spectra = np.empty(
-                (self.num_mics, kept + count, self.stft_cfg.num_bins), dtype=np.complex128
-            )
-            spectra[:, :kept] = self._spectra
-            self._spectra = spectra[:, :kept]
-            new = spectra[:, kept:]
-            _stft_channels(buffered[:, : (count - 1) * hop + frame_len], self.stft_cfg, new)
-            bad = first_non_finite(new)
-            if bad is not None:
-                channel, frame, bin_ = bad
-                frame += self._first + kept
-                raise ValueError(
-                    f"non-finite spectrum entry at channel {channel}, frame {frame}, bin {bin_}"
-                )
-            self._spectra = spectra
-            del spectra, new
-        self._num_samples += chunk.shape[1]
-        self._samples = buffered[:, count * hop :].copy()
-        # the blocks need none of the samples
-        del buffered, chunk
-        return self._blocks()
-
-    def flush(self) -> list[FrameBlock]:
-        """End the clip; returns its remaining blocks.  A clip shorter than
-        one frame raises ``ValueError``."""
-        if self._ended:
-            raise ValueError("flush after flush: the clip has ended")
-        self.stft_cfg.num_frames(self._num_samples)
-        self._ended = True
-        self._samples = self._samples[:, :0]
-        return self._blocks()
-
-    def _blocks(self) -> list[FrameBlock]:
-        blocks = []
-        available = self._first + self._spectra.shape[1]
-        while self._next_block < available:
-            start = self._next_block
-            stop = start + _BLOCK_FRAMES
-            if self._ended:
-                stop = min(stop, available)
-            elif stop + self.cfg.R > available:
-                break
-            blocks.append(self._engine.block(self._spectra, start, stop, self._first))
-            self._next_block = stop
-            # the next block looks back R frames, no further
-            keep = max(0, stop - self.cfg.R)
-            self._spectra = self._spectra[:, keep - self._first :]
-            self._first = keep
-        return blocks
+    return blocks()
 
 
 @dataclasses.dataclass
@@ -879,16 +810,16 @@ def compute_lstsc(
     mask without ``mask_feedback`` and the banded planes without
     ``cfg.erb_bands``.
     """
-    tensor = _as_spec_tensor(specs, scan=False)  # stream_frames scans it
-    num_frames = tensor.shape[1]
+    tensor = np.asarray(specs)
     names = [field.name for field in dataclasses.fields(LstscFeatures)]
     planes: dict[str, np.ndarray] = {}
     for block in stream_frames(tensor, cfg, mask_feedback, sample_rate=sample_rate):
         if not planes:
+            # stream_frames has checked the tensor's shape
             for name in names:
                 rows = getattr(block, name)
                 if rows is not None:
-                    planes[name] = np.empty((num_frames,) + rows.shape[1:], rows.dtype)
+                    planes[name] = np.empty((tensor.shape[1],) + rows.shape[1:], rows.dtype)
         for name, plane in planes.items():
             plane[block.frames] = getattr(block, name)
         # it would pin the block's buffers while the engine computes the next
@@ -950,8 +881,7 @@ class FeatureWriter:
 
     The binary file gets the bytes ``write_features`` writes and, with
     ``csv``, the CSV files those ``export_features_csv`` writes, for the
-    blocks of ``StreamingExtractor`` (the default ``StftConfig`` frames at
-    ``SAMPLE_RATE``).  The header is written from ``num_frames`` and the
+    blocks of ``stream_frames`` or ``stream_wav``.  The header is written from ``num_frames`` and the
     first block's width when that block arrives.  Each block's exported
     rows (banded when the engine pools them) go as float32 to their
     offsets in every plane as the block arrives, so no whole plane is held.
@@ -982,20 +912,25 @@ class FeatureWriter:
     def write(self, blocks) -> None:
         """Write the rows of ``blocks``, the clip's next ``FrameBlock``s."""
         for block in blocks:
-            frames = block.frames
-            if frames.start != self._next or frames.stop > self.num_frames:
-                raise ValueError(
-                    f"expected the block at frame {self._next} of {self.num_frames}, "
-                    f"got frames {frames.start} to {frames.stop}"
-                )
-            named = _export_planes(block)
-            rows = [plane for _, plane in named]
-            if not self._files:
-                self._open([name for name, _ in named], rows[0].shape[1])
-            _write_lsts_rows(self._files[0], self.num_frames, frames.start, rows)
-            for fh, plane_rows in zip(self._files[1:], rows):
-                fh.write(_csv_block(plane_rows))
-            self._next = frames.stop
+            self._write(block)
+            # it would pin the block's buffers while the next one is computed
+            del block
+
+    def _write(self, block: FrameBlock) -> None:
+        frames = block.frames
+        if frames.start != self._next or frames.stop > self.num_frames:
+            raise ValueError(
+                f"expected the block at frame {self._next} of {self.num_frames}, "
+                f"got frames {frames.start} to {frames.stop}"
+            )
+        named = _export_planes(block)
+        rows = [plane for _, plane in named]
+        if not self._files:
+            self._open([name for name, _ in named], rows[0].shape[1])
+        _write_lsts_rows(self._files[0], self.num_frames, frames.start, rows)
+        for fh, plane_rows in zip(self._files[1:], rows):
+            fh.write(_csv_block(plane_rows))
+        self._next = frames.stop
 
     def _open(self, names: list[str], width: int) -> None:
         targets = [self.path] + ([_csv_path(self.path, name) for name in names] if self.csv else [])

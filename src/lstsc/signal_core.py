@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextvars
 import dataclasses
 import functools
-import itertools
 import os
 import struct
 import threading
@@ -42,7 +41,7 @@ SAMPLE_RATE = 16000
 # (first/last hop of the signal, where the tapered window never opens).
 _WOLA_FLOOR = 1e-10
 
-# Samples per chunk of WavReader's non-finite scan.
+# Samples per span of WavReader's non-finite scan.
 _SCAN_SAMPLES = 1 << 16
 
 # CPUs this process may run on; with fewer than 2, _alongside and
@@ -363,82 +362,74 @@ def _wav_layout(path: Path) -> tuple[int, int, np.dtype, int, int, int]:
     return rate, channels, np.dtype(_ENCODINGS[encoding]), width, offset, values // channels
 
 
-def _bounds(total: int, size: int, first: int):
-    """The offsets that cut ``total`` samples into consecutive chunks: the
-    first of ``first`` samples, the others of ``size``, the last one
-    shorter; no samples make one empty chunk."""
-    return itertools.chain((0,), range(min(first, total), total, size), (total,))
+def _read_span(path: Path, layout: tuple, start: int, stop: int) -> np.ndarray:
+    """The raw samples ``[start, stop)``, cut at the last one, of the WAV
+    file at ``path`` whose ``_wav_layout`` is ``layout``: an (n, M) array
+    of its in-memory dtype, read from the file at the span's offset."""
+    if start < 0:
+        raise ValueError(f"a span of samples starts at 0 or later, got {start}")
+    _, channels, dtype, width, offset, frames = layout
+    count = max(0, min(stop, frames) - start)
+    values = count * channels
+    with path.open("rb", buffering=0) as file:
+        file.seek(offset + start * channels * width)
+        if width == 3:
+            raw = np.fromfile(file, np.uint8, 3 * values)
+            # scipy's int32: the sample's three bytes above a zero byte
+            span = np.zeros((raw.size // 3, 4), dtype=np.uint8)
+            span[:, 1:] = raw[: 3 * len(span)].reshape(-1, 3)
+            span = span.view(dtype).ravel()
+        else:
+            span = np.fromfile(file, dtype, values)
+    if span.size != values:
+        raise ValueError(f"WAV file {path} changed while it was read")
+    return span.reshape(count, channels)
 
 
 class WavReader:
-    """A WAV file read a chunk of samples at a time.
+    """A WAV file whose samples are read a span at a time.
 
     A walk of the file's chunks (``_wav_layout``) finds the encoding and
-    the offset where the samples start, and the chunks are read in turn
-    from there, each into an array of its own, so resident memory does not
-    grow with the file.  The file is checked when it is opened: its layout
-    and encoding, and for float data the first non-finite sample (in
-    channel, then sample order), which a scan of the raw chunks finds.
-    ``load_wav`` is this reader's one chunk, so the samples are the same
-    however the file is chunked.
+    the offset where the samples start, and each span is read from there
+    into an array of its own, so resident memory follows the span, not
+    the file.  The file is checked when it is opened: its layout and
+    encoding, and for float data the first non-finite sample (in channel,
+    then sample order), which a scan of the raw samples in spans finds.
+    ``load_wav`` reads the same samples in one span.
     """
 
     def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
-        (self.sample_rate, self.num_channels, self._dtype, self._width, self._offset,
-         self.num_samples) = _wav_layout(self._path)
-        if self._dtype.kind == "f":
-            # scan the raw chunks: the float64 conversion keeps finiteness
+        self._layout = _wav_layout(self._path)
+        self.sample_rate, self.num_channels, dtype, _, _, self.num_samples = self._layout
+        if dtype.kind == "f":
+            # scan the raw spans: the float64 conversion keeps finiteness
             found = []
-            starts = _bounds(self.num_samples, _SCAN_SAMPLES, _SCAN_SAMPLES)
-            for start, frames in zip(starts, self._frames(_SCAN_SAMPLES)):
-                bad = first_non_finite(frames.T)
+            for start in range(0, self.num_samples, _SCAN_SAMPLES):
+                bad = first_non_finite(
+                    _read_span(self._path, self._layout, start, start + _SCAN_SAMPLES).T
+                )
                 if bad is not None:
                     found.append((bad[0], start + bad[1]))
             if found:
                 channel, sample = min(found)
                 raise ValueError(f"non-finite audio sample at channel {channel}, sample {sample}")
 
-    def _frames(self, size: int, first: int | None = None):
-        """The raw samples as consecutive (n, M) chunks, the first of
-        ``first`` samples (``size`` by default) and the others of
-        ``size``, read in turn from the samples' offset.  No chunk is
-        referenced here once the next is asked for."""
-        bounds = _bounds(self.num_samples, size, size if first is None else first)
-        with self._path.open("rb", buffering=0) as file:
-            file.seek(self._offset)
-            for start, stop in itertools.pairwise(bounds):
-                yield self._read(file, stop - start)
-
-    def _read(self, file, count: int) -> np.ndarray:
-        values = count * self.num_channels
-        if self._width == 3:
-            raw = np.fromfile(file, np.uint8, 3 * values)
-            # scipy's int32: the sample's three bytes above a zero byte
-            frames = np.zeros((raw.size // 3, 4), dtype=np.uint8)
-            frames[:, 1:] = raw[: 3 * len(frames)].reshape(-1, 3)
-            frames = frames.view(self._dtype).ravel()
-        else:
-            frames = np.fromfile(file, self._dtype, values)
-        if frames.size != values:
-            raise ValueError(f"WAV file {self._path} changed while it was read")
-        return frames.reshape(count, self.num_channels)
-
-    def chunks(self, size: int, first: int | None = None):
-        """The samples as consecutive (M, n) float64 chunks of ``size``
-        samples, the first of ``first`` (``size`` by default) and the last
-        one shorter; a file of no samples gives one empty chunk."""
-        # map drops each raw chunk once it is converted
-        yield from map(_decode, self._frames(size, first))
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Samples ``[start, stop)`` as (M, n) float64, cut at the file's
+        last sample, as ``load_wav(path).samples[:, start:stop]``; a start
+        below 0 raises ValueError."""
+        return _decode(_read_span(self._path, self._layout, start, stop))
 
 
 def load_wav(path: str | Path) -> MultichannelAudio:
-    """Read a PCM or float WAV into channel-major float64 in [-1, 1]:
-    ``WavReader``'s samples in one chunk, already checked for non-finite
-    values."""
-    reader = WavReader(path)
-    (samples,) = reader.chunks(max(reader.num_samples, 1))
-    return MultichannelAudio._of_finite(samples, reader.sample_rate)
+    """Read a PCM or float WAV into channel-major float64 in [-1, 1]: all
+    of its samples in one read, scanned for non-finite values once
+    decoded."""
+    path = Path(path)
+    layout = _wav_layout(path)
+    rate, *_, frames = layout
+    return MultichannelAudio(_decode(_read_span(path, layout, 0, frames)), rate)
 
 
 def save_wav(path: str | Path, audio: MultichannelAudio) -> None:

@@ -351,7 +351,7 @@ class TestRir:
 
 
 def _non_finite_in_last_chunk():
-    # extract reads 10240 samples a chunk: these are in the last one
+    # the reader scans 65536 samples a span: these are in the last one
     samples = np.zeros((200000, 4), dtype=np.float32)
     samples[199990, 2] = np.nan
     samples[199995, 3] = np.inf
@@ -399,14 +399,14 @@ class TestExtract:
         ids=["last-1", "last-25", "last-26", "last-64", "8mic-last-1"],
     )
     def test_streamed_bytes_equal_whole_clip(self, tmp_path, variant, num_frames, num_mics):
-        # extract streams the WAV through the engine a chunk at a time; its
+        # extract streams the WAV through the engine a block at a time; its
         # files are those of the whole-clip API writers
         rng = np.random.default_rng(num_frames)
         num_samples = 400 + 160 * (num_frames - 1) + 37
         _assert_streamed_bytes(tmp_path, 0.1 * rng.standard_normal((num_samples, num_mics)), variant)
 
     def test_pcm24_input(self, tmp_path):
-        # 3 bytes a sample in the file, 4 in the chunks read from it
+        # 3 bytes a sample in the file, 4 in the spans read from it
         rng = np.random.default_rng(24)
         pcm = rng.integers(-(2**23), 2**23, (16000, 3)) << 8
         wav = tmp_path / "pcm24.wav"
@@ -451,8 +451,8 @@ class TestExtract:
         assert list(tmp_path.iterdir()) == [wav]
 
     def test_peak_memory_flat_in_clip_length(self, tmp_path):
-        # one engine block and one chunk of samples and spectra, whatever
-        # the clip's length
+        # one engine block, its span of samples and the one spectra buffer,
+        # whatever the clip's length
         peaks = {}
         rng = np.random.default_rng(80)
         for seconds in (8, 80):
@@ -511,11 +511,11 @@ class TestExtract:
     def test_traced_peak_holds_one_block(self, tmp_path, variant, R):
         # 8 mics: the peak holds one block's spectra and its 2R window
         # frames (about 1.2 RTF blocks), its RTFs and one tracker's state
-        # stack (1 each), the coherence temporaries of two 16-frame slices
-        # (about 1.2), and the WAV chunk and the extractor's samples (0.36
-        # each): 4.5-5.0 RTF blocks, and the bound leaves 10% above that.
-        # With each block waiting for the next chunk's lookahead and whole
-        # halves scored at once, it read 6.6-7.3
+        # stack (1 each) and the coherence temporaries of two 16-frame
+        # slices (about 1.2); the block's span of samples is freed before
+        # the engine runs: 4.1-4.6 RTF blocks.  A writer that kept the
+        # previous block while the next one was computed read 6.35, and
+        # one block waiting for the next chunk's lookahead 6.6-7.3
         rng = np.random.default_rng(R)
         wav = tmp_path / "mix.wav"
         wavfile.write(wav, 16000, (0.1 * rng.standard_normal((3 * 16000, 8))).astype(np.float32))
@@ -535,8 +535,9 @@ class TestExtract:
 
     @pytest.mark.parametrize("R", [0, 3, 70])
     def test_streamed_bytes_equal_whole_clip_at_any_r(self, tmp_path, R):
-        # the first chunk read is longer by R hops: the files are still
-        # those of the whole-clip API writers
+        # each block reads R frames on either side of it, at R = 70 more
+        # than a whole block: the files are still those of the whole-clip
+        # API writers
         rng = np.random.default_rng(R)
         _assert_streamed_bytes(tmp_path, 0.1 * rng.standard_normal((400 + 160 * 199, 3)), "lstsc-4", R=R)
 
@@ -588,6 +589,15 @@ class TestEnhance:
         assert main(["enhance", "--in", mixture_wav, "--variant", "lstsc-2",
                      "--out", str(out), "--mask-out", str(mask_out)]) == EXIT_OK
         assert mask_out.exists()
+
+    def test_mask_path_in_a_new_directory(self, tmp_path, mixture_wav):
+        # the mask's directory is made, as the WAV's is (it exited 3, the
+        # missing-input code, after writing the WAV)
+        out = tmp_path / "e.wav"
+        mask_out = tmp_path / "sub" / "dir" / "m.csv"
+        assert main(["enhance", "--in", mixture_wav, "--variant", "lstsc-2",
+                     "--out", str(out), "--mask-out", str(mask_out)]) == EXIT_OK
+        assert np.loadtxt(mask_out, delimiter=",").shape == (98, 257)
 
 
 class TestNonFiniteInput:
@@ -879,9 +889,9 @@ class TestStartUp:
 
 class TestResidentMemory:
     def test_extract_resident_peak_does_not_grow_with_the_wav(self, tmp_path):
-        # the WAV is read in chunks from its samples' offset, not mapped:
+        # the WAV is read in spans from its samples' offset, not mapped:
         # a mapped 80 s 8-mic float32 WAV added its 41 MB of read pages to
-        # the peak (+36 MB from 8 s); chunked reads add about 2 MB
+        # the peak (+36 MB from 8 s); span reads add about 2 MB
         rng = np.random.default_rng(0)
 
         def write(wav, seconds):
@@ -890,7 +900,7 @@ class TestResidentMemory:
         self._assert_flat_peak(tmp_path, write)
 
     def test_extract_resident_peak_does_not_grow_with_a_24_bit_wav(self, tmp_path):
-        # 24-bit PCM is read in chunks too (read whole, the 80 s file
+        # 24-bit PCM is read in spans too (read whole, the 80 s file
         # added 44.5 MB)
         rng = np.random.default_rng(0)
 

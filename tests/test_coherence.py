@@ -6,16 +6,21 @@ import dataclasses
 import re
 import struct
 import sys
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
-from conftest import delayed_array_audio, random_small_specs, same_bytes, savetxt_bytes
+from conftest import (
+    delayed_array_audio, random_small_specs, same_bytes, savetxt_bytes, write_pcm24
+)
 import oracle_frame_engine
 from oracle_lstsc import _coherence_whitened_form, oracle_lstsc, oracle_short_term_rtf
 
@@ -26,7 +31,6 @@ from lstsc.coherence import (
     FeatureWriter,
     FrameBlock,
     LstscFeatures,
-    StreamingExtractor,
     _Blend,
     _clamp_unit,
     arcsine_warp,
@@ -37,13 +41,14 @@ from lstsc.coherence import (
     read_features,
     short_term_whitened_rtf,
     stream_frames,
+    stream_wav,
     whiten,
     write_features,
     write_plane_csv,
 )
 from lstsc.enhance import HeuristicMaskEstimator
 from lstsc.erb import design_filterbank, pool_feature
-from lstsc.signal_core import MultichannelAudio, StftConfig, stft_multichannel
+from lstsc.signal_core import StftConfig, WavReader, load_wav, stft_multichannel
 
 
 class TestConfig:
@@ -609,12 +614,35 @@ class TestNonFiniteSpectra:
             lambda: compute_lstsc(specs, cfg),
             lambda: compute_lstsc(specs, cfg, HeuristicMaskEstimator()),
             lambda: next(stream_frames(specs, cfg)),
-            lambda: short_term_whitened_rtf(specs, data.draw(st.integers(0, shape[1] - 1)), cfg),
+            # a frame whose window reads the bad entry
+            lambda: short_term_whitened_rtf(specs, data.draw(
+                st.integers(max(0, frame - cfg.R), min(shape[1] - 1, frame + cfg.R))
+            ), cfg),
         )
         message = f"non-finite spectrum entry at channel {channel}, frame {frame}, bin {bin_}"
         for call in calls:
             with pytest.raises(ValueError, match=message):
                 call()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_one_frame_rtf_scans_only_the_frames_it_averages(self, data, value):
+        # a bad entry outside frames [frame - R, frame + R] leaves the
+        # clean tensor's result; one inside raises naming it
+        cfg = CoherenceConfig(R=data.draw(st.integers(0, 3)))
+        shape = (data.draw(st.integers(2, 4)), data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6)))
+        specs = random_small_specs(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), *shape)
+        frame = data.draw(st.integers(0, shape[1] - 1))
+        want = short_term_whitened_rtf(specs, frame, cfg)
+        channel, bad, bin_ = (data.draw(st.integers(0, n - 1)) for n in shape)
+        specs[channel, bad, bin_] = value
+        if abs(bad - frame) <= cfg.R:
+            message = f"non-finite spectrum entry at channel {channel}, frame {bad}, bin {bin_}$"
+            with pytest.raises(ValueError, match=message):
+                short_term_whitened_rtf(specs, frame, cfg)
+        else:
+            got = short_term_whitened_rtf(specs, frame, cfg)
+            assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
 
 
 class _PrerecordedEstimator:
@@ -883,31 +911,24 @@ class TestBlockEngine:
             assert same_bytes(got_mags, want_mags)
 
 
-def _sample_cuts(num_samples: int, R: int, mode: str, data) -> list[int]:
-    """Chunk boundaries, as sample offsets: every sample (1-sample
-    chunks), or a drawn mix of random offsets, frame edges (the first and
-    the one-past-last sample of a frame) and block edges (the sample that
-    completes a block's lookahead), with a stretch of 1-sample chunks."""
-    if mode == "ones":
-        return list(range(1, num_samples))
-    hop, frame_len = STFT.hop, STFT.frame_len
-    last = StftConfig().num_frames(num_samples) - 1
-    edges = [l * hop for l in range(last + 1)] + [l * hop + frame_len for l in range(last + 1)]
-    edges += [(min(k + R, last)) * hop + frame_len for k in range(_BLOCK_FRAMES, last + 1, _BLOCK_FRAMES)]
-    points = data.draw(st.lists(
-        st.one_of(st.integers(0, num_samples), st.sampled_from(edges)), max_size=12
-    ))
-    if data.draw(st.booleans()):
-        lo = data.draw(st.integers(0, num_samples))
-        points += range(lo, min(num_samples, lo + data.draw(st.integers(1, 400))))
-    return sorted(set(points) - {0, num_samples})
-
-
 STFT = StftConfig()
 
 
+def _write_wav(path, samples: np.ndarray, encoding: str) -> None:
+    """(M, n) ``samples`` in [-1, 1) as a WAV file of ``encoding``: a
+    numpy float dtype's name, "pcm16" or "pcm24"."""
+    frames = np.ascontiguousarray(samples.T)
+    if encoding == "pcm24":
+        write_pcm24(path, np.round(frames * 2**23).clip(-(2**23), 2**23 - 1).astype(np.int64) << 8)
+    elif encoding == "pcm16":
+        wavfile.write(path, 16000, np.round(frames * 2**15).clip(-(2**15), 2**15 - 1).astype(np.int16))
+    else:
+        wavfile.write(path, 16000, frames.astype(encoding))
+
+
 class TestStreamingExtractor:
-    """Samples pushed in any chunks give the blocks of the whole clip."""
+    """The streaming extractor, ``stream_wav``: the blocks of a WAV file
+    read a block's frames at a time are those of the whole clip."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -915,19 +936,18 @@ class TestStreamingExtractor:
         num_mics=st.integers(2, 4),
         R=st.sampled_from([0, 1, 2, 3, 70]),
         num_frames=st.one_of(
-            st.sampled_from([1, 2, 63, 64, 65, 66, 128, 129, 153, 154]), st.integers(1, 200)
+            st.sampled_from([1, 63, 64, 65, 66, 128, 129, 153, 154]), st.integers(1, 200)
         ),
         extra=st.integers(0, STFT.hop - 1),
-        mode=st.sampled_from(["ones", "drawn", "drawn", "drawn"]),
+        encoding=st.sampled_from(["float32", "pcm16", "pcm24"]),
         seed=st.integers(0, 2**32 - 1),
-        data=st.data(),
     )
-    @example(variant="lstsc-4", num_mics=3, R=1, num_frames=66, extra=0, mode="ones",
-             seed=0, data=None)
-    @example(variant="lstsc-2", num_mics=2, R=70, num_frames=154, extra=159, mode="ones",
-             seed=1, data=None)
-    def test_any_chunking_matches_the_whole_clip(
-        self, variant, num_mics, R, num_frames, extra, mode, seed, data
+    @example(variant="lstsc-4", num_mics=3, R=1, num_frames=66, extra=0, encoding="float32",
+             seed=0)
+    @example(variant="lstsc-2", num_mics=2, R=70, num_frames=154, extra=159, encoding="pcm24",
+             seed=1)
+    def test_blocks_match_the_whole_clip(
+        self, variant, num_mics, R, num_frames, extra, encoding, seed
     ):
         rng = np.random.default_rng(seed)
         num_samples = STFT.frame_len + STFT.hop * (num_frames - 1) + extra
@@ -937,14 +957,11 @@ class TestStreamingExtractor:
             lo = int(rng.integers(0, num_samples))
             samples[:, lo : lo + int(rng.integers(1, 4000))] = 0.0
         cfg = CoherenceConfig.for_variant(variant, R=R)
-        want = list(stream_frames(stft_multichannel(MultichannelAudio(samples, 16000)), cfg))
-
-        extractor = StreamingExtractor(cfg, num_mics)
-        got = []
-        bounds = [0] + _sample_cuts(num_samples, R, mode, data) + [num_samples]
-        for lo, hi in zip(bounds, bounds[1:]):
-            got += extractor.push(samples[:, lo:hi])
-        got += extractor.flush()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.wav"
+            _write_wav(path, samples, encoding)
+            want = list(stream_frames(stft_multichannel(load_wav(path)), cfg))
+            got = list(stream_wav(WavReader(path), cfg))
 
         assert len(got) == len(want)
         for block, ref in zip(got, want):
@@ -954,82 +971,54 @@ class TestStreamingExtractor:
                 )
 
     @pytest.mark.parametrize("R", [1, 3, 64])
-    def test_peak_memory_follows_a_block_and_its_windows(self, R):
-        # O(64 + 2R) frames of spectra.  Chunks as extract reads them (64
-        # hops, the first longer by R hops and a frame's overhang) complete
-        # one block each, so the peak holds one block's spectra and 2R
-        # window frames beside the engine's block buffers and outputs:
-        # 3.6-4.0 frames' worth per span frame at R = 1 and 3, 2.24 at
-        # R = 64; the bound leaves 10% above that.  Fed 64-hop chunks from
-        # the clip's start, each block waits for the next chunk's frames
-        # and the peak read 5.0-5.4 at R = 1 and 3.  The clip is 16 spans
-        # long at R = 64, so a buffer that grows with it breaks the bound
+    def test_peak_memory_follows_a_block_and_its_windows(self, tmp_path, R):
+        # O(64 + 2R) frames of spectra: the peak holds the one spectra
+        # buffer of a block and its 2R window frames, the span of samples
+        # read for it while it is transformed, and the engine's block
+        # buffers and outputs: 3.6-4.0 frames' worth per span frame at
+        # R = 1 and 3, 2.0-2.35 at R = 64; the bound leaves 10% above
+        # that.  The clip is 16 spans long at R = 64, so a buffer that
+        # grows with it breaks the bound
         num_mics = 2
         span = _BLOCK_FRAMES + 2 * R
         frame_bytes = num_mics * STFT.num_bins * np.dtype(np.complex128).itemsize
         num_samples = STFT.frame_len + STFT.hop * (16 * (_BLOCK_FRAMES + 2 * 64) - 1)
-        samples = 0.1 * np.random.default_rng(R).standard_normal((num_mics, num_samples))
-        extractor = StreamingExtractor(CoherenceConfig.for_variant("lstsc-4", R=R), num_mics)
-        chunk = _BLOCK_FRAMES * STFT.hop
-        first = chunk + R * STFT.hop + STFT.frame_len - STFT.hop
-        bounds = [0, *range(first, num_samples, chunk), num_samples]
+        samples = 0.1 * np.random.default_rng(R).standard_normal((num_samples, num_mics))
+        path = tmp_path / "x.wav"
+        wavfile.write(path, 16000, samples.astype(np.float32))
+        reader = WavReader(path)
+        cfg = CoherenceConfig.for_variant("lstsc-4", R=R)
         tracemalloc.start()
         try:
-            for lo, hi in zip(bounds, bounds[1:]):
-                # every chunk but the last completes exactly one block
-                assert len(extractor.push(samples[:, lo:hi])) == 1 or hi == num_samples
-            extractor.flush()
+            for block in stream_wav(reader, cfg):
+                del block
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 4.4 * span * frame_bytes, peak / (span * frame_bytes)
 
-    def test_blocks_arrive_when_their_lookahead_has(self, rng):
-        cfg = CoherenceConfig.for_variant("lstsc-1", R=2)
-        extractor = StreamingExtractor(cfg, 2)
-        # frames 0...65 complete the first block's lookahead (frames 64, 65)
-        ready = STFT.frame_len + STFT.hop * (_BLOCK_FRAMES + cfg.R - 1)
-        samples = rng.standard_normal((2, ready + 5 * STFT.hop))
-        assert extractor.push(samples[:, : ready - 1]) == []
-        (block,) = extractor.push(samples[:, ready - 1 : ready])
-        assert block.frames == slice(0, _BLOCK_FRAMES)
-        assert extractor.push(samples[:, ready:]) == []
-        (last,) = extractor.flush()
-        assert last.frames == slice(_BLOCK_FRAMES, _BLOCK_FRAMES + cfg.R + 5)
-
-    def test_rejections(self, rng):
+    def test_rejections(self, tmp_path):
         cfg = CoherenceConfig()
+        mono = tmp_path / "mono.wav"
+        wavfile.write(mono, 16000, np.zeros(1000, np.float32))
         with pytest.raises(ValueError, match="at least 2 microphones"):
-            StreamingExtractor(cfg, 1)
-        extractor = StreamingExtractor(cfg, 3)
-        with pytest.raises(ValueError, match=r"shaped \(3, n\)"):
-            extractor.push(np.zeros((2, 10)))
-        extractor.push(np.zeros((3, 1000)))
-        bad = np.zeros((3, 1000))
-        bad[2, 7] = np.nan
-        bad[1, 900] = np.inf
-        with pytest.raises(ValueError, match="non-finite audio sample at channel 1, sample 1900$"):
-            extractor.push(bad)
-        # finite samples whose spectrum overflows
-        huge = np.full((3, 400), 1e308)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ValueError, match="non-finite spectrum entry at channel 0, frame 4, bin 0$"
-        ):
-            extractor.push(huge)
-        # the rejected chunks left the extractor as it was
-        blocks = extractor.push(np.zeros((3, 160 * 65))) + extractor.flush()
-        assert [block.frames for block in blocks] == [slice(0, 64), slice(64, 69)]
-        short = StreamingExtractor(cfg, 2)
-        short.push(np.zeros((2, 399)))
+            stream_wav(WavReader(mono), cfg)
+        short = tmp_path / "short.wav"
+        wavfile.write(short, 16000, np.zeros((399, 2), np.float32))
         with pytest.raises(ValueError, match=r"shorter than one frame \(399 < 400\)"):
-            short.flush()
-        done = StreamingExtractor(cfg, 2)
-        done.push(np.zeros((2, 400)))
-        done.flush()
-        with pytest.raises(ValueError, match="the clip has ended"):
-            done.push(np.zeros((2, 10)))
-        with pytest.raises(ValueError, match="the clip has ended"):
-            done.flush()
+            stream_wav(WavReader(short), cfg)
+        # finite samples whose spectrum overflows from frame 148 on (its
+        # last 80 samples), in the third block
+        samples = np.zeros((STFT.frame_len + STFT.hop * 199, 3))
+        samples[24000:, 1] = 1e308
+        huge = tmp_path / "huge.wav"
+        wavfile.write(huge, 16000, samples)
+        blocks = stream_wav(WavReader(huge), cfg)
+        assert [next(blocks).frames for _ in range(2)] == [slice(0, 64), slice(64, 128)]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="non-finite spectrum entry at channel 1, frame 148, bin 0$"
+        ):
+            next(blocks)
 
 
 class TestFeatureWriter:

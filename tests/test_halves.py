@@ -7,14 +7,17 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import multiprocessing
+import tempfile
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
 from conftest import same_bytes
 from lstsc import cli, coherence, roomsim, signal_core
@@ -22,8 +25,8 @@ from lstsc.coherence import (
     VARIANT_SETTINGS,
     CoherenceConfig,
     FrameBlock,
-    StreamingExtractor,
     compute_lstsc,
+    stream_wav,
 )
 from lstsc.enhance import HeuristicMaskEstimator
 from lstsc.roomsim import (
@@ -434,24 +437,21 @@ class TestSameBytes:
         variant=st.sampled_from(sorted(VARIANT_SETTINGS)),
         num_mics=st.integers(2, 9),
         num_frames=st.sampled_from(FRAME_COUNTS),
-        cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+        R=st.sampled_from([0, 1, 70]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_streaming_extractor(self, variant, num_mics, num_frames, cuts, seed):
+    def test_streaming_extractor(self, variant, num_mics, num_frames, R, seed):
+        # stream_wav: the per-mic STFTs of each block's span of samples and
+        # the engine's kernels
         rng = np.random.default_rng(seed)
         num_samples = STFT.frame_len + STFT.hop * (num_frames - 1)
-        samples = 0.1 * rng.standard_normal((num_mics, num_samples))
-        bounds = [0] + sorted(int(cut * num_samples) for cut in cuts) + [num_samples]
-        cfg = CoherenceConfig.for_variant(variant)
-
-        def run():
-            extractor = StreamingExtractor(cfg, num_mics)
-            blocks = []
-            for lo, hi in zip(bounds, bounds[1:]):
-                blocks += extractor.push(samples[:, lo:hi])
-            return blocks + extractor.flush()
-
-        results = _on_each_path(run)
+        samples = 0.1 * rng.standard_normal((num_samples, num_mics))
+        cfg = CoherenceConfig.for_variant(variant, R=R)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.wav"
+            wavfile.write(path, 16000, samples.astype(np.float32))
+            reader = signal_core.WavReader(path)
+            results = _on_each_path(lambda: list(stream_wav(reader, cfg)))
         for kind in ("inline", "threads"):
             assert len(results[kind]) == len(results["plain"])
             for block, want in zip(results[kind], results["plain"]):

@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from conftest import (
     UNREADABLE_WAVS, same_bytes, wav_bytes, write_pcm24, write_unreadable_wav
 )
 
+from lstsc import signal_core
 from lstsc.signal_core import (
     Mask,
     MultichannelAudio,
@@ -140,22 +142,26 @@ class TestWavReader:
         assert (reader.sample_rate, reader.num_channels, reader.num_samples) == (
             16000, whole.num_channels, whole.num_samples
         )
-        chunks = list(reader.chunks(size))
+        chunks = [reader.read(lo, lo + size) for lo in range(0, reader.num_samples, size)]
         assert all(chunk.shape[1] == size for chunk in chunks[:-1])
         assert np.concatenate(chunks, axis=1).tobytes() == whole.samples.tobytes()
+        with pytest.raises(ValueError, match="starts at 0 or later, got -1"):
+            reader.read(-1, size)
 
     @pytest.mark.parametrize("encoding", ["float32", "int24"])
     @pytest.mark.parametrize("first", [1, 2639, 5000, 100000])
     def test_the_first_chunk_may_be_longer(self, tmp_path, rng, encoding, first):
-        # extract reads its first chunk longer by R hops and a frame's
-        # overhang; a first chunk past the file's end holds the whole file
+        # spans need not be of one length, and a span past the file's end
+        # is cut at it
         x = 0.3 * rng.standard_normal((5000, 3))
         path = tmp_path / "x.wav"
         if encoding == "int24":
             write_pcm24(path, np.round(x * 2**23).clip(-(2**23), 2**23 - 1).astype(np.int64) << 8)
         else:
             wavfile.write(path, 16000, x.astype(np.float32))
-        chunks = list(WavReader(path).chunks(997, first))
+        reader = WavReader(path)
+        chunks = [reader.read(0, first)]
+        chunks += [reader.read(lo, lo + 997) for lo in range(first, 5000, 997)]
         assert [chunk.shape[1] for chunk in chunks[:2]] == [min(first, 5000), 997][: len(chunks)]
         assert all(chunk.shape[1] == 997 for chunk in chunks[1:-1])
         assert np.concatenate(chunks, axis=1).tobytes() == load_wav(path).samples.tobytes()
@@ -181,19 +187,42 @@ class TestWavReader:
             warnings.simplefilter("always")
             assert np.array_equal(wavfile.read(path)[1], pcm)
         assert (not caught) == scipy_quiet
-        chunks = np.concatenate(list(WavReader(path).chunks(2)), axis=1)
+        reader = WavReader(path)
+        chunks = np.concatenate([reader.read(lo, lo + 2) for lo in range(0, 7, 2)], axis=1)
         assert chunks.tobytes() == load_wav(path).samples.tobytes()
         assert np.array_equal(chunks, pcm.T / 2.0**31)
 
     def test_pcm24_samples(self, tmp_path):
         path = tmp_path / "pcm24.wav"
         write_pcm24(path, np.array([[0, -(2**23) << 8], [(2**22) << 8, 1 << 8]]))
-        (chunk,) = WavReader(path).chunks(10)
+        chunk = WavReader(path).read(0, 10)
         assert np.array_equal(chunk, [[0.0, 0.5], [-1.0, 2.0**-23]])
+
+    @pytest.mark.parametrize("encoding", ["float32", "int24"])
+    def test_load_wav_reads_the_samples_once(self, tmp_path, monkeypatch, encoding):
+        # load_wav scans the decoded samples for non-finite values; it read
+        # float data from the file twice, once for a reader's scan
+        x = 0.3 * np.random.default_rng(5).standard_normal((70000, 3))
+        path = tmp_path / "x.wav"
+        if encoding == "int24":
+            write_pcm24(path, np.round(x * 2**23).clip(-(2**23), 2**23 - 1).astype(np.int64) << 8)
+        else:
+            wavfile.write(path, 16000, x.astype(np.float32))
+        read = []
+        fromfile = np.fromfile
+
+        def counted(*args, **kwargs):
+            array = fromfile(*args, **kwargs)
+            read.append(array.nbytes)
+            return array
+
+        monkeypatch.setattr(np, "fromfile", counted)
+        assert load_wav(path).num_samples == 70000
+        assert sum(read) == x.size * {"int24": 3, "float32": 4}[encoding]
 
     @pytest.mark.parametrize("sample", [3, 65535, 65536, 150000])
     def test_first_non_finite_sample_named(self, tmp_path, sample):
-        # the scan runs in chunks, yet names the first bad entry in
+        # the scan runs in spans, yet names the first bad entry in
         # channel-then-sample order, as MultichannelAudio does
         x = np.zeros((160000, 3), dtype=np.float32)
         x[sample, 1] = np.nan
@@ -215,17 +244,17 @@ class TestWavReader:
             WavReader(bad)
 
     def test_a_file_cut_short_while_read_is_rejected(self, tmp_path):
-        # the chunks are read from the file, not from a mapping, which
+        # the spans are read from the file, not from a mapping, which
         # would fault on the lost pages
         path = tmp_path / "x.wav"
         wavfile.write(path, 16000, np.ones((1000, 2), dtype=np.float32))
         reader = WavReader(path)
-        chunks = reader.chunks(400)
-        assert next(chunks).shape == (2, 400)
+        assert reader.read(0, 400).shape == (2, 400)
         with path.open("r+b") as file:
             file.truncate(path.stat().st_size - 4000)
+        assert reader.read(0, 400).shape == (2, 400)
         with pytest.raises(ValueError, match="changed while it was read"):
-            list(chunks)
+            reader.read(400, 800)
 
     def test_unsupported_encoding(self, tmp_path):
         path = tmp_path / "int64.wav"
@@ -248,7 +277,9 @@ class TestWavReader:
     @given(st.data())
     def test_reads_and_writes_as_scipy(self, data):
         """Every encoding, channel count, fmt chunk, container and chunk
-        list drawn reads as scipy reads it, through ``_parent_decode``, and
+        list drawn reads as scipy reads it, through ``_parent_decode``, by
+        ``load_wav`` and by ``WavReader.read`` of any span (empty, past the
+        end, straddling the spans of the reader's non-finite scan), and
         ``save_wav`` writes scipy's bytes."""
         tag, width, bits = data.draw(st.sampled_from(
             [(1, 1, 8), (1, 1, 4), (1, 2, 16), (1, 2, 12), (1, 3, 24), (1, 3, 20),
@@ -273,7 +304,13 @@ class TestWavReader:
             container=data.draw(st.sampled_from([b"RIFF", b"RF64"])),
         )
         size = data.draw(st.integers(1, 2500))
-        with tempfile.TemporaryDirectory() as tmp:
+        spans = data.draw(st.lists(
+            st.tuples(st.integers(0, frames + 9), st.integers(0, frames + 2500)), max_size=6
+        ))
+        scan = data.draw(st.integers(1, 700))
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            signal_core, "_SCAN_SAMPLES", scan
+        ):
             path = Path(tmp) / "x.wav"
             path.write_bytes(wav)
             with warnings.catch_warnings():
@@ -283,7 +320,10 @@ class TestWavReader:
             loaded = load_wav(path)
             assert loaded.sample_rate == rate and same_bytes(loaded.samples, want)
             reader = WavReader(path)
-            assert same_bytes(np.concatenate(list(reader.chunks(size)), axis=1), want)
+            chunks = [reader.read(lo, lo + size) for lo in range(0, max(frames, 1), size)]
+            assert same_bytes(np.concatenate(chunks, axis=1), want)
+            for lo, hi in spans:
+                assert same_bytes(reader.read(lo, hi), want[:, lo:hi]), (lo, hi)
 
             save_wav(path, loaded)
             cast = want.T.astype(np.float32)
