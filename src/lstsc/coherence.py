@@ -206,6 +206,7 @@ def _block_whitened_rtf(
     def frames(lo: int, hi: int) -> None:
         _whitened_rtf_rows(tensor, start + lo, start + hi, cfg, entries[lo:hi], low[lo:hi])
 
+    # inline: 1.12-1.20x the two-thread time (30 s 8-mic extract), 1.12x (8 s 4-mic)
     _in_halves(frames, stop - start, _SPLIT_FRAMES)
     return entries, low
 
@@ -523,6 +524,7 @@ def _tracker(
         for a, b in zip(bounds, bounds[1:]):
             gamma[a:b] = coherence(rtfs[a:b], states[a:b], epsilon)
 
+    # inline: 1.24-1.26x the two-thread time (30 s 8-mic extract), 1.15x (8 s 4-mic)
     _in_halves(frames, len(rtfs), _SPLIT_FRAMES)
     if rbar is None:
         gamma[0] = 1.0
@@ -693,17 +695,21 @@ def stream_frames(
     with the reference-channel magnitude frame and the (warped, when
     enabled) coherence rows, and its output row becomes the next frame's
     halting input.  Latency is ``R`` frames of lookahead from the
-    short-term average.  Non-finite spectra are rejected.
+    short-term average: input replaced from sample ``c`` on leaves the
+    rows of every frame ``t`` whose RTF window ends before ``c``
+    (``(t + R) * hop + frame_len <= c``) byte for byte unchanged.
+    Non-finite spectra are rejected.
 
     Only the time-varying schedule reads the mask, so everything else runs
     once per block (the feed-forward stage): the RTFs, the local tracker
     and its coherence, the mask-free lambda rows and, unless an estimator
     steers it, the global tracker and its coherence.  With an estimator,
     a loop over the block's frames then calls it and runs the global
-    tracker it steers, scoring halted runs in batches.  Where two CPUs are available, the RTFs and the
-    trackers' coherence run in two halves of the block's frames on two
-    threads (``signal_core._in_halves``), so two halves' temporaries exist
-    at once; the outputs are the same bytes.
+    tracker it steers, scoring halted runs in batches.  Where two CPUs
+    are available, the RTFs and the trackers' coherence run in two
+    halves of the block's frames on two threads
+    (``signal_core._in_halves``), so two halves' temporaries exist at
+    once; the outputs are the same bytes.
     """
     tensor = _as_spec_tensor(specs)
     _reject_non_finite(tensor)
@@ -881,10 +887,11 @@ class FeatureWriter:
 
     The binary file gets the bytes ``write_features`` writes and, with
     ``csv``, the CSV files those ``export_features_csv`` writes, for the
-    blocks of ``stream_frames`` or ``stream_wav``.  The header is written from ``num_frames`` and the
-    first block's width when that block arrives.  Each block's exported
-    rows (banded when the engine pools them) go as float32 to their
-    offsets in every plane as the block arrives, so no whole plane is held.
+    blocks of ``stream_frames`` or ``stream_wav``.  The header is written
+    from ``num_frames`` and the first block's width when that block
+    arrives.  Each block's exported rows (banded when the engine pools
+    them) go as float32 to their offsets in every plane as the block
+    arrives, so no whole plane is held.
 
     Use it as a context manager: a clean exit checks that all
     ``num_frames`` frames were written and closes the files, and an

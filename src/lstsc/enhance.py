@@ -94,8 +94,11 @@ def enhance_stream(
     schedule.  The mask is then applied to the reference channel and the
     signal is rebuilt by weighted overlap-add, trimmed to the input
     length.  Algorithmic latency is the short-term lookahead (``cfg.R``
-    frames) plus one frame of synthesis overlap.  The whole path is
-    deterministic: identical inputs give bit-identical outputs.
+    frames) plus one frame of synthesis overlap: input replaced from
+    sample ``c`` on leaves unchanged the rows that ``stream_frames`` names
+    and the enhanced samples before ``c - (cfg.R * hop + frame_len)``.
+    The whole path is deterministic: identical inputs give bit-identical
+    outputs.
     """
     if mixture.num_channels < 2:
         raise ValueError("enhancement requires at least 2 microphones")

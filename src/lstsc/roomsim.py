@@ -49,15 +49,11 @@ _WAV_SAMPLE_MAX = float(np.finfo(np.float32).max)
 
 # lattice points per block of the image enumeration (or one (x, y) row,
 # if longer): its float64 buffers of 256 kB stay in cache, whatever the
-# duration.  On one thread 2**14 and 2**15 run alike, but on two a numpy
-# call on 2**14 points lasts about as long as handing the interpreter
-# lock to the other thread, and the halves gained nothing (2-vCPU Xeon VM)
+# duration.  Two threads enumerating wait for the interpreter lock
+# between numpy calls, as long as a call on 2**14 points: an 8 s 4-mic
+# T60 0.7 two-source mix_scene took 200 ms with 2**14 and 179 ms with
+# 2**15 on two threads, 241 and 223 ms on one (2-vCPU Xeon VM)
 _BLOCK_POINTS = 1 << 15
-
-# lattice points in a microphone's sub-grid (per parity) from which the
-# enumeration runs in two halves: at 28k points the halves were 10-20%
-# slower than one thread, at 64k level and at 122k 10-25% faster
-_SPLIT_POINTS = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -368,13 +364,8 @@ def _image_source_taps(
     the per-pair enumeration's order into a zeroed array (``np.add.at``
     adds in input order, as ``bincount`` does), and each microphone's
     pass sums are added to its taps in parity order, so the taps are
-    bit-identical to it.
-
-    The passes, microphone by microphone, run in two halves
-    (``_in_halves``) when the largest microphone sub-grid holds at least
-    ``_SPLIT_POINTS`` points.  A half adds the sums of the microphones
-    whose passes it starts with parity 0; the one microphone the halves
-    share gets the upper half's sums after the lower half's.
+    bit-identical to it.  The call runs on the calling thread:
+    ``mix_scene`` hands whole sources to the two threads.
     """
     num_taps = [int(round(duration * fs)) for duration in durations]
     counts = [
@@ -392,41 +383,20 @@ def _image_source_taps(
         for s, n, length in zip(src, orders, room_dims)
     ]
     windows = [tuple(slice(t - c, t + c + 1) for t, c in zip(top, count)) for count in counts]
-    parities = list(itertools.product((0, 1), repeat=3))
+    # block buffers, allocated once per call: a block's temporaries
+    # allocated afresh are mapped and faulted in afresh
+    points = max(_BLOCK_POINTS, *(2 * count[2] + 1 for count in counts))
+    work = np.empty(points), np.empty(points), np.empty(points, bool), np.empty(points, np.intp)
     taps = [np.zeros(n) for n in num_taps]
-    # (mic, pass sum) of the passes a half takes up after parity 0
-    late = []
-
-    def passes(lo: int, hi: int) -> None:
-        # block buffers, allocated once per half: a block's temporaries
-        # allocated afresh are mapped and faulted in afresh
-        points = max(_BLOCK_POINTS, *(2 * count[2] + 1 for count in counts))
-        work = np.empty(points), np.empty(points), np.empty(points, bool), np.empty(points, np.intp)
-        for index in range(lo // len(parities), -(-hi // len(parities))):
-            first = index * len(parities)
-            sums = _mic_passes(
-                axes, mics[index], windows[index], gains, num_taps[index], fs,
-                parities[max(lo - first, 0) : hi - first], work,
-            )
-            for summed in sums:
-                if lo > first:
-                    late.append((index, summed))
-                else:
-                    taps[index] += summed
-
-    jobs = len(mics) * len(parities)
-    if max(math.prod(2 * count + 1) for count in counts) < _SPLIT_POINTS:
-        passes(0, jobs)
-    else:
-        _in_halves(passes, jobs, 2)
-    for index, summed in late:
-        taps[index] += summed
+    for mic, window, total in zip(mics, windows, taps):
+        for summed in _mic_passes(axes, mic, window, gains, total.size, fs, work):
+            total += summed
     return taps
 
 
-def _mic_passes(axes, mic, window, gains, size, fs, parities, work):
-    """The taps of each of ``parities``' images at one microphone, in
-    turn (``_blocks``, in the block buffers ``work``).  The squared
+def _mic_passes(axes, mic, window, gains, size, fs, work):
+    """The taps of each parity's images at one microphone, in parity
+    order (``_blocks``, in the block buffers ``work``).  The squared
     offsets and reflection counts are computed once per microphone, and
     the kept rows once for two parities that differ only along z."""
     reach = _reach(size, fs)
@@ -436,17 +406,13 @@ def _mic_passes(axes, mic, window, gains, size, fs, parities, work):
         [((coord[w] - m) ** 2, reflections[w]) for coord, reflections in axis]
         for axis, w, m in zip(axes, window, mic)
     ]
-    plane = None
-    for px, py, pz in parities:
-        if (px, py) != plane:
-            plane = (px, py)
-            (dx, rx), (dy, ry) = near[0][px], near[1][py]
-            dxy = dx[:, None] + dy
-            rows = np.flatnonzero(dxy <= reach)
-            dxy = dxy.ravel()[rows]
-            rxy = (rx[:, None] + ry).ravel()[rows]
-        dz, rz = near[2][pz]
-        yield _blocks(dxy, rxy, dz, rz, gains, reach, size, fs, work)
+    for (dx, rx), (dy, ry) in itertools.product(near[0], near[1]):
+        dxy = dx[:, None] + dy
+        rows = np.flatnonzero(dxy <= reach)
+        dxy = dxy.ravel()[rows]
+        rxy = (rx[:, None] + ry).ravel()[rows]
+        for dz, rz in near[2]:
+            yield _blocks(dxy, rxy, dz, rz, gains, reach, size, fs, work)
 
 
 def _blocks(dxy, rxy, dz, rz, gains, reach, size, fs, work) -> np.ndarray:
@@ -552,10 +518,16 @@ def simulate_rirs(
     microphones.
     """
     room_dims = np.asarray(room_dims, dtype=np.float64)
-    src = np.asarray(src, dtype=np.float64)
+    position = src
+    try:
+        src = np.asarray(position, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        src = None
     mics = np.asarray(mics, dtype=np.float64)
     if room_dims.shape != (3,) or np.any(room_dims <= 0):
         raise ValueError("room_dims must be three positive lengths")
+    if src is None or src.shape != (3,):
+        raise ValueError(f"source position must be a 3-vector, got {position!r}")
     if not _inside(src, room_dims):
         raise ValueError(f"source {src} outside room {room_dims}")
     if mics.ndim != 2 or mics.shape[0] < 1 or mics.shape[1] != 3:
@@ -748,8 +720,7 @@ def _image(stem: np.ndarray, rirs: list[Rir], length: int) -> np.ndarray:
     """The stem through each RIR, cut to ``length`` samples: one row per
     RIR, with the bytes of scipy's ``fftconvolve(stem, taps)[:length]``
     (the same transform lengths, operands and product order), but the
-    stem transformed once per transform length, not once per RIR.  The
-    rows are computed in two halves (``_in_halves``)."""
+    stem transformed once per transform length, not once per RIR."""
     out = np.empty((len(rirs), length))
     # per RIR, its transform length, or None where scipy multiplies by a
     # one-sample operand, without transforms
@@ -760,18 +731,14 @@ def _image(stem: np.ndarray, rirs: list[Rir], length: int) -> np.ndarray:
         for rir in rirs
     ]
     spectra = {nfft: np.fft.rfft(stem, nfft) for nfft in set(nffts) - {None}}
-
-    def rows(lo: int, hi: int) -> None:
-        for row, rir, nfft in zip(out[lo:hi], rirs[lo:hi], nffts[lo:hi]):
-            if nfft is None:
-                row[:] = (stem * rir.taps)[:length]
-                continue
-            # bound to a name, so that numpy cannot reuse this temporary
-            # for the product and swap the operands, which rounds differently
-            response = np.fft.rfft(rir.taps, nfft)
-            row[:] = np.fft.irfft(spectra[nfft] * response, nfft)[:length]
-
-    _in_halves(rows, len(rirs), 2)
+    for row, rir, nfft in zip(out, rirs, nffts):
+        if nfft is None:
+            row[:] = (stem * rir.taps)[:length]
+            continue
+        # bound to a name, so that numpy cannot reuse this temporary for
+        # the product and swap the operands, which rounds differently
+        response = np.fft.rfft(rir.taps, nfft)
+        row[:] = np.fft.irfft(spectra[nfft] * response, nfft)[:length]
     return out
 
 
@@ -786,21 +753,21 @@ def mix_scene(
 
     Every source is convolved with its simulated per-microphone RIRs.  An
     all-zero stem is neither simulated nor convolved: its image is zeros
-    and its ``rirs`` entry is empty.  The interferer image is
-    scaled so the target-to-interferer power ratio at the reference
-    microphone equals ``sir_db`` exactly as measured on the returned
-    images; the non-target is scaled to equal power with the target; white
-    sensor noise is normalized per channel so the reference-channel SNR
-    against the summed directional signal is exact.  Silent stems (or a
-    silent target) skip the affected gain calibrations with unit gain;
-    the realized SIR is None unless the target and the interferer both
-    sound, and the realized SNR is None when no stem does.  Levels so far
-    apart that a rendered signal overflows a float32 WAV sample raise
-    ``ValueError``.
+    and its ``rirs`` entry is empty.  The sounding sources render in two
+    halves (``_in_halves``) after the walls are calibrated.  The
+    interferer image is scaled so the target-to-interferer power ratio at
+    the reference microphone equals ``sir_db`` exactly as measured on the
+    returned images; the non-target is scaled to equal power with the
+    target; white sensor noise is normalized per channel so the
+    reference-channel SNR against the summed directional signal is exact.
+    Silent stems (or a silent target) skip the affected gain calibrations
+    with unit gain; the realized SIR is None unless the target and the
+    interferer both sound, and the realized SNR is None when no stem
+    does.  Levels so far apart that a rendered signal overflows a float32
+    WAV sample raise ``ValueError``.
     """
     length = spec.num_samples
-    images: dict[str, np.ndarray] = {}
-    rirs: dict[str, list[Rir]] = {}
+    clips: dict[str, np.ndarray] = {}
     for src in scene.sources:
         role = src.role
         if role not in stems:
@@ -813,15 +780,28 @@ def mix_scene(
                 f"stem {role!r} shorter than clip length "
                 f"({stem.shape[0]} < {length})"
             )
-        stem = stem[:length]
-        if stem.any():
-            rirs[role] = simulate_rirs(
+        clips[role] = stem[:length]
+    sounding = [src for src in scene.sources if clips[src.role].any()]
+    if sounding:  # once: two threads that missed the cache would both calibrate
+        _calibrated_beta(scene.room_dims, scene.t60, SAMPLE_RATE)
+    rendered: dict[str, tuple[list[Rir], np.ndarray]] = {}
+
+    def render(lo: int, hi: int) -> None:
+        for src in sounding[lo:hi]:
+            responses = simulate_rirs(
                 scene.room_dims, scene.t60, src.position, scene.mic_positions
             )
-            images[role] = _image(stem, rirs[role], length)
+            rendered[src.role] = responses, _image(clips[src.role], responses, length)
+
+    # inline: 1.24-1.40x the two-thread time (30 s 8-mic scene), 1.36x (8 s 4-mic T60 0.7)
+    _in_halves(render, len(sounding), 2)
+    images: dict[str, np.ndarray] = {}
+    rirs: dict[str, list[Rir]] = {}
+    for role in ROLE_ORDER:
+        if role in rendered:
+            rirs[role], images[role] = rendered[role]
         else:
-            rirs[role] = []
-            images[role] = np.zeros((scene.num_mics, length))
+            rirs[role], images[role] = [], np.zeros((scene.num_mics, length))
 
     def ref_power(x: np.ndarray) -> float:
         return float(np.mean(x[0] ** 2))
@@ -850,7 +830,8 @@ def mix_scene(
 
     # The worker draws the noise while this thread weighs the images.  Not
     # earlier: a draw started before the images are rendered would hold up
-    # the upper halves of their enumeration and convolution.
+    # the upper half of the sources.  Inline: 1.16-1.20x the two-thread
+    # time (30 s 8-mic scene), 1.07x (8 s 4-mic T60 0.7).
     noise, (gains, target_power, mixture, directional_power, image_peaks) = _alongside(
         lambda: np.random.default_rng(noise_seed).standard_normal((scene.num_mics, length)),
         weigh,
@@ -875,7 +856,8 @@ def mix_scene(
             np.min(signal[lo:hi], axis=1, out=low[lo:hi])
 
     # two passes, so that a numpy error is the one the whole-array passes
-    # (all rows scaled, then the sum) raise first
+    # (all rows scaled, then the sum) raise first.  Inline: 1.00-1.03x and
+    # 1.05-1.06x the two-thread time (30 s 8-mic scene), 1.00x and 0.99x (8 s)
     _in_halves(scale_noise, scene.num_mics, 2)
     _in_halves(mix_rows, scene.num_mics, 2)
     peaks = {"mixture": peak(highs[0], lows[0]), **image_peaks, "noise": peak(highs[1], lows[1])}

@@ -491,6 +491,7 @@ def _stft_channels(samples: np.ndarray, cfg: StftConfig, out: np.ndarray) -> Non
         for m in range(lo, hi):
             _stft(samples[m], cfg, out[m])
 
+    # inline: 1.03-1.04x the two-thread time (30 s 8-mic extract), 1.09x (8 s 4-mic)
     _in_halves(channels, out.shape[0], 2)
 
 

@@ -309,17 +309,18 @@ class TestSceneRecipe:
         assert not (tmp_path / "x").exists()
 
 
+# two mics and a source in a 6 x 5 x 3 m room, at a fixed absorption
+_RIR_CONFIG = {
+    "room": {"dims": [6.0, 5.0, 3.0], "absorption": 0.4},
+    "source": [2.0, 2.0, 1.5],
+    "mics": [[3.0, 2.5, 1.2], [3.08, 2.5, 1.2]],
+    "duration": 0.1,
+}
+
+
 class TestRir:
     def test_writes_rirs_and_meta(self, tmp_path):
-        config = _write_config(
-            tmp_path / "cfg.json",
-            {
-                "room": {"dims": [6.0, 5.0, 3.0], "absorption": 0.4},
-                "source": [2.0, 2.0, 1.5],
-                "mics": [[3.0, 2.5, 1.2], [3.08, 2.5, 1.2]],
-                "duration": 0.1,
-            },
-        )
+        config = _write_config(tmp_path / "cfg.json", _RIR_CONFIG)
         out = tmp_path / "rirs"
         assert main(["rir", "--config", config, "--out", str(out)]) == EXIT_OK
         meta = json.loads((out / "rir_meta.json").read_text())
@@ -333,21 +334,25 @@ class TestRir:
     def test_requires_config(self, tmp_path):
         assert main(["rir", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("duration", [0, -0.1])
-    def test_non_positive_duration_rejected(self, tmp_path, capsys, duration):
-        config = _write_config(
-            tmp_path / "cfg.json",
-            {
-                "room": {"dims": [6.0, 5.0, 3.0], "absorption": 0.4},
-                "source": [2.0, 2.0, 1.5],
-                "mics": [[3.0, 2.5, 1.2], [3.08, 2.5, 1.2]],
-                "duration": duration,
-            },
-        )
+    @staticmethod
+    def _assert_rejected(tmp_path, capsys, changes: dict, words: str) -> None:
+        """``rir`` on ``_RIR_CONFIG`` with ``changes`` exits 4 with
+        ``words`` in its message and writes nothing."""
+        config = _write_config(tmp_path / "cfg.json", {**_RIR_CONFIG, **changes})
         out = tmp_path / "rirs"
         assert main(["rir", "--config", config, "--out", str(out)]) == EXIT_CONSTRAINT
-        assert "duration" in capsys.readouterr().err
+        assert words in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("duration", [0, -0.1])
+    def test_non_positive_duration_rejected(self, tmp_path, capsys, duration):
+        self._assert_rejected(tmp_path, capsys, {"duration": duration}, "duration")
+
+    @pytest.mark.parametrize("source", [[2.0, 2.0], [[2.0, 2.0, 1.5]]])
+    def test_source_that_is_not_a_3_vector_exits_4_naming_it(self, tmp_path, capsys, source):
+        self._assert_rejected(
+            tmp_path, capsys, {"source": source}, "source position must be a 3-vector"
+        )
 
 
 def _non_finite_in_last_chunk():

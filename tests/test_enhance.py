@@ -3,14 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import delayed_array_audio
 
-from lstsc.coherence import CoherenceConfig
+from lstsc.coherence import VARIANT_SETTINGS, CoherenceConfig, compute_lstsc
 from lstsc.enhance import HeuristicMaskEstimator, enhance_stream, heuristic_mask
-from lstsc.signal_core import MultichannelAudio, StftConfig, istft, stft
+from lstsc.signal_core import MultichannelAudio, StftConfig, istft, stft, stft_multichannel
 
 
 # doubles where a clamp into [0, 1] can go wrong: both zeros and their
@@ -157,3 +157,35 @@ class TestEnhanceStream:
         result = enhance_stream(audio, CoherenceConfig.for_variant("lstsc-4"))
         assert result.enhanced.samples.shape == (1, audio.num_samples)
         assert result.mask.data.shape[1] == 257
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    variant=st.sampled_from(sorted(VARIANT_SETTINGS)),
+    R=st.sampled_from([0, 1, 3]),
+    cut=st.integers(0, 23999),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(variant="lstsc-3", R=1, cut=20000, seed=0)
+def test_input_from_sample_c_on_changes_nothing_before_the_lookahead(variant, R, cut, seed):
+    # neither the rows of a frame whose RTF window ends before c nor the
+    # enhanced samples before c - (R * hop + frame_len)
+    rng = np.random.default_rng(seed)
+    # 148 frames: three engine blocks
+    audio = delayed_array_audio(rng, 3, 24000, delays=(0, 3, 7), noise_rms=0.05)
+    changed = audio.samples.copy()
+    changed[:, cut:] = rng.standard_normal((3, audio.num_samples - cut))
+    cfg = CoherenceConfig.for_variant(variant, R=R)
+    hop, frame_len = StftConfig().hop, StftConfig().frame_len
+    # frame t's RTF window ends at sample (t + R) * hop + frame_len - 1
+    kept = max(0, (cut - frame_len) // hop + 1 - R)
+    start = max(0, cut - (R * hop + frame_len))
+    outputs = []
+    for samples in (audio.samples, changed):
+        clip = MultichannelAudio(samples, audio.sample_rate)
+        result = enhance_stream(clip, cfg)
+        planes = [*vars(compute_lstsc(stft_multichannel(clip), cfg)).values(),
+                  *vars(result.features).values()]
+        outputs.append([None if plane is None else plane[:kept].tobytes() for plane in planes])
+        outputs[-1].append(result.enhanced.samples[:, :start].tobytes())
+    assert outputs[0] == outputs[1]

@@ -33,9 +33,6 @@ from lstsc.roomsim import (
     ROLE_ORDER,
     ArrayGeometry,
     MixSpec,
-    Rir,
-    _image,
-    _image_source_taps,
     mix_scene,
     sample_scene,
 )
@@ -53,10 +50,6 @@ STFT = StftConfig()
 FRAME_COUNTS = [1, 7, 8, 9, 63, 64, 65, 200]
 # seconds any one call may take before the test counts it as hung
 TIMEOUT = 20.0
-# response lengths (s) in a 2 m cube, on both sides of one block per
-# (microphone, parity) pass (0.19, 0.2) and of the split threshold: a
-# microphone's sub-grid of 39**3 (0.2215) or 41**3 (0.2216) points
-CUBE_SECONDS = [0.01, 0.19, 0.2, 0.2215, 0.2216, 0.3]
 
 
 def _plain(task, count, least):
@@ -474,69 +467,31 @@ class TestSameBytes:
         for kind in ("inline", "threads"):
             assert same_bytes(results[kind], results["plain"]), kind
 
-    @settings(max_examples=20, deadline=None)
-    @given(
-        num_mics=st.integers(2, 9),
-        length=st.sampled_from([1, 7, 400, 5000]),
-        seed=st.integers(0, 2**32 - 1),
-        data=st.data(),
-    )
-    def test_image(self, num_mics, length, seed, data):
-        rng = np.random.default_rng(seed)
-        stem = rng.standard_normal(length)
-        tap_counts = data.draw(st.lists(st.sampled_from([1, 377, 380, 1024, 4097]),
-                                        min_size=num_mics, max_size=num_mics))
-        rirs = [
-            Rir(sample_rate=16000, taps=0.1 * rng.standard_normal(n), source_distance=1.0)
-            for n in tap_counts
-        ]
-        results = _on_each_path(lambda: _image(stem, rirs, length))
-        for kind in ("inline", "threads"):
-            assert same_bytes(results[kind], results["plain"]), kind
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        durations=st.lists(st.sampled_from(CUBE_SECONDS), min_size=1, max_size=9),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    # the halves share a microphone when the count is odd: here the one
-    # microphone of a calibration probe, and the middle one of three and
-    # of nine
-    @example(durations=[0.2216], seed=0)
-    @example(durations=[0.3, 0.01, 0.2216], seed=1)
-    @example(durations=[0.2, 0.3, 0.01, 0.19, 0.2216, 0.2215, 0.3, 0.2, 0.01], seed=2)
-    def test_image_source_taps(self, durations, seed):
-        rng = np.random.default_rng(seed)
-        dims = np.full(3, 2.0)
-        src, *mics = rng.uniform(0.1, 1.9, (1 + len(durations), 3))
-        results = _on_each_path(
-            lambda: _image_source_taps(dims, src, np.array(mics), 16000, 0.8, durations)
-        )
-        for kind in ("inline", "threads"):
-            assert len(results[kind]) == len(durations)
-            for got, want in zip(results[kind], results["plain"]):
-                assert same_bytes(got, want), kind
-
-
     @settings(max_examples=12, deadline=None)
     @given(
         num_mics=st.integers(1, 9),
         silent=st.sets(st.sampled_from(ROLE_ORDER)),
+        t60=st.just(0.2),
         sir_db=st.sampled_from([0.0, 15.0, -3000.0]),
         snr_db=st.sampled_from([30.0, -3000.0]),
         seed=st.integers(0, 2**16),
     )
     # odd and even counts, silent stems, no directional power at all (the
-    # noise is scaled to zero) and the float32 overflow message
-    @example(num_mics=8, silent=set(), sir_db=0.0, snr_db=30.0, seed=0)
-    @example(num_mics=7, silent={"non_target"}, sir_db=15.0, snr_db=30.0, seed=1)
-    @example(num_mics=1, silent={"target"}, sir_db=0.0, snr_db=30.0, seed=2)
-    @example(num_mics=9, silent=set(ROLE_ORDER), sir_db=0.0, snr_db=30.0, seed=3)
-    @example(num_mics=3, silent=set(), sir_db=-3000.0, snr_db=30.0, seed=4)
-    @example(num_mics=4, silent=set(), sir_db=0.0, snr_db=-3000.0, seed=5)
-    def test_mix_scene(self, num_mics, silent, sir_db, snr_db, seed):
+    # noise is scaled to zero) and the float32 overflow message; the
+    # sources split 2/1 (at T60 0.7, whose passes span several blocks),
+    # 1/1 and 1/0
+    @example(num_mics=8, silent=set(), t60=0.2, sir_db=0.0, snr_db=30.0, seed=0)
+    @example(num_mics=7, silent={"non_target"}, t60=0.2, sir_db=15.0, snr_db=30.0, seed=1)
+    @example(num_mics=1, silent={"target"}, t60=0.2, sir_db=0.0, snr_db=30.0, seed=2)
+    @example(num_mics=9, silent=set(ROLE_ORDER), t60=0.2, sir_db=0.0, snr_db=30.0, seed=3)
+    @example(num_mics=3, silent=set(), t60=0.2, sir_db=-3000.0, snr_db=30.0, seed=4)
+    @example(num_mics=4, silent=set(), t60=0.2, sir_db=0.0, snr_db=-3000.0, seed=5)
+    @example(num_mics=5, silent=set(), t60=0.7, sir_db=5.0, snr_db=25.0, seed=6)
+    @example(num_mics=3, silent={"non_target", "interferer"}, t60=0.2, sir_db=0.0, snr_db=30.0,
+             seed=7)
+    def test_mix_scene(self, num_mics, silent, t60, sir_db, snr_db, seed):
         rng = np.random.default_rng(seed)
-        scene = sample_scene(seed, array=ArrayGeometry.circular(num_mics), t60=0.2)
+        scene = sample_scene(seed, array=ArrayGeometry.circular(num_mics), t60=t60)
         spec = MixSpec(sir_db=sir_db, snr_db=snr_db, clip_seconds=0.25, allow_off_grid=True)
         stems = _scene_stems(rng, spec.clip_seconds, silent)
         results = _on_each_path(lambda: _mix_or_error(scene, stems, spec, seed))
@@ -581,6 +536,17 @@ class TestSameBytes:
         assert len(bundles["plain"]) == 6
         for kind in ("inline", "threads"):
             assert bundles[kind] == bundles["plain"], kind
+
+
+def test_a_cold_scene_calibrates_once_on_two_threads():
+    # the two threads render a source each, and both need the walls
+    scene = sample_scene(8, array=ArrayGeometry.circular(3), t60=0.2)
+    spec = MixSpec(clip_seconds=0.25)
+    stems = _scene_stems(np.random.default_rng(8), spec.clip_seconds, {"non_target"})
+    roomsim._calibrate.cache_clear()
+    with _path("threads"):
+        _within(TIMEOUT, lambda: mix_scene(scene, stems, spec))
+    assert roomsim._calibrate.cache_info().misses == 1
 
 
 def _scene_bytes() -> bytes:

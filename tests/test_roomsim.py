@@ -226,6 +226,11 @@ class TestImageSource:
         with pytest.raises(ValueError, match="outside room"):
             simulate_rir(ROOM, 0.3, [7.0, 1.0, 1.0], [3.0, 2.0, 1.0])
 
+    @pytest.mark.parametrize("src", [[2.1, 3.1], [[2.1, 3.1, 1.7]], 2.0, [[2.1], 3.1, 1.7]])
+    def test_source_that_is_not_a_3_vector_rejected(self, src):
+        with pytest.raises(ValueError, match="^source position must be a 3-vector"):
+            simulate_rirs(ROOM, None, src, [[3.7, 1.9, 1.1]], absorption=0.4)
+
     def test_coincident_rejected(self):
         with pytest.raises(ValueError, match="coincident"):
             simulate_rir(ROOM, 0.3, [3.0, 2.0, 1.0], [3.0, 2.0, 1.0])
