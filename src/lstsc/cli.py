@@ -51,7 +51,6 @@ from .signal_core import (
     MultichannelAudio,
     StftConfig,
     WavReader,
-    _in_halves,
     load_wav,
     save_wav,
 )
@@ -289,16 +288,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         **{f"{role}.wav": image for role, image in result.images.items()},
         "noise.wav": result.noise,
     }
-    names = list(files)
-
-    def write(lo: int, hi: int) -> None:
-        for name in names[lo:hi]:
-            save_wav(out_dir / name, files[name])
-
-    # in two halves (the first three files here, the last two on the
-    # worker): the float32 casts and the writes release the GIL.  Inline:
-    # 0.98-1.07x the two-thread time (30 s 8-mic scene)
-    _in_halves(write, len(names), 2)
+    for name, audio in files.items():
+        save_wav(out_dir / name, audio)
 
     manifest = {
         "seed": args.seed,
@@ -320,7 +311,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "gains": result.gains,
         "realized_sir_db": result.realized_sir_db,
         "realized_snr_db": result.realized_snr_db,
-        "files": names,
+        "files": list(files),
         "config_echo": config,
     }
     with open(out_dir / "scene.json", "w") as fh:

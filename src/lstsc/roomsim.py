@@ -493,6 +493,18 @@ def _calibrate(dims: tuple, t60: float, fs: int) -> float:
     return beta
 
 
+def _floats(value, fits, message: str) -> np.ndarray:
+    """``value`` as a float64 array that ``fits``; otherwise ``ValueError``
+    with ``message`` and the value as given."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        array = None
+    if array is None or not fits(array):
+        raise ValueError(f"{message}, got {value!r}")
+    return array
+
+
 def simulate_rirs(
     room_dims,
     t60: float | None,
@@ -517,21 +529,19 @@ def simulate_rirs(
     its pair bit for bit; the images are enumerated once for all
     microphones.
     """
-    room_dims = np.asarray(room_dims, dtype=np.float64)
-    position = src
-    try:
-        src = np.asarray(position, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        src = None
-    mics = np.asarray(mics, dtype=np.float64)
-    if room_dims.shape != (3,) or np.any(room_dims <= 0):
-        raise ValueError("room_dims must be three positive lengths")
-    if src is None or src.shape != (3,):
-        raise ValueError(f"source position must be a 3-vector, got {position!r}")
+    room_dims = _floats(
+        room_dims,
+        lambda dims: dims.shape == (3,) and not np.any(dims <= 0),
+        "room_dims must be three positive lengths",
+    )
+    src = _floats(src, lambda pos: pos.shape == (3,), "source position must be a 3-vector")
     if not _inside(src, room_dims):
         raise ValueError(f"source {src} outside room {room_dims}")
-    if mics.ndim != 2 or mics.shape[0] < 1 or mics.shape[1] != 3:
-        raise ValueError("microphone positions must be a non-empty (M, 3) array")
+    mics = _floats(
+        mics,
+        lambda pos: pos.ndim == 2 and pos.shape[0] >= 1 and pos.shape[1] == 3,
+        "microphone positions must be a non-empty (M, 3) array",
+    )
     dists = []
     for mic in mics:
         if not _inside(mic, room_dims):
@@ -754,10 +764,12 @@ def mix_scene(
     Every source is convolved with its simulated per-microphone RIRs.  An
     all-zero stem is neither simulated nor convolved: its image is zeros
     and its ``rirs`` entry is empty.  The sounding sources render in two
-    halves (``_in_halves``) after the walls are calibrated.  The
-    interferer image is scaled so the target-to-interferer power ratio at
-    the reference microphone equals ``sir_db`` exactly as measured on the
-    returned images; the non-target is scaled to equal power with the
+    halves (``_in_halves``) after the walls are calibrated, and the noise
+    is drawn beside the gain passes (``_alongside``); the noise scaling
+    and the mix run on the calling thread.  The interferer image is
+    scaled so the target-to-interferer power ratio at the reference
+    microphone equals ``sir_db`` exactly as measured on the returned
+    images; the non-target is scaled to equal power with the
     target; white sensor noise is normalized per channel so the
     reference-channel SNR against the summed directional signal is exact.
     Silent stems (or a silent target) skip the affected gain calibrations
@@ -806,8 +818,8 @@ def mix_scene(
     def ref_power(x: np.ndarray) -> float:
         return float(np.mean(x[0] ** 2))
 
-    def peak(high: np.ndarray, low: np.ndarray) -> float:
-        return max(high.max(), -low.min())
+    def peak(x: np.ndarray) -> float:
+        return max(x.max(), -x.min())
 
     def weigh():
         """The gains, with the images scaled in place by them, the target's
@@ -825,7 +837,7 @@ def mix_scene(
                     images[role] *= gains[role]
         directional = images["target"] + images["non_target"]
         directional += images["interferer"]
-        peaks = {role: peak(image, image) for role, image in images.items()}
+        peaks = {role: peak(image) for role, image in images.items()}
         return gains, target_power, directional, ref_power(directional), peaks
 
     # The worker draws the noise while this thread weighs the images.  Not
@@ -837,30 +849,13 @@ def mix_scene(
         weigh,
     )
     noise_power = directional_power / _power_ratio(spec.snr_db)
-
-    def scale_noise(lo: int, hi: int) -> None:
-        if directional_power > 0.0:
-            for m in range(lo, hi):
-                row_power = float(np.mean(noise[m] ** 2))
-                noise[m] *= math.sqrt(noise_power / row_power)
-        else:
-            noise[lo:hi] *= 0.0
-
-    # the mixture's and the noise's per-row maxima and minima
-    highs, lows = np.empty((2, 2, scene.num_mics))
-
-    def mix_rows(lo: int, hi: int) -> None:
-        mixture[lo:hi] += noise[lo:hi]  # the directional sum becomes the mixture
-        for high, low, signal in zip(highs, lows, (mixture, noise)):
-            np.max(signal[lo:hi], axis=1, out=high[lo:hi])
-            np.min(signal[lo:hi], axis=1, out=low[lo:hi])
-
-    # two passes, so that a numpy error is the one the whole-array passes
-    # (all rows scaled, then the sum) raise first.  Inline: 1.00-1.03x and
-    # 1.05-1.06x the two-thread time (30 s 8-mic scene), 1.00x and 0.99x (8 s)
-    _in_halves(scale_noise, scene.num_mics, 2)
-    _in_halves(mix_rows, scene.num_mics, 2)
-    peaks = {"mixture": peak(highs[0], lows[0]), **image_peaks, "noise": peak(highs[1], lows[1])}
+    if directional_power > 0.0:
+        for row in noise:
+            row *= math.sqrt(noise_power / float(np.mean(row ** 2)))
+    else:
+        noise *= 0.0
+    mixture += noise  # the directional sum becomes the mixture
+    peaks = {"mixture": peak(mixture), **image_peaks, "noise": peak(noise)}
     for name, level in peaks.items():
         # NaN fails the comparison too
         if not level <= _WAV_SAMPLE_MAX:

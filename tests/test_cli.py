@@ -354,6 +354,19 @@ class TestRir:
             tmp_path, capsys, {"source": source}, "source position must be a 3-vector"
         )
 
+    @pytest.mark.parametrize(
+        "changes,words",
+        [
+            ({"mics": [[3.0, 2.5], [3.08, 2.5, 1.2]]},
+             "microphone positions must be a non-empty (M, 3) array, got [[3.0, 2.5], "),
+            ({"room": {"dims": [6.0, 5.0, [3.0]], "absorption": 0.4}},
+             "room_dims must be three positive lengths, got [6.0, 5.0, [3.0]]"),
+        ],
+        ids=["mics", "room_dims"],
+    )
+    def test_ragged_mics_or_room_dims_exit_4_naming_them(self, tmp_path, capsys, changes, words):
+        self._assert_rejected(tmp_path, capsys, changes, words)
+
 
 def _non_finite_in_last_chunk():
     # the reader scans 65536 samples a span: these are in the last one

@@ -73,7 +73,7 @@ def _path(kind: str):
     the host's CPU count."""
     saved = [
         (module, name, getattr(module, name))
-        for module in (signal_core, coherence, roomsim, cli)
+        for module in (signal_core, coherence, roomsim)
         for name in _PLAIN
         if hasattr(module, name)
     ]
@@ -476,10 +476,9 @@ class TestSameBytes:
         snr_db=st.sampled_from([30.0, -3000.0]),
         seed=st.integers(0, 2**16),
     )
-    # odd and even counts, silent stems, no directional power at all (the
-    # noise is scaled to zero) and the float32 overflow message; the
-    # sources split 2/1 (at T60 0.7, whose passes span several blocks),
-    # 1/1 and 1/0
+    # silent stems, no directional power at all (the noise is scaled to
+    # zero) and the float32 overflow message; the sources split 2/1 (at
+    # T60 0.7, whose passes span several blocks), 1/1 and 1/0
     @example(num_mics=8, silent=set(), t60=0.2, sir_db=0.0, snr_db=30.0, seed=0)
     @example(num_mics=7, silent={"non_target"}, t60=0.2, sir_db=15.0, snr_db=30.0, seed=1)
     @example(num_mics=1, silent={"target"}, t60=0.2, sir_db=0.0, snr_db=30.0, seed=2)
@@ -504,7 +503,7 @@ class TestSameBytes:
         if top == 0.0:
             return
         # a float32 limit just under the mixture's peak: each path must find
-        # that peak, whichever row and half it lies in
+        # that whole-array peak, whichever row it lies in
         saved = roomsim._WAV_SAMPLE_MAX
         roomsim._WAV_SAMPLE_MAX = float(np.nextafter(top, 0.0))
         try:
@@ -518,7 +517,8 @@ class TestSameBytes:
         _assert_same_mix(results)
 
     def test_simulate_bundle(self, tmp_path):
-        # 7 mics: the mix rows split 4/3 and the five files 3/2
+        # 7 mics: the two sounding sources split 1/1, and the noise is
+        # drawn beside the gain passes
         config = tmp_path / "scene.json"
         config.write_text(
             '{"array": {"kind": "circular", "num_mics": 7}, "mix": {"clip_seconds": 0.5}}'
@@ -550,8 +550,8 @@ def test_a_cold_scene_calibrates_once_on_two_threads():
 
 
 def _scene_bytes() -> bytes:
-    """The samples of a rendered 5-mic scene: its noise is drawn beside the
-    gain passes and its mix rows run in halves."""
+    """The samples of a rendered 5-mic scene: its two sounding sources
+    split 1/1 and its noise is drawn beside the gain passes."""
     makers = {role: STEM_KINDS[DEFAULT_STEM_KINDS[role]] for role in ROLE_ORDER}
     spec = MixSpec(clip_seconds=0.5)
     mix = render_scene(4, makers, spec=spec, array=ArrayGeometry.circular(5)).mix

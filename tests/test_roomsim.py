@@ -231,6 +231,19 @@ class TestImageSource:
         with pytest.raises(ValueError, match="^source position must be a 3-vector"):
             simulate_rirs(ROOM, None, src, [[3.7, 1.9, 1.1]], absorption=0.4)
 
+    @pytest.mark.parametrize(
+        "mics", [[[3.7, 1.9], [3.7, 2.1, 1.1]], [3.7, 1.9, 1.1], [], [["x", 1.9, 1.1]]]
+    )
+    def test_mics_that_are_not_an_m_by_3_array_rejected(self, mics):
+        message = r"^microphone positions must be a non-empty \(M, 3\) array, got "
+        with pytest.raises(ValueError, match=message):
+            simulate_rirs(ROOM, None, [2.1, 3.1, 1.7], mics, absorption=0.4)
+
+    @pytest.mark.parametrize("dims", [[6.0, 5.0, [3.0]], [6.0, 5.0], [6.0, 5.0, -3.0], "6x5x3"])
+    def test_room_dims_that_are_not_three_positive_lengths_rejected(self, dims):
+        with pytest.raises(ValueError, match="^room_dims must be three positive lengths, got "):
+            simulate_rirs(dims, None, [2.1, 3.1, 1.7], [[3.7, 1.9, 1.1]], absorption=0.4)
+
     def test_coincident_rejected(self):
         with pytest.raises(ValueError, match="coincident"):
             simulate_rir(ROOM, 0.3, [3.0, 2.0, 1.0], [3.0, 2.0, 1.0])
