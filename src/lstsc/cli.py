@@ -51,6 +51,7 @@ from .signal_core import (
     MultichannelAudio,
     StftConfig,
     WavReader,
+    _check_pipeline_rate,
     load_wav,
     save_wav,
 )
@@ -324,17 +325,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_pipeline_rate(sample_rate: int) -> None:
-    if sample_rate != SAMPLE_RATE:
-        raise ValueError(f"pipeline entry expects 16 kHz audio, got {sample_rate} Hz")
-
-
-def _load_pipeline_audio(path: str) -> MultichannelAudio:
-    audio = load_wav(path)
-    _check_pipeline_rate(audio.sample_rate)
-    return audio
-
-
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     _check_keys(config, _COHERENCE_KEYS, context="")
@@ -357,8 +347,7 @@ def _cmd_enhance(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     _check_keys(config, _COHERENCE_KEYS, context="")
     cfg = CoherenceConfig.for_variant(args.variant, **config)
-    audio = _load_pipeline_audio(args.infile)
-    result = enhance_stream(audio, cfg, HeuristicMaskEstimator())
+    result = enhance_stream(load_wav(args.infile), cfg, HeuristicMaskEstimator())
     out_path = _resolve_out(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_wav(out_path, result.enhanced)

@@ -68,7 +68,7 @@ VARIANT_SETTINGS: dict[str, dict] = {
     "lstsc-4": {"time_varying": True, "apply_arcsine": True, "erb_bands": 48},
 }
 
-# (exported name, attribute of LstscFeatures and FrameBlock), in file
+# (exported name, attribute of LstscFeatures), in file
 # order; a plane that is None (the warped one when warping is off) is
 # skipped.  Band pooling pools these planes.
 _EXPORT_PLANES = (
@@ -439,43 +439,6 @@ def arcsine_warp(gamma: np.ndarray | float) -> np.ndarray | float:
     return np.arcsin(_clamp_unit(gamma)) / (0.5 * np.pi)
 
 
-@dataclasses.dataclass
-class FrameBlock:
-    """Everything the streaming engine produced for a block of frames.
-
-    The block holds clip frames ``start`` onward, one row per frame on the
-    leading axis of every field; the field names are those of
-    ``LstscFeatures``.  ``rtf`` and ``global_rbar`` are (n, F, M-1): the
-    whitened RTFs and the global tracker state after each frame.
-    ``mask_halted`` flags the frames whose previous feedback mask froze
-    the global tracker; such a frame's state row equals the one before it
-    bit for bit and its ``lambda_trace`` row is all ones.  With
-    ``erb_bands`` set, the ``banded_*`` fields are the block's rows of
-    the exported planes pooled into bands, one product per plane.
-    """
-
-    start: int
-    rtf: np.ndarray
-    low_energy: np.ndarray
-    gamma_local: np.ndarray
-    gamma_global: np.ndarray
-    gamma_local_warped: np.ndarray | None
-    gamma_global_warped: np.ndarray | None
-    lambda_trace: np.ndarray
-    mask_halted: np.ndarray
-    mask: np.ndarray | None
-    global_rbar: np.ndarray
-    banded_gamma_local: np.ndarray | None = None
-    banded_gamma_global: np.ndarray | None = None
-    banded_gamma_global_warped: np.ndarray | None = None
-    banded_lambda_trace: np.ndarray | None = None
-
-    @property
-    def frames(self) -> slice:
-        """The clip frames of this block."""
-        return slice(self.start, self.start + len(self.mask_halted))
-
-
 MaskFeedback = Callable[
     [np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None],
     np.ndarray,
@@ -788,10 +751,10 @@ class LstscFeatures:
     low_energy: np.ndarray
     mask_halted: np.ndarray
     mask: np.ndarray | None
-    banded_gamma_local: np.ndarray | None
-    banded_gamma_global: np.ndarray | None
-    banded_gamma_global_warped: np.ndarray | None
-    banded_lambda_trace: np.ndarray | None
+    banded_gamma_local: np.ndarray | None = None
+    banded_gamma_global: np.ndarray | None = None
+    banded_gamma_global_warped: np.ndarray | None = None
+    banded_lambda_trace: np.ndarray | None = None
 
     @property
     def num_frames(self) -> int:
@@ -800,6 +763,35 @@ class LstscFeatures:
     @property
     def num_bins(self) -> int:
         return self.gamma_local.shape[1]
+
+    @property
+    def frames(self) -> slice:
+        """The clip frames these rows hold: all of them."""
+        return slice(0, self.num_frames)
+
+
+@dataclasses.dataclass(kw_only=True)
+class FrameBlock(LstscFeatures):
+    """Everything the streaming engine produced for a block of frames:
+    the ``LstscFeatures`` rows of clip frames ``start`` onward, plus
+    ``rtf`` and ``global_rbar``, (n, F, M-1): the whitened RTFs and the
+    global tracker state after each frame.
+
+    A frame flagged in ``mask_halted`` had its previous feedback mask
+    freeze the global tracker; its state row equals the one before it bit
+    for bit and its ``lambda_trace`` row is all ones.  With ``erb_bands``
+    set, the ``banded_*`` fields are the block's rows of the exported
+    planes pooled into bands, one product per plane.
+    """
+
+    start: int
+    rtf: np.ndarray
+    global_rbar: np.ndarray
+
+    @property
+    def frames(self) -> slice:
+        """The clip frames of this block."""
+        return slice(self.start, self.start + len(self.mask_halted))
 
 
 def compute_lstsc(
@@ -834,11 +826,11 @@ def compute_lstsc(
 
 
 def _export_planes(source) -> list[tuple[str, np.ndarray]]:
-    """The exported planes of an ``LstscFeatures`` or ``FrameBlock``, by
-    export name, in file order: ``gamma_local, gamma_global[,
-    gamma_global_warped], lambda`` — 3 planes without warping, 4 with.
-    When bands are on every plane is its banded counterpart (B-wide),
-    with the warped plane pooled after warping."""
+    """The exported planes of an ``LstscFeatures`` (a whole clip's, or a
+    ``FrameBlock``'s rows), by export name, in file order: ``gamma_local,
+    gamma_global[, gamma_global_warped], lambda`` — 3 planes without
+    warping, 4 with.  When bands are on every plane is its banded
+    counterpart (B-wide), with the warped plane pooled after warping."""
     prefix = "banded_" if source.banded_gamma_local is not None else ""
     planes = [(name, getattr(source, prefix + attr)) for name, attr in _EXPORT_PLANES]
     return [(name, plane) for name, plane in planes if plane is not None]
@@ -851,47 +843,30 @@ def _csv_path(base_path: str | Path, name: str) -> Path:
     return base.with_name(f"{stem}.{name}.csv")
 
 
-def _write_lsts_header(fh, frames: int, width: int, count: int) -> None:
-    fh.write(_LSTS_MAGIC)
-    fh.write(struct.pack("<IIII", _LSTS_VERSION, frames, width, count))
-
-
-def _write_lsts_rows(fh, frames: int, start: int, planes: list[np.ndarray]) -> None:
-    """Rows ``start`` onward of each plane, as float32 at their offsets in
-    a file of ``frames``-row planes."""
-    for index, rows in enumerate(planes):
-        width = rows.shape[1]
-        fh.seek(_LSTS_HEADER_BYTES + 4 * width * (index * frames + start))
-        fh.write(np.ascontiguousarray(rows, dtype="<f4").tobytes())
-
-
 def write_features(path: str | Path, features: LstscFeatures) -> None:
-    """Binary feature export.
+    """Binary feature export: the whole clip as one ``FeatureWriter`` block.
 
     Layout (little-endian): magic ``LSTS``, u32 version, u32 L, u32 K
     (bins or bands), u32 plane count, then each plane as row-major
     float32.  Plane order: gamma_local, gamma_global, gamma_global_warped
     (when warping is enabled), lambda trace.
     """
-    planes = [plane for _, plane in _export_planes(features)]
-    frames, width = planes[0].shape
-    if any(plane.shape != (frames, width) for plane in planes):
-        raise ValueError("feature planes disagree on shape")
-    with open(Path(path), "wb") as fh:
-        _write_lsts_header(fh, frames, width, len(planes))
-        _write_lsts_rows(fh, frames, 0, planes)
+    with FeatureWriter(path, features.num_frames) as writer:
+        writer.write([features])
 
 
 class FeatureWriter:
-    """A clip's exported planes, written a ``FrameBlock`` at a time.
+    """A clip's exported planes, written a block of frames at a time.
 
-    The binary file gets the bytes ``write_features`` writes and, with
-    ``csv``, the CSV files those ``export_features_csv`` writes, for the
-    blocks of ``stream_frames`` or ``stream_wav``.  The header is written
-    from ``num_frames`` and the first block's width when that block
-    arrives.  Each block's exported rows (banded when the engine pools
-    them) go as float32 to their offsets in every plane as the block
-    arrives, so no whole plane is held.
+    A block is an ``LstscFeatures``: a ``FrameBlock`` of ``stream_frames``
+    or ``stream_wav``, or a whole clip's features (``write_features``).
+    The binary file gets the layout ``write_features`` documents and, with
+    ``csv``, the CSV files ``export_features_csv`` writes.  The header is
+    written from ``num_frames`` and the first block's width when that
+    block arrives.  Each block's exported rows (banded when the engine
+    pools them) go as float32 to their offsets in every plane as the block
+    arrives, so no whole plane is held.  A block whose planes are not all
+    (its frames, the width) raises before any of its rows is written.
 
     Use it as a context manager: a clean exit checks that all
     ``num_frames`` frames were written and closes the files, and an
@@ -917,13 +892,13 @@ class FeatureWriter:
         return self
 
     def write(self, blocks) -> None:
-        """Write the rows of ``blocks``, the clip's next ``FrameBlock``s."""
+        """Write the rows of ``blocks``, the clip's next blocks of frames."""
         for block in blocks:
             self._write(block)
             # it would pin the block's buffers while the next one is computed
             del block
 
-    def _write(self, block: FrameBlock) -> None:
+    def _write(self, block: LstscFeatures) -> None:
         frames = block.frames
         if frames.start != self._next or frames.stop > self.num_frames:
             raise ValueError(
@@ -932,9 +907,15 @@ class FeatureWriter:
             )
         named = _export_planes(block)
         rows = [plane for _, plane in named]
+        width = rows[0].shape[-1] if self.width is None else self.width
+        if any(plane.shape != (frames.stop - frames.start, width) for plane in rows):
+            raise ValueError("feature planes disagree on shape")
         if not self._files:
-            self._open([name for name, _ in named], rows[0].shape[1])
-        _write_lsts_rows(self._files[0], self.num_frames, frames.start, rows)
+            self._open([name for name, _ in named], width)
+        binary = self._files[0]
+        for index, plane_rows in enumerate(rows):
+            binary.seek(_LSTS_HEADER_BYTES + 4 * width * (index * self.num_frames + frames.start))
+            binary.write(np.ascontiguousarray(plane_rows, dtype="<f4").tobytes())
         for fh, plane_rows in zip(self._files[1:], rows):
             fh.write(_csv_block(plane_rows))
         self._next = frames.stop
@@ -945,7 +926,9 @@ class FeatureWriter:
             self._files.append(open(target, "wb"))
             self.paths.append(target)
         self.width = width
-        _write_lsts_header(self._files[0], self.num_frames, width, len(names))
+        self._files[0].write(
+            _LSTS_MAGIC + struct.pack("<IIII", _LSTS_VERSION, self.num_frames, width, len(names))
+        )
 
     def __exit__(self, exc_type, exc, tb) -> None:
         complete = exc_type is None and self._next == self.num_frames

@@ -17,7 +17,8 @@ import numpy as np
 
 from .coherence import CoherenceConfig, LstscFeatures, compute_lstsc
 from .signal_core import (
-    SAMPLE_RATE, Mask, MultichannelAudio, StftConfig, apply_mask, istft, stft_multichannel
+    Mask, MultichannelAudio, StftConfig, _check_pipeline_rate, apply_mask, istft,
+    stft_multichannel,
 )
 
 __all__ = [
@@ -100,10 +101,9 @@ def enhance_stream(
     The whole path is deterministic: identical inputs give bit-identical
     outputs.
     """
+    _check_pipeline_rate(mixture.sample_rate)
     if mixture.num_channels < 2:
         raise ValueError("enhancement requires at least 2 microphones")
-    if mixture.sample_rate != SAMPLE_RATE:
-        raise ValueError("pipeline entry expects 16 kHz audio")
     if estimator is None:
         estimator = HeuristicMaskEstimator()
 

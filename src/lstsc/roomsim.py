@@ -56,6 +56,18 @@ _WAV_SAMPLE_MAX = float(np.finfo(np.float32).max)
 _BLOCK_POINTS = 1 << 15
 
 
+def _floats(value, fits, message: str) -> np.ndarray:
+    """``value`` as a float64 array that ``fits``; otherwise ``ValueError``
+    with ``message`` and the value as given."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        array = None
+    if array is None or not fits(array):
+        raise ValueError(f"{message}, got {value!r}")
+    return array
+
+
 @dataclasses.dataclass(frozen=True)
 class ArrayGeometry:
     """Microphone positions relative to the array's origin (meters).  The
@@ -65,10 +77,13 @@ class ArrayGeometry:
     positions: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=np.float64))
+        # one 3-vector is a one-mic array
+        pos = np.atleast_2d(_floats(
+            self.positions,
+            lambda p: p.ndim <= 2 and p.shape[-1:] == (3,),
+            "positions must be (M, 3)",
+        ))
         object.__setattr__(self, "positions", pos)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError("positions must be (M, 3)")
         if pos.shape[0] < 1:
             raise ValueError("array needs at least one microphone")
         diffs = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
@@ -107,10 +122,10 @@ class Source:
     role: str
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=np.float64)
+        pos = _floats(
+            self.position, lambda p: p.shape == (3,), "source position must be a 3-vector"
+        )
         object.__setattr__(self, "position", pos)
-        if pos.shape != (3,):
-            raise ValueError("source position must be a 3-vector")
         if self.role not in ROLE_ORDER:
             raise ValueError(f"unknown source role {self.role!r}")
 
@@ -136,13 +151,11 @@ class SceneConstraints:
         for name, size in (
             ("room_dims", 3), ("array_center", 3), ("range_bounds", 2), ("azimuth_deg", 2)
         ):
-            value = getattr(self, name)
-            try:
-                vector = np.asarray(value, dtype=np.float64)
-            except (TypeError, ValueError):
-                vector = None
-            if vector is None or vector.shape != (size,) or not np.isfinite(vector).all():
-                raise ValueError(f"{name} must hold {size} finite numbers, got {value!r}")
+            _floats(
+                getattr(self, name),
+                lambda vector: vector.shape == (size,) and np.isfinite(vector).all(),
+                f"{name} must hold {size} finite numbers",
+            )
         if min(self.room_dims) <= 0:
             raise ValueError(f"room_dims must be positive, got {self.room_dims!r}")
         for name in ("range_bounds", "azimuth_deg"):
@@ -220,16 +233,19 @@ class RoomScene:
     min_angle_deg: float = SceneConstraints.min_angle_deg
 
     def __post_init__(self) -> None:
-        self.room_dims = np.asarray(self.room_dims, dtype=np.float64)
-        self.mic_positions = np.atleast_2d(
-            np.asarray(self.mic_positions, dtype=np.float64)
+        self.room_dims = _floats(
+            self.room_dims,
+            lambda dims: dims.shape == (3,) and not np.any(dims <= 0),
+            "room_dims must be three positive lengths",
         )
-        if self.room_dims.shape != (3,) or np.any(self.room_dims <= 0):
-            raise ValueError("room_dims must be three positive lengths")
+        # one 3-vector is a one-mic array
+        self.mic_positions = np.atleast_2d(_floats(
+            self.mic_positions,
+            lambda p: p.ndim <= 2 and p.shape[-1:] == (3,) and p.size > 0,
+            "mic_positions must be a non-empty (M, 3) array",
+        ))
         if not (math.isfinite(self.t60) and self.t60 > 0):
             raise ValueError(f"t60 must be positive and finite, got {self.t60}")
-        if self.mic_positions.shape[1] != 3:
-            raise ValueError("mic_positions must be (M, 3)")
         for mic in self.mic_positions:
             if not _inside(mic, self.room_dims):
                 raise ValueError(f"microphone {mic} outside room {self.room_dims}")
@@ -491,18 +507,6 @@ def _calibrate(dims: tuple, t60: float, fs: int) -> float:
         # measured decay is monotone in the effective target; rescale
         t_eff *= float(np.clip(t60 / measured, 0.4, 2.5))
     return beta
-
-
-def _floats(value, fits, message: str) -> np.ndarray:
-    """``value`` as a float64 array that ``fits``; otherwise ``ValueError``
-    with ``message`` and the value as given."""
-    try:
-        array = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        array = None
-    if array is None or not fits(array):
-        raise ValueError(f"{message}, got {value!r}")
-    return array
 
 
 def simulate_rirs(

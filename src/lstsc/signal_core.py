@@ -142,6 +142,12 @@ def _in_halves(task, count: int, least: int) -> None:
     _alongside(functools.partial(task, half, count), functools.partial(task, 0, half))
 
 
+def _check_pipeline_rate(sample_rate: int) -> None:
+    """Reject audio that is not at ``SAMPLE_RATE``, naming its rate."""
+    if sample_rate != SAMPLE_RATE:
+        raise ValueError(f"pipeline entry expects 16 kHz audio, got {sample_rate} Hz")
+
+
 def first_non_finite(array: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first NaN or ±inf entry of ``array`` (row-major), or
     ``None``.  Only a non-finite sum pays for the allocating scan; the sum

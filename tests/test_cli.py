@@ -167,6 +167,17 @@ class TestSimulate:
         assert "the mix overflows float32 WAV samples" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ragged_array_positions_exit_4_naming_them(self, tmp_path, capsys):
+        config = _write_config(
+            tmp_path / "cfg.json",
+            {"array": {"kind": "positions", "positions": [[0.3, 0.3], [0.34, 0.3, 0]]}},
+        )
+        out = tmp_path / "x"
+        assert main(["simulate", "--seed", "1", "--config", config,
+                     "--out", str(out)]) == EXIT_CONSTRAINT
+        assert "positions must be (M, 3), got [[0.3, 0.3], [0.34, 0.3, 0]]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_positive_range_low_end_exits_4_naming_it(self, tmp_path, capsys):
         config = _write_config(tmp_path / "cfg.json", {"scene": {"range_bounds": [0.0, 2.0]}})
         out = tmp_path / "x"

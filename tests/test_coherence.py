@@ -926,7 +926,7 @@ def _write_wav(path, samples: np.ndarray, encoding: str) -> None:
         wavfile.write(path, 16000, frames.astype(encoding))
 
 
-class TestStreamingExtractor:
+class TestStreamWav:
     """The streaming extractor, ``stream_wav``: the blocks of a WAV file
     read a block's frames at a time are those of the whole clip."""
 
@@ -1097,6 +1097,27 @@ class TestFeatureWriter:
             with FeatureWriter(tmp_path / "f.lsts", 129) as writer:
                 writer.write(stream_frames(specs, cfg))
         assert list(tmp_path.iterdir()) == []
+
+    def test_planes_that_disagree_on_shape_rejected(self, tmp_path, rng):
+        specs = random_small_specs(rng, 2, 130, 9)
+        cfg = CoherenceConfig.for_variant("lstsc-3")
+        features = compute_lstsc(specs, cfg)
+        short = dataclasses.replace(features, lambda_trace=features.lambda_trace[:-1])
+        with pytest.raises(ValueError, match="^feature planes disagree on shape$"):
+            write_features(tmp_path / "whole.lsts", short)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match="^feature planes disagree on shape$"):
+            with FeatureWriter(tmp_path / "f.lsts", 130, csv=True) as writer:
+                writer.write([short])
+        assert list(tmp_path.iterdir()) == []
+        # a later block narrower than the first, whose rows would land at
+        # the wrong offsets
+        blocks = list(stream_frames(specs, cfg))
+        blocks[1].lambda_trace = blocks[1].lambda_trace[:, :-1]
+        with pytest.raises(ValueError, match="^feature planes disagree on shape$"):
+            with FeatureWriter(tmp_path / "f.lsts", 130, csv=True) as writer:
+                writer.write(blocks)
+        assert writer.paths and list(tmp_path.iterdir()) == []
 
 
 class TestExport:

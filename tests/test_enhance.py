@@ -153,6 +153,12 @@ class TestEnhanceStream:
         with pytest.raises(ValueError, match="16 kHz"):
             enhance_stream(audio, CoherenceConfig())
 
+    @pytest.mark.parametrize("num_mics", [1, 4])
+    def test_rate_is_named_and_checked_before_the_channels(self, rng, num_mics):
+        audio = MultichannelAudio(rng.standard_normal((num_mics, 8000)), 8000)
+        with pytest.raises(ValueError, match="^pipeline entry expects 16 kHz audio, got 8000 Hz$"):
+            enhance_stream(audio, CoherenceConfig())
+
     def test_output_shape(self, audio):
         result = enhance_stream(audio, CoherenceConfig.for_variant("lstsc-4"))
         assert result.enhanced.samples.shape == (1, audio.num_samples)

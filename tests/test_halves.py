@@ -433,7 +433,7 @@ class TestSameBytes:
         R=st.sampled_from([0, 1, 70]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_streaming_extractor(self, variant, num_mics, num_frames, R, seed):
+    def test_stream_wav(self, variant, num_mics, num_frames, R, seed):
         # stream_wav: the per-mic STFTs of each block's span of samples and
         # the engine's kernels
         rng = np.random.default_rng(seed)

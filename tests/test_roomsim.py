@@ -85,10 +85,26 @@ class TestArrayGeometry:
         with pytest.raises(ValueError, match="distinct"):
             ArrayGeometry([[0, 0, 0], [0, 0, 0]])
 
+    @pytest.mark.parametrize(
+        "positions",
+        [[[0.3, 0.3], [0.34, 0.3, 0.0]], [[0.0, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]],
+         [["x", 0.0, 0.0]], 0.5, [[[0.0, 0.0, 0.0]]]],
+        ids=["ragged", "m-by-4", "not-numbers", "scalar", "3-d"],
+    )
+    def test_positions_that_are_not_an_m_by_3_array_rejected(self, positions):
+        with pytest.raises(ValueError, match=r"^positions must be \(M, 3\), got "):
+            ArrayGeometry(positions)
+
+    def test_one_3_vector_is_a_one_mic_array(self):
+        assert ArrayGeometry([0.1, 0.2, 0.3]).positions.tolist() == [[0.1, 0.2, 0.3]]
+
     def test_placed(self):
         arr = ArrayGeometry.ula(2, 0.1)
         placed = arr.placed((1.0, 2.0, 3.0))
         assert np.allclose(placed, [[0.95, 2.0, 3.0], [1.05, 2.0, 3.0]])
+
+
+_NOT_MICS = r"^mic_positions must be a non-empty \(M, 3\) array, got "
 
 
 class TestSceneValidation:
@@ -180,6 +196,31 @@ class TestSceneValidation:
             RoomScene(scene.room_dims, t60, scene.mic_positions, scene.sources)
         with pytest.raises(ValueError, match="t60 must be finite"):
             simulate_rirs(ROOM, t60, scene.sources[0].position, scene.mic_positions)
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"room_dims": [6.0, 5.0, [3.0]]}, r"^room_dims must be three positive lengths, got "),
+            ({"mic_positions": [[2.96, 1.5], [3.04, 1.5, 1.2]]}, _NOT_MICS),
+            ({"mic_positions": [[[2.96, 1.5, 1.2]] * 3]}, _NOT_MICS),
+            ({"mic_positions": np.zeros((0, 3))}, _NOT_MICS),
+        ],
+        ids=["ragged-room-dims", "ragged-mics", "3-d-mics", "no-mics"],
+    )
+    def test_room_dims_or_mics_of_the_wrong_shape_rejected(self, changes, message):
+        sources = [
+            Source(np.array([3.0, 2.5, 1.2]), "target"),
+            Source(np.array([4.0, 2.6, 1.2]), "non_target"),
+            Source(np.array([2.0, 2.6, 1.2]), "interferer"),
+        ]
+        kwargs = {"room_dims": ROOM, "t60": 0.3, "mic_positions": self._mics(), **changes}
+        with pytest.raises(ValueError, match=message):
+            RoomScene(sources=sources, **kwargs)
+
+    @pytest.mark.parametrize("position", [[2.1, 3.1], [[2.1], 3.1, 1.7], ["x", 3.1, 1.7]])
+    def test_source_that_is_not_a_3_vector_rejected(self, position):
+        with pytest.raises(ValueError, match="^source position must be a 3-vector, got "):
+            Source(position, "target")
 
 
 class TestImageSource:
