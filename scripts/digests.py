@@ -25,6 +25,9 @@ replaced by ``<root>``.  The set:
   ``target_active`` frames, or on every other frame;
 * every plane of lstsc-1 and of lstsc-3 with the estimator on random
   spectra of M = 2...13 channels;
+* ``whiten`` (epsilon 0) of one (64, 257, 7) block whose parts span
+  1e-320 to 1e300, so that sums of squares underflow and overflow and
+  the modulus rescales entries all through the block;
 * ``lstsc simulate`` bundles: no config, integer- and float-spelled
   numbers, one config per array kind, named stem kinds and levels, and a
   ``scene`` section; and a 30 s 8-mic bundle with its ``extract --csv``
@@ -48,7 +51,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lstsc import cli
-from lstsc.coherence import VARIANT_SETTINGS, CoherenceConfig, compute_lstsc
+from lstsc.coherence import VARIANT_SETTINGS, CoherenceConfig, compute_lstsc, whiten
 from lstsc.enhance import HeuristicMaskEstimator, enhance_stream, heuristic_mask
 from lstsc.scenarios import build_misconvergence_scenario, build_sifting_scenario
 from lstsc.signal_core import stft_multichannel
@@ -203,6 +206,15 @@ def random_spectra():
         )
 
 
+def wide_range_whiten():
+    rng = np.random.default_rng(0)
+    shape = (64, 257, 7)
+    vectors = np.empty(shape, dtype=np.complex128)
+    for part in (vectors.real, vectors.imag):
+        part[...] = 10.0 ** rng.uniform(-320.0, 300.0, shape) * rng.choice([-1.0, 1.0], shape)
+    yield "whiten/wide_range", whiten(vectors, 0.0)[0]
+
+
 def _run(root: Path, argv: list[str]) -> str:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -230,7 +242,7 @@ def cli_bundles():
 
 
 def main() -> int:
-    for source in (scenarios, features, random_spectra, cli_bundles):
+    for source in (scenarios, features, random_spectra, wide_range_whiten, cli_bundles):
         for name, value in source():
             if isinstance(value, bytes):
                 digest = hashlib.sha256(value).hexdigest()

@@ -275,12 +275,23 @@ def whiten(vectors: np.ndarray, epsilon: float = 1e-12) -> tuple[np.ndarray, np.
     """Normalize each complex entry to unit modulus.
 
     Entries with modulus at or below ``epsilon`` become ``1 + 0j`` and the
-    owning row is flagged.  Returns ``(whitened, flagged_rows)``.
+    owning row is flagged.  Returns ``(whitened, flagged_rows)``.  A NaN
+    or infinite entry is rejected with ``ValueError``.
     """
-    whitened, degenerate = _unit_modulus(vectors, epsilon)
+    whitened, degenerate = _unit_modulus(_finite_complex(vectors, "vectors"), epsilon)
     if whitened.ndim <= 1:
         return whitened, bool(degenerate.any())
     return whitened, _flag_rows(degenerate, np.zeros(degenerate.shape[:-1], dtype=bool))
+
+
+def _finite_complex(values, name: str) -> np.ndarray:
+    """``values`` as a complex128 array, or ValueError naming its first
+    non-finite entry."""
+    values = np.asarray(values, dtype=np.complex128)
+    bad = first_non_finite(values)
+    if bad is not None:
+        raise ValueError(f"non-finite entry of {name} at index {bad}: {values[bad]}")
+    return values
 
 
 def _flag_rows(degenerate: np.ndarray, flags: np.ndarray) -> np.ndarray:
@@ -292,20 +303,76 @@ def _flag_rows(degenerate: np.ndarray, flags: np.ndarray) -> np.ndarray:
     return flags
 
 
+# Sums of squares below the smallest normal double have lost bits to
+# underflow, and those above the largest have overflowed: such entries
+# are recomputed on rescaled parts.
+_NORMAL_MIN = 2.0**-1022
+
+# Entries per pass of the sum of squares: ``im * im`` goes through a
+# scratch of at most this many doubles (64 kB), not a block-sized one.
+_SQUARES_CHUNK = 8192
+
+
+def _modulus(vectors: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+    """``sqrt(re*re + im*im)`` of each entry of complex128 ``vectors``,
+    and the entries it rescaled.
+
+    Only numpy's correctly rounded ``multiply``, ``add`` and ``sqrt`` are
+    used, so a modulus has the same bytes on every platform and C library
+    and wherever its entry sits in the array.  An entry whose sum of
+    squares overflows, or falls below 2**-1022 while the entry is not
+    zero, gets the same formula on its parts scaled by ``2**-e``, ``e``
+    the exponent of the larger part (``np.frexp``), and the result is
+    scaled back.  ``rescaled`` is None, or the flat (C-order) indices of
+    those entries with their scaled real parts, imaginary parts and
+    moduli.  Unless some entry needs rescaling, which takes masks of the
+    array, the modulus is the only block-sized array allocated (a
+    non-contiguous ``vectors`` is copied first).
+    """
+    flat = vectors.reshape(-1)
+    re, im = flat.real, flat.imag
+    squares = np.empty(flat.shape)
+    scratch = np.empty(min(flat.size, _SQUARES_CHUNK))
+    with np.errstate(over="ignore"):
+        np.multiply(re, re, out=squares)
+        for a in range(0, flat.size, _SQUARES_CHUNK):
+            b = min(a + _SQUARES_CHUNK, flat.size)
+            np.multiply(im[a:b], im[a:b], out=scratch[: b - a])
+            squares[a:b] += scratch[: b - a]
+    rescaled = None
+    # one min and one max: fewer passes than a mask of the out-of-range
+    if flat.size and not (
+        np.minimum.reduce(squares) >= _NORMAL_MIN and np.maximum.reduce(squares) < np.inf
+    ):
+        index = np.flatnonzero((squares < _NORMAL_MIN) | (squares == np.inf))
+        index = index[(re[index] != 0.0) | (im[index] != 0.0)]
+        if index.size:
+            _, exponent = np.frexp(np.maximum(np.abs(re[index]), np.abs(im[index])))
+            part_re, part_im = np.ldexp(re[index], -exponent), np.ldexp(im[index], -exponent)
+            scaled = np.sqrt(part_re * part_re + part_im * part_im)
+            rescaled = (index, part_re, part_im, scaled)
+    np.sqrt(squares, out=squares)
+    if rescaled is not None:
+        with np.errstate(over="ignore"):  # a modulus above the largest double is inf
+            squares[index] = np.ldexp(scaled, exponent)
+    return squares.reshape(vectors.shape), rescaled
+
+
 def _unit_modulus(
     vectors: np.ndarray, epsilon: float, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``whiten`` without the row flags; returns the per-entry degenerate
-    mask.  The whitened entries go to ``out`` when given, which may be
-    ``vectors`` itself.
+    """``whiten`` without the row flags or the finiteness check; returns
+    the per-entry degenerate mask.  The whitened entries go to ``out``
+    when given, which may be ``vectors`` itself.
 
-    The modulus is ``np.hypot``, which rounds once; ``sqrt(re*re + im*im)``
-    rounds three times and moves some entries by an ulp.  Degenerate
-    entries divide by 1.0 and are then overwritten, so no division is
-    masked and none is 0/0.
+    The modulus is ``_modulus``, IEEE arithmetic only.  Rescaled entries
+    divide their scaled parts by their scaled modulus, so a subnormal or
+    overflowing modulus still gives a unit entry.  Degenerate entries
+    divide by 1.0 and are then overwritten, so no division is masked and
+    none is 0/0.
     """
     vectors = np.asarray(vectors, dtype=np.complex128)
-    modulus = np.hypot(vectors.real, vectors.imag)
+    modulus, rescaled = _modulus(vectors)
     degenerate = modulus <= epsilon
     any_degenerate = degenerate.any()
     if any_degenerate:
@@ -313,6 +380,10 @@ def _unit_modulus(
     whitened = np.empty_like(vectors) if out is None else out
     np.divide(vectors.real, modulus, out=whitened.real)
     np.divide(vectors.imag, modulus, out=whitened.imag)
+    if rescaled is not None:
+        index, part_re, part_im, scaled = rescaled
+        whitened.real.flat[index] = part_re / scaled
+        whitened.imag.flat[index] = part_im / scaled
     if any_degenerate:
         whitened[degenerate] = 1.0
     return whitened, degenerate
@@ -324,9 +395,11 @@ def coherence(r: np.ndarray, rbar: np.ndarray, epsilon: float = 1e-12) -> np.nda
     ``r`` is a whitened (unit-modulus) vector along the last axis and
     ``rbar`` the tracker's recursive average, which is whitened here
     (``whiten(rbar, epsilon)``, minus the row flags it has no use for).
-    Returns ``clip(Re{r^H whiten(rbar)} / (M - 1), -1, 1)`` per row.
+    Returns ``clip(Re{r^H whiten(rbar)} / (M - 1), -1, 1)`` per row.  A
+    NaN or infinite entry of either is rejected with ``ValueError``.
     """
-    return _similarity(np.asarray(r, dtype=np.complex128), _unit_modulus(rbar, epsilon)[0])
+    r, rbar = _finite_complex(r, "r"), _finite_complex(rbar, "rbar")
+    return _similarity(r, _unit_modulus(rbar, epsilon)[0])
 
 
 def _clamp_unit(x, out: np.ndarray | None = None):
@@ -465,9 +538,11 @@ def _tracker(
 
     ``lam`` is a scalar or one row per frame.  ``states[0]`` is the state
     before the block and ``states[i + 1]`` the state after frame ``i``;
-    each frame is scored against the state before it by ``coherence``,
-    the frames in two halves (``_in_halves``), each half in even slices
-    of at most ``_SLICE_BYTES`` of states.  ``rbar`` is None before
+    each frame is scored against the state before it by ``coherence``'s
+    unchecked ``_similarity``/``_unit_modulus`` path (the engine has
+    already rejected non-finite spectra), the frames in two halves
+    (``_in_halves``), each half in even slices of at most
+    ``_SLICE_BYTES`` of states.  ``rbar`` is None before
     the first frame: the tracker opens on that frame's vector, which is
     then blended in like any other, and its coherence is 1 by definition
     (the vector is compared with itself), not the rounded dot product.
@@ -485,7 +560,7 @@ def _tracker(
         pieces = max(1, -(-(hi - lo) * states[0].nbytes // _SLICE_BYTES))
         bounds = [lo + (hi - lo) * k // pieces for k in range(pieces + 1)]
         for a, b in zip(bounds, bounds[1:]):
-            gamma[a:b] = coherence(rtfs[a:b], states[a:b], epsilon)
+            gamma[a:b] = _similarity(rtfs[a:b], _unit_modulus(states[a:b], epsilon)[0])
 
     # inline: 1.24-1.26x the two-thread time (30 s 8-mic extract), 1.15x (8 s 4-mic)
     _in_halves(frames, len(rtfs), _SPLIT_FRAMES)

@@ -13,7 +13,9 @@ import numpy as np
 
 def _whiten_entry(value: complex, epsilon: float) -> tuple[complex, bool]:
     value = complex(value)
-    modulus = abs(value)  # libm hypot, bitwise identical to np.hypot
+    # IEEE multiply, add and sqrt, the engine's definition; abs() would
+    # round with the C library's hypot
+    modulus = math.sqrt(value.real * value.real + value.imag * value.imag)
     if modulus <= epsilon:
         return 1.0 + 0.0j, True
     return complex(value.real / modulus, value.imag / modulus), False

@@ -3,12 +3,14 @@ oracle equivalence, and the binary/CSV export formats."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 import struct
 import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -33,6 +35,7 @@ from lstsc.coherence import (
     LstscFeatures,
     _Blend,
     _clamp_unit,
+    _modulus,
     arcsine_warp,
     coherence,
     compute_lstsc,
@@ -48,7 +51,9 @@ from lstsc.coherence import (
 )
 from lstsc.enhance import HeuristicMaskEstimator
 from lstsc.erb import design_filterbank, pool_feature
-from lstsc.signal_core import StftConfig, WavReader, load_wav, stft_multichannel
+from lstsc.signal_core import (
+    StftConfig, WavReader, first_non_finite, load_wav, stft_multichannel
+)
 
 
 class TestConfig:
@@ -175,7 +180,7 @@ def _whiten_masked(vectors, epsilon):
     """Whitening in its first form: divisions masked to the live entries
     of a ``ones_like`` output."""
     vectors = np.asarray(vectors, dtype=np.complex128)
-    modulus = np.hypot(vectors.real, vectors.imag)
+    modulus = np.sqrt(vectors.real * vectors.real + vectors.imag * vectors.imag)
     degenerate = modulus <= epsilon
     live = ~degenerate
     whitened = np.ones_like(vectors)
@@ -193,15 +198,39 @@ _PARTS = st.one_of(
 )
 
 
+def _signed(magnitudes):
+    return st.builds(lambda m, negative: -m if negative else m, magnitudes, st.booleans())
+
+
+# parts over the double range: +-1e-320 to +-1e300 (subnormals included,
+# so sums of squares both underflow and overflow) and signed zeros
+_WIDE_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    _signed(st.floats(1e-320, 1e300)),
+    _signed(st.builds(
+        lambda m, k: min(m * 10.0**k, 1e300), st.floats(1.0, 10.0), st.integers(-320, 299)
+    )),
+)
+
+# parts whose squares, and their sums, are normal doubles
+_NORMAL_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), _signed(st.floats(1e-150, 1e150)))
+
+
+def _from_parts(parts, shape):
+    """A complex array of ``shape`` from interleaved (re, im) parts, set
+    part by part: complex arithmetic would lose signed zeros."""
+    vectors = np.empty(shape, dtype=np.complex128)
+    vectors.real.flat = parts[0::2]
+    vectors.imag.flat = parts[1::2]
+    return vectors
+
+
 class TestWhiten:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 9), st.data())
     def test_matches_masked_form(self, rows, width, data):
         parts = data.draw(st.lists(_PARTS, min_size=2 * rows * width, max_size=2 * rows * width))
-        # set part by part: complex arithmetic would lose signed zeros
-        vectors = np.empty((rows, width), dtype=np.complex128)
-        vectors.real.flat = parts[0::2]
-        vectors.imag.flat = parts[1::2]
+        vectors = _from_parts(parts, (rows, width))
         got, flagged = whiten(vectors)
         want, want_flagged = _whiten_masked(vectors, 1e-12)
         assert got.tobytes() == want.tobytes()
@@ -219,6 +248,113 @@ class TestWhiten:
         assert out[0, 0] == 1.0 + 0.0j
         assert np.isclose(out[0, 1], 0.6 + 0.8j)
         assert np.asarray(flagged).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_WIDE_PARTS, _WIDE_PARTS), min_size=1, max_size=16))
+    @example([(1e200, 1e200)])
+    @example([(5e-324, 3e-323), (1e300, -1e-320)])
+    def test_modulus_over_the_double_range(self, entries):
+        # sums of squares that underflow or overflow are recomputed on
+        # rescaled parts: each modulus stays within an ulp of hypot and
+        # each entry that is not zero whitens to unit modulus, silently
+        vectors = _from_parts([part for entry in entries for part in entry], (len(entries),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            modulus = _modulus(vectors)[0]
+            white, _ = whiten(vectors, 0.0)
+        for value, got, entry in zip(vectors.tolist(), modulus.tolist(), white.tolist()):
+            want = math.hypot(value.real, value.imag)
+            assert abs(got - want) <= math.ulp(want), (value, got, want)
+            if want > 0.0:
+                assert abs(math.hypot(entry.real, entry.imag) - 1.0) <= 1e-15, (value, entry)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_NORMAL_PARTS, _NORMAL_PARTS), min_size=1, max_size=16))
+    def test_modulus_is_the_ieee_formula(self, entries):
+        # the definition, bit for bit, wherever no square leaves the
+        # normal range: multiply, add and sqrt, each correctly rounded
+        vectors = _from_parts([part for entry in entries for part in entry], (len(entries),))
+        re_, im = vectors.real, vectors.imag
+        assert _modulus(vectors)[0].tobytes() == np.sqrt(re_ * re_ + im * im).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12000), st.data())
+    def test_any_split_gives_the_same_bytes(self, seed, half, data):
+        # the engine whitens in halves and in blocks of frames, so an
+        # entry's bytes must not depend on where it sits or what shares
+        # the call; lengths cross the sum of squares' chunks
+        length = 2 * half + 1
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        wide = rng.random(length) < 0.05
+        vectors.real[wide] *= 10.0 ** rng.uniform(-320.0, 300.0, wide.sum())
+        vectors.imag[wide] *= 10.0 ** rng.uniform(-320.0, 300.0, wide.sum())
+        vectors[rng.random(length) < 0.01] = 0.0
+        cuts = sorted(data.draw(st.lists(st.integers(0, length), max_size=4)))
+        for epsilon in (0.0, 1e-12):
+            whole, _ = whiten(vectors, epsilon)
+            pieces = [whiten(vectors[a:b], epsilon)[0] for a, b in zip([0, *cuts], [*cuts, length])]
+            assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+class TestNonFiniteVectors:
+    """``whiten`` and ``coherence`` reject NaN and +-inf entries, naming
+    the first; the engine, whose spectra are already scanned, pays for no
+    scan of its own."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: whiten([np.nan + 0j, 1 + 0j]), "vectors at index (0,): (nan+0j)"),
+            (lambda: whiten([complex(np.inf, 1.0), 1 + 1j]), "vectors at index (0,): (inf+1j)"),
+            (lambda: coherence([1 + 0j, 1 + 0j], [np.nan + 0j, 1 + 0j]), "rbar at index (0,)"),
+            (lambda: coherence([1 + 0j, complex(0.0, -np.inf)], [1 + 0j, 1 + 0j]), "r at index (1,)"),
+        ],
+        ids=["whiten-nan", "whiten-inf", "coherence-rbar-nan", "coherence-r-inf"],
+    )
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite entry of {message}")):
+            call()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans(),
+           st.sampled_from(["vectors", "r", "rbar"]))
+    def test_first_bad_entry_named(self, data, value, imaginary, name):
+        shape = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        arrays = {
+            key: rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for key in ("r", "rbar")
+        }
+        bad = arrays["rbar" if name == "vectors" else name]
+        flat = data.draw(st.integers(0, bad.size - 1))
+        index = np.unravel_index(flat, shape)
+        part = bad.imag if imaginary else bad.real
+        part[index] = value
+        # more bad entries after the first
+        later = part.flat[flat + 1 :]
+        part.flat[flat + 1 :] = np.where(rng.random(later.size) < 0.3, np.nan, later)
+        message = re.escape(f"non-finite entry of {name} at index {tuple(int(i) for i in index)}:")
+        with pytest.raises(ValueError, match=message):
+            if name == "vectors":
+                whiten(arrays["rbar"])
+            else:
+                coherence(arrays["r"], arrays["rbar"])
+
+    def test_engine_scans_only_the_spectra(self, rng, monkeypatch):
+        import lstsc.coherence as module
+
+        scanned = []
+
+        def scan(array):
+            scanned.append(array.shape)
+            return first_non_finite(array)
+
+        monkeypatch.setattr(module, "first_non_finite", scan)
+        specs = random_small_specs(rng, 3, 2 * _BLOCK_FRAMES + 5, 9)
+        for variant, estimator in (("lstsc-1", None), ("lstsc-3", HeuristicMaskEstimator())):
+            scanned.clear()
+            compute_lstsc(specs, CoherenceConfig.for_variant(variant), estimator)
+            assert scanned == [specs.shape], variant
 
 
 def _blend(rbar, r, lam):
@@ -438,6 +574,19 @@ class TestComputeLstsc:
         planes = sum(plane.nbytes for plane in vars(feats).values() if plane is not None)
         rtf_block = _BLOCK_FRAMES * num_bins * (num_mics - 1) * specs.itemsize
         assert peak - planes < 3.6 * rtf_block, (peak - planes) / rtf_block
+
+    @pytest.mark.parametrize("variant", ["lstsc-1", "lstsc-3"])
+    def test_rtf_ratios_near_the_top_of_the_double_range(self, rng, variant):
+        # a reference channel 1e-154 times the others makes RTF ratios
+        # near 1e154, whose sums of squares overflow unless rescaled; min
+        # and max propagate NaN, which fails both comparisons
+        specs = 1e5 * random_small_specs(rng, 3, 20, 9)
+        specs[0] *= 1e-154
+        feats = compute_lstsc(specs, CoherenceConfig.for_variant(variant, epsilon=1e-300))
+        for name, plane in vars(feats).items():
+            if plane is not None and plane.dtype == np.float64:
+                assert np.minimum.reduce(plane, axis=None) >= -1.0, name
+                assert np.maximum.reduce(plane, axis=None) <= 1.0, name
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_SETTINGS))
     def test_empty_spectra_rejected(self, variant):
