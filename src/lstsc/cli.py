@@ -30,8 +30,8 @@ from . import __version__
 from .coherence import (
     VARIANT_SETTINGS,
     CoherenceConfig,
-    FeatureWriter,
     stream_wav,
+    write_feature_blocks,
     write_plane_csv,
 )
 from .enhance import HeuristicMaskEstimator, enhance_stream
@@ -51,7 +51,6 @@ from .signal_core import (
     MultichannelAudio,
     StftConfig,
     WavReader,
-    _check_pipeline_rate,
     load_wav,
     save_wav,
 )
@@ -331,15 +330,13 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     cfg = CoherenceConfig.for_variant(args.variant, **config)
     # every check is made before anything is written
     wav = WavReader(args.infile)
-    _check_pipeline_rate(wav.sample_rate)
     blocks = stream_wav(wav, cfg)
     num_frames = StftConfig().num_frames(wav.num_samples)
     out_path = _resolve_out(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with FeatureWriter(out_path, num_frames, csv=args.csv) as writer:
-        writer.write(blocks)
-    note = f" and {len(writer.csv_paths)} CSV planes" if args.csv else ""
-    print(f"wrote {out_path} ({num_frames} frames x {writer.width}){note}")
+    width, paths = write_feature_blocks(out_path, num_frames, blocks, csv=args.csv)
+    note = f" and {len(paths) - 1} CSV planes" if args.csv else ""
+    print(f"wrote {out_path} ({num_frames} frames x {width}){note}")
     return EXIT_OK
 
 

@@ -31,13 +31,14 @@ import numbers
 import os
 import struct
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .erb import ErbFilterbank, design_filterbank, pool_feature
 from .signal_core import (
-    SAMPLE_RATE, StftConfig, WavReader, _in_halves, _stft_channels, first_non_finite
+    SAMPLE_RATE, StftConfig, WavReader, _check_pipeline_rate, _in_halves, _stft_channels,
+    first_non_finite,
 )
 
 __all__ = [
@@ -54,7 +55,7 @@ __all__ = [
     "stream_wav",
     "compute_lstsc",
     "write_features",
-    "FeatureWriter",
+    "write_feature_blocks",
     "read_features",
     "write_plane_csv",
     "export_features_csv",
@@ -773,18 +774,19 @@ def stream_wav(reader: WavReader, cfg: CoherenceConfig) -> Iterator[FrameBlock]:
     transform the whole clip again.  Where two CPUs are available, the
     STFTs run in two halves of the mics and the engine's kernels in two
     halves of a block's frames (``signal_core._in_halves``); the blocks
-    are the same bytes.  A reader of fewer than 2 channels or of less
-    than one frame of samples raises ValueError here, before any block;
-    spectra that overflow are rejected by the block that reads them,
-    naming the first bad entry (the reader has rejected non-finite
+    are the same bytes.  A reader not at 16 kHz, of fewer than 2 channels
+    or of less than one frame of samples raises ValueError here, before
+    any block; spectra that overflow are rejected by the block that reads
+    them, naming the first bad entry (the reader has rejected non-finite
     samples).
     """
+    _check_pipeline_rate(reader.sample_rate)
     if reader.num_channels < 2:
         raise ValueError("spatial coherence requires at least 2 microphones")
     stft_cfg = StftConfig()
     hop, frame_len = stft_cfg.hop, stft_cfg.frame_len
     num_frames = stft_cfg.num_frames(reader.num_samples)
-    engine = _Engine(cfg, None, stft_cfg.num_bins, reader.sample_rate)
+    engine = _Engine(cfg, None, stft_cfg.num_bins, SAMPLE_RATE)
     spectra = np.empty(
         (reader.num_channels, min(num_frames, _BLOCK_FRAMES + 2 * cfg.R), stft_cfg.num_bins),
         dtype=np.complex128,
@@ -919,103 +921,82 @@ def _csv_path(base_path: str | Path, name: str) -> Path:
 
 
 def write_features(path: str | Path, features: LstscFeatures) -> None:
-    """Binary feature export: the whole clip as one ``FeatureWriter`` block.
+    """Binary feature export: ``write_feature_blocks`` of the whole clip.
 
     Layout (little-endian): magic ``LSTS``, u32 version, u32 L, u32 K
     (bins or bands), u32 plane count, then each plane as row-major
     float32.  Plane order: gamma_local, gamma_global, gamma_global_warped
     (when warping is enabled), lambda trace.
     """
-    with FeatureWriter(path, features.num_frames) as writer:
-        writer.write([features])
+    write_feature_blocks(path, features.num_frames, [features])
 
 
-class FeatureWriter:
-    """A clip's exported planes, written a block of frames at a time.
+def write_feature_blocks(
+    path: str | Path, num_frames: int, blocks: Iterable[LstscFeatures], csv: bool = False
+) -> tuple[int | None, list[Path]]:
+    """Write a clip's exported planes a block of frames at a time.
 
     A block is an ``LstscFeatures``: a ``FrameBlock`` of ``stream_frames``
     or ``stream_wav``, or a whole clip's features (``write_features``).
-    The binary file gets the layout ``write_features`` documents and, with
-    ``csv``, the CSV files ``export_features_csv`` writes.  The header is
-    written from ``num_frames`` and the first block's width when that
-    block arrives.  Each block's exported rows (banded when the engine
-    pools them) go as float32 to their offsets in every plane as the block
-    arrives, so no whole plane is held.  A block whose planes are not all
-    (its frames, the width) raises before any of its rows is written.
-
-    Use it as a context manager: a clean exit checks that all
-    ``num_frames`` frames were written and closes the files, and an
-    exception (or a missing frame) removes the files it opened.
+    The binary file at ``path`` gets the layout ``write_features``
+    documents and, with ``csv``, the CSV files ``export_features_csv``
+    writes.  The header is written from ``num_frames`` and the first
+    block's width when that block arrives.  Each block's exported rows
+    (banded when the engine pools them) go as float32 to their offsets in
+    every plane as the block arrives, so no whole plane is held.  A block
+    out of order, or whose planes are not all (its frames, the width),
+    raises before any of its rows is written.  If ``blocks`` raises, ends
+    short of ``num_frames`` frames, or a file cannot be opened, the files
+    opened so far are removed.  Returns the width and the files written,
+    the binary one first.
     """
-
-    def __init__(self, path: str | Path, num_frames: int, csv: bool = False) -> None:
-        self.path = Path(path)
-        self.num_frames = num_frames
-        self.csv = csv
-        # the planes' width, from the first block
-        self.width: int | None = None
-        # the files opened so far, the binary one first
-        self.paths: list[Path] = []
-        self._files: list = []
-        self._next = 0
-
-    @property
-    def csv_paths(self) -> list[Path]:
-        return self.paths[1:]
-
-    def __enter__(self) -> "FeatureWriter":
-        return self
-
-    def write(self, blocks) -> None:
-        """Write the rows of ``blocks``, the clip's next blocks of frames."""
+    path = Path(path)
+    width = None
+    paths: list[Path] = []
+    files: list = []
+    written = 0
+    complete = False
+    try:
         for block in blocks:
-            self._write(block)
-            # it would pin the block's buffers while the next one is computed
+            frames = block.frames
+            if frames.start != written or frames.stop > num_frames:
+                raise ValueError(
+                    f"expected the block at frame {written} of {num_frames}, "
+                    f"got frames {frames.start} to {frames.stop}"
+                )
+            named = _export_planes(block)
+            # the block's rows must not stay pinned while the next one is
+            # computed, neither by the block nor by the names below
             del block
-
-    def _write(self, block: LstscFeatures) -> None:
-        frames = block.frames
-        if frames.start != self._next or frames.stop > self.num_frames:
-            raise ValueError(
-                f"expected the block at frame {self._next} of {self.num_frames}, "
-                f"got frames {frames.start} to {frames.stop}"
-            )
-        named = _export_planes(block)
-        rows = [plane for _, plane in named]
-        width = rows[0].shape[-1] if self.width is None else self.width
-        if any(plane.shape != (frames.stop - frames.start, width) for plane in rows):
-            raise ValueError("feature planes disagree on shape")
-        if not self._files:
-            self._open([name for name, _ in named], width)
-        binary = self._files[0]
-        for index, plane_rows in enumerate(rows):
-            binary.seek(_LSTS_HEADER_BYTES + 4 * width * (index * self.num_frames + frames.start))
-            binary.write(np.ascontiguousarray(plane_rows, dtype="<f4").tobytes())
-        for fh, plane_rows in zip(self._files[1:], rows):
-            fh.write(_csv_block(plane_rows))
-        self._next = frames.stop
-
-    def _open(self, names: list[str], width: int) -> None:
-        targets = [self.path] + ([_csv_path(self.path, name) for name in names] if self.csv else [])
-        for target in targets:
-            self._files.append(open(target, "wb"))
-            self.paths.append(target)
-        self.width = width
-        self._files[0].write(
-            _LSTS_MAGIC + struct.pack("<IIII", _LSTS_VERSION, self.num_frames, width, len(names))
-        )
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        complete = exc_type is None and self._next == self.num_frames
-        for fh in self._files:
+            if width is None:
+                width = named[0][1].shape[-1]
+            if any(rows.shape != (frames.stop - frames.start, width) for _, rows in named):
+                raise ValueError("feature planes disagree on shape")
+            if not files:
+                targets = [path] + ([_csv_path(path, name) for name, _ in named] if csv else [])
+                for target in targets:
+                    files.append(open(target, "wb"))
+                    paths.append(target)
+                files[0].write(
+                    _LSTS_MAGIC + struct.pack("<IIII", _LSTS_VERSION, num_frames, width, len(named))
+                )
+            for index, (_, rows) in enumerate(named):
+                files[0].seek(_LSTS_HEADER_BYTES + 4 * width * (index * num_frames + frames.start))
+                files[0].write(np.ascontiguousarray(rows, dtype="<f4").tobytes())
+            for fh, (_, rows) in zip(files[1:], named):
+                fh.write(_csv_block(rows))
+            del named, rows
+            written = frames.stop
+        if written != num_frames:
+            raise ValueError(f"the feature file holds {num_frames} frames, {written} were written")
+        complete = True
+    finally:
+        for fh in files:
             fh.close()
         if not complete:
-            for path in self.paths:
-                path.unlink(missing_ok=True)
-        if exc_type is None and not complete:
-            raise ValueError(
-                f"the feature file holds {self.num_frames} frames, {self._next} were written"
-            )
+            for target in paths:
+                target.unlink(missing_ok=True)
+    return width, paths
 
 
 def read_features(path: str | Path) -> dict:

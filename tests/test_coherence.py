@@ -11,6 +11,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -30,11 +31,11 @@ from lstsc.coherence import (
     _BLOCK_FRAMES,
     VARIANT_SETTINGS,
     CoherenceConfig,
-    FeatureWriter,
     FrameBlock,
     LstscFeatures,
     _Blend,
     _clamp_unit,
+    _export_planes,
     _modulus,
     arcsine_warp,
     coherence,
@@ -46,6 +47,7 @@ from lstsc.coherence import (
     stream_frames,
     stream_wav,
     whiten,
+    write_feature_blocks,
     write_features,
     write_plane_csv,
 )
@@ -1169,9 +1171,20 @@ class TestStreamWav:
         ):
             next(blocks)
 
+    def test_rate_rejected_before_any_block(self, tmp_path):
+        # an 8 kHz file would get a filterbank designed for 8 kHz
+        wav = tmp_path / "8k.wav"
+        wavfile.write(wav, 8000, np.zeros((8000, 2), np.float32))
+        with pytest.raises(ValueError, match="^pipeline entry expects 16 kHz audio, got 8000 Hz$"):
+            stream_wav(WavReader(wav), CoherenceConfig.for_variant("lstsc-4"))
+
 
 class TestFeatureWriter:
-    """Blocks written as they come give the whole-clip files."""
+    """Blocks written as they come give the whole-clip files.
+
+    ``write_feature_blocks`` replaced a ``FeatureWriter`` class; the test
+    class keeps that name so the ids of its cases stay the same.
+    """
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_SETTINGS))
     @pytest.mark.parametrize("num_frames", [1, 25, 26, 64, 65, 89, 90, 129, 153, 154, 192])
@@ -1182,10 +1195,11 @@ class TestFeatureWriter:
         features = compute_lstsc(specs, cfg)
         write_features(tmp_path / "whole.lsts", features)
         export_features_csv(tmp_path / "whole.lsts", features)
-        with FeatureWriter(tmp_path / "blocks.lsts", num_frames, csv=True) as writer:
-            writer.write(stream_frames(specs, cfg))
+        _, paths = write_feature_blocks(
+            tmp_path / "blocks.lsts", num_frames, stream_frames(specs, cfg), csv=True
+        )
         wholes = sorted(tmp_path.glob("whole*"))
-        assert sorted(path.name for path in writer.paths) == [
+        assert sorted(path.name for path in paths) == [
             path.name.replace("whole", "blocks") for path in wholes
         ]
         for path in wholes:
@@ -1226,26 +1240,60 @@ class TestFeatureWriter:
     def test_failure_removes_the_files(self, tmp_path, rng):
         specs = random_small_specs(rng, 2, 130, STFT.num_bins)
         cfg = CoherenceConfig.for_variant("lstsc-3")
-        blocks = stream_frames(specs, cfg)
+
+        def failing():
+            blocks = stream_frames(specs, cfg)
+            yield next(blocks)
+            # asked for the next block: the first one's rows are written
+            assert len(list(tmp_path.iterdir())) == 5
+            raise RuntimeError("stop")
+
         with pytest.raises(RuntimeError, match="stop"):
-            with FeatureWriter(tmp_path / "f.lsts", 130, csv=True) as writer:
-                writer.write([next(blocks)])
-                assert len(list(tmp_path.iterdir())) == 5
-                raise RuntimeError("stop")
+            write_feature_blocks(tmp_path / "f.lsts", 130, failing(), csv=True)
         assert list(tmp_path.iterdir()) == []
         # a missing block is a failure too
         with pytest.raises(ValueError, match="holds 130 frames, 128 were written"):
-            with FeatureWriter(tmp_path / "f.lsts", 130) as writer:
-                writer.write(list(stream_frames(specs, cfg))[:2])
+            write_feature_blocks(tmp_path / "f.lsts", 130, list(stream_frames(specs, cfg))[:2])
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ValueError, match="expected the block at frame 0 of 130, got frames 64 to 128"):
-            with FeatureWriter(tmp_path / "f.lsts", 130) as writer:
-                writer.write(list(stream_frames(specs, cfg))[1:])
+            write_feature_blocks(tmp_path / "f.lsts", 130, list(stream_frames(specs, cfg))[1:])
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ValueError, match="expected the block at frame 128 of 129, got frames 128 to 130"):
-            with FeatureWriter(tmp_path / "f.lsts", 129) as writer:
-                writer.write(stream_frames(specs, cfg))
+            write_feature_blocks(tmp_path / "f.lsts", 129, stream_frames(specs, cfg))
         assert list(tmp_path.iterdir()) == []
+
+    def test_unopenable_target_removes_the_files(self, tmp_path, rng):
+        # the binary file and two CSV files are open when the third fails
+        specs = random_small_specs(rng, 2, 130, STFT.num_bins)
+        blocker = tmp_path / "f.gamma_global_warped.csv"
+        blocker.mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_feature_blocks(
+                tmp_path / "f.lsts", 130,
+                stream_frames(specs, CoherenceConfig.for_variant("lstsc-3")), csv=True,
+            )
+        assert list(tmp_path.iterdir()) == [blocker]
+
+    @pytest.mark.parametrize("variant", ["lstsc-1", "lstsc-4"])
+    def test_no_block_outlives_its_rows_written(self, tmp_path, rng, variant):
+        # the engine computes each block while the writer waits for it, so
+        # a reference the writer kept to the last block's rows would hold
+        # two blocks at once: a difference too small for the peak bounds
+        specs = random_small_specs(rng, 3, 200, STFT.num_bins)
+        live = []
+
+        def guarded(blocks):
+            for block in blocks:
+                refs = [weakref.ref(rows) for _, rows in _export_planes(block)]
+                yield block
+                del block
+                live.append(sum(ref() is not None for ref in refs))
+
+        write_feature_blocks(
+            tmp_path / "f.lsts", 200,
+            guarded(stream_frames(specs, CoherenceConfig.for_variant(variant))), csv=True,
+        )
+        assert live == [0, 0, 0, 0]
 
     def test_planes_that_disagree_on_shape_rejected(self, tmp_path, rng):
         specs = random_small_specs(rng, 2, 130, 9)
@@ -1256,17 +1304,21 @@ class TestFeatureWriter:
             write_features(tmp_path / "whole.lsts", short)
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ValueError, match="^feature planes disagree on shape$"):
-            with FeatureWriter(tmp_path / "f.lsts", 130, csv=True) as writer:
-                writer.write([short])
+            write_feature_blocks(tmp_path / "f.lsts", 130, [short], csv=True)
         assert list(tmp_path.iterdir()) == []
         # a later block narrower than the first, whose rows would land at
-        # the wrong offsets
+        # the wrong offsets; the first block's files are removed
         blocks = list(stream_frames(specs, cfg))
         blocks[1].lambda_trace = blocks[1].lambda_trace[:, :-1]
+
+        def checked():
+            yield blocks[0]
+            assert len(list(tmp_path.iterdir())) == 5
+            yield blocks[1]
+
         with pytest.raises(ValueError, match="^feature planes disagree on shape$"):
-            with FeatureWriter(tmp_path / "f.lsts", 130, csv=True) as writer:
-                writer.write(blocks)
-        assert writer.paths and list(tmp_path.iterdir()) == []
+            write_feature_blocks(tmp_path / "f.lsts", 130, checked(), csv=True)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExport:
