@@ -37,8 +37,8 @@ import numpy as np
 
 from .erb import ErbFilterbank, design_filterbank, pool_feature
 from .signal_core import (
-    SAMPLE_RATE, StftConfig, WavReader, _check_pipeline_rate, _in_halves, _stft_channels,
-    first_non_finite,
+    SAMPLE_RATE, StftConfig, WavReader, _check_pipeline_rate, _first_non_finite, _in_halves,
+    _stft_channels,
 )
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "write_feature_blocks",
     "read_features",
     "write_plane_csv",
-    "export_features_csv",
 ]
 
 # Named presets: (time-varying global forgetting factor, arcsine warp, bands)
@@ -161,7 +160,7 @@ def _as_spec_tensor(specs) -> np.ndarray:
 def _reject_non_finite(spectra: np.ndarray, first: int = 0) -> None:
     """Raise ValueError naming the first non-finite entry of (M, n, F)
     ``spectra`` of clip frames ``first`` onward."""
-    bad = first_non_finite(spectra)
+    bad = _first_non_finite(spectra)
     if bad is not None:
         channel, frame, bin_ = bad
         raise ValueError(
@@ -289,7 +288,7 @@ def _finite_complex(values, name: str) -> np.ndarray:
     """``values`` as a complex128 array, or ValueError naming its first
     non-finite entry."""
     values = np.asarray(values, dtype=np.complex128)
-    bad = first_non_finite(values)
+    bad = _first_non_finite(values)
     if bad is not None:
         raise ValueError(f"non-finite entry of {name} at index {bad}: {values[bad]}")
     return values
@@ -913,13 +912,6 @@ def _export_planes(source) -> list[tuple[str, np.ndarray]]:
     return [(name, plane) for name, plane in planes if plane is not None]
 
 
-def _csv_path(base_path: str | Path, name: str) -> Path:
-    """``<stem>.<name>.csv`` next to ``base_path``, whatever its suffix."""
-    base = Path(base_path)
-    stem = base.stem if base.suffix else base.name
-    return base.with_name(f"{stem}.{name}.csv")
-
-
 def write_features(path: str | Path, features: LstscFeatures) -> None:
     """Binary feature export: ``write_feature_blocks`` of the whole clip.
 
@@ -939,8 +931,11 @@ def write_feature_blocks(
     A block is an ``LstscFeatures``: a ``FrameBlock`` of ``stream_frames``
     or ``stream_wav``, or a whole clip's features (``write_features``).
     The binary file at ``path`` gets the layout ``write_features``
-    documents and, with ``csv``, the CSV files ``export_features_csv``
-    writes.  The header is written from ``num_frames`` and the first
+    documents.  With ``csv``, each plane also goes to
+    ``<stem>.<plane>.csv`` next to ``path``, whatever its suffix, named
+    ``gamma_local``, ``gamma_global``, ``gamma_global_warped`` or
+    ``lambda``, with the bytes ``write_plane_csv`` writes for the whole
+    plane.  The header is written from ``num_frames`` and the first
     block's width when that block arrives.  Each block's exported rows
     (banded when the engine pools them) go as float32 to their offsets in
     every plane as the block arrives, so no whole plane is held.  A block
@@ -973,7 +968,9 @@ def write_feature_blocks(
             if any(rows.shape != (frames.stop - frames.start, width) for _, rows in named):
                 raise ValueError("feature planes disagree on shape")
             if not files:
-                targets = [path] + ([_csv_path(path, name) for name, _ in named] if csv else [])
+                targets = [path]
+                if csv:
+                    targets += [path.with_name(f"{path.stem}.{name}.csv") for name, _ in named]
                 for target in targets:
                     files.append(open(target, "wb"))
                     paths.append(target)
@@ -1134,18 +1131,3 @@ def write_plane_csv(path: str | Path, plane: np.ndarray) -> None:
     with open(path, "wb") as fh:
         for start in range(0, len(plane), _CSV_BLOCK_ROWS):
             fh.write(_csv_block(plane[start : start + _CSV_BLOCK_ROWS]))
-
-
-def export_features_csv(base_path: str | Path, features: LstscFeatures) -> list[Path]:
-    """Write one CSV per exported plane next to ``base_path``.
-
-    ``base_path`` may carry any suffix; files are named
-    ``<stem>.<plane>.csv`` in the same directory and written by
-    ``write_plane_csv``.  Returns written paths.
-    """
-    written = []
-    for name, plane in _export_planes(features):
-        out = _csv_path(base_path, name)
-        write_plane_csv(out, plane)
-        written.append(out)
-    return written

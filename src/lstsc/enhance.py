@@ -17,8 +17,7 @@ import numpy as np
 
 from .coherence import CoherenceConfig, LstscFeatures, compute_lstsc
 from .signal_core import (
-    Mask, MultichannelAudio, StftConfig, _check_pipeline_rate, apply_mask, istft,
-    stft_multichannel,
+    Mask, MultichannelAudio, StftConfig, _check_pipeline_rate, istft, stft_multichannel,
 )
 
 __all__ = [
@@ -113,7 +112,6 @@ def enhance_stream(
         specs, cfg, mask_feedback=estimator, sample_rate=mixture.sample_rate
     )
     mask = Mask(features.mask)
-    masked = apply_mask(specs[0], mask)
-    samples = istft(masked, stft_cfg, length=mixture.num_samples)
+    samples = istft(specs[0] * mask.data, stft_cfg, length=mixture.num_samples)
     enhanced = MultichannelAudio(samples[np.newaxis, :], mixture.sample_rate)
     return EnhanceResult(enhanced=enhanced, mask=mask, features=features)

@@ -14,13 +14,12 @@ import numpy as np
 
 __all__ = [
     "ErbFilterbank",
-    "erb_rate",
     "design_filterbank",
     "pool_feature",
 ]
 
 
-def erb_rate(freq_hz: np.ndarray | float) -> np.ndarray | float:
+def _erb_rate(freq_hz: np.ndarray | float) -> np.ndarray | float:
     """Map frequency in Hz to the ERB-rate (auditory band number) scale."""
     return 21.4 * np.log10(1.0 + 0.00437 * np.asarray(freq_hz, dtype=np.float64))
 
@@ -38,10 +37,6 @@ class ErbFilterbank:
     pi: np.ndarray
 
     @property
-    def num_bands(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def num_bins(self) -> int:
         return self.weights.shape[1]
 
@@ -57,7 +52,7 @@ def design_filterbank(sample_rate: int, fft_size: int, bands: int = 48) -> ErbFi
         raise ValueError(f"more bands ({bands}) than frequency bins ({num_bins})")
 
     bin_hz = np.arange(num_bins) * (sample_rate / fft_size)
-    bin_rate = erb_rate(bin_hz)
+    bin_rate = _erb_rate(bin_hz)
     center_rate = np.linspace(bin_rate[0], bin_rate[-1], bands)
     # invert the rate scale for reporting
     centers_hz = (10.0 ** (center_rate / 21.4) - 1.0) / 0.00437

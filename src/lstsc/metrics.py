@@ -10,6 +10,8 @@ import dataclasses
 
 import numpy as np
 
+from .signal_core import _first_non_finite
+
 __all__ = ["SiSdrReport", "si_sdr"]
 
 _CAP_DB = 100.0
@@ -31,7 +33,8 @@ def si_sdr(reference: np.ndarray, estimate: np.ndarray) -> SiSdrReport:
 
     ``alpha = <estimate, reference> / ||reference||^2`` and the score is
     ``10 log10(||alpha r||^2 / ||estimate - alpha r||^2)``, evaluated over
-    the full signals regardless of target presence.
+    the full signals regardless of target presence.  A NaN or infinite
+    sample in either input raises ValueError naming the first one.
     """
     reference = np.asarray(reference, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
@@ -42,6 +45,10 @@ def si_sdr(reference: np.ndarray, estimate: np.ndarray) -> SiSdrReport:
             f"length mismatch: reference {reference.shape[0]}, "
             f"estimate {estimate.shape[0]}"
         )
+    for name, values in (("reference", reference), ("estimate", estimate)):
+        bad = _first_non_finite(values)
+        if bad is not None:
+            raise ValueError(f"non-finite {name} sample at index {bad[0]}: {values[bad]}")
     ref_energy = float(np.dot(reference, reference))
     if ref_energy <= 0.0:
         raise ValueError("reference must not be all-zero")

@@ -26,6 +26,7 @@ from .signal_core import SAMPLE_RATE, MultichannelAudio, _alongside, _in_halves
 
 __all__ = [
     "SPEED_OF_SOUND",
+    "ROLE_ORDER",
     "ArrayGeometry",
     "Source",
     "RoomScene",

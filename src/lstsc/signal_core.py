@@ -1,10 +1,11 @@
-"""Time-frequency substrate: WAV I/O, framing, STFT/iSTFT, spectral masking.
+"""Time-frequency substrate: WAV I/O, framing, STFT/iSTFT.
 
 Audio travels through the pipeline as an ``M x T`` float64 sample matrix
-tagged with a sample rate.  Spectrograms are plain ``(L, F)`` complex128
-arrays, one per channel, with ``F = fft_size // 2 + 1`` one-sided bins.
-Frame ``l`` covers samples ``[l * hop, l * hop + frame_len)`` with no
-pre-padding, so time-frequency indices are reproducible across modules.
+tagged with a sample rate.  Spectrograms are ``(M, L, F)`` complex128
+tensors, an ``(L, F)`` plane per channel, with ``F = fft_size // 2 + 1``
+one-sided bins.  Frame ``l`` covers samples ``[l * hop, l * hop +
+frame_len)`` with no pre-padding, so time-frequency indices are
+reproducible across modules.
 """
 from __future__ import annotations
 
@@ -27,10 +28,8 @@ __all__ = [
     "load_wav",
     "WavReader",
     "save_wav",
-    "stft",
     "stft_multichannel",
     "istft",
-    "apply_mask",
 ]
 
 # The one sample rate of the pipeline (Hz): scenes render at it, and
@@ -148,7 +147,7 @@ def _check_pipeline_rate(sample_rate: int) -> None:
         raise ValueError(f"pipeline entry expects 16 kHz audio, got {sample_rate} Hz")
 
 
-def first_non_finite(array: np.ndarray) -> tuple[int, ...] | None:
+def _first_non_finite(array: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first NaN or ±inf entry of ``array`` (row-major), or
     ``None``.  Only a non-finite sum pays for the allocating scan; the sum
     warns neither when it overflows nor when it meets +inf and -inf."""
@@ -177,7 +176,7 @@ class MultichannelAudio:
             raise ValueError("audio needs at least one channel")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        bad = first_non_finite(self.samples)
+        bad = _first_non_finite(self.samples)
         if bad is not None:
             channel, sample = bad
             raise ValueError(f"non-finite audio sample at channel {channel}, sample {sample}")
@@ -257,10 +256,6 @@ class Mask:
             raise ValueError("mask entries must be finite")
         if data.size and (data.min() < 0.0 or data.max() > 1.0):
             raise ValueError("mask entries must lie in [0, 1]")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
 
 
 def _decode(data: np.ndarray) -> np.ndarray:
@@ -412,7 +407,7 @@ class WavReader:
             # scan the raw spans: the float64 conversion keeps finiteness
             found = []
             for start in range(0, self.num_samples, _SCAN_SAMPLES):
-                bad = first_non_finite(
+                bad = _first_non_finite(
                     _read_span(self._path, self._layout, start, start + _SCAN_SAMPLES).T
                 )
                 if bad is not None:
@@ -468,34 +463,19 @@ def save_wav(path: str | Path, audio: MultichannelAudio) -> None:
         file.write(data.data)
 
 
-def stft(x: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
-    """One-sided STFT of a single channel.
-
-    Frames are windowed, zero-padded to ``fft_size`` and transformed;
-    ``L = 1 + floor((T - frame_len) / hop)``, no pre-padding.
-    """
-    return _stft(x, cfg)
-
-
-def _stft(x, cfg: StftConfig, out: np.ndarray | None = None) -> np.ndarray:
-    """``stft``, with the transform written into ``out`` when given."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("stft expects a 1-D sample vector")
-    num_frames = cfg.num_frames(x.shape[0])
-    window = cfg.analysis_window()
-    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)
-    frames = frames[:: cfg.hop][:num_frames]
-    return np.fft.rfft(frames * window, n=cfg.fft_size, axis=1, out=out)
-
-
 def _stft_channels(samples: np.ndarray, cfg: StftConfig, out: np.ndarray) -> None:
-    """The STFT of each row of ``samples`` written into the same channel
-    of the (M, L, F) ``out``, the channels in two halves (``_in_halves``)."""
+    """Writes the STFT of each row of ``samples`` into the same channel of
+    the (M, L, F) ``out``: the row's first L frames, windowed, zero-padded
+    to ``fft_size`` and transformed, the channels in two halves
+    (``_in_halves``)."""
+    window = cfg.analysis_window()
+    num_frames = out.shape[1]
 
     def channels(lo: int, hi: int) -> None:
         for m in range(lo, hi):
-            _stft(samples[m], cfg, out[m])
+            frames = np.lib.stride_tricks.sliding_window_view(samples[m], cfg.frame_len)
+            frames = frames[:: cfg.hop][:num_frames]
+            np.fft.rfft(frames * window, n=cfg.fft_size, axis=1, out=out[m])
 
     # inline: 1.03-1.04x the two-thread time (30 s 8-mic extract), 1.09x (8 s 4-mic)
     _in_halves(channels, out.shape[0], 2)
@@ -504,11 +484,14 @@ def _stft_channels(samples: np.ndarray, cfg: StftConfig, out: np.ndarray) -> Non
 def stft_multichannel(
     audio: MultichannelAudio, cfg: StftConfig = StftConfig()
 ) -> np.ndarray:
-    """Per-channel STFTs as one (M, L, F) tensor.
+    """Per-channel one-sided STFTs as one (M, L, F) tensor.
 
-    The tensor is allocated once and each channel's transform is written
-    straight into its slice, so the peak is the tensor plus the windowed
-    frames of the (at most two) channels in progress, not two tensors.
+    Frames are windowed, zero-padded to ``fft_size`` and transformed;
+    ``L = 1 + floor((T - frame_len) / hop)``, no pre-padding, and a clip
+    shorter than one frame raises ValueError.  The tensor is allocated
+    once and each channel's transform is written straight into its slice,
+    so the peak is the tensor plus the windowed frames of the (at most
+    two) channels in progress, not two tensors.
     """
     num_frames = cfg.num_frames(audio.num_samples)
     out = np.empty((audio.num_channels, num_frames, cfg.num_bins), dtype=np.complex128)
@@ -522,10 +505,11 @@ def istft(
     """Weighted overlap-add synthesis.
 
     The synthesis window equals the analysis window and the overlap-added
-    signal is divided by the accumulated squared window, so
-    ``istft(stft(x))`` reproduces ``x`` exactly (up to rounding) wherever
-    the window sum is nonzero — in particular on the fully overlapped
-    interior.  The first/last partially covered samples are tapered.
+    signal is divided by the accumulated squared window, so ``istft`` of
+    a channel's ``stft_multichannel`` reproduces that channel exactly (up
+    to rounding) wherever the window sum is nonzero — in particular on the
+    fully overlapped interior.  The first/last partially covered samples
+    are tapered.
     """
     spec = np.asarray(spec)
     if spec.ndim != 2 or spec.shape[1] != cfg.num_bins:
@@ -562,13 +546,3 @@ def istft(
         else:
             out = np.concatenate([out, np.zeros(length - total)])
     return out
-
-
-def apply_mask(spec: np.ndarray, mask: Mask) -> np.ndarray:
-    """Per-bin gain: ``out = mask * spec``; phase is untouched."""
-    spec = np.asarray(spec)
-    if spec.shape != mask.data.shape:
-        raise ValueError(
-            f"mask shape {mask.data.shape} does not match spectrogram {spec.shape}"
-        )
-    return spec * mask.data

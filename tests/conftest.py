@@ -18,6 +18,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from lstsc.coherence import write_plane_csv
 from lstsc.signal_core import MultichannelAudio, StftConfig
 
 
@@ -70,6 +71,33 @@ def savetxt_bytes(plane: np.ndarray) -> bytes:
     buffer = io.BytesIO()
     np.savetxt(buffer, plane, delimiter=",", fmt="%.9e")
     return buffer.getvalue()
+
+
+# A feature file's planes in README's documented order: (name in the
+# file name, attribute of LstscFeatures).
+FEATURE_PLANES = (
+    ("gamma_local", "gamma_local"),
+    ("gamma_global", "gamma_global"),
+    ("gamma_global_warped", "gamma_global_warped"),
+    ("lambda", "lambda_trace"),
+)
+
+
+def write_whole_plane_csvs(path, features) -> list[Path]:
+    """``<stem>.<plane>.csv`` next to ``path`` for each plane of a whole
+    clip's ``features`` in ``FEATURE_PLANES`` order, the ``banded_`` ones
+    when bands are on and the warped one only when warping is, each
+    written whole by ``write_plane_csv``: the CSV set that ``extract
+    --csv`` writes a block at a time.  Returns the files written."""
+    path = Path(path)
+    prefix = "banded_" if features.banded_gamma_local is not None else ""
+    written = []
+    for name, attr in FEATURE_PLANES:
+        plane = getattr(features, prefix + attr)
+        if plane is not None:
+            written.append(path.with_name(f"{path.stem}.{name}.csv"))
+            write_plane_csv(written[-1], plane)
+    return written
 
 
 # The GUID tail of a WAVE_FORMAT_EXTENSIBLE subformat (RFC 2361).

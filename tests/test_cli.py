@@ -24,14 +24,13 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from conftest import (
-    UNREADABLE_WAVS, delayed_array_audio, savetxt_bytes, write_pcm24, write_unreadable_wav
+    UNREADABLE_WAVS, delayed_array_audio, savetxt_bytes, write_pcm24, write_unreadable_wav,
+    write_whole_plane_csvs,
 )
 
 from lstsc import cli
 from lstsc.cli import EXIT_CONFIG, EXIT_CONSTRAINT, EXIT_MISSING, EXIT_OK, main
-from lstsc.coherence import (
-    CoherenceConfig, compute_lstsc, export_features_csv, read_features, write_features
-)
+from lstsc.coherence import CoherenceConfig, compute_lstsc, read_features, write_features
 from lstsc.enhance import HeuristicMaskEstimator, enhance_stream
 from lstsc.roomsim import ROLE_ORDER
 from lstsc.scenarios import STEM_KINDS, build_sifting_scenario
@@ -588,7 +587,7 @@ def _assert_streamed_bytes(tmp_path, samples, variant, **config) -> None:
     whole = tmp_path / "whole" / "f.lsts"
     whole.parent.mkdir()
     write_features(whole, features)
-    export_features_csv(whole, features)
+    write_whole_plane_csvs(whole, features)
     names = sorted(path.name for path in whole.parent.iterdir())
     assert sorted(path.name for path in out.parent.iterdir()) == names
     for name in names:

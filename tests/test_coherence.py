@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from conftest import (
-    delayed_array_audio, random_small_specs, same_bytes, savetxt_bytes, write_pcm24
+    delayed_array_audio, random_small_specs, same_bytes, savetxt_bytes, write_pcm24,
+    write_whole_plane_csvs,
 )
 import oracle_frame_engine
 from oracle_lstsc import _coherence_whitened_form, oracle_lstsc, oracle_short_term_rtf
@@ -40,7 +41,6 @@ from lstsc.coherence import (
     arcsine_warp,
     coherence,
     compute_lstsc,
-    export_features_csv,
     lambda_schedule,
     read_features,
     short_term_whitened_rtf,
@@ -54,7 +54,7 @@ from lstsc.coherence import (
 from lstsc.enhance import HeuristicMaskEstimator
 from lstsc.erb import design_filterbank, pool_feature
 from lstsc.signal_core import (
-    StftConfig, WavReader, first_non_finite, load_wav, stft_multichannel
+    StftConfig, WavReader, _first_non_finite, load_wav, stft_multichannel
 )
 
 
@@ -349,9 +349,9 @@ class TestNonFiniteVectors:
 
         def scan(array):
             scanned.append(array.shape)
-            return first_non_finite(array)
+            return _first_non_finite(array)
 
-        monkeypatch.setattr(module, "first_non_finite", scan)
+        monkeypatch.setattr(module, "_first_non_finite", scan)
         specs = random_small_specs(rng, 3, 2 * _BLOCK_FRAMES + 5, 9)
         for variant, estimator in (("lstsc-1", None), ("lstsc-3", HeuristicMaskEstimator())):
             scanned.clear()
@@ -1194,7 +1194,7 @@ class TestFeatureWriter:
         cfg = CoherenceConfig.for_variant(variant)
         features = compute_lstsc(specs, cfg)
         write_features(tmp_path / "whole.lsts", features)
-        export_features_csv(tmp_path / "whole.lsts", features)
+        write_whole_plane_csvs(tmp_path / "whole.lsts", features)
         _, paths = write_feature_blocks(
             tmp_path / "blocks.lsts", num_frames, stream_frames(specs, cfg), csv=True
         )
@@ -1388,8 +1388,13 @@ class TestExport:
     def test_csv_export(self, tmp_path, rng):
         specs = random_small_specs(rng, 3, 6, 5)
         feats = compute_lstsc(specs, CoherenceConfig.for_variant("lstsc-3"))
-        written = export_features_csv(tmp_path / "f.lsts", feats)
-        assert len(written) == 4
+        width, paths = write_feature_blocks(tmp_path / "f.lsts", 6, [feats], csv=True)
+        assert width == 5
+        binary, *written = paths
+        assert binary == tmp_path / "f.lsts"
+        assert [path.name for path in written] == [
+            "f.gamma_local.csv", "f.gamma_global.csv", "f.gamma_global_warped.csv", "f.lambda.csv"
+        ]
         for path in written:
             assert path.exists()
             data = np.loadtxt(path, delimiter=",")

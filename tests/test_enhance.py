@@ -10,7 +10,7 @@ from conftest import delayed_array_audio
 
 from lstsc.coherence import VARIANT_SETTINGS, CoherenceConfig, compute_lstsc
 from lstsc.enhance import HeuristicMaskEstimator, enhance_stream, heuristic_mask
-from lstsc.signal_core import MultichannelAudio, StftConfig, istft, stft, stft_multichannel
+from lstsc.signal_core import MultichannelAudio, StftConfig, istft, stft_multichannel
 
 
 # doubles where a clamp into [0, 1] can go wrong: both zeros and their
@@ -77,12 +77,14 @@ class TestEnhanceStream:
     def audio(self, rng):
         return delayed_array_audio(rng, 4, 24000, noise_rms=0.01)
 
-    def test_unit_mask_reconstructs_reference(self, audio):
+    def test_constant_mask_scales_reference(self, audio):
+        # a unit mask rebuilds the reference channel; a power-of-two gain
+        # scales every step exactly, so half keeps the phase bit for bit
         cfg = CoherenceConfig.for_variant("lstsc-2")
-        result = enhance_stream(audio, cfg, estimator=_ConstantEstimator(1.0))
-        stft_cfg = StftConfig()
-        want = istft(stft(audio.samples[0], stft_cfg), stft_cfg, length=audio.num_samples)
-        assert np.array_equal(result.enhanced.samples[0], want)
+        passthrough = istft(stft_multichannel(audio)[0], StftConfig(), length=audio.num_samples)
+        for gain in (1.0, 0.5):
+            result = enhance_stream(audio, cfg, estimator=_ConstantEstimator(gain))
+            assert np.array_equal(result.enhanced.samples[0], gain * passthrough), gain
 
     def test_zero_mask_silences_and_never_halts(self, audio):
         cfg = CoherenceConfig.for_variant("lstsc-2")
@@ -130,10 +132,7 @@ class TestEnhanceStream:
     def test_energy_nonexpansive(self, audio):
         cfg = CoherenceConfig.for_variant("lstsc-3")
         result = enhance_stream(audio, cfg)
-        stft_cfg = StftConfig()
-        passthrough = istft(
-            stft(audio.samples[0], stft_cfg), stft_cfg, length=audio.num_samples
-        )
+        passthrough = istft(stft_multichannel(audio)[0], StftConfig(), length=audio.num_samples)
         assert np.sum(result.enhanced.samples[0] ** 2) <= np.sum(passthrough**2) + 1e-12
 
     def test_deterministic(self, audio):

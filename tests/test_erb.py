@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lstsc.erb import design_filterbank, erb_rate, pool_feature
+from lstsc.erb import _erb_rate, design_filterbank, pool_feature
 
 
 def _dense_reference_weights(num_bands: int, fft_size: int, sample_rate: float) -> np.ndarray:
@@ -33,15 +33,15 @@ def _dense_reference_weights(num_bands: int, fft_size: int, sample_rate: float) 
 
 class TestRateScale:
     def test_zero_frequency(self):
-        assert erb_rate(0.0) == 0.0
+        assert _erb_rate(0.0) == 0.0
 
     def test_monotone(self):
         f = np.linspace(0.0, 8000.0, 500)
-        assert np.all(np.diff(erb_rate(f)) > 0)
+        assert np.all(np.diff(_erb_rate(f)) > 0)
 
     def test_known_value(self):
         # 1 kHz sits near 15.6 on this scale
-        assert erb_rate(1000.0) == pytest.approx(21.4 * np.log10(5.37), abs=1e-9)
+        assert _erb_rate(1000.0) == pytest.approx(21.4 * np.log10(5.37), abs=1e-9)
 
 
 class TestDesign:

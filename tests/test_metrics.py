@@ -1,6 +1,8 @@
 """Scale-invariant SDR: exact identities, invariances, and the projection."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,3 +81,20 @@ class TestValidation:
     def test_zero_estimate_floors(self, rng):
         ref = rng.standard_normal(100)
         assert si_sdr(ref, np.zeros(100)).value_db == -100.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from(["reference", "estimate"]), st.integers(0, 99),
+        st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 2**32 - 1),
+    )
+    def test_non_finite_sample_named(self, name, index, value, seed):
+        rng = np.random.default_rng(seed)
+        inputs = {"reference": rng.standard_normal(100), "estimate": rng.standard_normal(100)}
+        bad = inputs[name]
+        bad[index] = value
+        # more bad samples after the first
+        later = bad[index + 1 :]
+        bad[index + 1 :] = np.where(rng.random(later.size) < 0.3, np.nan, later)
+        message = re.escape(f"non-finite {name} sample at index {index}: {value}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            si_sdr(inputs["reference"], inputs["estimate"])

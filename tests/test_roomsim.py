@@ -577,7 +577,7 @@ class TestMixScene:
         def scan(array):
             raise AssertionError(f"a {array.shape} output was scanned")
 
-        monkeypatch.setattr(signal_core, "first_non_finite", scan)
+        monkeypatch.setattr(signal_core, "_first_non_finite", scan)
         result = mix_scene(scene, stems, self._spec(), noise_seed=3)
         for audio in (result.mixture, *result.images.values(), result.noise):
             assert audio.samples.dtype == np.float64 and audio.samples.shape == (4, 16000)
