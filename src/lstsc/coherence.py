@@ -27,18 +27,21 @@ features open at 1.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import os
 import struct
+import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .erb import ErbFilterbank, design_filterbank, pool_feature
+from . import signal_core
+from .erb import ErbFilterbank, _pool, design_filterbank, pool_feature
 from .signal_core import (
-    SAMPLE_RATE, StftConfig, WavReader, _check_pipeline_rate, _first_non_finite, _in_halves,
-    _stft_channels,
+    SAMPLE_RATE, StftConfig, WavReader, _Arena, _arenas, _check_pipeline_rate, _first_non_finite,
+    _in_halves, _stft_channels, _tiles,
 )
 
 __all__ = [
@@ -194,17 +197,42 @@ def short_term_whitened_rtf(
 
 
 def _block_whitened_rtf(
-    tensor: np.ndarray, start: int, stop: int, cfg: CoherenceConfig
+    tensor: np.ndarray,
+    start: int,
+    stop: int,
+    cfg: CoherenceConfig,
+    entries: np.ndarray | None = None,
+    low: np.ndarray | None = None,
+    arenas: tuple[_Arena, _Arena] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``short_term_whitened_rtf`` of frames ``[start, stop)`` at once:
-    entries (n, F, M-1) and low-energy flags (n, F), the frames in two
-    halves (``_in_halves``)."""
+    entries (n, F, M-1) and low-energy flags (n, F), written into
+    ``entries`` and ``low`` when given, the frames in two halves
+    (``_in_halves``), each half in tiles whose scratch fits the budget of
+    its arena of ``arenas``: tiles of frames with all their bins, or,
+    when the windows' frames alone would not fit, the half's frames in
+    tiles of bins (``_whitened_rtf_rows``)."""
     num_mics, _, num_bins = tensor.shape
-    entries = np.empty((stop - start, num_bins, num_mics - 1), dtype=np.complex128)
-    low = np.empty((stop - start, num_bins), dtype=bool)
+    pairs = num_mics - 1
+    if entries is None:
+        entries = np.empty((stop - start, num_bins, pairs), dtype=np.complex128)
+        low = np.empty((stop - start, num_bins), dtype=bool)
+    arenas = _arenas() if arenas is None else arenas
 
     def frames(lo: int, hi: int) -> None:
-        _whitened_rtf_rows(tensor, start + lo, start + hi, cfg, entries[lo:hi], low[lo:hi])
+        arena = arenas[lo > 0]
+        # the rows of F bins the budget holds, less the windows' 2R frames
+        # of products and partners, over a frame's products, partners and
+        # reference energy
+        rows = arena.budget // (8 * num_bins) - 4 * pairs * cfg.R
+        step = rows // (2 * pairs + 1)
+        if step < max(cfg.R, 1):
+            # windows wider than a tile: the half's frames in one tile of
+            # frames, whose window products outgrow the budget as the
+            # spectra do, so that its window sums stay few and long
+            step = hi - lo
+        for a, b in _tiles(lo, hi, max(step, 1)):
+            _whitened_rtf_rows(tensor, start + a, start + b, cfg, entries[a:b], low[a:b], arena)
 
     # inline: 1.12-1.20x the two-thread time (30 s 8-mic extract), 1.12x (8 s 4-mic)
     _in_halves(frames, stop - start, _SPLIT_FRAMES)
@@ -218,14 +246,24 @@ def _whitened_rtf_rows(
     cfg: CoherenceConfig,
     entries: np.ndarray,
     low: np.ndarray,
+    arena: _Arena,
 ) -> None:
     """``_block_whitened_rtf`` of frames ``[start, stop)``, written into
-    ``entries`` and ``low``; each frame's bytes are the same whichever
-    frames share the call."""
+    ``entries`` and ``low``; each entry's bytes are the same whichever
+    frames and bins share the call.
+
+    The products, their window sums and the moduli live in ``arena``, one
+    float64 plane per mic pair and quantity, as many bins at a time as
+    keep them within its budget; the ratios are written into ``entries``.
+    A tile whose moduli all lie in the normal range and above ``epsilon``
+    (``_plain_moduli``) is whitened in place; any other tile is whitened
+    by ``_unit_modulus``, with its rescaled and degenerate entries.
+    """
     num_mics, num_frames, num_bins = tensor.shape
-    count = stop - start
+    pairs, count = num_mics - 1, stop - start
     lo = max(0, start - cfg.R)
     span = tensor[:, lo : min(num_frames, stop + cfg.R), :]
+    reach = span.shape[1]
     # (destination frames, source frames) per window offset, in window
     # order; only the offsets that reach a clip frame from some frame of
     # the block, so a window truncated at a clip edge skips the rest
@@ -236,39 +274,67 @@ def _whitened_rtf_rows(
             (slice(first - start, last - start), slice(first + offset - lo, last + offset - lo))
         )
 
-    def window_sums(per_frame: np.ndarray) -> np.ndarray:
+    def window_sums(per_frame: np.ndarray, sums: np.ndarray) -> np.ndarray:
         # shifted adds from zeros, as numpy's sum over a window axis
-        # accumulates, so even the signs of zero agree
-        sums = np.zeros(per_frame.shape[:-2] + (count, num_bins))
+        # accumulates, so even the signs of zero agree; frames are the
+        # first axis, so each add runs over one contiguous run of memory
+        sums[...] = 0.0
         for dst, src in windows:
-            sums[..., dst, :] += per_frame[..., src, :]
+            sums[dst] += per_frame[src]
         return sums
 
-    ref_re = span[0].real
-    ref_im = span[0].imag
-    oth_re = span[1:].real
-    oth_im = span[1:].imag
-    auto = window_sums(ref_re * ref_re + ref_im * ref_im)  # (n, F)
-    low_ref = auto <= cfg.epsilon
-    safe_auto = np.where(low_ref, 1.0, auto)
-    # z_m * conj(z_0) as separate real and imaginary planes: plain float
-    # ufuncs round each product once, whereas fused complex kernels may
-    # contract and drift by an ulp.  The ratio is laid out (n, F, M-1),
-    # filled through (M-1, n, F) views of its parts and whitened in place.
-    np.divide(
-        window_sums(oth_re * ref_re + oth_im * ref_im),
-        safe_auto,
-        out=entries.real.transpose(2, 0, 1),
-    )
-    np.divide(
-        window_sums(oth_im * ref_re - oth_re * ref_im),
-        safe_auto,
-        out=entries.imag.transpose(2, 0, 1),
-    )
-    _, degenerate = _unit_modulus(entries, cfg.epsilon, out=entries)
-    entries[low_ref] = 1.0
-    low[...] = low_ref
-    _flag_rows(degenerate, low)
+    # bins per tile: as many as keep the products, their partners and the
+    # reference energy within the budget
+    for f0, f1 in _tiles(0, num_bins, arena.budget // (8 * (2 * pairs * reach + count))):
+        w = f1 - f0
+        # (frame, pair, bin) planes; the reference power and the moduli
+        # reuse the products' first doubles, their partners and the window
+        # sums the partners'
+        prods, parts, safe = arena.take((reach, pairs, w), (reach, pairs, w), (count, w))
+        ref, oth = span[0, :, f0:f1], span[1:, :, f0:f1].transpose(1, 0, 2)
+        ref_re, ref_im, oth_re, oth_im = ref.real, ref.imag, oth.real, oth.imag
+        low_ref = low[:, f0:f1]
+        power, square = (plane.reshape(-1)[: reach * w].reshape(reach, w) for plane in (prods, parts))
+        np.multiply(ref_re, ref_re, out=power)
+        power += np.multiply(ref_im, ref_im, out=square)
+        np.less_equal(window_sums(power, safe), cfg.epsilon, out=low_ref)
+        any_low = low_ref.any()
+        if any_low:
+            np.copyto(safe, 1.0, where=low_ref)
+        by_pair = safe[:, np.newaxis]
+        # the ratio's parts go straight into the entries, through
+        # (frame, pair, bin) views of them
+        tile = entries[:, f0:f1]
+        re, im = tile.real.transpose(0, 2, 1), tile.imag.transpose(0, 2, 1)
+        sums = parts[:count]
+        # z_m * conj(z_0) as separate real and imaginary planes: plain
+        # float ufuncs round each product once, whereas fused complex
+        # kernels may contract and drift by an ulp
+        ref_re, ref_im = ref_re[:, np.newaxis], ref_im[:, np.newaxis]
+        np.multiply(oth_re, ref_re, out=prods)
+        prods += np.multiply(oth_im, ref_im, out=parts)
+        np.divide(window_sums(prods, sums), by_pair, out=re)
+        np.multiply(oth_im, ref_re, out=prods)
+        prods -= np.multiply(oth_re, ref_im, out=parts)
+        np.divide(window_sums(prods, sums), by_pair, out=im)
+        # the sums of squares of _modulus, laid out (frame, bin, pair) as
+        # the entries are, so that the whitening walks them in order
+        moduli, square = (
+            plane.reshape(-1)[: sums.size].reshape(tile.shape) for plane in (prods, parts)
+        )
+        with np.errstate(over="ignore"):
+            np.multiply(tile.real, tile.real, out=moduli)
+            moduli += np.multiply(tile.imag, tile.imag, out=square)
+        degenerate = None
+        if _plain_moduli(moduli, cfg.epsilon):
+            np.divide(tile.real, moduli, out=tile.real)
+            np.divide(tile.imag, moduli, out=tile.imag)
+        else:
+            _, degenerate = _unit_modulus(tile, cfg.epsilon, out=tile)
+        if any_low:
+            tile[low_ref] = 1.0
+        if degenerate is not None:
+            _flag_rows(degenerate, low_ref)
 
 
 def whiten(vectors: np.ndarray, epsilon: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -280,8 +346,9 @@ def whiten(vectors: np.ndarray, epsilon: float = 1e-12) -> tuple[np.ndarray, np.
     """
     whitened, degenerate = _unit_modulus(_finite_complex(vectors, "vectors"), epsilon)
     if whitened.ndim <= 1:
-        return whitened, bool(degenerate.any())
-    return whitened, _flag_rows(degenerate, np.zeros(degenerate.shape[:-1], dtype=bool))
+        return whitened, degenerate is not None
+    flags = np.zeros(whitened.shape[:-1], dtype=bool)
+    return whitened, flags if degenerate is None else _flag_rows(degenerate, flags)
 
 
 def _finite_complex(values, name: str) -> np.ndarray:
@@ -358,24 +425,44 @@ def _modulus(vectors: np.ndarray) -> tuple[np.ndarray, tuple | None]:
     return squares.reshape(vectors.shape), rescaled
 
 
+def _plain_moduli(squares: np.ndarray, epsilon: float) -> bool:
+    """Whether ``squares``, sums of squares as ``_modulus`` forms them, all
+    lie in the normal range and have square roots above ``epsilon``; if
+    so they become those roots, in place, which are then ``_modulus``'s
+    bytes with no entry rescaled and none degenerate.  One min and one
+    max decide it; the square root is monotone and correctly rounded, so
+    the least root is the root of the least square."""
+    least = np.minimum.reduce(squares, axis=None)
+    if not (
+        least >= _NORMAL_MIN
+        and np.maximum.reduce(squares, axis=None) < np.inf
+        and np.sqrt(least) > epsilon
+    ):
+        return False
+    np.sqrt(squares, out=squares)
+    return True
+
+
 def _unit_modulus(
     vectors: np.ndarray, epsilon: float, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """``whiten`` without the row flags or the finiteness check; returns
-    the per-entry degenerate mask.  The whitened entries go to ``out``
-    when given, which may be ``vectors`` itself.
+    the per-entry degenerate mask, or None when no entry is degenerate.
+    The whitened entries go to ``out`` when given, which may be
+    ``vectors`` itself.
 
     The modulus is ``_modulus``, IEEE arithmetic only.  Rescaled entries
     divide their scaled parts by their scaled modulus, so a subnormal or
-    overflowing modulus still gives a unit entry.  Degenerate entries
-    divide by 1.0 and are then overwritten, so no division is masked and
-    none is 0/0.
+    overflowing modulus still gives a unit entry.  Whether any entry is
+    degenerate is read from the least modulus; only then is the mask
+    built, and its entries divide by 1.0 and are then overwritten, so no
+    division is masked and none is 0/0.
     """
     vectors = np.asarray(vectors, dtype=np.complex128)
     modulus, rescaled = _modulus(vectors)
-    degenerate = modulus <= epsilon
-    any_degenerate = degenerate.any()
-    if any_degenerate:
+    degenerate = None
+    if modulus.size and np.minimum.reduce(modulus, axis=None) <= epsilon:
+        degenerate = modulus <= epsilon
         modulus[degenerate] = 1.0
     whitened = np.empty_like(vectors) if out is None else out
     np.divide(vectors.real, modulus, out=whitened.real)
@@ -384,7 +471,7 @@ def _unit_modulus(
         index, part_re, part_im, scaled = rescaled
         whitened.real.flat[index] = part_re / scaled
         whitened.imag.flat[index] = part_im / scaled
-    if any_degenerate:
+    if degenerate is not None:
         whitened[degenerate] = 1.0
     return whitened, degenerate
 
@@ -409,22 +496,43 @@ def _clamp_unit(x, out: np.ndarray | None = None):
 
 
 def _similarity(r: np.ndarray, rbar_white: np.ndarray) -> np.ndarray:
-    """``coherence`` against a state that is already whitened.
+    """``coherence`` against a state that is already whitened
+    (``_correlate`` on new arrays)."""
+    shape = np.broadcast_shapes(r.shape, rbar_white.shape)
+    out = np.empty(shape[:-1])
+    _correlate(r, rbar_white.real, rbar_white.imag, out, np.empty(shape), np.empty(shape))
+    return out[()]  # a scalar for one vector
+
+
+def _correlate(
+    r: np.ndarray,
+    white_re: np.ndarray,
+    white_im: np.ndarray,
+    out: np.ndarray,
+    prod: np.ndarray,
+    part: np.ndarray,
+) -> None:
+    """Writes ``clip(Re{r^H w} / (M - 1), -1, 1)`` of each row into the
+    C-contiguous ``out``, for the whitened ``w`` with parts ``white_re``
+    and ``white_im``; ``prod`` and ``part`` are scratch of the products'
+    shape, and may be ``white_re`` and ``white_im`` themselves.
 
     The M - 1 products are summed as plane adds in index order, the order
     of the scalar definition.  numpy's own last-axis sum agrees up to
     M - 1 = 7 and switches to pairwise blocks from 8 on.  The planes are
     flattened to 1-D, which numpy adds faster than (1, F) ones.
     """
-    prod = r.real * rbar_white.real
-    prod += r.imag * rbar_white.imag
-    planes = prod.reshape(-1, prod.shape[-1])
-    num = planes[:, 0].copy()
-    for k in range(1, planes.shape[1]):
+    np.multiply(r.real, white_re, out=prod)
+    np.multiply(r.imag, white_im, out=part)
+    prod += part
+    pairs = prod.shape[-1]
+    planes = prod.reshape(-1, pairs)
+    num = out.reshape(-1)
+    np.copyto(num, planes[:, 0])
+    for k in range(1, pairs):
         num += planes[:, k]
-    num /= r.shape[-1]
+    num /= pairs
     _clamp_unit(num, out=num)
-    return num.reshape(prod.shape[:-1])[()]  # a scalar for one vector
 
 
 class _Blend:
@@ -432,25 +540,39 @@ class _Blend:
     over a block, with the endpoints ``lam == 1`` (state kept) and
     ``lam == 0`` (state replaced) exact.
 
-    The attribute ``states`` is the block's state stack: ``states[0]``
-    is ``rbar``, the state before the block (or, when ``rbar`` is None,
-    the first frame's vector, which the tracker opens on), and
-    ``states[i + 1]`` becomes the state after frame ``i``.  ``lam`` is a
-    scalar or one row per
-    frame, in [0, 1]: ``CoherenceConfig`` validates the fixed factors and
+    The attribute ``states`` is the block's state stack, ``states`` when
+    given, else a new one: ``states[0]`` is ``rbar``, the state before the
+    block (or, when ``rbar`` is None, the first frame's vector, which the
+    tracker opens on), and ``states[i + 1]`` becomes the state after frame
+    ``i``.  ``lam`` is a scalar or one row per frame, in [0, 1]:
+    ``CoherenceConfig`` validates the fixed factors and
     ``lambda_schedule`` clips the scheduled ones.  The state-free half
     ``(1 - lam) * r`` is written into ``states[1:]`` for the whole block
-    at once, so ``step`` only adds ``lam * rbar``.
+    at once, in tiles of frames, so ``step`` only adds ``lam * rbar``.
     """
 
-    def __init__(self, rtfs: np.ndarray, rbar: np.ndarray | None, lam) -> None:
-        states = np.empty((len(rtfs) + 1,) + rtfs.shape[1:], dtype=rtfs.dtype)
+    def __init__(
+        self,
+        rtfs: np.ndarray,
+        rbar: np.ndarray | None,
+        lam,
+        states: np.ndarray | None = None,
+        spare: np.ndarray | None = None,
+    ) -> None:
+        if states is None:
+            states = np.empty((len(rtfs) + 1,) + rtfs.shape[1:], dtype=rtfs.dtype)
         states[0] = rtfs[0] if rbar is None else rbar
         lam = np.asarray(lam, dtype=np.float64)
         # (n, 1, 1) for a fixed factor, (n, F, 1) for one row per frame
         lam = np.broadcast_to(lam, (len(rtfs), 1)) if lam.ndim == 0 else lam
         self.lam = lam[..., np.newaxis]
-        np.multiply(1.0 - self.lam, rtfs, out=states[1:])
+        # 1 - lam goes into ``spare``, an (n, F) float64 array whose
+        # contents are not needed, when given
+        if spare is not None and lam.shape == spare.shape:
+            spare = np.subtract(1.0, lam, out=spare)[..., np.newaxis]
+        else:
+            spare = 1.0 - self.lam
+        np.multiply(spare, rtfs, out=states[1:])
         self.states, self.rtfs = states, rtfs
         self.keep, self.take = self.lam == 1.0, self.lam == 0.0
         self.keeps = self.keep.any(axis=(1, 2)).tolist()
@@ -500,7 +622,14 @@ def lambda_schedule(
     gamma_local_row = np.asarray(gamma_local_row, dtype=np.float64)
     if _mask_is_energetic(prev_mask_row, cfg.beta):
         return np.ones_like(gamma_local_row)
-    return np.clip(1.0 - gamma_local_row / 20.0, 0.95, 1.0)
+    return _released_lambda(gamma_local_row)
+
+
+def _released_lambda(gamma_local: np.ndarray, out: np.ndarray | None = None):
+    """``1 - gamma_local / 20`` clamped into [0.95, 1.0], written into
+    ``out`` when given."""
+    lam = np.subtract(1.0, np.divide(gamma_local, 20.0, out=out), out=out)
+    return np.clip(lam, 0.95, 1.0, out=out)
 
 
 def arcsine_warp(gamma: np.ndarray | float) -> np.ndarray | float:
@@ -509,7 +638,12 @@ def arcsine_warp(gamma: np.ndarray | float) -> np.ndarray | float:
     Fixes -1, 0 and 1 exactly (inputs are clamped to [-1, 1] first so
     float dust cannot leak outside the domain).
     """
-    return np.arcsin(_clamp_unit(gamma)) / (0.5 * np.pi)
+    return _warp(gamma)
+
+
+def _warp(gamma, out: np.ndarray | None = None):
+    """``arcsine_warp``, written into ``out`` when given."""
+    return np.divide(np.arcsin(_clamp_unit(gamma, out=out), out=out), 0.5 * np.pi, out=out)
 
 
 MaskFeedback = Callable[
@@ -524,49 +658,92 @@ _BLOCK_FRAMES = 64
 # Fewest frames whose RTFs or coherence are worth two threads.
 _SPLIT_FRAMES = 8
 
-# Most bytes of tracker states that _tracker scores at once, per thread:
-# the whitened states and the similarity products then peak near twice
-# this, and a 4-mic half-block (32 frames of 257 x 3 entries, 395 kB) is
-# still one slice, which 4-mic clips score faster than two.
-_SLICE_BYTES = 1 << 19
-
-
 def _tracker(
-    rtfs: np.ndarray, rbar: np.ndarray | None, lam, epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coherence of a block of frames with a tracker, and its states.
+    rtfs: np.ndarray,
+    rbar: np.ndarray | None,
+    lam,
+    epsilon: float,
+    states: np.ndarray,
+    gamma: np.ndarray,
+    arenas: tuple[_Arena, _Arena],
+) -> None:
+    """Coherence of a block of frames with a tracker, written into
+    ``gamma``, and its states, written into the (n + 1, F, M - 1) stack
+    ``states``.
 
     ``lam`` is a scalar or one row per frame.  ``states[0]`` is the state
     before the block and ``states[i + 1]`` the state after frame ``i``;
     each frame is scored against the state before it by ``coherence``'s
-    unchecked ``_similarity``/``_unit_modulus`` path (the engine has
-    already rejected non-finite spectra), the frames in two halves
-    (``_in_halves``), each half in even slices of at most
-    ``_SLICE_BYTES`` of states.  ``rbar`` is None before
-    the first frame: the tracker opens on that frame's vector, which is
-    then blended in like any other, and its coherence is 1 by definition
-    (the vector is compared with itself), not the rounded dot product.
+    unchecked path (the engine has already rejected non-finite spectra),
+    the frames in two halves (``_in_halves``), each half in tiles
+    (``_score``).  ``rbar`` is None before the first frame: the tracker
+    opens on that frame's vector, which is then blended in like any
+    other, and its coherence is 1 by definition (the vector is compared
+    with itself), not the rounded dot product.
     """
-    blend = _Blend(rtfs, rbar, lam)
+    # gamma is scored after the blend: until then it is the blend's spare
+    blend = _Blend(rtfs, rbar, lam, states, spare=gamma)
     for i in range(len(rtfs)):
         blend.step(i)
-    states = blend.states
-    # the peak is in coherence: free the endpoint masks and scratch row
     del blend
-    gamma = np.empty(rtfs.shape[:-1])
 
     def frames(lo: int, hi: int) -> None:
-        # each frame is scored on its own, so any slicing gives its bytes
-        pieces = max(1, -(-(hi - lo) * states[0].nbytes // _SLICE_BYTES))
-        bounds = [lo + (hi - lo) * k // pieces for k in range(pieces + 1)]
-        for a, b in zip(bounds, bounds[1:]):
-            gamma[a:b] = _similarity(rtfs[a:b], _unit_modulus(states[a:b], epsilon)[0])
+        _score(rtfs[lo:hi], states[lo:hi], gamma[lo:hi], epsilon, arenas[lo > 0])
 
     # inline: 1.24-1.26x the two-thread time (30 s 8-mic extract), 1.15x (8 s 4-mic)
     _in_halves(frames, len(rtfs), _SPLIT_FRAMES)
     if rbar is None:
         gamma[0] = 1.0
-    return gamma, states
+
+
+def _tile_budget(frames: int, num_bins: int, pairs: int) -> int:
+    """The scratch budget of the arenas of an engine whose ``_in_halves``
+    halves hold ``frames`` frames: the two float64 planes of a scoring
+    tile of (frames, F, M - 1) entries, at most ``signal_core._TILE_BYTES``.
+    So a half's scoring is one tile wherever its entries are small, and
+    the arenas never hold more than that scoring would."""
+    return min(signal_core._TILE_BYTES, 16 * frames * num_bins * pairs)
+
+
+def _tile_frames(entries: np.ndarray, arena: _Arena) -> int:
+    """Frames of (n, F, M - 1) ``entries`` per tile whose two float64
+    planes fit ``arena``'s budget."""
+    return max(1, min(len(entries), arena.budget // (16 * entries[0].size)))
+
+
+def _score(
+    rtfs: np.ndarray, states: np.ndarray, gamma: np.ndarray, epsilon: float, arena: _Arena
+) -> None:
+    """``gamma[i] = _similarity(rtfs[i], _unit_modulus(states[i])[0])``
+    for each frame, in tiles of frames whose moduli and whitened parts
+    live in two planes of ``arena``.  A tile that ``_plain_moduli`` does
+    not pass (an entry to rescale or a degenerate one) is scored by that
+    expression itself; each frame is scored on its own, so any tiling
+    gives its bytes."""
+    tile = _tile_frames(rtfs, arena)
+    white_re, white_im = arena.take(*[(tile,) + rtfs.shape[1:]] * 2)
+    for a, b in _tiles(0, len(rtfs), tile):
+        r, state = rtfs[a:b], states[a:b]
+        wr, wi = white_re[: b - a], white_im[: b - a]
+        with np.errstate(over="ignore"):
+            np.multiply(state.real, state.real, out=wr)
+            wr += np.multiply(state.imag, state.imag, out=wi)
+        if not _plain_moduli(wr, epsilon):
+            gamma[a:b] = _similarity(r, _unit_modulus(state, epsilon)[0])
+            continue
+        # the imaginary part first: the real one overwrites the moduli
+        np.divide(state.imag, wr, out=wi)
+        np.divide(state.real, wr, out=wr)
+        _correlate(r, wr, wi, gamma[a:b], wr, wi)
+
+
+def _correlate_tiles(rtfs: np.ndarray, white: np.ndarray, gamma: np.ndarray, arena: _Arena) -> None:
+    """``gamma[:] = _similarity(rtfs, white)`` for one whitened (F, M - 1)
+    state, in tiles of frames whose products live in ``arena``."""
+    tile = _tile_frames(rtfs, arena)
+    prod, part = arena.take(*[(tile,) + rtfs.shape[1:]] * 2)
+    for a, b in _tiles(0, len(rtfs), tile):
+        _correlate(rtfs[a:b], white.real, white.imag, gamma[a:b], prod[: b - a], part[: b - a])
 
 
 def _estimate_mask(
@@ -591,12 +768,64 @@ def _estimate_mask(
     return mask_row
 
 
+class _WorkingSet:
+    """The arrays one stream's blocks are computed in: the RTF entries and
+    low-energy flags, the (n + 1, F, M - 1) state stack that the local
+    tracker and then the global one use, the block's rows by
+    ``FrameBlock`` field name and, for ``stream_wav``, the (M, s, F)
+    spectra of a block's span of frames.
+
+    The spectra are read only by the RTFs and the stack is written only
+    after them, so where the stack fits in the spectra's memory it is a
+    view of it.  A ``FrameBlock``'s arrays are views of these arrays, and
+    every view holds a reference to the array that owns its memory, so
+    ``free`` (``sys.getrefcount`` of each owner, against its count when
+    nothing but the working set held it) says whether any view of the
+    previous block is still alive outside the engine.
+    """
+
+    def __init__(
+        self,
+        frames: int,
+        num_bins: int,
+        num_mics: int,
+        rows: dict[str, int],
+        span_frames: int = 0,
+    ) -> None:
+        stack = (frames + 1, num_bins, num_mics - 1)
+        self.rtf = np.empty((frames,) + stack[1:], dtype=np.complex128)
+        self.low_energy = np.empty((frames, num_bins), dtype=bool)
+        self.spectra = np.empty((num_mics, span_frames, num_bins), dtype=np.complex128)
+        if math.prod(stack) <= self.spectra.size:
+            self.states = self.spectra.reshape(-1)[: math.prod(stack)].reshape(stack)
+        else:
+            self.states = np.empty(stack, dtype=np.complex128)
+        self.rows = {name: np.empty((frames, width)) for name, width in rows.items()}
+        self.refs = self._counts()
+
+    def _counts(self) -> list[int]:
+        owners = [self.rtf, self.low_energy, self.spectra, *self.rows.values()]
+        if self.states.base is None:
+            owners.append(self.states)
+        return [sys.getrefcount(owner) for owner in owners]
+
+    def free(self) -> bool:
+        return self._counts() == self.refs
+
+
 class _Engine:
     """The feature engine's per-block body and the state it carries from
     one block to the next: both trackers' states, the whitened global
     state (kept while halted frames leave the state as is) and the
     previous mask row.  With ``cfg.erb_bands`` set it designs the
-    filterbank for ``num_bins``-bin spectra at ``sample_rate``."""
+    filterbank for ``num_bins``-bin spectra at ``sample_rate``.
+
+    It also owns the stream's memory: a ``_WorkingSet`` allocated at the
+    first block and reused by every later one while no view of the
+    previous block is alive (else a new one), and the two halves'
+    scratch arenas, which the STFT of ``stream_wav`` shares.  With
+    ``span_frames``, the working set also holds the spectra of a block's
+    span of frames (``stream_wav``), which ``work`` hands out."""
 
     def __init__(
         self,
@@ -604,6 +833,7 @@ class _Engine:
         mask_feedback: MaskFeedback | None,
         num_bins: int,
         sample_rate: int = SAMPLE_RATE,
+        span_frames: int = 0,
     ) -> None:
         self.cfg = cfg
         self.mask_feedback = mask_feedback
@@ -615,40 +845,90 @@ class _Engine:
         self.global_rbar: np.ndarray | None = None
         self.global_white: np.ndarray | None = None
         self.prev_mask: np.ndarray | None = None
+        self.arenas: tuple[_Arena, _Arena] | None = None
+        self.working_set: _WorkingSet | None = None
+        self.span_frames = span_frames
+        # the working set's rows, by FrameBlock field name, and their widths
+        names = ["gamma_local", "gamma_global", "lambda_trace"]
+        if cfg.apply_arcsine:
+            names[2:2] = ["gamma_local_warped", "gamma_global_warped"]
+        self.rows = dict.fromkeys(names, num_bins)
+        if self.filterbank is not None:
+            self.rows.update(
+                {"banded_" + name: cfg.erb_bands for _, name in _EXPORT_PLANES if name in names}
+            )
+        if mask_feedback is not None:
+            self.rows.update(mask=num_bins, magnitudes=num_bins)
 
-    def block(self, tensor: np.ndarray, start: int, stop: int, first: int = 0) -> FrameBlock:
+    def work(self, num_mics: int, num_bins: int, count: int) -> _WorkingSet:
+        """The working set for the next block, of ``count`` frames, at
+        most the first block's: the previous block's if it is free."""
+        if self.arenas is None:
+            self.arenas = _arenas(_tile_budget((count + 1) // 2, num_bins, num_mics - 1))
+        if self.working_set is None or not self.working_set.free():
+            self.working_set = _WorkingSet(count, num_bins, num_mics, self.rows, self.span_frames)
+        return self.working_set
+
+    def block(
+        self,
+        tensor: np.ndarray,
+        start: int,
+        stop: int,
+        first: int = 0,
+        work: _WorkingSet | None = None,
+    ) -> FrameBlock:
         """The ``FrameBlock`` of clip frames ``[start, stop)``, the next
         ones after the blocks before it.
 
         ``tensor`` holds clip frames from ``first`` on, with ``first`` at
         most ``max(0, start - R)``; it ends at the end of the clip or at
         least ``R`` frames past ``stop``, so every short-term window is
-        truncated where the clip's own is.
+        truncated where the clip's own is.  ``work`` is the working set
+        that ``work`` returned for this block, when ``tensor`` is its
+        spectra; else the block asks for one.
         """
         cfg, steered = self.cfg, self.steered
         begin, end = start - first, stop - first
-        # Feed-forward stage: nothing here reads the mask.
-        rtf, low_energy = _block_whitened_rtf(tensor, begin, end, cfg)
-        gamma_local, local_states = _tracker(rtf, self.local_rbar, cfg.lambda_local, cfg.epsilon)
-        self.local_rbar = local_states[-1].copy()
-        del local_states
+        count = stop - start
+        if work is None:
+            num_mics, _, num_bins = tensor.shape
+            work = self.work(num_mics, num_bins, count)
+        arenas = self.arenas
+        rows = {name: plane[:count] for name, plane in work.rows.items()}
+        rows.setdefault("gamma_local_warped", None)
+        rows.setdefault("gamma_global_warped", None)
+        gamma_local, gamma_global, lam = (
+            rows["gamma_local"], rows["gamma_global"], rows["lambda_trace"]
+        )
+        states = work.states[: count + 1]
+        # Feed-forward stage: nothing here reads the mask.  Nothing after
+        # it reads the spectra, which the stack may overwrite.
+        rtf, low_energy = _block_whitened_rtf(
+            tensor, begin, end, cfg, work.rtf[:count], work.low_energy[:count], arenas
+        )
+        if self.mask_feedback is not None:
+            magnitudes = np.abs(tensor[0, begin:end], out=rows["magnitudes"])
+        _tracker(rtf, self.local_rbar, cfg.lambda_local, cfg.epsilon, states, gamma_local, arenas)
+        # the local states are dead once scored: the global tracker's
+        # states overwrite them
+        self.local_rbar = states[-1].copy()
         # lambda of every frame that no mask halts
         if cfg.time_varying:
-            lam = lambda_schedule(None, gamma_local, cfg)
+            _released_lambda(gamma_local, out=lam)
         else:
-            lam = np.full(gamma_local.shape, cfg.lambda_global)
+            lam.fill(cfg.lambda_global)
         if steered:
-            blend = _Blend(rtf, self.global_rbar, lam)
-            gamma_global, states = np.empty_like(gamma_local), blend.states
+            blend = _Blend(rtf, self.global_rbar, lam, states, spare=gamma_global)
         else:
             # lstsc-1's scalar spares _Blend the (n, F) rows
             global_lam = lam if cfg.time_varying else cfg.lambda_global
-            gamma_global, states = _tracker(rtf, self.global_rbar, global_lam, cfg.epsilon)
-        gamma_local_w = gamma_global_w = None
+            _tracker(rtf, self.global_rbar, global_lam, cfg.epsilon, states, gamma_global, arenas)
+        gamma_local_w, gamma_global_w = rows["gamma_local_warped"], rows["gamma_global_warped"]
         if cfg.apply_arcsine:
-            gamma_local_w = arcsine_warp(gamma_local)
-            gamma_global_w = np.empty_like(gamma_global) if steered else arcsine_warp(gamma_global)
-        halted = np.zeros(stop - start, dtype=bool)
+            _warp(gamma_local, out=gamma_local_w)
+            if not steered:
+                _warp(gamma_global, out=gamma_global_w)
+        halted = np.zeros(count, dtype=bool)
         mask = None
 
         if self.mask_feedback is not None:
@@ -656,8 +936,7 @@ class _Engine:
             local_feat, global_feat = (
                 (gamma_local_w, gamma_global_w) if cfg.apply_arcsine else (gamma_local, gamma_global)
             )
-            mask = np.empty_like(gamma_local)
-            magnitudes = np.abs(tensor[0, begin:end])
+            mask = rows["mask"]
             # Rows [i, scored) of gamma_global were scored against the
             # state before frame i; a row stays valid while the frames
             # before it in its batch are halted, which leave the state as
@@ -666,19 +945,21 @@ class _Engine:
             # release or the block's start), so strictly alternating
             # halts score no row twice.
             scored = run = 0
-            for i in range(stop - start):
+            for i in range(count):
                 if steered:
                     if i == scored:
                         if start + i == 0:
                             gamma_global[0] = 1.0
                             scored = 1
                         else:
-                            scored = min(stop - start, i + max(1, run))
+                            scored = min(count, i + max(1, run))
                             if self.global_white is None:
                                 self.global_white = _unit_modulus(states[i], cfg.epsilon)[0]
-                            gamma_global[i:scored] = _similarity(rtf[i:scored], self.global_white)
+                            _correlate_tiles(
+                                rtf[i:scored], self.global_white, gamma_global[i:scored], arenas[0]
+                            )
                         if cfg.apply_arcsine:
-                            gamma_global_w[i:scored] = arcsine_warp(gamma_global[i:scored])
+                            _warp(gamma_global[i:scored], out=gamma_global_w[i:scored])
                         run += scored - i
                     halted[i] = hold = _mask_is_energetic(self.prev_mask, cfg.beta)
                     # a halted frame reuses the state untouched (bit-identical)
@@ -711,7 +992,8 @@ class _Engine:
             for _, name in _EXPORT_PLANES:
                 plane = getattr(block, name)
                 if plane is not None:
-                    setattr(block, "banded_" + name, pool_feature(plane, self.filterbank))
+                    banded = _pool(plane, self.filterbank, out=rows["banded_" + name])
+                    setattr(block, "banded_" + name, banded)
         return block
 
 
@@ -746,8 +1028,16 @@ def stream_frames(
     tracker it steers, scoring halted runs in batches.  Where two CPUs
     are available, the RTFs and the trackers' coherence run in two
     halves of the block's frames on two threads
-    (``signal_core._in_halves``), so two halves' temporaries exist at
-    once; the outputs are the same bytes.
+    (``signal_core._in_halves``), each half in tiles on a scratch arena
+    of its own; the outputs are the same bytes.
+
+    A block's arrays are views of the stream's working set, which the
+    first block allocates.  The next block reuses it when no view of the
+    previous block is alive anywhere (the consumer dropped the block and
+    every array it took from it), as ``compute_lstsc`` and
+    ``write_feature_blocks`` do; otherwise it gets a new one, so blocks
+    kept in a list, or a row kept across the next block, keep their
+    bytes.
     """
     tensor = _as_spec_tensor(specs)
     _reject_non_finite(tensor)
@@ -762,18 +1052,21 @@ def stream_wav(reader: WavReader, cfg: CoherenceConfig) -> Iterator[FrameBlock]:
     default ``StftConfig`` frames, each block's frames read from the file.
 
     For the block of clip frames ``[start, stop)`` the samples of frames
-    ``[max(0, start - R), min(L, stop + R))`` are read and transformed
-    into one (M, min(L, 64 + 2R), F) spectra buffer that the whole stream
-    reuses.  A frame's spectrum does not depend on the frames transformed
-    with it, so the blocks are bit for bit those of ``stream_frames`` on
-    the whole clip's ``stft_multichannel``.  The stream holds the buffer,
-    a block's span of samples while it is transformed and the engine's
-    block: O(64 + 2R) frames, whatever the clip's length.  ``R`` has no
-    upper bound; an ``R`` of the clip's length makes every block read and
-    transform the whole clip again.  Where two CPUs are available, the
-    STFTs run in two halves of the mics and the engine's kernels in two
-    halves of a block's frames (``signal_core._in_halves``); the blocks
-    are the same bytes.  A reader not at 16 kHz, of fewer than 2 channels
+    ``[max(0, start - R), min(L, stop + R))`` are read, a tile at a time,
+    and transformed into the (M, min(L, 64 + 2R), F) spectra of the
+    stream's working set, which the trackers' state stack overlays once
+    the RTFs have read them.  A frame's spectrum does not depend on the
+    frames transformed with it, so the blocks are bit for bit those of
+    ``stream_frames`` on the whole clip's ``stft_multichannel``.  The
+    stream holds its working set and two scratch arenas: O(64 + 2R)
+    frames, whatever the clip's length, allocated at the first block and
+    reused by every later one while no view of the previous block is
+    alive (see ``stream_frames``).  ``R`` has no upper bound; an ``R`` of
+    the clip's length makes every block read and transform the whole clip
+    again.  Where two CPUs are available, the STFTs and the engine's
+    kernels run in two halves of a block's frames
+    (``signal_core._in_halves``); the blocks are the same bytes.  A reader
+    not at 16 kHz, of fewer than 2 channels
     or of less than one frame of samples raises ValueError here, before
     any block; spectra that overflow are rejected by the block that reads
     them, naming the first bad entry (the reader has rejected non-finite
@@ -783,25 +1076,24 @@ def stream_wav(reader: WavReader, cfg: CoherenceConfig) -> Iterator[FrameBlock]:
     if reader.num_channels < 2:
         raise ValueError("spatial coherence requires at least 2 microphones")
     stft_cfg = StftConfig()
-    hop, frame_len = stft_cfg.hop, stft_cfg.frame_len
     num_frames = stft_cfg.num_frames(reader.num_samples)
-    engine = _Engine(cfg, None, stft_cfg.num_bins, SAMPLE_RATE)
-    spectra = np.empty(
-        (reader.num_channels, min(num_frames, _BLOCK_FRAMES + 2 * cfg.R), stft_cfg.num_bins),
-        dtype=np.complex128,
-    )
+    span_frames = min(num_frames, _BLOCK_FRAMES + 2 * cfg.R)
+    engine = _Engine(cfg, None, stft_cfg.num_bins, SAMPLE_RATE, span_frames)
+
+    def block(start: int) -> FrameBlock:
+        # no local outlives the call: a reference to the working set left
+        # here would keep the next block from reusing it
+        stop = min(start + _BLOCK_FRAMES, num_frames)
+        first, end = max(0, start - cfg.R), min(num_frames, stop + cfg.R)
+        work = engine.work(reader.num_channels, stft_cfg.num_bins, stop - start)
+        span = work.spectra[:, : end - first]
+        _stft_channels(reader, stft_cfg, span, engine.arenas, first * stft_cfg.hop)
+        _reject_non_finite(span, first)
+        return engine.block(span, start, stop, first, work)
 
     def blocks() -> Iterator[FrameBlock]:
         for start in range(0, num_frames, _BLOCK_FRAMES):
-            stop = min(start + _BLOCK_FRAMES, num_frames)
-            first, end = max(0, start - cfg.R), min(num_frames, stop + cfg.R)
-            span = spectra[:, : end - first]
-            samples = reader.read(first * hop, (end - 1) * hop + frame_len)
-            _stft_channels(samples, stft_cfg, span)
-            # the block needs none of the samples
-            del samples
-            _reject_non_finite(span, first)
-            yield engine.block(span, start, stop, first)
+            yield block(start)
 
     return blocks()
 
@@ -858,6 +1150,11 @@ class FrameBlock(LstscFeatures):
     for bit and its ``lambda_trace`` row is all ones.  With ``erb_bands``
     set, the ``banded_*`` fields are the block's rows of the exported
     planes pooled into bands, one product per plane.
+
+    The arrays (all but ``mask_halted``) are views of the stream's working
+    set: the stream overwrites them with the next block only if no view
+    of this block is alive by then, and else gives the next block new
+    ones (``stream_frames``).
     """
 
     start: int
@@ -882,7 +1179,8 @@ def compute_lstsc(
     name, and filled a block of rows at a time; the fields a setting turns
     off stay None: the warped planes without ``cfg.apply_arcsine``, the
     mask without ``mask_feedback`` and the banded planes without
-    ``cfg.erb_bands``.
+    ``cfg.erb_bands``.  Each block is dropped before the next is asked
+    for, so the stream reuses one working set.
     """
     tensor = np.asarray(specs)
     names = [field.name for field in dataclasses.fields(LstscFeatures)]
@@ -894,9 +1192,11 @@ def compute_lstsc(
                 rows = getattr(block, name)
                 if rows is not None:
                     planes[name] = np.empty((tensor.shape[1],) + rows.shape[1:], rows.dtype)
+            del rows
         for name, plane in planes.items():
             plane[block.frames] = getattr(block, name)
-        # it would pin the block's buffers while the engine computes the next
+        # a view of the block left alive would keep the next block from
+        # reusing the stream's working set
         del block
     return LstscFeatures(**{**dict.fromkeys(names), **planes})
 
@@ -938,7 +1238,8 @@ def write_feature_blocks(
     plane.  The header is written from ``num_frames`` and the first
     block's width when that block arrives.  Each block's exported rows
     (banded when the engine pools them) go as float32 to their offsets in
-    every plane as the block arrives, so no whole plane is held.  A block
+    every plane as the block arrives, so no whole plane is held, and
+    dropped before the next one is asked for (``stream_frames``).  A block
     out of order, or whose planes are not all (its frames, the width),
     raises before any of its rows is written.  If ``blocks`` raises, ends
     short of ``num_frames`` frames, or a file cannot be opened, the files
@@ -960,8 +1261,9 @@ def write_feature_blocks(
                     f"got frames {frames.start} to {frames.stop}"
                 )
             named = _export_planes(block)
-            # the block's rows must not stay pinned while the next one is
-            # computed, neither by the block nor by the names below
+            # no view of the block may outlive this iteration, neither the
+            # block nor the names below: the stream then reuses its
+            # working set for the next block
             del block
             if width is None:
                 width = named[0][1].shape[-1]

@@ -88,4 +88,10 @@ def pool_feature(values: np.ndarray, fb: ErbFilterbank) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] != fb.num_bins:
         raise ValueError("feature frame length does not match filterbank bins")
-    return (values @ fb.weights.T) / fb.pi
+    return _pool(values, fb)
+
+
+def _pool(values: np.ndarray, fb: ErbFilterbank, out: np.ndarray | None = None) -> np.ndarray:
+    """``pool_feature`` of float64 ``values`` of the filterbank's width,
+    unchecked, written into ``out`` when given."""
+    return np.divide(np.matmul(values, fb.weights.T, out=out), fb.pi, out=out)

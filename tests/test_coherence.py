@@ -978,11 +978,13 @@ class TestBlockEngine:
             got = short_term_whitened_rtf(specs, frame, cfg)
             want = oracle_frame_engine.short_term_whitened_rtf(specs, frame, cfg)
             assert all(map(same_bytes, got, want)), frame
-        # the trackers score slices of 1-9 frames' states, so that slice
-        # edges fall inside each block and each half of one
+        # the trackers score tiles of 1-9 frames' states, and the RTFs go
+        # in tiles of as many frames' bins spread over each window's
+        # frames, so that tile edges fall inside each block and each half
+        # of one, and inside its bins
         num_mics, _, num_bins = specs.shape
-        slice_bytes = data.draw(st.integers(1, 9)) * num_bins * (num_mics - 1) * 16
-        with mock.patch("lstsc.coherence._SLICE_BYTES", slice_bytes):
+        tile_bytes = data.draw(st.integers(1, 9)) * num_bins * (num_mics - 1) * 8
+        with mock.patch("lstsc.signal_core._TILE_BYTES", tile_bytes):
             for variant in sorted(VARIANT_SETTINGS):
                 cfg = CoherenceConfig.for_variant(variant, R=R)
                 for make in (
@@ -1147,6 +1149,36 @@ class TestStreamWav:
         finally:
             tracemalloc.stop()
         assert peak <= 4.4 * span * frame_bytes, peak / (span * frame_bytes)
+
+    @pytest.mark.parametrize("variant", ["lstsc-1", "lstsc-4"])
+    def test_held_blocks_keep_their_rows(self, tmp_path, variant):
+        # a stream reuses its working set only once no view of the
+        # previous block is alive: blocks kept in a list, and a sub-view
+        # of one block kept across the next, keep the rows they were
+        # given, which are compute_lstsc's bit for bit
+        rng = np.random.default_rng(7)
+        num_samples = STFT.frame_len + STFT.hop * (3 * _BLOCK_FRAMES + 20 - 1)
+        path = tmp_path / "x.wav"
+        _write_wav(path, 0.1 * rng.standard_normal((4, num_samples)), "float32")
+        cfg = CoherenceConfig.for_variant(variant, R=2)
+        specs = stft_multichannel(load_wav(path))
+        want = compute_lstsc(specs, cfg)
+        for blocks in (list(stream_frames(specs, cfg)), list(stream_wav(WavReader(path), cfg))):
+            assert len(blocks) == 4
+            for block in blocks:
+                for field in dataclasses.fields(LstscFeatures):
+                    rows = getattr(want, field.name)
+                    got = getattr(block, field.name)
+                    assert same_bytes(got, None if rows is None else rows[block.frames]), (
+                        block.start, field.name
+                    )
+        for stream in (stream_frames(specs, cfg), stream_wav(WavReader(path), cfg)):
+            held = None
+            for block in stream:
+                if held is None:
+                    held = block.gamma_global[3:9, 10:20]
+                del block
+            assert same_bytes(held, want.gamma_global[3:9, 10:20])
 
     def test_rejections(self, tmp_path):
         cfg = CoherenceConfig()
