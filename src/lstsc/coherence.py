@@ -208,10 +208,10 @@ def _block_whitened_rtf(
     """``short_term_whitened_rtf`` of frames ``[start, stop)`` at once:
     entries (n, F, M-1) and low-energy flags (n, F), written into
     ``entries`` and ``low`` when given, the frames in two halves
-    (``_in_halves``), each half in tiles whose scratch fits the budget of
-    its arena of ``arenas``: tiles of frames with all their bins, or,
-    when the windows' frames alone would not fit, the half's frames in
-    tiles of bins (``_whitened_rtf_rows``)."""
+    (``_in_halves``), each half in tiles of frames whose scratch
+    (``_whitened_rtf_rows``) fits the budget of its arena of ``arenas``.
+    Windows wider than such a tile take the half in one tile, whose
+    scratch outgrows the budget as the spectra do."""
     num_mics, _, num_bins = tensor.shape
     pairs = num_mics - 1
     if entries is None:
@@ -227,9 +227,9 @@ def _block_whitened_rtf(
         rows = arena.budget // (8 * num_bins) - 4 * pairs * cfg.R
         step = rows // (2 * pairs + 1)
         if step < max(cfg.R, 1):
-            # windows wider than a tile: the half's frames in one tile of
-            # frames, whose window products outgrow the budget as the
-            # spectra do, so that its window sums stay few and long
+            # windows wider than a tile: the half in one tile, so that its
+            # window sums stay few and long (split into tiles of bins, a
+            # 30 s 8-mic extract at R = 70 took 1.6x the time)
             step = hi - lo
         for a, b in _tiles(lo, hi, max(step, 1)):
             _whitened_rtf_rows(tensor, start + a, start + b, cfg, entries[a:b], low[a:b], arena)
@@ -250,14 +250,12 @@ def _whitened_rtf_rows(
 ) -> None:
     """``_block_whitened_rtf`` of frames ``[start, stop)``, written into
     ``entries`` and ``low``; each entry's bytes are the same whichever
-    frames and bins share the call.
+    frames share the call.
 
     The products, their window sums and the moduli live in ``arena``, one
-    float64 plane per mic pair and quantity, as many bins at a time as
-    keep them within its budget; the ratios are written into ``entries``.
-    A tile whose moduli all lie in the normal range and above ``epsilon``
-    (``_plain_moduli``) is whitened in place; any other tile is whitened
-    by ``_unit_modulus``, with its rescaled and degenerate entries.
+    float64 plane per mic pair and quantity; the ratios are written into
+    ``entries`` and whitened there by ``_unit_modulus``, its sums of
+    squares in the arena.
     """
     num_mics, num_frames, num_bins = tensor.shape
     pairs, count = num_mics - 1, stop - start
@@ -283,58 +281,47 @@ def _whitened_rtf_rows(
             sums[dst] += per_frame[src]
         return sums
 
-    # bins per tile: as many as keep the products, their partners and the
-    # reference energy within the budget
-    for f0, f1 in _tiles(0, num_bins, arena.budget // (8 * (2 * pairs * reach + count))):
-        w = f1 - f0
-        # (frame, pair, bin) planes; the reference power and the moduli
-        # reuse the products' first doubles, their partners and the window
-        # sums the partners'
-        prods, parts, safe = arena.take((reach, pairs, w), (reach, pairs, w), (count, w))
-        ref, oth = span[0, :, f0:f1], span[1:, :, f0:f1].transpose(1, 0, 2)
-        ref_re, ref_im, oth_re, oth_im = ref.real, ref.imag, oth.real, oth.imag
-        low_ref = low[:, f0:f1]
-        power, square = (plane.reshape(-1)[: reach * w].reshape(reach, w) for plane in (prods, parts))
-        np.multiply(ref_re, ref_re, out=power)
-        power += np.multiply(ref_im, ref_im, out=square)
-        np.less_equal(window_sums(power, safe), cfg.epsilon, out=low_ref)
-        any_low = low_ref.any()
-        if any_low:
-            np.copyto(safe, 1.0, where=low_ref)
-        by_pair = safe[:, np.newaxis]
-        # the ratio's parts go straight into the entries, through
-        # (frame, pair, bin) views of them
-        tile = entries[:, f0:f1]
-        re, im = tile.real.transpose(0, 2, 1), tile.imag.transpose(0, 2, 1)
-        sums = parts[:count]
-        # z_m * conj(z_0) as separate real and imaginary planes: plain
-        # float ufuncs round each product once, whereas fused complex
-        # kernels may contract and drift by an ulp
-        ref_re, ref_im = ref_re[:, np.newaxis], ref_im[:, np.newaxis]
-        np.multiply(oth_re, ref_re, out=prods)
-        prods += np.multiply(oth_im, ref_im, out=parts)
-        np.divide(window_sums(prods, sums), by_pair, out=re)
-        np.multiply(oth_im, ref_re, out=prods)
-        prods -= np.multiply(oth_re, ref_im, out=parts)
-        np.divide(window_sums(prods, sums), by_pair, out=im)
-        # the sums of squares of _modulus, laid out (frame, bin, pair) as
-        # the entries are, so that the whitening walks them in order
-        moduli, square = (
-            plane.reshape(-1)[: sums.size].reshape(tile.shape) for plane in (prods, parts)
-        )
-        with np.errstate(over="ignore"):
-            np.multiply(tile.real, tile.real, out=moduli)
-            moduli += np.multiply(tile.imag, tile.imag, out=square)
-        degenerate = None
-        if _plain_moduli(moduli, cfg.epsilon):
-            np.divide(tile.real, moduli, out=tile.real)
-            np.divide(tile.imag, moduli, out=tile.imag)
-        else:
-            _, degenerate = _unit_modulus(tile, cfg.epsilon, out=tile)
-        if any_low:
-            tile[low_ref] = 1.0
-        if degenerate is not None:
-            _flag_rows(degenerate, low_ref)
+    # (frame, pair, bin) planes; the reference power and the moduli reuse
+    # the products' first doubles, their partners and the window sums the
+    # partners'
+    planes = (reach, pairs, num_bins)
+    prods, parts, safe = arena.take(planes, planes, (count, num_bins))
+    ref, oth = span[0], span[1:].transpose(1, 0, 2)
+    ref_re, ref_im, oth_re, oth_im = ref.real, ref.imag, oth.real, oth.imag
+    power, square = (
+        plane.reshape(-1)[: reach * num_bins].reshape(reach, num_bins) for plane in (prods, parts)
+    )
+    np.multiply(ref_re, ref_re, out=power)
+    power += np.multiply(ref_im, ref_im, out=square)
+    np.less_equal(window_sums(power, safe), cfg.epsilon, out=low)
+    any_low = low.any()
+    if any_low:
+        np.copyto(safe, 1.0, where=low)
+    by_pair = safe[:, np.newaxis]
+    # the ratio's parts go straight into the entries, through (frame,
+    # pair, bin) views of them
+    re, im = entries.real.transpose(0, 2, 1), entries.imag.transpose(0, 2, 1)
+    sums = parts[:count]
+    # z_m * conj(z_0) as separate real and imaginary planes: plain float
+    # ufuncs round each product once, whereas fused complex kernels may
+    # contract and drift by an ulp
+    ref_re, ref_im = ref_re[:, np.newaxis], ref_im[:, np.newaxis]
+    np.multiply(oth_re, ref_re, out=prods)
+    prods += np.multiply(oth_im, ref_im, out=parts)
+    np.divide(window_sums(prods, sums), by_pair, out=re)
+    np.multiply(oth_im, ref_re, out=prods)
+    prods -= np.multiply(oth_re, ref_im, out=parts)
+    np.divide(window_sums(prods, sums), by_pair, out=im)
+    # the moduli, laid out (frame, bin, pair) as the entries are, so that
+    # the whitening walks them in order
+    moduli, square = (
+        plane.reshape(-1)[: sums.size].reshape(entries.shape) for plane in (prods, parts)
+    )
+    _, degenerate = _unit_modulus(entries, cfg.epsilon, entries, moduli, square)
+    if any_low:
+        entries[low] = 1.0
+    if degenerate is not None:
+        _flag_rows(degenerate, low)
 
 
 def whiten(vectors: np.ndarray, epsilon: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +367,9 @@ _NORMAL_MIN = 2.0**-1022
 _SQUARES_CHUNK = 8192
 
 
-def _modulus(vectors: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+def _modulus(
+    vectors: np.ndarray, squares: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, tuple | None]:
     """``sqrt(re*re + im*im)`` of each entry of complex128 ``vectors``,
     and the entries it rescaled.
 
@@ -392,64 +381,69 @@ def _modulus(vectors: np.ndarray) -> tuple[np.ndarray, tuple | None]:
     the exponent of the larger part (``np.frexp``), and the result is
     scaled back.  ``rescaled`` is None, or the flat (C-order) indices of
     those entries with their scaled real parts, imaginary parts and
-    moduli.  Unless some entry needs rescaling, which takes masks of the
-    array, the modulus is the only block-sized array allocated (a
-    non-contiguous ``vectors`` is copied first).
+    moduli.
+
+    The moduli go to ``squares`` when given, a C-contiguous float64 array
+    of the vectors' shape that holds their sums of squares first, and
+    ``im * im`` to ``scratch``, of the same shape, when given, else to a
+    scratch of at most ``_SQUARES_CHUNK`` doubles, a chunk at a time.  So
+    unless some entry needs rescaling, which takes masks of the array, the
+    modulus is the only block-sized array allocated, and none is where
+    the caller gives both (without ``scratch``, the imaginary parts of a
+    non-contiguous ``vectors`` are copied first).
     """
-    flat = vectors.reshape(-1)
-    re, im = flat.real, flat.imag
-    squares = np.empty(flat.shape)
-    scratch = np.empty(min(flat.size, _SQUARES_CHUNK))
+    re, im = vectors.real, vectors.imag
+    if squares is None:
+        squares = np.empty(vectors.shape)
     with np.errstate(over="ignore"):
         np.multiply(re, re, out=squares)
-        for a in range(0, flat.size, _SQUARES_CHUNK):
-            b = min(a + _SQUARES_CHUNK, flat.size)
-            np.multiply(im[a:b], im[a:b], out=scratch[: b - a])
-            squares[a:b] += scratch[: b - a]
+        if scratch is not None:
+            squares += np.multiply(im, im, out=scratch)
+        else:
+            flat, im = squares.reshape(-1), im.reshape(-1)
+            scratch = np.empty(min(flat.size, _SQUARES_CHUNK))
+            for a in range(0, flat.size, _SQUARES_CHUNK):
+                b = min(a + _SQUARES_CHUNK, flat.size)
+                np.multiply(im[a:b], im[a:b], out=scratch[: b - a])
+                flat[a:b] += scratch[: b - a]
     rescaled = None
     # one min and one max: fewer passes than a mask of the out-of-range
-    if flat.size and not (
-        np.minimum.reduce(squares) >= _NORMAL_MIN and np.maximum.reduce(squares) < np.inf
+    if squares.size and not (
+        np.minimum.reduce(squares, axis=None) >= _NORMAL_MIN
+        and np.maximum.reduce(squares, axis=None) < np.inf
     ):
         index = np.flatnonzero((squares < _NORMAL_MIN) | (squares == np.inf))
-        index = index[(re[index] != 0.0) | (im[index] != 0.0)]
+        re, im = vectors.real.flat[index], vectors.imag.flat[index]
+        live = (re != 0.0) | (im != 0.0)
+        index, re, im = index[live], re[live], im[live]
         if index.size:
-            _, exponent = np.frexp(np.maximum(np.abs(re[index]), np.abs(im[index])))
-            part_re, part_im = np.ldexp(re[index], -exponent), np.ldexp(im[index], -exponent)
+            _, exponent = np.frexp(np.maximum(np.abs(re), np.abs(im)))
+            part_re, part_im = np.ldexp(re, -exponent), np.ldexp(im, -exponent)
             scaled = np.sqrt(part_re * part_re + part_im * part_im)
             rescaled = (index, part_re, part_im, scaled)
     np.sqrt(squares, out=squares)
     if rescaled is not None:
         with np.errstate(over="ignore"):  # a modulus above the largest double is inf
-            squares[index] = np.ldexp(scaled, exponent)
-    return squares.reshape(vectors.shape), rescaled
-
-
-def _plain_moduli(squares: np.ndarray, epsilon: float) -> bool:
-    """Whether ``squares``, sums of squares as ``_modulus`` forms them, all
-    lie in the normal range and have square roots above ``epsilon``; if
-    so they become those roots, in place, which are then ``_modulus``'s
-    bytes with no entry rescaled and none degenerate.  One min and one
-    max decide it; the square root is monotone and correctly rounded, so
-    the least root is the root of the least square."""
-    least = np.minimum.reduce(squares, axis=None)
-    if not (
-        least >= _NORMAL_MIN
-        and np.maximum.reduce(squares, axis=None) < np.inf
-        and np.sqrt(least) > epsilon
-    ):
-        return False
-    np.sqrt(squares, out=squares)
-    return True
+            squares.flat[index] = np.ldexp(scaled, exponent)
+    return squares, rescaled
 
 
 def _unit_modulus(
-    vectors: np.ndarray, epsilon: float, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``whiten`` without the row flags or the finiteness check; returns
-    the per-entry degenerate mask, or None when no entry is degenerate.
-    The whitened entries go to ``out`` when given, which may be
-    ``vectors`` itself.
+    vectors: np.ndarray,
+    epsilon: float,
+    out=None,
+    squares: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> tuple:
+    """``whiten`` without the row flags or the finiteness check: the
+    whitened entries, and the per-entry degenerate mask, or None when no
+    entry is degenerate.
+
+    The whitened entries go to ``out`` when given: a complex array, which
+    may be ``vectors`` itself, or a pair of float64 arrays for their real
+    and imaginary parts, which is then what is returned.  ``squares`` and
+    ``scratch`` are ``_modulus``'s; the imaginary parts are written
+    first, so ``squares`` may be the real parts' array of such a pair.
 
     The modulus is ``_modulus``, IEEE arithmetic only.  Rescaled entries
     divide their scaled parts by their scaled modulus, so a subnormal or
@@ -459,20 +453,24 @@ def _unit_modulus(
     division is masked and none is 0/0.
     """
     vectors = np.asarray(vectors, dtype=np.complex128)
-    modulus, rescaled = _modulus(vectors)
+    modulus, rescaled = _modulus(vectors, squares, scratch)
     degenerate = None
     if modulus.size and np.minimum.reduce(modulus, axis=None) <= epsilon:
         degenerate = modulus <= epsilon
         modulus[degenerate] = 1.0
     whitened = np.empty_like(vectors) if out is None else out
-    np.divide(vectors.real, modulus, out=whitened.real)
-    np.divide(vectors.imag, modulus, out=whitened.imag)
+    white_re, white_im = (
+        (whitened.real, whitened.imag) if isinstance(whitened, np.ndarray) else whitened
+    )
+    np.divide(vectors.imag, modulus, out=white_im)
+    np.divide(vectors.real, modulus, out=white_re)
     if rescaled is not None:
         index, part_re, part_im, scaled = rescaled
-        whitened.real.flat[index] = part_re / scaled
-        whitened.imag.flat[index] = part_im / scaled
+        white_re.flat[index] = part_re / scaled
+        white_im.flat[index] = part_im / scaled
     if degenerate is not None:
-        whitened[degenerate] = 1.0
+        white_re[degenerate] = 1.0
+        white_im[degenerate] = 0.0
     return whitened, degenerate
 
 
@@ -701,7 +699,8 @@ def _tile_budget(frames: int, num_bins: int, pairs: int) -> int:
     halves hold ``frames`` frames: the two float64 planes of a scoring
     tile of (frames, F, M - 1) entries, at most ``signal_core._TILE_BYTES``.
     So a half's scoring is one tile wherever its entries are small, and
-    the arenas never hold more than that scoring would."""
+    the arenas hold no more than that scoring would, but for the RTFs of
+    windows wider than a tile (``_block_whitened_rtf``)."""
     return min(signal_core._TILE_BYTES, 16 * frames * num_bins * pairs)
 
 
@@ -715,26 +714,15 @@ def _score(
     rtfs: np.ndarray, states: np.ndarray, gamma: np.ndarray, epsilon: float, arena: _Arena
 ) -> None:
     """``gamma[i] = _similarity(rtfs[i], _unit_modulus(states[i])[0])``
-    for each frame, in tiles of frames whose moduli and whitened parts
-    live in two planes of ``arena``.  A tile that ``_plain_moduli`` does
-    not pass (an entry to rescale or a degenerate one) is scored by that
-    expression itself; each frame is scored on its own, so any tiling
-    gives its bytes."""
+    for each frame, in tiles of frames whose whitened parts, and their
+    moduli before them, live in two planes of ``arena``; each frame is
+    scored on its own, so any tiling gives its bytes."""
     tile = _tile_frames(rtfs, arena)
     white_re, white_im = arena.take(*[(tile,) + rtfs.shape[1:]] * 2)
     for a, b in _tiles(0, len(rtfs), tile):
-        r, state = rtfs[a:b], states[a:b]
         wr, wi = white_re[: b - a], white_im[: b - a]
-        with np.errstate(over="ignore"):
-            np.multiply(state.real, state.real, out=wr)
-            wr += np.multiply(state.imag, state.imag, out=wi)
-        if not _plain_moduli(wr, epsilon):
-            gamma[a:b] = _similarity(r, _unit_modulus(state, epsilon)[0])
-            continue
-        # the imaginary part first: the real one overwrites the moduli
-        np.divide(state.imag, wr, out=wi)
-        np.divide(state.real, wr, out=wr)
-        _correlate(r, wr, wi, gamma[a:b], wr, wi)
+        _unit_modulus(states[a:b], epsilon, (wr, wi), wr, wi)
+        _correlate(rtfs[a:b], wr, wi, gamma[a:b], wr, wi)
 
 
 def _correlate_tiles(rtfs: np.ndarray, white: np.ndarray, gamma: np.ndarray, arena: _Arena) -> None:
@@ -768,20 +756,33 @@ def _estimate_mask(
     return mask_row
 
 
+def _overlaid(*layouts: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+    """One array per (shape, dtype) layout, all laid over the start of one
+    byte buffer as long as the largest: for arrays that are never in use
+    at the same time."""
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layouts]
+    buffer = np.empty(max(sizes), dtype=np.uint8)
+    return [
+        buffer[:size].view(dtype).reshape(shape) for size, (shape, dtype) in zip(sizes, layouts)
+    ]
+
+
 class _WorkingSet:
     """The arrays one stream's blocks are computed in: the RTF entries and
     low-energy flags, the (n + 1, F, M - 1) state stack that the local
     tracker and then the global one use, the block's rows by
     ``FrameBlock`` field name and, for ``stream_wav``, the (M, s, F)
-    spectra of a block's span of frames.
+    spectra of a block's span of frames and the (M, t) samples they are
+    transformed from.
 
-    The spectra are read only by the RTFs and the stack is written only
-    after them, so where the stack fits in the spectra's memory it is a
-    view of it.  A ``FrameBlock``'s arrays are views of these arrays, and
-    every view holds a reference to the array that owns its memory, so
-    ``free`` (``sys.getrefcount`` of each owner, against its count when
-    nothing but the working set held it) says whether any view of the
-    previous block is still alive outside the engine.
+    The samples are read only by the STFT and the RTF entries written
+    only after it, so the two share their memory (``_overlaid``), as do
+    the spectra, which only the RTFs read, and the stack, written after
+    them.  A ``FrameBlock``'s arrays are views of these arrays, and every
+    view holds a reference to the buffer that owns its memory, so ``free``
+    (``sys.getrefcount`` of each owner, against its count when nothing but
+    the working set held it) says whether any view of the previous block
+    is still alive outside the engine.
     """
 
     def __init__(
@@ -791,22 +792,22 @@ class _WorkingSet:
         num_mics: int,
         rows: dict[str, int],
         span_frames: int = 0,
+        span_samples: int = 0,
     ) -> None:
-        stack = (frames + 1, num_bins, num_mics - 1)
-        self.rtf = np.empty((frames,) + stack[1:], dtype=np.complex128)
+        entries = (frames, num_bins, num_mics - 1)
+        self.rtf, self.samples = _overlaid(
+            (entries, np.complex128), ((num_mics, span_samples), np.float64)
+        )
+        self.spectra, self.states = _overlaid(
+            ((num_mics, span_frames, num_bins), np.complex128),
+            ((frames + 1,) + entries[1:], np.complex128),
+        )
         self.low_energy = np.empty((frames, num_bins), dtype=bool)
-        self.spectra = np.empty((num_mics, span_frames, num_bins), dtype=np.complex128)
-        if math.prod(stack) <= self.spectra.size:
-            self.states = self.spectra.reshape(-1)[: math.prod(stack)].reshape(stack)
-        else:
-            self.states = np.empty(stack, dtype=np.complex128)
         self.rows = {name: np.empty((frames, width)) for name, width in rows.items()}
         self.refs = self._counts()
 
     def _counts(self) -> list[int]:
-        owners = [self.rtf, self.low_energy, self.spectra, *self.rows.values()]
-        if self.states.base is None:
-            owners.append(self.states)
+        owners = [self.rtf.base, self.spectra.base, self.low_energy, *self.rows.values()]
         return [sys.getrefcount(owner) for owner in owners]
 
     def free(self) -> bool:
@@ -824,8 +825,9 @@ class _Engine:
     first block and reused by every later one while no view of the
     previous block is alive (else a new one), and the two halves'
     scratch arenas, which the STFT of ``stream_wav`` shares.  With
-    ``span_frames``, the working set also holds the spectra of a block's
-    span of frames (``stream_wav``), which ``work`` hands out."""
+    ``span_frames`` and ``span_samples``, the working set also holds the
+    spectra of a block's span of frames and its samples (``stream_wav``),
+    which ``work`` hands out."""
 
     def __init__(
         self,
@@ -834,6 +836,7 @@ class _Engine:
         num_bins: int,
         sample_rate: int = SAMPLE_RATE,
         span_frames: int = 0,
+        span_samples: int = 0,
     ) -> None:
         self.cfg = cfg
         self.mask_feedback = mask_feedback
@@ -847,7 +850,7 @@ class _Engine:
         self.prev_mask: np.ndarray | None = None
         self.arenas: tuple[_Arena, _Arena] | None = None
         self.working_set: _WorkingSet | None = None
-        self.span_frames = span_frames
+        self.span = (span_frames, span_samples)
         # the working set's rows, by FrameBlock field name, and their widths
         names = ["gamma_local", "gamma_global", "lambda_trace"]
         if cfg.apply_arcsine:
@@ -866,7 +869,7 @@ class _Engine:
         if self.arenas is None:
             self.arenas = _arenas(_tile_budget((count + 1) // 2, num_bins, num_mics - 1))
         if self.working_set is None or not self.working_set.free():
-            self.working_set = _WorkingSet(count, num_bins, num_mics, self.rows, self.span_frames)
+            self.working_set = _WorkingSet(count, num_bins, num_mics, self.rows, *self.span)
         return self.working_set
 
     def block(
@@ -1052,10 +1055,10 @@ def stream_wav(reader: WavReader, cfg: CoherenceConfig) -> Iterator[FrameBlock]:
     default ``StftConfig`` frames, each block's frames read from the file.
 
     For the block of clip frames ``[start, stop)`` the samples of frames
-    ``[max(0, start - R), min(L, stop + R))`` are read, a tile at a time,
-    and transformed into the (M, min(L, 64 + 2R), F) spectra of the
-    stream's working set, which the trackers' state stack overlays once
-    the RTFs have read them.  A frame's spectrum does not depend on the
+    ``[max(0, start - R), min(L, stop + R))`` are read into the stream's
+    working set, over its RTF entries, and transformed into its (M,
+    min(L, 64 + 2R), F) spectra, which the trackers' state stack overlays
+    once the RTFs have read them.  A frame's spectrum does not depend on the
     frames transformed with it, so the blocks are bit for bit those of
     ``stream_frames`` on the whole clip's ``stft_multichannel``.  The
     stream holds its working set and two scratch arenas: O(64 + 2R)
@@ -1078,7 +1081,8 @@ def stream_wav(reader: WavReader, cfg: CoherenceConfig) -> Iterator[FrameBlock]:
     stft_cfg = StftConfig()
     num_frames = stft_cfg.num_frames(reader.num_samples)
     span_frames = min(num_frames, _BLOCK_FRAMES + 2 * cfg.R)
-    engine = _Engine(cfg, None, stft_cfg.num_bins, SAMPLE_RATE, span_frames)
+    span_samples = (span_frames - 1) * stft_cfg.hop + stft_cfg.frame_len
+    engine = _Engine(cfg, None, stft_cfg.num_bins, SAMPLE_RATE, span_frames, span_samples)
 
     def block(start: int) -> FrameBlock:
         # no local outlives the call: a reference to the working set left
@@ -1087,7 +1091,10 @@ def stream_wav(reader: WavReader, cfg: CoherenceConfig) -> Iterator[FrameBlock]:
         first, end = max(0, start - cfg.R), min(num_frames, stop + cfg.R)
         work = engine.work(reader.num_channels, stft_cfg.num_bins, stop - start)
         span = work.spectra[:, : end - first]
-        _stft_channels(reader, stft_cfg, span, engine.arenas, first * stft_cfg.hop)
+        samples = reader.read(
+            first * stft_cfg.hop, (end - 1) * stft_cfg.hop + stft_cfg.frame_len, work.samples
+        )
+        _stft_channels(samples, stft_cfg, span, engine.arenas)
         _reject_non_finite(span, first)
         return engine.block(span, start, stop, first, work)
 

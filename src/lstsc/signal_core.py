@@ -44,13 +44,20 @@ _WOLA_FLOOR = 1e-10
 # Samples per span of WavReader's non-finite scan.
 _SCAN_SAMPLES = 1 << 16
 
+# Most bytes of a WAV file that ``WavReader.read`` into a caller's array
+# holds at once.
+_READ_BYTES = 1 << 17
+
 # Most scratch bytes of a kernel tile: the STFT and the engine's kernels
 # walk a block in tiles whose scratch fits an arena of at most this many
 # bytes (``_Arena.budget``), so that each ``_in_halves`` half holds one
-# such arena, whatever the block's size.  An engine's arenas hold less
-# where a half's whole scoring scratch is less (``coherence._tile_budget``).
-# Fewer, larger tiles run faster: each costs some 50 us of calls, and two
-# halves' calls contend for the interpreter lock.
+# such arena, whatever the block's size; only the RTFs of windows wider
+# than a tile outgrow it (``coherence._block_whitened_rtf``).  An engine's
+# arenas hold less where a half's whole scoring scratch is less
+# (``coherence._tile_budget``).  At 0.75 MiB an 8-mic block's RTFs take
+# two tiles per half and its scoring one; 1 MiB and 2 MiB ran no faster
+# (30 s 8-mic CLI extracts and 8 s 4-mic API runs, best of 18 each on a
+# 2-vCPU VM) and hold more.
 _TILE_BYTES = 3 << 18
 
 # CPUs this process may run on; with fewer than 2, _alongside and
@@ -155,9 +162,10 @@ class _Arena:
     """Scratch memory of one ``_in_halves`` half, reused by every tile of
     every kernel that half runs: ``take`` carves views out of one flat
     buffer.  Kernels size their tiles so that a tile's scratch fits
-    ``budget`` bytes; the buffer grows to the largest request it has
-    seen, so once a stream's first block has run every phase, it is the
-    largest phase's need and no later tile allocates."""
+    ``budget`` bytes, but for the RTFs of wide windows; the buffer grows
+    to the largest request it has seen, so once a stream's first block
+    has run every phase, it is the largest phase's need and no later
+    tile allocates."""
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
@@ -313,20 +321,20 @@ class Mask:
             raise ValueError("mask entries must lie in [0, 1]")
 
 
-def _decode(data: np.ndarray) -> np.ndarray:
+def _decode(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(frames, channels) samples of a dtype of ``_ENCODINGS`` as (M, n)
-    float64 in [-1, 1] (``_to_unit``)."""
-    return _to_unit(data.astype(np.float64).T, data.dtype)
-
-
-def _to_unit(samples: np.ndarray, encoding: np.dtype) -> np.ndarray:
-    """Float64 ``samples`` of ``encoding``, scaled in place into [-1, 1]
-    and returned: PCM divided by 2 ** (bits - 1) of its dtype, unsigned
-    8-bit PCM centred on 128 first."""
-    if encoding.kind == "u":
+    float64 in [-1, 1], written into ``out`` when given: PCM divided by
+    2 ** (bits - 1) of its dtype, unsigned 8-bit PCM centred on 128
+    first."""
+    if out is None:
+        samples = data.astype(np.float64).T
+    else:
+        samples = out
+        np.copyto(samples, data.T)
+    if data.dtype.kind == "u":
         samples -= 128.0
-    if encoding.kind != "f":
-        samples /= 2.0 ** (8 * encoding.itemsize - 1)
+    if data.dtype.kind != "f":
+        samples /= 2.0 ** (8 * data.dtype.itemsize - 1)
     return samples
 
 
@@ -423,47 +431,28 @@ def _wav_layout(path: Path) -> tuple[int, int, np.dtype, int, int, int]:
     return rate, channels, np.dtype(_ENCODINGS[encoding]), width, offset, values // channels
 
 
-def _read_span(
-    path: Path, layout: tuple, start: int, stop: int, buffer: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _read_span(path: Path, layout: tuple, start: int, stop: int) -> np.ndarray:
     """The raw samples ``[start, stop)``, cut at the last one, of the WAV
     file at ``path`` whose ``_wav_layout`` is ``layout``: an (n, M) array
-    of its in-memory dtype, read from the file at the span's offset, and
-    the byte buffer that holds it.  Without ``buffer`` the span is read
-    into new arrays; with one, into ``buffer`` when it is large enough,
-    else into a new buffer that the caller keeps for its next span."""
+    of its in-memory dtype, read from the file at the span's offset."""
     if start < 0:
         raise ValueError(f"a span of samples starts at 0 or later, got {start}")
     _, channels, dtype, width, offset, frames = layout
     count = max(0, min(stop, frames) - start)
     values = count * channels
-    # 24-bit samples are widened into the buffer's front, read behind it
-    front = values * dtype.itemsize if width == 3 else 0
     with path.open("rb", buffering=0) as file:
         file.seek(offset + start * channels * width)
-        if buffer is None:
-            raw = np.fromfile(file, np.uint8, values * width)
-            buffer = np.empty(front, dtype=np.uint8)
+        if width == 3:
+            raw = np.fromfile(file, np.uint8, 3 * values)
+            # scipy's int32: the sample's three bytes above a zero byte
+            span = np.zeros((raw.size // 3, 4), dtype=np.uint8)
+            span[:, 1:] = raw[: 3 * len(span)].reshape(-1, 3)
+            span = span.view(dtype).ravel()
         else:
-            if buffer.size < front + values * width:
-                buffer = np.empty(front + values * width, dtype=np.uint8)
-            raw = buffer[front : front + values * width]
-            got = 0
-            while got < raw.size:
-                chunk = file.readinto(raw[got:])
-                if not chunk:
-                    break
-                got += chunk
-            raw = raw[:got]
-    if raw.size != values * width:
+            span = np.fromfile(file, dtype, values)
+    if span.size != values:
         raise ValueError(f"WAV file {path} changed while it was read")
-    if width == 3:
-        # scipy's int32: the sample's three bytes above a zero byte
-        span = buffer[:front].reshape(values, 4)
-        span[:, 0] = 0
-        span[:, 1:] = raw.reshape(values, 3)
-        raw = span
-    return raw.view(dtype).reshape(count, channels), buffer
+    return span.reshape(count, channels)
 
 
 class WavReader:
@@ -471,12 +460,11 @@ class WavReader:
 
     A walk of the file's chunks (``_wav_layout``) finds the encoding and
     the offset where the samples start, and each span is read from there,
-    into an array of its own or into a caller's buffer, so resident
-    memory follows the span, not the file.  The file is checked
-    when it is opened: its layout and encoding, and for float data the
-    first non-finite sample (in channel, then sample order), which a scan
-    of the raw samples in spans finds.  ``load_wav`` reads the same
-    samples in one span.
+    into an array of its own or a caller's, so resident memory follows
+    the span, not the file.  The file is checked when it is opened: its
+    layout and encoding, and for float data the first non-finite sample
+    (in channel, then sample order), which a scan of the raw samples in
+    spans finds.  ``load_wav`` reads the same samples in one span.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -484,31 +472,35 @@ class WavReader:
         self._layout = _wav_layout(self._path)
         self.sample_rate, self.num_channels, dtype, _, _, self.num_samples = self._layout
         if dtype.kind == "f":
-            # scan the raw spans: the float64 conversion keeps finiteness;
-            # their buffer is dropped, as it is longer than a block's span
-            found, buffer = [], None
+            # scan the raw spans: the float64 conversion keeps finiteness
+            found = []
             for start in range(0, self.num_samples, _SCAN_SAMPLES):
-                span, buffer = _read_span(
-                    self._path, self._layout, start, start + _SCAN_SAMPLES, buffer
+                bad = _first_non_finite(
+                    _read_span(self._path, self._layout, start, start + _SCAN_SAMPLES).T
                 )
-                bad = _first_non_finite(span.T)
                 if bad is not None:
                     found.append((bad[0], start + bad[1]))
             if found:
                 channel, sample = min(found)
                 raise ValueError(f"non-finite audio sample at channel {channel}, sample {sample}")
 
-    def read(self, start: int, stop: int) -> np.ndarray:
+    def read(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         """Samples ``[start, stop)`` as (M, n) float64, cut at the file's
         last sample, as ``load_wav(path).samples[:, start:stop]``; a start
-        below 0 raises ValueError."""
-        return _decode(_read_span(self._path, self._layout, start, stop)[0])
-
-    def _read_raw(self, start: int, stop: int, buffer: np.ndarray) -> np.ndarray:
-        """``read``'s samples as stored, (n, M) of the dtype that
-        ``_to_unit`` scales, read into the byte array ``buffer`` (7 bytes
-        a sample suffice) and valid until it is reused."""
-        return _read_span(self._path, self._layout, start, stop, buffer)[0]
+        below 0 raises ValueError.  With ``out``, an (M, n) or wider
+        float64 array, they are decoded into its first n columns, at most
+        ``_READ_BYTES`` of the file's bytes at a time, and that view of
+        it is returned."""
+        if out is None:
+            return _decode(_read_span(self._path, self._layout, start, stop))
+        _, channels, _, width, _, frames = self._layout
+        step = max(1, _READ_BYTES // (channels * width))
+        count = max(0, min(stop, frames) - start)
+        # one span at least, so that a start below 0 raises
+        for a in range(0, max(count, 1), step):
+            span = _read_span(self._path, self._layout, start + a, start + min(count, a + step))
+            _decode(span, out=out[:, a : a + len(span)])
+        return out[:, :count]
 
 
 def load_wav(path: str | Path) -> MultichannelAudio:
@@ -518,7 +510,7 @@ def load_wav(path: str | Path) -> MultichannelAudio:
     path = Path(path)
     layout = _wav_layout(path)
     rate, *_, frames = layout
-    return MultichannelAudio(_decode(_read_span(path, layout, 0, frames)[0]), rate)
+    return MultichannelAudio(_decode(_read_span(path, layout, 0, frames)), rate)
 
 
 def save_wav(path: str | Path, audio: MultichannelAudio) -> None:
@@ -552,54 +544,33 @@ def save_wav(path: str | Path, audio: MultichannelAudio) -> None:
 
 
 def _stft_channels(
-    source, cfg: StftConfig, out: np.ndarray, arenas: tuple[_Arena, _Arena], start: int = 0
+    samples: np.ndarray, cfg: StftConfig, out: np.ndarray, arenas: tuple[_Arena, _Arena]
 ) -> None:
-    """Writes the STFT of each channel of ``source`` into the same channel
-    of the (M, L, F) ``out``: its first L frames, windowed, zero-padded to
-    ``fft_size`` and transformed.
+    """Writes the STFT of each row of ``samples`` into the same channel of
+    the (M, L, F) ``out``: the row's first L frames, windowed, zero-padded
+    to ``fft_size`` and transformed.
 
-    ``source`` is an (M, n) float64 array, or a ``WavReader`` whose
-    samples from ``start`` on are read a tile at a time into the arena
-    and scaled there (``_to_unit``), as ``read`` returns them.  The frames
-    go in two halves (``_in_halves``), each in tiles that fit its arena's
-    budget; a tile windows its frames straight into a zero-padded (tile,
-    ``fft_size``) block of the arena, so ``rfft`` neither pads nor
-    allocates.  A frame's spectrum is the same bytes whichever frames
-    share its tile.
+    The frames go in two halves (``_in_halves``), each in tiles that fit
+    its arena of ``arenas``; a tile windows its frames straight into a
+    zero-padded (tile, ``fft_size``) block of the arena, so ``rfft``
+    neither pads nor allocates.  A frame's spectrum is the same bytes
+    whichever frames share its tile.
     """
     window = cfg.analysis_window()
-    num_mics, num_frames, _ = out.shape
-    frame_len, hop = cfg.frame_len, cfg.hop
-    reader = source if isinstance(source, WavReader) else None
+    frame_len = cfg.frame_len
 
     def frames(lo: int, hi: int) -> None:
         arena = arenas[lo > 0]
-        # per frame: its padded row and, read from a file, its hop of
-        # samples scaled and as stored (at most 8 bytes a sample)
-        per_frame = 8 * (cfg.fft_size + (hop + hop * num_mics if reader else 0))
-        tile = max(1, arena.budget // per_frame)
-        span = (min(tile, hi - lo) - 1) * hop + frame_len
-        padded, scaled, stored = arena.take(
-            (min(tile, hi - lo), cfg.fft_size), (span if reader else 0,),
-            (span * num_mics if reader else 0,),
-        )
+        tile = max(1, min(hi - lo, arena.budget // (8 * cfg.fft_size)))
+        (padded,) = arena.take((tile, cfg.fft_size))
         padded[:, frame_len:] = 0.0
-        for a, b in _tiles(lo, hi, tile):
-            first, last = a * hop, (b - 1) * hop + frame_len
-            if reader is None:
-                samples = source[:, first:last]
-            else:
-                samples = reader._read_raw(start + first, start + last, stored.view(np.uint8)).T
-            for m in range(num_mics):
-                row = samples[m]
-                if row.dtype != np.float64:
-                    np.copyto(scaled[: len(row)], row)
-                    row = _to_unit(scaled[: len(row)], samples.dtype)
-                tiles = np.lib.stride_tricks.sliding_window_view(row, frame_len)[::hop]
-                np.multiply(tiles, window, out=padded[: b - a, :frame_len])
-                np.fft.rfft(padded[: b - a], axis=1, out=out[m, a:b])
+        for row, spectra in zip(samples, out):
+            windows = np.lib.stride_tricks.sliding_window_view(row, frame_len)[:: cfg.hop]
+            for a, b in _tiles(lo, hi, tile):
+                np.multiply(windows[a:b], window, out=padded[: b - a, :frame_len])
+                np.fft.rfft(padded[: b - a], axis=1, out=spectra[a:b])
 
-    _in_halves(frames, num_frames, 2)
+    _in_halves(frames, out.shape[1], 2)
 
 
 def stft_multichannel(

@@ -540,9 +540,10 @@ class TestExtract:
         # 8 mics: the peak holds the stream's working set, allocated once:
         # one block's spectra and its 2R window frames (about 1.2 RTF
         # blocks), with the trackers' state stack laid over them, its RTFs
-        # (1) and rows (0.4), and the two halves' scratch arenas (0.85),
-        # plus numpy's buffers of the tiles in flight: 3.4-3.85 RTF
-        # blocks, the bound 10% above.  Block temporaries allocated afresh
+        # (1), with the block's span of samples laid over them, and rows
+        # (0.4), and the two halves' scratch arenas (0.85), plus numpy's
+        # buffers of the tiles in flight: 3.45-3.8 RTF blocks, the bound
+        # 10% above.  Block temporaries allocated afresh
         # read 4.1-4.6, a writer that kept the previous block while the
         # next one was computed 6.35, and one block waiting for the next
         # chunk's lookahead 6.6-7.3
@@ -999,25 +1000,20 @@ class TestPageFaults:
         wavfile.write(wav, 16000, 0.1 * rng.standard_normal((16000 * seconds, 8), dtype=np.float32))
         return wav
 
-    def test_faults_flat_in_clip_length(self, tmp_path):
-        # a 30 s 8-mic extract took 59.6k faults with a block's temporaries
-        # allocated afresh, 7.8k with them reused; 8 s and 80 s lstsc-1
-        # took 7.6k and 7.7k, 20.3k and 144k before
-        short = self._faults(tmp_path, self._wav(tmp_path, 8), "--variant", "lstsc-1")
-        long = self._faults(tmp_path, self._wav(tmp_path, 80), "--variant", "lstsc-1")
+    @pytest.mark.parametrize("R", [1, 70])
+    def test_faults_flat_in_clip_length(self, tmp_path, R):
+        # lstsc-1 on 8 s and 80 s of 8-mic noise: 7.3k and 7.3k faults at
+        # R = 1, 11.0k and 11.1k at R = 70, where the working set holds
+        # 204-frame spectra and the RTF scratch of windows over 172 frames
+        # per half; with every block's temporaries allocated afresh they
+        # took 20.4k and 144k, and 48.0k and 453k
+        config = _write_config(tmp_path / "r.json", {"R": R})
+        short, long = (
+            self._faults(tmp_path, self._wav(tmp_path, seconds), "--variant", "lstsc-1",
+                         "--config", config)
+            for seconds in (8, 80)
+        )
         assert long <= 1.25 * short, (short, long)
-
-    def test_faults_of_a_wide_window_follow_its_working_set(self, tmp_path):
-        # R = 70 holds 204-frame spectra and window products of 172 frames
-        # per half, about 20 MB more than R = 1 at 8 mics, faulted in once:
-        # 12.6k faults against 7.6k on a 30 s clip (47.5k against 20.3k on
-        # an 8 s clip, and 223k against 59.6k on a 30 s scene, when every
-        # block faulted its own)
-        wav = self._wav(tmp_path, 30)
-        narrow = self._faults(tmp_path, wav, "--variant", "lstsc-1")
-        wide = self._faults(tmp_path, wav, "--variant", "lstsc-4",
-                            "--config", _write_config(tmp_path / "r70.json", {"R": 70}))
-        assert wide <= 1.8 * narrow, (narrow, wide)
 
     def test_repeated_extracts_fault_no_more_than_the_first(self, tmp_path):
         # in one process: 2.7k faults for the first extract of an 8 s

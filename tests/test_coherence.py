@@ -559,11 +559,12 @@ class TestComputeLstsc:
         ids=["lstsc-1", "lstsc-3", "lstsc-3-steered", "lstsc-2-steered"],
     )
     def test_peak_memory_holds_one_block(self, rng, variant, estimator):
-        # the planes plus one block's working set: its RTFs, one tracker's
-        # state stack and, on two threads, the coherence temporaries of two
-        # 16-frame slices, 2.97-3.28 RTF blocks in all; the bound leaves
-        # 10% above that.  Whole halves unsliced read 3.9-4.3, and a
-        # previous block kept alive adds one more
+        # the planes plus the stream's working set: its RTFs (1), the
+        # trackers' state stack (1.02) and rows, and two scratch arenas
+        # (0.43 each), 3.19-3.49 RTF blocks in all; the bound leaves 3%
+        # above that.  Temporaries allocated afresh in 16-frame slices
+        # read 2.97-3.28, unsliced 3.9-4.3, and a previous block kept
+        # alive adds one more
         num_mics, num_bins = 8, 257
         specs = random_small_specs(rng, num_mics, 4 * _BLOCK_FRAMES, num_bins)
         feedback = estimator() if estimator is not None else None
@@ -979,11 +980,11 @@ class TestBlockEngine:
             want = oracle_frame_engine.short_term_whitened_rtf(specs, frame, cfg)
             assert all(map(same_bytes, got, want)), frame
         # the trackers score tiles of 1-9 frames' states, and the RTFs go
-        # in tiles of as many frames' bins spread over each window's
-        # frames, so that tile edges fall inside each block and each half
-        # of one, and inside its bins
+        # in tiles of fewer frames or, where that is less than R, in whole
+        # halves, so that tile edges fall inside each block and each half
+        # of one
         num_mics, _, num_bins = specs.shape
-        tile_bytes = data.draw(st.integers(1, 9)) * num_bins * (num_mics - 1) * 8
+        tile_bytes = data.draw(st.integers(1, 9)) * num_bins * (num_mics - 1) * 16
         with mock.patch("lstsc.signal_core._TILE_BYTES", tile_bytes):
             for variant in sorted(VARIANT_SETTINGS):
                 cfg = CoherenceConfig.for_variant(variant, R=R)
@@ -1125,12 +1126,13 @@ class TestStreamWav:
 
     @pytest.mark.parametrize("R", [1, 3, 64])
     def test_peak_memory_follows_a_block_and_its_windows(self, tmp_path, R):
-        # O(64 + 2R) frames of spectra: the peak holds the one spectra
-        # buffer of a block and its 2R window frames, the span of samples
-        # read for it while it is transformed, and the engine's block
-        # buffers and outputs: 3.6-4.0 frames' worth per span frame at
-        # R = 1 and 3, 2.0-2.35 at R = 64; the bound leaves 10% above
-        # that.  The clip is 16 spans long at R = 64, so a buffer that
+        # O(64 + 2R) frames of spectra: the peak holds the stream's working
+        # set, the spectra of a block and its 2R window frames, the RTFs
+        # with the block's span of samples laid over them, and the rows,
+        # which weigh most against 2 mics, plus two scratch arenas that
+        # grow with the windows at R = 64: 3.8-4.05 frames' worth per span
+        # frame at R = 1 and 3, 3.05 at R = 64; the bound leaves 10% above
+        # the first.  The clip is 16 spans long at R = 64, so a buffer that
         # grows with it breaks the bound
         num_mics = 2
         span = _BLOCK_FRAMES + 2 * R

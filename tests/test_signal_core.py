@@ -149,8 +149,9 @@ class TestWavReader:
         chunks = [reader.read(lo, lo + size) for lo in range(0, reader.num_samples, size)]
         assert all(chunk.shape[1] == size for chunk in chunks[:-1])
         assert np.concatenate(chunks, axis=1).tobytes() == whole.samples.tobytes()
-        with pytest.raises(ValueError, match="starts at 0 or later, got -1"):
-            reader.read(-1, size)
+        for out in (None, np.empty((reader.num_channels, size + 1))):
+            with pytest.raises(ValueError, match="starts at 0 or later, got -1"):
+                reader.read(-1, size, out)
 
     @pytest.mark.parametrize("encoding", ["float32", "int24"])
     @pytest.mark.parametrize("first", [1, 2639, 5000, 100000])
@@ -283,8 +284,9 @@ class TestWavReader:
         """Every encoding, channel count, fmt chunk, container and chunk
         list drawn reads as scipy reads it, through ``_parent_decode``, by
         ``load_wav`` and by ``WavReader.read`` of any span (empty, past the
-        end, straddling the spans of the reader's non-finite scan), and
-        ``save_wav`` writes scipy's bytes."""
+        end, straddling the spans of the reader's non-finite scan), into a
+        new array or a wider one of the caller's, decoded in pieces of any
+        size, and ``save_wav`` writes scipy's bytes."""
         tag, width, bits = data.draw(st.sampled_from(
             [(1, 1, 8), (1, 1, 4), (1, 2, 16), (1, 2, 12), (1, 3, 24), (1, 3, 20),
              (1, 4, 32), (1, 4, 28), (3, 4, 32), (3, 8, 64)]
@@ -312,9 +314,10 @@ class TestWavReader:
             st.tuples(st.integers(0, frames + 9), st.integers(0, frames + 2500)), max_size=6
         ))
         scan = data.draw(st.integers(1, 700))
+        piece = data.draw(st.integers(1, 700))
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
             signal_core, "_SCAN_SAMPLES", scan
-        ):
+        ), mock.patch.object(signal_core, "_READ_BYTES", piece):
             path = Path(tmp) / "x.wav"
             path.write_bytes(wav)
             with warnings.catch_warnings():
@@ -328,6 +331,10 @@ class TestWavReader:
             assert same_bytes(np.concatenate(chunks, axis=1), want)
             for lo, hi in spans:
                 assert same_bytes(reader.read(lo, hi), want[:, lo:hi]), (lo, hi)
+                out = np.full((channels, max(0, hi - lo) + 3), np.nan)
+                got = reader.read(lo, hi, out)
+                assert np.shares_memory(got, out) or got.size == 0
+                assert same_bytes(got, want[:, lo:hi]), (lo, hi)
 
             save_wav(path, loaded)
             cast = want.T.astype(np.float32)
