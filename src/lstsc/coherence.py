@@ -40,8 +40,8 @@ import numpy as np
 from . import signal_core
 from .erb import ErbFilterbank, _pool, design_filterbank, pool_feature
 from .signal_core import (
-    SAMPLE_RATE, StftConfig, WavReader, _Arena, _arenas, _check_pipeline_rate, _first_non_finite,
-    _in_halves, _stft_channels, _tiles,
+    SAMPLE_RATE, StftConfig, WavReader, _Arena, _check_pipeline_rate, _first_non_finite,
+    _stft_channels, _tiles,
 )
 
 __all__ = [
@@ -192,7 +192,9 @@ def short_term_whitened_rtf(
         raise ValueError(f"frame {frame} outside [0, {num_frames})")
     lo = max(0, frame - cfg.R)
     _reject_non_finite(tensor[:, lo : frame + cfg.R + 1], lo)
-    entries, low_energy = _block_whitened_rtf(tensor, frame, frame + 1, cfg)
+    entries, low_energy = _block_whitened_rtf(
+        tensor, frame, frame + 1, cfg, _Arena(signal_core._TILE_BYTES)
+    )
     return entries[0], low_energy[0]
 
 
@@ -201,41 +203,33 @@ def _block_whitened_rtf(
     start: int,
     stop: int,
     cfg: CoherenceConfig,
+    arena: _Arena,
     entries: np.ndarray | None = None,
     low: np.ndarray | None = None,
-    arenas: tuple[_Arena, _Arena] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``short_term_whitened_rtf`` of frames ``[start, stop)`` at once:
     entries (n, F, M-1) and low-energy flags (n, F), written into
-    ``entries`` and ``low`` when given, the frames in two halves
-    (``_in_halves``), each half in tiles of frames whose scratch
-    (``_whitened_rtf_rows``) fits the budget of its arena of ``arenas``.
-    Windows wider than such a tile take the half in one tile, whose
-    scratch outgrows the budget as the spectra do."""
+    ``entries`` and ``low`` when given, in tiles of frames whose scratch
+    (``_whitened_rtf_rows``) fits the budget of ``arena``.  Windows wider
+    than such a tile take the frames in one tile, whose scratch outgrows
+    the budget as the spectra do."""
     num_mics, _, num_bins = tensor.shape
     pairs = num_mics - 1
     if entries is None:
         entries = np.empty((stop - start, num_bins, pairs), dtype=np.complex128)
         low = np.empty((stop - start, num_bins), dtype=bool)
-    arenas = _arenas() if arenas is None else arenas
-
-    def frames(lo: int, hi: int) -> None:
-        arena = arenas[lo > 0]
-        # the rows of F bins the budget holds, less the windows' 2R frames
-        # of products and partners, over a frame's products, partners and
-        # reference energy
-        rows = arena.budget // (8 * num_bins) - 4 * pairs * cfg.R
-        step = rows // (2 * pairs + 1)
-        if step < max(cfg.R, 1):
-            # windows wider than a tile: the half in one tile, so that its
-            # window sums stay few and long (split into tiles of bins, a
-            # 30 s 8-mic extract at R = 70 took 1.6x the time)
-            step = hi - lo
-        for a, b in _tiles(lo, hi, max(step, 1)):
-            _whitened_rtf_rows(tensor, start + a, start + b, cfg, entries[a:b], low[a:b], arena)
-
-    # inline: 1.12-1.20x the two-thread time (30 s 8-mic extract), 1.12x (8 s 4-mic)
-    _in_halves(frames, stop - start, _SPLIT_FRAMES)
+    # the rows of F bins the budget holds, less the windows' 2R frames of
+    # products and partners, over a frame's products, partners and
+    # reference energy
+    rows = arena.budget // (8 * num_bins) - 4 * pairs * cfg.R
+    step = rows // (2 * pairs + 1)
+    if step < max(cfg.R, 1):
+        # windows wider than a tile: the frames in one tile, so that their
+        # window sums stay few and long (split into tiles of bins, a 30 s
+        # 8-mic extract at R = 70 took 1.6x the time)
+        step = stop - start
+    for a, b in _tiles(0, stop - start, max(step, 1)):
+        _whitened_rtf_rows(tensor, start + a, start + b, cfg, entries[a:b], low[a:b], arena)
     return entries, low
 
 
@@ -653,8 +647,6 @@ MaskFeedback = Callable[
 # overhead, few enough that the block buffers stay a few MB at 8 mics.
 _BLOCK_FRAMES = 64
 
-# Fewest frames whose RTFs or coherence are worth two threads.
-_SPLIT_FRAMES = 8
 
 def _tracker(
     rtfs: np.ndarray,
@@ -663,7 +655,7 @@ def _tracker(
     epsilon: float,
     states: np.ndarray,
     gamma: np.ndarray,
-    arenas: tuple[_Arena, _Arena],
+    arena: _Arena,
 ) -> None:
     """Coherence of a block of frames with a tracker, written into
     ``gamma``, and its states, written into the (n + 1, F, M - 1) stack
@@ -673,35 +665,30 @@ def _tracker(
     before the block and ``states[i + 1]`` the state after frame ``i``;
     each frame is scored against the state before it by ``coherence``'s
     unchecked path (the engine has already rejected non-finite spectra),
-    the frames in two halves (``_in_halves``), each half in tiles
-    (``_score``).  ``rbar`` is None before the first frame: the tracker
-    opens on that frame's vector, which is then blended in like any
-    other, and its coherence is 1 by definition (the vector is compared
-    with itself), not the rounded dot product.
+    in tiles on ``arena`` (``_score``).  ``rbar`` is None before the
+    first frame: the tracker opens on that frame's vector, which is then
+    blended in like any other, and its coherence is 1 by definition (the
+    vector is compared with itself), not the rounded dot product.
     """
     # gamma is scored after the blend: until then it is the blend's spare
     blend = _Blend(rtfs, rbar, lam, states, spare=gamma)
     for i in range(len(rtfs)):
         blend.step(i)
     del blend
-
-    def frames(lo: int, hi: int) -> None:
-        _score(rtfs[lo:hi], states[lo:hi], gamma[lo:hi], epsilon, arenas[lo > 0])
-
-    # inline: 1.24-1.26x the two-thread time (30 s 8-mic extract), 1.15x (8 s 4-mic)
-    _in_halves(frames, len(rtfs), _SPLIT_FRAMES)
+    _score(rtfs, states, gamma, epsilon, arena)
     if rbar is None:
         gamma[0] = 1.0
 
 
 def _tile_budget(frames: int, num_bins: int, pairs: int) -> int:
-    """The scratch budget of the arenas of an engine whose ``_in_halves``
-    halves hold ``frames`` frames: the two float64 planes of a scoring
-    tile of (frames, F, M - 1) entries, at most ``signal_core._TILE_BYTES``.
-    So a half's scoring is one tile wherever its entries are small, and
-    the arenas hold no more than that scoring would, but for the RTFs of
-    windows wider than a tile (``_block_whitened_rtf``)."""
-    return min(signal_core._TILE_BYTES, 16 * frames * num_bins * pairs)
+    """The scratch budget of the arena of an engine whose first block
+    holds ``frames`` frames: the two float64 planes of a scoring tile of
+    half those frames (32 of a full block) of (F, M - 1) entries, at most
+    ``signal_core._TILE_BYTES``.  So the arena holds no more than that
+    tile, but for the RTFs of windows wider than a tile
+    (``_block_whitened_rtf``).  A budget of the whole block's scoring ran
+    no faster and peaked higher."""
+    return min(signal_core._TILE_BYTES, 16 * -(-frames // 2) * num_bins * pairs)
 
 
 def _tile_frames(entries: np.ndarray, arena: _Arena) -> int:
@@ -823,8 +810,8 @@ class _Engine:
 
     It also owns the stream's memory: a ``_WorkingSet`` allocated at the
     first block and reused by every later one while no view of the
-    previous block is alive (else a new one), and the two halves'
-    scratch arenas, which the STFT of ``stream_wav`` shares.  With
+    previous block is alive (else a new one), and one scratch arena,
+    which the STFT of ``stream_wav`` shares.  With
     ``span_frames`` and ``span_samples``, the working set also holds the
     spectra of a block's span of frames and its samples (``stream_wav``),
     which ``work`` hands out."""
@@ -848,7 +835,7 @@ class _Engine:
         self.global_rbar: np.ndarray | None = None
         self.global_white: np.ndarray | None = None
         self.prev_mask: np.ndarray | None = None
-        self.arenas: tuple[_Arena, _Arena] | None = None
+        self.arena: _Arena | None = None
         self.working_set: _WorkingSet | None = None
         self.span = (span_frames, span_samples)
         # the working set's rows, by FrameBlock field name, and their widths
@@ -866,8 +853,8 @@ class _Engine:
     def work(self, num_mics: int, num_bins: int, count: int) -> _WorkingSet:
         """The working set for the next block, of ``count`` frames, at
         most the first block's: the previous block's if it is free."""
-        if self.arenas is None:
-            self.arenas = _arenas(_tile_budget((count + 1) // 2, num_bins, num_mics - 1))
+        if self.arena is None:
+            self.arena = _Arena(_tile_budget(count, num_bins, num_mics - 1))
         if self.working_set is None or not self.working_set.free():
             self.working_set = _WorkingSet(count, num_bins, num_mics, self.rows, *self.span)
         return self.working_set
@@ -896,7 +883,7 @@ class _Engine:
         if work is None:
             num_mics, _, num_bins = tensor.shape
             work = self.work(num_mics, num_bins, count)
-        arenas = self.arenas
+        arena = self.arena
         rows = {name: plane[:count] for name, plane in work.rows.items()}
         rows.setdefault("gamma_local_warped", None)
         rows.setdefault("gamma_global_warped", None)
@@ -907,11 +894,11 @@ class _Engine:
         # Feed-forward stage: nothing here reads the mask.  Nothing after
         # it reads the spectra, which the stack may overwrite.
         rtf, low_energy = _block_whitened_rtf(
-            tensor, begin, end, cfg, work.rtf[:count], work.low_energy[:count], arenas
+            tensor, begin, end, cfg, arena, work.rtf[:count], work.low_energy[:count]
         )
         if self.mask_feedback is not None:
             magnitudes = np.abs(tensor[0, begin:end], out=rows["magnitudes"])
-        _tracker(rtf, self.local_rbar, cfg.lambda_local, cfg.epsilon, states, gamma_local, arenas)
+        _tracker(rtf, self.local_rbar, cfg.lambda_local, cfg.epsilon, states, gamma_local, arena)
         # the local states are dead once scored: the global tracker's
         # states overwrite them
         self.local_rbar = states[-1].copy()
@@ -925,7 +912,7 @@ class _Engine:
         else:
             # lstsc-1's scalar spares _Blend the (n, F) rows
             global_lam = lam if cfg.time_varying else cfg.lambda_global
-            _tracker(rtf, self.global_rbar, global_lam, cfg.epsilon, states, gamma_global, arenas)
+            _tracker(rtf, self.global_rbar, global_lam, cfg.epsilon, states, gamma_global, arena)
         gamma_local_w, gamma_global_w = rows["gamma_local_warped"], rows["gamma_global_warped"]
         if cfg.apply_arcsine:
             _warp(gamma_local, out=gamma_local_w)
@@ -959,7 +946,7 @@ class _Engine:
                             if self.global_white is None:
                                 self.global_white = _unit_modulus(states[i], cfg.epsilon)[0]
                             _correlate_tiles(
-                                rtf[i:scored], self.global_white, gamma_global[i:scored], arenas[0]
+                                rtf[i:scored], self.global_white, gamma_global[i:scored], arena
                             )
                         if cfg.apply_arcsine:
                             _warp(gamma_global[i:scored], out=gamma_global_w[i:scored])
@@ -1028,11 +1015,8 @@ def stream_frames(
     and its coherence, the mask-free lambda rows and, unless an estimator
     steers it, the global tracker and its coherence.  With an estimator,
     a loop over the block's frames then calls it and runs the global
-    tracker it steers, scoring halted runs in batches.  Where two CPUs
-    are available, the RTFs and the trackers' coherence run in two
-    halves of the block's frames on two threads
-    (``signal_core._in_halves``), each half in tiles on a scratch arena
-    of its own; the outputs are the same bytes.
+    tracker it steers, scoring halted runs in batches.  The kernels run
+    on the calling thread, in tiles on the stream's one scratch arena.
 
     A block's arrays are views of the stream's working set, which the
     first block allocates.  The next block reuses it when no view of the
@@ -1061,17 +1045,14 @@ def stream_wav(reader: WavReader, cfg: CoherenceConfig) -> Iterator[FrameBlock]:
     once the RTFs have read them.  A frame's spectrum does not depend on the
     frames transformed with it, so the blocks are bit for bit those of
     ``stream_frames`` on the whole clip's ``stft_multichannel``.  The
-    stream holds its working set and two scratch arenas: O(64 + 2R)
+    stream holds its working set and one scratch arena: O(64 + 2R)
     frames, whatever the clip's length, allocated at the first block and
     reused by every later one while no view of the previous block is
     alive (see ``stream_frames``).  ``R`` has no upper bound; an ``R`` of
     the clip's length makes every block read and transform the whole clip
-    again.  Where two CPUs are available, the STFTs and the engine's
-    kernels run in two halves of a block's frames
-    (``signal_core._in_halves``); the blocks are the same bytes.  A reader
-    not at 16 kHz, of fewer than 2 channels
-    or of less than one frame of samples raises ValueError here, before
-    any block; spectra that overflow are rejected by the block that reads
+    again.  The STFT and the engine's kernels run on the calling thread.
+    A reader not at 16 kHz, of fewer than 2 channels or of less than one
+    frame of samples raises ValueError here, before any block; spectra that overflow are rejected by the block that reads
     them, naming the first bad entry (the reader has rejected non-finite
     samples).
     """
@@ -1094,7 +1075,7 @@ def stream_wav(reader: WavReader, cfg: CoherenceConfig) -> Iterator[FrameBlock]:
         samples = reader.read(
             first * stft_cfg.hop, (end - 1) * stft_cfg.hop + stft_cfg.frame_len, work.samples
         )
-        _stft_channels(samples, stft_cfg, span, engine.arenas)
+        _stft_channels(samples, stft_cfg, span, engine.arena, 0, end - first)
         _reject_non_finite(span, first)
         return engine.block(span, start, stop, first, work)
 

@@ -810,7 +810,7 @@ def mix_scene(
             )
             rendered[src.role] = responses, _image(clips[src.role], responses, length)
 
-    # inline: 1.24-1.40x the two-thread time (30 s 8-mic scene), 1.36x (8 s 4-mic T60 0.7)
+    # inline: 1.24x the two-thread time (30 s 8-mic scene), 1.31x (8 s 4-mic T60 0.7)
     _in_halves(render, len(sounding), 2)
     images: dict[str, np.ndarray] = {}
     rirs: dict[str, list[Rir]] = {}
@@ -847,8 +847,8 @@ def mix_scene(
 
     # The worker draws the noise while this thread weighs the images.  Not
     # earlier: a draw started before the images are rendered would hold up
-    # the upper half of the sources.  Inline: 1.16-1.20x the two-thread
-    # time (30 s 8-mic scene), 1.07x (8 s 4-mic T60 0.7).
+    # the upper half of the sources.  Inline: 1.19x the two-thread time
+    # (30 s 8-mic scene), 1.05x (8 s 4-mic T60 0.7).
     noise, (gains, target_power, mixture, directional_power, image_peaks) = _alongside(
         lambda: np.random.default_rng(noise_seed).standard_normal((scene.num_mics, length)),
         weigh,

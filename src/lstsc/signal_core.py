@@ -50,13 +50,13 @@ _READ_BYTES = 1 << 17
 
 # Most scratch bytes of a kernel tile: the STFT and the engine's kernels
 # walk a block in tiles whose scratch fits an arena of at most this many
-# bytes (``_Arena.budget``), so that each ``_in_halves`` half holds one
-# such arena, whatever the block's size; only the RTFs of windows wider
-# than a tile outgrow it (``coherence._block_whitened_rtf``).  An engine's
-# arenas hold less where a half's whole scoring scratch is less
-# (``coherence._tile_budget``).  At 0.75 MiB an 8-mic block's RTFs take
-# two tiles per half and its scoring one; 1 MiB and 2 MiB ran no faster
-# (30 s 8-mic CLI extracts and 8 s 4-mic API runs, best of 18 each on a
+# bytes (``_Arena.budget``), so a stream holds one such arena, whatever
+# the block's size; only the RTFs of windows wider than a tile outgrow it
+# (``coherence._block_whitened_rtf``).  An engine's arena holds less
+# where a 32-frame scoring tile needs less (``coherence._tile_budget``).
+# At 0.75 MiB an 8-mic block's RTFs take three tiles at R = 1 and its
+# scoring three.  1 MiB and 2 MiB ran no faster (30 s 8-mic CLI extracts
+# and 8 s 4-mic API runs with the kernels in halves, best of 18 each on a
 # 2-vCPU VM) and hold more.
 _TILE_BYTES = 3 << 18
 
@@ -159,9 +159,10 @@ def _in_halves(task, count: int, least: int) -> None:
 
 
 class _Arena:
-    """Scratch memory of one ``_in_halves`` half, reused by every tile of
-    every kernel that half runs: ``take`` carves views out of one flat
-    buffer.  Kernels size their tiles so that a tile's scratch fits
+    """Scratch memory of one thread's kernels, reused by every tile of
+    every kernel it runs: a stream's STFT, RTFs and tracker scoring, or
+    one half of ``stft_multichannel``.  ``take`` carves views out of one
+    flat buffer.  Kernels size their tiles so that a tile's scratch fits
     ``budget`` bytes, but for the RTFs of wide windows; the buffer grows
     to the largest request it has seen, so once a stream's first block
     has run every phase, it is the largest phase's need and no later
@@ -194,14 +195,6 @@ def _tiles(lo: int, hi: int, most: int):
     count = -(-(hi - lo) // max(1, most))
     bounds = [lo + (hi - lo) * k // count for k in range(count + 1)]
     return zip(bounds, bounds[1:])
-
-
-def _arenas(budget: int | None = None) -> tuple[_Arena, _Arena]:
-    """The two halves' arenas, of ``budget`` bytes (``_TILE_BYTES`` when
-    None): the lower half (the one that starts at row 0) takes the
-    first."""
-    budget = _TILE_BYTES if budget is None else budget
-    return _Arena(budget), _Arena(budget)
 
 
 def _check_pipeline_rate(sample_rate: int) -> None:
@@ -544,33 +537,27 @@ def save_wav(path: str | Path, audio: MultichannelAudio) -> None:
 
 
 def _stft_channels(
-    samples: np.ndarray, cfg: StftConfig, out: np.ndarray, arenas: tuple[_Arena, _Arena]
+    samples: np.ndarray, cfg: StftConfig, out: np.ndarray, arena: _Arena, lo: int, hi: int
 ) -> None:
-    """Writes the STFT of each row of ``samples`` into the same channel of
-    the (M, L, F) ``out``: the row's first L frames, windowed, zero-padded
-    to ``fft_size`` and transformed.
+    """Writes frames ``[lo, hi)`` of the STFT of each row of ``samples``
+    into the same channel of the (M, L, F) ``out``: the row's frames,
+    windowed, zero-padded to ``fft_size`` and transformed.
 
-    The frames go in two halves (``_in_halves``), each in tiles that fit
-    its arena of ``arenas``; a tile windows its frames straight into a
-    zero-padded (tile, ``fft_size``) block of the arena, so ``rfft``
-    neither pads nor allocates.  A frame's spectrum is the same bytes
-    whichever frames share its tile.
+    The frames go in tiles that fit ``arena``; a tile windows its frames
+    straight into a zero-padded (tile, ``fft_size``) block of the arena,
+    so ``rfft`` neither pads nor allocates.  A frame's spectrum is the
+    same bytes whichever frames share its tile or the call.
     """
     window = cfg.analysis_window()
     frame_len = cfg.frame_len
-
-    def frames(lo: int, hi: int) -> None:
-        arena = arenas[lo > 0]
-        tile = max(1, min(hi - lo, arena.budget // (8 * cfg.fft_size)))
-        (padded,) = arena.take((tile, cfg.fft_size))
-        padded[:, frame_len:] = 0.0
-        for row, spectra in zip(samples, out):
-            windows = np.lib.stride_tricks.sliding_window_view(row, frame_len)[:: cfg.hop]
-            for a, b in _tiles(lo, hi, tile):
-                np.multiply(windows[a:b], window, out=padded[: b - a, :frame_len])
-                np.fft.rfft(padded[: b - a], axis=1, out=spectra[a:b])
-
-    _in_halves(frames, out.shape[1], 2)
+    tile = max(1, min(hi - lo, arena.budget // (8 * cfg.fft_size)))
+    (padded,) = arena.take((tile, cfg.fft_size))
+    padded[:, frame_len:] = 0.0
+    for row, spectra in zip(samples, out):
+        windows = np.lib.stride_tricks.sliding_window_view(row, frame_len)[:: cfg.hop]
+        for a, b in _tiles(lo, hi, tile):
+            np.multiply(windows[a:b], window, out=padded[: b - a, :frame_len])
+            np.fft.rfft(padded[: b - a], axis=1, out=spectra[a:b])
 
 
 def stft_multichannel(
@@ -582,14 +569,21 @@ def stft_multichannel(
     ``L = 1 + floor((T - frame_len) / hop)``, no pre-padding, and a clip
     shorter than one frame raises ValueError.  The tensor is allocated
     once and each channel's transform is written straight into its slice,
-    a tile of frames at a time, so the peak is the tensor plus two
-    halves' tiles of padded frames, not two tensors.
+    a tile of frames at a time, in two halves of the frames
+    (``_in_halves``) with an arena each, so the peak is the tensor plus
+    two tiles of padded frames, not two tensors.
     """
     num_frames = cfg.num_frames(audio.num_samples)
     out = np.empty((audio.num_channels, num_frames, cfg.num_bins), dtype=np.complex128)
+
     # 192-frame tiles, faster than whole channels (8 mics, 8 s: 14.5-15.0
     # against 16.6 ms on one thread), and the tensor stays the peak
-    _stft_channels(audio.samples, cfg, out, _arenas())
+    def frames(lo: int, hi: int) -> None:
+        _stft_channels(audio.samples, cfg, out, _Arena(_TILE_BYTES), lo, hi)
+
+    # inline: 1.07x the two-thread time (30 s 8-mic CLI enhance), 1.04-1.06x
+    # (8 s 4-mic extracts)
+    _in_halves(frames, num_frames, 2)
     return out
 
 

@@ -541,9 +541,10 @@ class TestExtract:
         # one block's spectra and its 2R window frames (about 1.2 RTF
         # blocks), with the trackers' state stack laid over them, its RTFs
         # (1), with the block's span of samples laid over them, and rows
-        # (0.4), and the two halves' scratch arenas (0.85), plus numpy's
-        # buffers of the tiles in flight: 3.45-3.8 RTF blocks, the bound
-        # 10% above.  Block temporaries allocated afresh
+        # (0.4), and one scratch arena (0.43), plus numpy's buffers of the
+        # tiles in flight: 3.03-3.35 RTF blocks, the bound 10% above the
+        # 3.45-3.8 read with an arena per thread.  Block temporaries
+        # allocated afresh
         # read 4.1-4.6, a writer that kept the previous block while the
         # next one was computed 6.35, and one block waiting for the next
         # chunk's lookahead 6.6-7.3
@@ -1002,10 +1003,10 @@ class TestPageFaults:
 
     @pytest.mark.parametrize("R", [1, 70])
     def test_faults_flat_in_clip_length(self, tmp_path, R):
-        # lstsc-1 on 8 s and 80 s of 8-mic noise: 7.3k and 7.3k faults at
-        # R = 1, 11.0k and 11.1k at R = 70, where the working set holds
-        # 204-frame spectra and the RTF scratch of windows over 172 frames
-        # per half; with every block's temporaries allocated afresh they
+        # lstsc-1 on 8 s and 80 s of 8-mic noise: 7.2k and 7.2k faults at
+        # R = 1, 9.0k and 9.0k at R = 70, where the working set holds
+        # 204-frame spectra and the RTF scratch of windows over a block's
+        # 204 frames; with every block's temporaries allocated afresh they
         # took 20.4k and 144k, and 48.0k and 453k
         config = _write_config(tmp_path / "r.json", {"R": R})
         short, long = (
@@ -1039,3 +1040,31 @@ class TestPageFaults:
         )
         first, *later = json.loads(run.stdout)
         assert all(count <= first for count in later), (first, later)
+
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_CPUS < 2, reason="one CPU: no split starts the worker")
+def test_extract_starts_no_worker_thread(tmp_path):
+    # the feature engine and the STFT of stream_wav run on the calling
+    # thread, so a fresh extract never starts the lstsc-halves worker
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys, threading
+        from lstsc.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["extract", *sys.argv[1:]]) == 0
+        print(json.dumps([thread.name for thread in threading.enumerate()]))
+    """)
+    wav = tmp_path / "mix.wav"
+    rng = np.random.default_rng(5)
+    wavfile.write(wav, 16000, 0.1 * rng.standard_normal((2 * 16000, 4), dtype=np.float32))
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, "--in", str(wav), "--variant", "lstsc-4",
+         "--out", str(tmp_path / "f.lsts")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    names = json.loads(run.stdout)
+    assert not [name for name in names if name.startswith("lstsc-halves")], names

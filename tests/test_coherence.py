@@ -35,6 +35,7 @@ from lstsc.coherence import (
     FrameBlock,
     LstscFeatures,
     _Blend,
+    _WorkingSet,
     _clamp_unit,
     _export_planes,
     _modulus,
@@ -282,7 +283,7 @@ class TestWhiten:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 12000), st.data())
     def test_any_split_gives_the_same_bytes(self, seed, half, data):
-        # the engine whitens in halves and in blocks of frames, so an
+        # the engine whitens in tiles and in blocks of frames, so an
         # entry's bytes must not depend on where it sits or what shares
         # the call; lengths cross the sum of squares' chunks
         length = 2 * half + 1
@@ -560,9 +561,10 @@ class TestComputeLstsc:
     )
     def test_peak_memory_holds_one_block(self, rng, variant, estimator):
         # the planes plus the stream's working set: its RTFs (1), the
-        # trackers' state stack (1.02) and rows, and two scratch arenas
-        # (0.43 each), 3.19-3.49 RTF blocks in all; the bound leaves 3%
-        # above that.  Temporaries allocated afresh in 16-frame slices
+        # trackers' state stack (1.02) and rows, and one scratch arena
+        # (0.43), 2.76-3.07 RTF blocks in all; the bound leaves 3% above
+        # the 3.19-3.49 read with an arena per thread.  Temporaries
+        # allocated afresh in 16-frame slices
         # read 2.97-3.28, unsliced 3.9-4.3, and a previous block kept
         # alive adds one more
         num_mics, num_bins = 8, 257
@@ -981,8 +983,7 @@ class TestBlockEngine:
             assert all(map(same_bytes, got, want)), frame
         # the trackers score tiles of 1-9 frames' states, and the RTFs go
         # in tiles of fewer frames or, where that is less than R, in whole
-        # halves, so that tile edges fall inside each block and each half
-        # of one
+        # blocks, so that tile edges fall inside each block
         num_mics, _, num_bins = specs.shape
         tile_bytes = data.draw(st.integers(1, 9)) * num_bins * (num_mics - 1) * 16
         with mock.patch("lstsc.signal_core._TILE_BYTES", tile_bytes):
@@ -1129,10 +1130,11 @@ class TestStreamWav:
         # O(64 + 2R) frames of spectra: the peak holds the stream's working
         # set, the spectra of a block and its 2R window frames, the RTFs
         # with the block's span of samples laid over them, and the rows,
-        # which weigh most against 2 mics, plus two scratch arenas that
-        # grow with the windows at R = 64: 3.8-4.05 frames' worth per span
-        # frame at R = 1 and 3, 3.05 at R = 64; the bound leaves 10% above
-        # the first.  The clip is 16 spans long at R = 64, so a buffer that
+        # which weigh most against 2 mics, plus one scratch arena that
+        # grows with the windows at R = 64: 3.6-3.77 frames' worth per span
+        # frame at R = 1 and 3, 2.63 at R = 64; the bound leaves 10% above
+        # the 3.8-4.05 read at R = 1 and 3 with an arena per thread.  The
+        # clip is 16 spans long at R = 64, so a buffer that
         # grows with it breaks the bound
         num_mics = 2
         span = _BLOCK_FRAMES + 2 * R
@@ -1181,6 +1183,35 @@ class TestStreamWav:
                     held = block.gamma_global[3:9, 10:20]
                 del block
             assert same_bytes(held, want.gamma_global[3:9, 10:20])
+
+    @pytest.mark.parametrize("variant", ["lstsc-1", "lstsc-4"])
+    def test_consumers_that_drop_their_blocks_build_one_working_set(self, tmp_path, variant):
+        # a reference to a block's arrays left anywhere in a consumer
+        # makes the next block build a working set of its own, and with
+        # it fresh pages; a list of blocks keeps every one of them
+        built = []
+
+        class Counted(_WorkingSet):
+            def __init__(self, *args, **kwargs):
+                built.append(type(self))
+                super().__init__(*args, **kwargs)
+
+        rng = np.random.default_rng(11)
+        num_samples = STFT.frame_len + STFT.hop * (3 * _BLOCK_FRAMES + 20 - 1)
+        path = tmp_path / "x.wav"
+        _write_wav(path, 0.1 * rng.standard_normal((4, num_samples)), "float32")
+        specs = stft_multichannel(load_wav(path))
+        cfg = CoherenceConfig.for_variant(variant, R=2)
+        with mock.patch("lstsc.coherence._WorkingSet", Counted):
+            for feedback in (None, HeuristicMaskEstimator()):
+                built.clear()
+                compute_lstsc(specs, cfg, feedback)
+                assert len(built) == 1, feedback
+            built.clear()
+            write_feature_blocks(tmp_path / "f.lsts", specs.shape[1], stream_wav(WavReader(path), cfg))
+            assert len(built) == 1
+            built.clear()
+            assert len(list(stream_frames(specs, cfg))) == len(built) == 4
 
     def test_rejections(self, tmp_path):
         cfg = CoherenceConfig()

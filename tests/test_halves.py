@@ -46,7 +46,7 @@ from lstsc.signal_core import (
 )
 
 STFT = StftConfig()
-# frames on both sides of the engine's split threshold (8) and block (64)
+# one frame, a few, and both sides of the engine's block (64)
 FRAME_COUNTS = [1, 7, 8, 9, 63, 64, 65, 200]
 # seconds any one call may take before the test counts it as hung
 TIMEOUT = 20.0
@@ -434,8 +434,7 @@ class TestSameBytes:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_stream_wav(self, variant, num_mics, num_frames, R, seed):
-        # stream_wav: the per-mic STFTs of each block's span of samples and
-        # the engine's kernels
+        # stream_wav splits nothing: every path must give the same blocks
         rng = np.random.default_rng(seed)
         num_samples = STFT.frame_len + STFT.hop * (num_frames - 1)
         samples = 0.1 * rng.standard_normal((num_samples, num_mics))
