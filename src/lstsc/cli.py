@@ -8,9 +8,10 @@ of the wrong JSON type and non-finite numbers rejected; a config section
 that sets a settings object has that object's fields as its keys and
 defaults.  Every run is deterministic given config + seed.
 
-Exit codes: 0 success, 2 bad configuration or arguments, 3 missing input
-file, 4 domain-constraint violation, 1 unexpected failure.  The
-``LSTSC_OUTPUT_ROOT`` environment variable prefixes relative output
+Exit codes: 0 success, 2 bad configuration or arguments (among them an
+output that is the same file as an input or as another output), 3
+missing input file, 4 domain-constraint violation, 1 unexpected failure.
+The ``LSTSC_OUTPUT_ROOT`` environment variable prefixes relative output
 paths.
 """
 from __future__ import annotations
@@ -30,6 +31,8 @@ from . import __version__
 from .coherence import (
     VARIANT_SETTINGS,
     CoherenceConfig,
+    _csv_path,
+    _exported_names,
     stream_wav,
     write_feature_blocks,
     write_plane_csv,
@@ -74,6 +77,30 @@ def _resolve_out(path: str | Path) -> Path:
     if root and not path.is_absolute():
         return Path(root) / path
     return path
+
+
+def _same_file(a: Path, b: Path) -> bool:
+    """Whether ``a`` and ``b`` name one file: the same resolved path, or,
+    when both exist, ``os.path.samefile`` (a hard link)."""
+    if a.resolve() == b.resolve():
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
+def _check_outputs(inputs: list[tuple[str, Path]], outputs: list[tuple[str, Path]]) -> None:
+    """Reject, before anything is opened for writing, an output that is
+    the same file as an input or as an earlier output: writing it would
+    truncate an input still to be read, or write one output over
+    another.  Each path comes with the option that names it."""
+    seen = list(inputs)
+    for label, path in outputs:
+        for other_label, other in seen:
+            if _same_file(path, other):
+                raise ConfigError(f"{label} {path} is the same file as {other_label} {other}")
+        seen.append((label, path))
 
 
 def _load_config(path: str | None) -> dict:
@@ -333,6 +360,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     blocks = stream_wav(wav, cfg)
     num_frames = StftConfig().num_frames(wav.num_samples)
     out_path = _resolve_out(args.out)
+    outputs = [("--out", out_path)]
+    if args.csv:
+        outputs += [("--csv plane", _csv_path(out_path, name)) for name in _exported_names(cfg)]
+    _check_outputs([("--in", Path(args.infile))], outputs)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     width, paths = write_feature_blocks(out_path, num_frames, blocks, csv=args.csv)
     note = f" and {len(paths) - 1} CSV planes" if args.csv else ""
@@ -344,17 +375,25 @@ def _cmd_enhance(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     _check_keys(config, _COHERENCE_KEYS, context="")
     cfg = CoherenceConfig.for_variant(args.variant, **config)
-    result = enhance_stream(load_wav(args.infile), cfg, HeuristicMaskEstimator())
+    audio = load_wav(args.infile)
     out_path = _resolve_out(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    save_wav(out_path, result.enhanced)
     mask_path = (
         _resolve_out(args.mask_out)
         if args.mask_out
         else out_path.with_suffix(".mask.csv")
     )
-    mask_path.parent.mkdir(parents=True, exist_ok=True)
-    write_plane_csv(mask_path, result.mask.data)
+    _check_outputs([("--in", Path(args.infile))], [("--out", out_path), ("--mask-out", mask_path)])
+    result = enhance_stream(audio, cfg, HeuristicMaskEstimator())
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    save_wav(out_path, result.enhanced)
+    try:
+        mask_path.parent.mkdir(parents=True, exist_ok=True)
+        write_plane_csv(mask_path, result.mask.data)
+    except BaseException:
+        # no WAV without its mask, as write_feature_blocks leaves no part
+        # of a feature file
+        out_path.unlink(missing_ok=True)
+        raise
     print(f"wrote {out_path} and {mask_path}")
     return EXIT_OK
 
@@ -369,6 +408,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
     report = si_sdr(ref.channel(0), est.channel(0))
     out_path = _resolve_out(args.out)
+    _check_outputs([("--ref", Path(args.ref)), ("--est", Path(args.est))], [("--out", out_path)])
     out_path.parent.mkdir(parents=True, exist_ok=True)
     record = {
         "ref": str(args.ref),

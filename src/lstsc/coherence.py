@@ -181,7 +181,8 @@ def short_term_whitened_rtf(
     reference auto-spectrum, and normalizes each entry to unit modulus.
 
     Returns ``(entries, low_energy)`` where ``entries`` is (F, M-1)
-    complex with unit-modulus rows and ``low_energy`` flags bins whose
+    complex with unit-modulus rows (a transposed view of the engine's
+    pair-major (M-1, F) row) and ``low_energy`` flags bins whose
     reference energy or ratio modulus fell at or below ``cfg.epsilon``;
     flagged bins carry ``1 + 0j`` placeholders.  Non-finite entries of
     the frames it averages are rejected.
@@ -195,7 +196,7 @@ def short_term_whitened_rtf(
     entries, low_energy = _block_whitened_rtf(
         tensor, frame, frame + 1, cfg, _Arena(signal_core._TILE_BYTES)
     )
-    return entries[0], low_energy[0]
+    return entries[0].T, low_energy[0]
 
 
 def _block_whitened_rtf(
@@ -208,15 +209,16 @@ def _block_whitened_rtf(
     low: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``short_term_whitened_rtf`` of frames ``[start, stop)`` at once:
-    entries (n, F, M-1) and low-energy flags (n, F), written into
-    ``entries`` and ``low`` when given, in tiles of frames whose scratch
+    pair-major entries (n, M-1, F), so each pair's F bins are one
+    contiguous run, and low-energy flags (n, F), written into ``entries``
+    and ``low`` when given, in tiles of frames whose scratch
     (``_whitened_rtf_rows``) fits the budget of ``arena``.  Windows wider
     than such a tile take the frames in one tile, whose scratch outgrows
     the budget as the spectra do."""
     num_mics, _, num_bins = tensor.shape
     pairs = num_mics - 1
     if entries is None:
-        entries = np.empty((stop - start, num_bins, pairs), dtype=np.complex128)
+        entries = np.empty((stop - start, pairs, num_bins), dtype=np.complex128)
         low = np.empty((stop - start, num_bins), dtype=bool)
     # the rows of F bins the budget holds, less the windows' 2R frames of
     # products and partners, over a frame's products, partners and
@@ -243,13 +245,14 @@ def _whitened_rtf_rows(
     arena: _Arena,
 ) -> None:
     """``_block_whitened_rtf`` of frames ``[start, stop)``, written into
-    ``entries`` and ``low``; each entry's bytes are the same whichever
-    frames share the call.
+    the (n, M-1, F) ``entries`` and the (n, F) ``low``; each entry's bytes
+    are the same whichever frames share the call.
 
     The products, their window sums and the moduli live in ``arena``, one
-    float64 plane per mic pair and quantity; the ratios are written into
-    ``entries`` and whitened there by ``_unit_modulus``, its sums of
-    squares in the arena.
+    float64 plane per mic pair and quantity, laid out (frame, pair, bin)
+    as the entries are; the ratios are written into ``entries`` and
+    whitened there by ``_unit_modulus``, its sums of squares in the
+    arena.  Every write runs over contiguous runs of F bins.
     """
     num_mics, num_frames, num_bins = tensor.shape
     pairs, count = num_mics - 1, stop - start
@@ -292,9 +295,8 @@ def _whitened_rtf_rows(
     if any_low:
         np.copyto(safe, 1.0, where=low)
     by_pair = safe[:, np.newaxis]
-    # the ratio's parts go straight into the entries, through (frame,
-    # pair, bin) views of them
-    re, im = entries.real.transpose(0, 2, 1), entries.imag.transpose(0, 2, 1)
+    # the ratio's parts go straight into the entries
+    re, im = entries.real, entries.imag
     sums = parts[:count]
     # z_m * conj(z_0) as separate real and imaginary planes: plain float
     # ufuncs round each product once, whereas fused complex kernels may
@@ -306,16 +308,12 @@ def _whitened_rtf_rows(
     np.multiply(oth_im, ref_re, out=prods)
     prods -= np.multiply(oth_re, ref_im, out=parts)
     np.divide(window_sums(prods, sums), by_pair, out=im)
-    # the moduli, laid out (frame, bin, pair) as the entries are, so that
-    # the whitening walks them in order
-    moduli, square = (
-        plane.reshape(-1)[: sums.size].reshape(entries.shape) for plane in (prods, parts)
-    )
+    moduli, square = prods[:count], parts[:count]
     _, degenerate = _unit_modulus(entries, cfg.epsilon, entries, moduli, square)
     if any_low:
-        entries[low] = 1.0
+        np.copyto(entries, 1.0, where=low[:, np.newaxis])
     if degenerate is not None:
-        _flag_rows(degenerate, low)
+        _flag_rows(degenerate, low, axis=1)
 
 
 def whiten(vectors: np.ndarray, epsilon: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -342,12 +340,13 @@ def _finite_complex(values, name: str) -> np.ndarray:
     return values
 
 
-def _flag_rows(degenerate: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """ORs each row of ``degenerate`` into ``flags`` and returns it, one
-    plane of the last axis at a time: cheaper than any(axis=-1) over a
-    short last axis."""
-    for k in range(degenerate.shape[-1]):
-        flags |= degenerate[..., k]
+def _flag_rows(degenerate: np.ndarray, flags: np.ndarray, axis: int = -1) -> np.ndarray:
+    """ORs each row of ``degenerate`` along its pair axis ``axis`` into
+    ``flags`` and returns it, one plane of that axis at a time: cheaper
+    than any(axis=axis) over a short axis."""
+    lead = (slice(None),) * (axis % degenerate.ndim)
+    for k in range(degenerate.shape[axis]):
+        flags |= degenerate[lead + (k,)]
     return flags
 
 
@@ -503,28 +502,30 @@ def _correlate(
     out: np.ndarray,
     prod: np.ndarray,
     part: np.ndarray,
+    axis: int = -1,
 ) -> None:
-    """Writes ``clip(Re{r^H w} / (M - 1), -1, 1)`` of each row into the
-    C-contiguous ``out``, for the whitened ``w`` with parts ``white_re``
-    and ``white_im``; ``prod`` and ``part`` are scratch of the products'
-    shape, and may be ``white_re`` and ``white_im`` themselves.
+    """Writes ``clip(Re{r^H w} / (M - 1), -1, 1)`` of each vector along
+    the pair axis ``axis`` into ``out``, for the whitened ``w`` with parts
+    ``white_re`` and ``white_im``; ``prod`` and ``part`` are scratch of
+    the products' shape, and may be ``white_re`` and ``white_im``
+    themselves.
 
     The M - 1 products are summed as plane adds in index order, the order
-    of the scalar definition.  numpy's own last-axis sum agrees up to
-    M - 1 = 7 and switches to pairwise blocks from 8 on.  The planes are
-    flattened to 1-D, which numpy adds faster than (1, F) ones.
+    of the scalar definition.  numpy's own sum over the pair axis agrees
+    up to M - 1 = 7 and switches to pairwise blocks from 8 on.  On the
+    engine's pair-major (n, M - 1, F) arrays (``axis=1``) each plane is a
+    run of contiguous bins per frame.
     """
     np.multiply(r.real, white_re, out=prod)
     np.multiply(r.imag, white_im, out=part)
     prod += part
-    pairs = prod.shape[-1]
-    planes = prod.reshape(-1, pairs)
-    num = out.reshape(-1)
-    np.copyto(num, planes[:, 0])
+    lead = (slice(None),) * (axis % prod.ndim)
+    pairs = prod.shape[axis]
+    np.copyto(out, prod[lead + (0,)])
     for k in range(1, pairs):
-        num += planes[:, k]
-    num /= pairs
-    _clamp_unit(num, out=num)
+        out += prod[lead + (k,)]
+    out /= pairs
+    _clamp_unit(out, out=out)
 
 
 class _Blend:
@@ -540,7 +541,11 @@ class _Blend:
     ``CoherenceConfig`` validates the fixed factors and
     ``lambda_schedule`` clips the scheduled ones.  The state-free half
     ``(1 - lam) * r`` is written into ``states[1:]`` for the whole block
-    at once, in tiles of frames, so ``step`` only adds ``lam * rbar``.
+    at once, so ``step`` only adds ``lam * rbar``.
+
+    The vectors are pair-major: ``rtfs`` is (n, M - 1, F) and the stack
+    (n + 1, M - 1, F), so a row of ``lam`` meets each pair's bins as one
+    contiguous run.
     """
 
     def __init__(
@@ -555,13 +560,13 @@ class _Blend:
             states = np.empty((len(rtfs) + 1,) + rtfs.shape[1:], dtype=rtfs.dtype)
         states[0] = rtfs[0] if rbar is None else rbar
         lam = np.asarray(lam, dtype=np.float64)
-        # (n, 1, 1) for a fixed factor, (n, F, 1) for one row per frame
+        # (n, 1, 1) for a fixed factor, (n, 1, F) for one row per frame
         lam = np.broadcast_to(lam, (len(rtfs), 1)) if lam.ndim == 0 else lam
-        self.lam = lam[..., np.newaxis]
+        self.lam = lam[:, np.newaxis]
         # 1 - lam goes into ``spare``, an (n, F) float64 array whose
         # contents are not needed, when given
         if spare is not None and lam.shape == spare.shape:
-            spare = np.subtract(1.0, lam, out=spare)[..., np.newaxis]
+            spare = np.subtract(1.0, lam, out=spare)[:, np.newaxis]
         else:
             spare = 1.0 - self.lam
         np.multiply(spare, rtfs, out=states[1:])
@@ -658,8 +663,8 @@ def _tracker(
     arena: _Arena,
 ) -> None:
     """Coherence of a block of frames with a tracker, written into
-    ``gamma``, and its states, written into the (n + 1, F, M - 1) stack
-    ``states``.
+    ``gamma``, and its states, written into ``states``: pair-major, the
+    (n, M - 1, F) ``rtfs`` and the (n + 1, M - 1, F) stack.
 
     ``lam`` is a scalar or one row per frame.  ``states[0]`` is the state
     before the block and ``states[i + 1]`` the state after frame ``i``;
@@ -683,7 +688,7 @@ def _tracker(
 def _tile_budget(frames: int, num_bins: int, pairs: int) -> int:
     """The scratch budget of the arena of an engine whose first block
     holds ``frames`` frames: the two float64 planes of a scoring tile of
-    half those frames (32 of a full block) of (F, M - 1) entries, at most
+    half those frames (32 of a full block) of (M - 1, F) entries, at most
     ``signal_core._TILE_BYTES``.  So the arena holds no more than that
     tile, but for the RTFs of windows wider than a tile
     (``_block_whitened_rtf``).  A budget of the whole block's scoring ran
@@ -692,8 +697,8 @@ def _tile_budget(frames: int, num_bins: int, pairs: int) -> int:
 
 
 def _tile_frames(entries: np.ndarray, arena: _Arena) -> int:
-    """Frames of (n, F, M - 1) ``entries`` per tile whose two float64
-    planes fit ``arena``'s budget."""
+    """Frames of pair-major (n, M - 1, F) ``entries`` per tile whose two
+    float64 planes fit ``arena``'s budget."""
     return max(1, min(len(entries), arena.budget // (16 * entries[0].size)))
 
 
@@ -709,16 +714,19 @@ def _score(
     for a, b in _tiles(0, len(rtfs), tile):
         wr, wi = white_re[: b - a], white_im[: b - a]
         _unit_modulus(states[a:b], epsilon, (wr, wi), wr, wi)
-        _correlate(rtfs[a:b], wr, wi, gamma[a:b], wr, wi)
+        _correlate(rtfs[a:b], wr, wi, gamma[a:b], wr, wi, axis=1)
 
 
 def _correlate_tiles(rtfs: np.ndarray, white: np.ndarray, gamma: np.ndarray, arena: _Arena) -> None:
-    """``gamma[:] = _similarity(rtfs, white)`` for one whitened (F, M - 1)
-    state, in tiles of frames whose products live in ``arena``."""
+    """``gamma[:] = _similarity(rtfs, white)`` for the pair-major (n, M - 1,
+    F) ``rtfs`` and one whitened (M - 1, F) state, in tiles of frames
+    whose products live in ``arena``."""
     tile = _tile_frames(rtfs, arena)
     prod, part = arena.take(*[(tile,) + rtfs.shape[1:]] * 2)
     for a, b in _tiles(0, len(rtfs), tile):
-        _correlate(rtfs[a:b], white.real, white.imag, gamma[a:b], prod[: b - a], part[: b - a])
+        _correlate(
+            rtfs[a:b], white.real, white.imag, gamma[a:b], prod[: b - a], part[: b - a], axis=1
+        )
 
 
 def _estimate_mask(
@@ -755,9 +763,10 @@ def _overlaid(*layouts: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
 
 
 class _WorkingSet:
-    """The arrays one stream's blocks are computed in: the RTF entries and
-    low-energy flags, the (n + 1, F, M - 1) state stack that the local
-    tracker and then the global one use, the block's rows by
+    """The arrays one stream's blocks are computed in: the pair-major
+    (n, M - 1, F) RTF entries and (n, F) low-energy flags, the (n + 1,
+    M - 1, F) state stack that the local tracker and then the global one
+    use, the block's rows by
     ``FrameBlock`` field name and, for ``stream_wav``, the (M, s, F)
     spectra of a block's span of frames and the (M, t) samples they are
     transformed from.
@@ -766,7 +775,9 @@ class _WorkingSet:
     only after it, so the two share their memory (``_overlaid``), as do
     the spectra, which only the RTFs read, and the stack, written after
     them.  A ``FrameBlock``'s arrays are views of these arrays, and every
-    view holds a reference to the buffer that owns its memory, so ``free``
+    view holds a reference to the buffer that owns its memory (a block's
+    ``rtf`` and ``global_rbar`` are (n, F, M - 1) transposed views of the
+    entries and the stack), so ``free``
     (``sys.getrefcount`` of each owner, against its count when nothing but
     the working set held it) says whether any view of the previous block
     is still alive outside the engine.
@@ -781,7 +792,7 @@ class _WorkingSet:
         span_frames: int = 0,
         span_samples: int = 0,
     ) -> None:
-        entries = (frames, num_bins, num_mics - 1)
+        entries = (frames, num_mics - 1, num_bins)
         self.rtf, self.samples = _overlaid(
             (entries, np.complex128), ((num_mics, span_samples), np.float64)
         )
@@ -966,7 +977,7 @@ class _Engine:
         self.global_rbar = states[-1].copy()
         block = FrameBlock(
             start=start,
-            rtf=rtf,
+            rtf=rtf.transpose(0, 2, 1),
             low_energy=low_energy,
             gamma_local=gamma_local,
             gamma_global=gamma_global,
@@ -975,7 +986,7 @@ class _Engine:
             lambda_trace=lam,
             mask_halted=halted,
             mask=mask,
-            global_rbar=states[1:],
+            global_rbar=states[1:].transpose(0, 2, 1),
         )
         if self.filterbank is not None:
             # warp first, pool second
@@ -1131,7 +1142,8 @@ class FrameBlock(LstscFeatures):
     """Everything the streaming engine produced for a block of frames:
     the ``LstscFeatures`` rows of clip frames ``start`` onward, plus
     ``rtf`` and ``global_rbar``, (n, F, M-1): the whitened RTFs and the
-    global tracker state after each frame.
+    global tracker state after each frame, transposed views of the
+    engine's pair-major (n, M-1, F) arrays.
 
     A frame flagged in ``mask_halted`` had its previous feedback mask
     freeze the global tracker; its state row equals the one before it bit
@@ -1200,6 +1212,19 @@ def _export_planes(source) -> list[tuple[str, np.ndarray]]:
     return [(name, plane) for name, plane in planes if plane is not None]
 
 
+def _exported_names(cfg: CoherenceConfig) -> list[str]:
+    """The export names of the planes a ``cfg`` stream writes, in file
+    order: the warped global plane only where warping is on."""
+    return [name for name, attr in _EXPORT_PLANES
+            if cfg.apply_arcsine or attr != "gamma_global_warped"]
+
+
+def _csv_path(path: Path, name: str) -> Path:
+    """The CSV file of the exported plane ``name`` beside the feature file
+    ``path``: ``<stem>.<name>.csv``."""
+    return path.with_name(f"{path.stem}.{name}.csv")
+
+
 def write_features(path: str | Path, features: LstscFeatures) -> None:
     """Binary feature export: ``write_feature_blocks`` of the whole clip.
 
@@ -1260,7 +1285,7 @@ def write_feature_blocks(
             if not files:
                 targets = [path]
                 if csv:
-                    targets += [path.with_name(f"{path.stem}.{name}.csv") for name, _ in named]
+                    targets += [_csv_path(path, name) for name, _ in named]
                 for target in targets:
                     files.append(open(target, "wb"))
                     paths.append(target)

@@ -845,6 +845,99 @@ class TestEvaluate:
                      "--out", str(tmp_path / "r.jsonl")]) == EXIT_MISSING
 
 
+# (inputs written as 4-mic WAVs, argv with {d} for the directory, the
+# option and path of each of the two that name one file)
+_SAME_FILE_CASES = {
+    # extract truncated the WAV it was still reading, decoded garbage,
+    # exited 4 and then removed the input
+    "extract-out-is-in": (
+        ["m.wav"], "extract --in {d}/m.wav --out {d}/m.wav", ("--out", "{d}/m.wav"),
+    ),
+    "extract-csv-plane-is-in": (
+        ["f.lambda.csv"], "extract --in {d}/f.lambda.csv --variant lstsc-1 --csv --out {d}/f.lsts",
+        ("--csv plane", "{d}/f.lambda.csv"),
+    ),
+    "extract-warped-csv-plane-is-in": (
+        ["f.gamma_global_warped.csv"],
+        "extract --in {d}/f.gamma_global_warped.csv --variant lstsc-4 --csv --out {d}/f.lsts",
+        ("--csv plane", "{d}/f.gamma_global_warped.csv"),
+    ),
+    "extract-out-is-a-symlink-to-in": (
+        ["m.wav"], "extract --in {d}/m.wav --out {d}/symlink.wav", ("--out", "{d}/symlink.wav"),
+    ),
+    "extract-out-is-a-hard-link-to-in": (
+        ["m.wav"], "extract --in {d}/m.wav --out {d}/hardlink.wav", ("--out", "{d}/hardlink.wav"),
+    ),
+    "extract-out-under-output-root-is-in": (
+        ["m.wav"], "extract --in {d}/m.wav --out m.wav", ("--out", "{d}/m.wav"),
+    ),
+    # enhance replaced its input, or wrote the mask over it, and exited 0
+    "enhance-out-is-in": (
+        ["m.wav"], "enhance --in {d}/m.wav --out {d}/m.wav", ("--out", "{d}/m.wav"),
+    ),
+    "enhance-mask-is-in": (
+        ["m.wav"], "enhance --in {d}/m.wav --out {d}/e.wav --mask-out {d}/m.wav",
+        ("--mask-out", "{d}/m.wav"),
+    ),
+    "enhance-default-mask-is-in": (
+        ["e.mask.csv"], "enhance --in {d}/e.mask.csv --out {d}/e.wav",
+        ("--mask-out", "{d}/e.mask.csv"),
+    ),
+    # the mask CSV went over the enhanced WAV, with exit 0
+    "enhance-mask-is-out": (
+        ["m.wav"], "enhance --in {d}/m.wav --out {d}/e.wav --mask-out {d}/e.wav",
+        ("--mask-out", "{d}/e.wav"),
+    ),
+    # evaluate appended a JSON line to the WAV, with exit 0
+    "evaluate-out-is-ref": (
+        ["ref.wav", "est.wav"], "evaluate --ref {d}/ref.wav --est {d}/est.wav --out {d}/ref.wav",
+        ("--out", "{d}/ref.wav"),
+    ),
+    "evaluate-out-is-est": (
+        ["ref.wav", "est.wav"], "evaluate --ref {d}/ref.wav --est {d}/est.wav --out {d}/est.wav",
+        ("--out", "{d}/est.wav"),
+    ),
+}
+
+
+class TestSameFileOutputs:
+    """An output that is the same file as an input, or as another output,
+    exits 2 naming both paths, and nothing is opened for writing."""
+
+    @pytest.mark.parametrize("case", sorted(_SAME_FILE_CASES))
+    def test_exits_2_leaving_the_inputs_as_they_were(
+        self, tmp_path, rng, monkeypatch, capsys, case
+    ):
+        inputs, argv, (option, path) = _SAME_FILE_CASES[case]
+        for name in inputs:
+            save_wav(tmp_path / name, delayed_array_audio(rng, 4, 8000, noise_rms=0.02))
+        (tmp_path / "symlink.wav").symlink_to(tmp_path / "m.wav")
+        if (tmp_path / "m.wav").exists():
+            os.link(tmp_path / "m.wav", tmp_path / "hardlink.wav")
+        monkeypatch.setenv("LSTSC_OUTPUT_ROOT", str(tmp_path))
+        before = {file: file.read_bytes() for file in tmp_path.iterdir() if file.exists()}
+        listing = sorted(tmp_path.iterdir())
+        assert main(argv.format(d=tmp_path).split()) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{option} {path.format(d=tmp_path)} is the same file as" in err
+        assert sorted(tmp_path.iterdir()) == listing
+        assert {file: file.read_bytes() for file in before} == before
+
+    @pytest.mark.parametrize("blocker", ["directory", "file-as-parent"])
+    def test_mask_that_cannot_be_written_removes_the_wav(self, tmp_path, mixture_wav, blocker):
+        # the WAV stayed behind, without its mask, with exit 1
+        if blocker == "directory":
+            mask_out = tmp_path / "masks"
+            mask_out.mkdir()
+        else:
+            (tmp_path / "plain").write_text("")
+            mask_out = tmp_path / "plain" / "m.csv"
+        out = tmp_path / "e.wav"
+        assert main(["enhance", "--in", mixture_wav, "--out", str(out),
+                     "--mask-out", str(mask_out)]) == cli.EXIT_OTHER
+        assert not out.exists()
+
+
 class TestEnvironmentRoot:
     def test_output_root_prefixes_relative_paths(self, tmp_path, mixture_wav,
                                                  monkeypatch):

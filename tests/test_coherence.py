@@ -361,7 +361,9 @@ class TestNonFiniteVectors:
 
 
 def _blend(rbar, r, lam):
-    """One tracker update, as a one-frame block of ``_Blend``."""
+    """One tracker update, as a one-frame block of ``_Blend``: the
+    pair-major (M - 1, F) ``rbar`` and ``r`` with a scalar or a row of F
+    factors ``lam``."""
     lam = np.asarray(lam, dtype=np.float64)
     blend = _Blend(r[np.newaxis], rbar, lam[np.newaxis] if lam.ndim else lam)
     blend.step(0)
@@ -369,29 +371,32 @@ def _blend(rbar, r, lam):
 
 
 class TestRecursiveUpdate:
-    """The tracker update ``_Blend``, which both trackers use."""
+    """The tracker update ``_Blend``, which both trackers use, on
+    pair-major stacks: (M - 1, F) states, one lambda per bin."""
 
     def test_lambda_one_keeps_state_exactly(self, rng):
-        rbar = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        r = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        rbar = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        r = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
         out = _blend(rbar.copy(), r, np.ones(5))
         assert np.array_equal(out, rbar)
 
     def test_lambda_zero_replaces_state_exactly(self, rng):
-        rbar = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        r = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        rbar = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        r = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
         out = _blend(rbar, r, np.zeros(5))
         assert np.array_equal(out, r)
 
     def test_row_endpoints_exact_in_a_mixed_row(self, rng):
         lam = np.array([1.0, 0.0, 0.5, 1.0, 0.0])
-        rbar = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        r = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        rbar = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        r = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
         # the blend's arithmetic would turn these signed zeros into +0.0
-        rbar[0, 0] = r[1, 0] = complex(-0.0, -0.0)
-        r[0, 0] = rbar[1, 0] = 1.0 + 1.0j
+        rbar[0, 0] = r[0, 1] = complex(-0.0, -0.0)
+        r[0, 0] = rbar[0, 1] = 1.0 + 1.0j
         out = _blend(rbar, r, lam)
-        want = np.stack([rbar[0], r[1], 0.5 * rbar[2] + 0.5 * r[2], rbar[3], r[4]])
+        want = np.stack(
+            [rbar[:, 0], r[:, 1], 0.5 * rbar[:, 2] + 0.5 * r[:, 2], rbar[:, 3], r[:, 4]], axis=1
+        )
         assert out.tobytes() == want.tobytes()
 
     def test_geometric_recursion(self):
@@ -405,9 +410,9 @@ class TestRecursiveUpdate:
         assert np.allclose(blend.states[-1], expected, atol=1e-12)
 
     def test_hold_keeps_state_whatever_lambda(self, rng):
-        rbar = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        rbar = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         rbar[0, 0] = complex(-0.0, 0.0)
-        rtfs = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
+        rtfs = rng.standard_normal((2, 2, 4)) + 1j * rng.standard_normal((2, 2, 4))
         blend = _Blend(rtfs, rbar, np.full((2, 4), 0.5))
         blend.step(0, hold=True)
         blend.step(1)
